@@ -709,6 +709,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print('snakeflip: %s' % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (WordError, TwistError, RegularityError) as exc:
+    except (WordError, TwistError, RegularityError, OverflowError) as exc:
         print('snakeflip: %s' % exc, file=sys.stderr)
         return EXIT_USAGE
+
+
+if __name__ == '__main__':
+    sys.exit(main())

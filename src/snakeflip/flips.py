@@ -10,7 +10,7 @@ from time import monotonic
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
-from .polytope import Triangulation, is_triangulation, is_unimodular, simplex_volume
+from .polytope import Triangulation, is_triangulation, is_unimodular, simplex_volume, walls
 from .posets import maximal_chains
 from .words import SnakeWord
 
@@ -98,7 +98,7 @@ def apply_flip(tri: Triangulation, move: FlipMove, validate: bool = True) -> Tri
 
 def _neighbors(tri: Triangulation, circuits) -> List[Tuple[Circuit, Triangulation]]:
     # validation is skipped on the search path; count and unimodularity are
-    # asserted per node and full validation is exercised by the tests
+    # checked per node and full validation is exercised by the tests
     return [(m.circuit, apply_flip(tri, m, validate=False)) for m in find_flips(tri, circuits)]
 
 
@@ -107,7 +107,8 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
                        deadline: Optional[float] = None) -> FlipGraph:
     """Deterministic breadth-first closure of the seed under circuit flips."""
     circuits = tuple(circuits)
-    assert is_unimodular(seed)
+    if not is_unimodular(seed):
+        raise FlipError('seed triangulation is not unimodular')
     index = {seed.simplices: 0}
     nodes = [seed]
     depths = [0]
@@ -139,7 +140,8 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
                     if len(nodes) >= budget:
                         truncated = True
                         continue
-                    assert is_unimodular(image)
+                    if not is_unimodular(image):
+                        raise FlipError('flip produced a non-unimodular triangulation')
                     b = len(nodes)
                     index[image.simplices] = b
                     nodes.append(image)
@@ -174,13 +176,9 @@ class Graph:
 
 def dual_graph(tri: Triangulation) -> Graph:
     """Simplices as nodes, an edge whenever two simplices share a wall."""
-    edges = set()
-    sets = [set(s) for s in tri.simplices]
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            if len(sets[a] & sets[b]) == tri.config.dim:
-                edges.add((a, b))
-    return Graph(len(sets), frozenset(edges))
+    edges = frozenset((cofaces[0][0], cofaces[1][0])
+                      for cofaces in walls(tri.simplices).values() if len(cofaces) == 2)
+    return Graph(len(tri.simplices), edges)
 
 
 _certificates: Dict[Graph, Tuple[Tuple[FrozenSet[int], ...], Tuple[int, ...]]] = {}

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 from .exact import det_int, integer_normal, lp_maximize
 from .posets import Poset, filter_lattice, maximal_chains
@@ -78,7 +78,17 @@ def _simplex_volume_cached(cfg: PointConfiguration, idx: Tuple[int, ...]) -> int
 
 @lru_cache(maxsize=None)
 def expected_normalized_volume(cfg: PointConfiguration) -> int:
-    """Volume of the order polytope: maximal chains of the column containment order."""
+    """Volume of an order polytope: maximal chains of the column containment order.
+
+    Only 0/1 columns closed under componentwise min and max form a lattice of
+    filters (Birkhoff) whose chain count is the volume (Stanley); any other
+    configuration raises PolytopeError.
+    """
+    present = set(cfg.columns)
+    if any(x not in (0, 1) for col in present for x in col) or any(
+            tuple(map(f, a, b)) not in present
+            for f in (min, max) for a in present for b in present):
+        raise PolytopeError('volume by chain count needs 0/1 columns closed under min and max')
     order = {}
     for j, col in enumerate(cfg.columns):
         order[j] = [k for k, other in enumerate(cfg.columns)
@@ -99,6 +109,19 @@ def expected_normalized_volume(cfg: PointConfiguration) -> int:
         return memo[j]
 
     return paths(bottom)
+
+
+def walls(simplices) -> Dict[Tuple[int, ...], List[Tuple[int, int]]]:
+    """Facet -> [(simplex position, apex), ...] of sorted simplex tuples.
+
+    Cofaces are listed by position; in a triangulation an interior wall has
+    two and a boundary wall one.
+    """
+    out: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+    for pos, s in enumerate(simplices):
+        for drop in range(len(s)):
+            out.setdefault(s[:drop] + s[drop + 1:], []).append((pos, s[drop]))
+    return out
 
 
 def _pair_has_common_face(cfg: PointConfiguration, s1, s2) -> bool:
@@ -125,15 +148,13 @@ def is_triangulation(cfg: PointConfiguration, simplices, pairwise_lp: bool = Fal
     """Union property plus the wall certificate (and optional pairwise LP check).
 
     The union property compares the summed simplex volumes with
-    expected_normalized_volume, which counts maximal chains of column
-    containment: it is the volume only for the 0/1 vertex configurations of
-    order polytopes, so other configurations may be rejected wrongly.
+    expected_normalized_volume, so the configuration must be the 0/1 vertex
+    set of an order polytope; any other configuration raises PolytopeError.
     """
     canon = [tuple(sorted(s)) for s in simplices]
     if len(set(canon)) != len(canon):
         return False
     total = 0
-    walls = {}
     for s in canon:
         if len(s) != cfg.dim + 1 or len(set(s)) != len(s):
             return False
@@ -141,9 +162,6 @@ def is_triangulation(cfg: PointConfiguration, simplices, pairwise_lp: bool = Fal
         if vol == 0:
             return False
         total += vol
-        for drop in range(len(s)):
-            wall = s[:drop] + s[drop + 1:]
-            walls.setdefault(wall, []).append(s[drop])
     if total != expected_normalized_volume(cfg):
         return False
     hom = [cfg.homogeneous(j) for j in range(len(cfg.columns))]
@@ -152,13 +170,13 @@ def is_triangulation(cfg: PointConfiguration, simplices, pairwise_lp: bool = Fal
         x = sum(a * b for a, b in zip(nu, hom[j]))
         return (x > 0) - (x < 0)
 
-    for wall, apexes in walls.items():
-        if len(apexes) > 2:
+    for wall, cofaces in walls(canon).items():
+        if len(cofaces) > 2:
             return False
         # the wall spans a hyperplane, since its simplex has nonzero volume
         nu = integer_normal([hom[j] for j in wall])
-        signs = [side(nu, a) for a in apexes]
-        if len(apexes) == 2:
+        signs = [side(nu, a) for _, a in cofaces]
+        if len(cofaces) == 2:
             if signs[0] * signs[1] != -1:
                 return False
         else:

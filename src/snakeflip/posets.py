@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import SnakeWord, WordError, is_in_V
+from .words import WordError, is_in_V
 
 
 class PosetError(ValueError):
@@ -486,7 +486,6 @@ class RegularityLabeling:
 
     q: Poset  # element index k carries the name k+1
     new_name: dict  # lattice element -> name in 1..n+4
-    old_name: dict  # lattice element -> name in 0..n+3
     x_of: tuple  # x_of[j] = lattice element labeled x_j
     x_index: dict  # lattice element -> j
     phi_mask: dict  # lattice element -> filter of q as bit mask over name-1 bits
@@ -519,10 +518,8 @@ def regularity_labeling(phat, w):
     if x_of[1] not in phat.lower_covers(one_hat):
         raise PosetError('x_1 must be covered by the top')
     new_name = {0: 1, 1: 2, 2: 3, zero_hat: 4}
-    old_name = {0: 0, 1: 1, 2: 2, zero_hat: n + 3}
     for i in range(1, n + 1):
         new_name[2 * i + 2] = i + 4
-        old_name[2 * i + 2] = i + 2
     q_elements = sorted(new_name)
     covers = []
     for x in q_elements:
@@ -539,4 +536,4 @@ def regularity_labeling(phat, w):
         phi[p] = mask
     if len(set(phi.values())) != phat.size:
         raise PosetError('principal filter map is not injective')
-    return RegularityLabeling(q, new_name, old_name, tuple(x_of), x_index, phi, ld)
+    return RegularityLabeling(q, new_name, tuple(x_of), x_index, phi, ld)

@@ -6,14 +6,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .circuits import all_circuits, word_context
-from .exact import det_int, kernel_vector, lp_maximize
+from .exact import det_int, integer_normal, lp_maximize
 from .flips import canonical_of, dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash
 from .polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
-                       is_triangulation, simplex_volume)
+                       simplex_volume, walls)
 from .posets import build_snake_poset
 from .twists import Twist, all_twists
 from .words import SnakeWord
@@ -92,14 +92,8 @@ def folding_form(cfg: PointConfiguration, simplex, p: int, omega: HeightFunction
 
 
 def _walls(tri: Triangulation):
-    by_facet: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-    for i, s in enumerate(tri.simplices):
-        for j in s:
-            f = tuple(x for x in s if x != j)
-            by_facet.setdefault(f, []).append((i, j))
     out = []
-    for f in sorted(by_facet):
-        incident = by_facet[f]
+    for f, incident in sorted(walls(tri.simplices).items()):
         if len(incident) > 2:
             raise RegularityError('facet %r has %d cofaces' % (f, len(incident)))
         if len(incident) == 2:
@@ -152,15 +146,10 @@ def _wall_rows(tri: Triangulation):
     seen = set()
     for f, i1, v1, i2, v2 in _walls(tri):
         union = tuple(sorted(set(tri.simplices[i1]) | set(tri.simplices[i2])))
-        lam = kernel_vector([list(cfg.homogeneous(j)) for j in union])
+        lam = integer_normal(list(zip(*(cfg.homogeneous(j) for j in union))))
         if lam is None:
-            raise RegularityError('wall pair %r is affinely independent' % (f,))
-        scale = lcm(*(Fraction(x).denominator for x in lam))
-        coeffs = {c: int(Fraction(x) * scale) for c, x in zip(union, lam) if x != 0}
-        g = 0
-        for x in coeffs.values():
-            g = gcd(g, x)
-        coeffs = {c: x // g for c, x in coeffs.items()}
+            raise RegularityError('wall pair %r spans more than one dependence' % (f,))
+        coeffs = {c: x for c, x in zip(union, lam) if x != 0}
         a1, a2 = coeffs.get(v1, 0), coeffs.get(v2, 0)
         if a1 == 0 or a2 == 0 or (a1 > 0) != (a2 > 0):
             raise RegularityError('wall dependence does not isolate the apexes')
@@ -268,16 +257,16 @@ def _twist_is_affine(w: SnakeWord, tau: Twist) -> bool:
     """Whether the twist permutes columns by an affine map of the ambient space."""
     cfg = word_context(w).config
     base = canonical_of(w).simplices[0]
-    bcols = [list(cfg.homogeneous(c)) for c in base]
+    bcols = [cfg.homogeneous(c) for c in base]
     images = [cfg.homogeneous(tau.column_permutation[c]) for c in base]
     for c in range(len(cfg.columns)):
-        lam = kernel_vector(bcols + [list(cfg.homogeneous(c))])
-        if lam is None or lam[-1] != 1:
+        lam = integer_normal(list(zip(*bcols, cfg.homogeneous(c))))
+        if lam is None or lam[-1] == 0:
             raise RegularityError('base simplex does not span the configuration')
-        beta = [-x for x in lam[:-1]]
+        # sum_k lam_k base_k + lam_last c = 0, so c maps to -sum_k lam_k image_k / lam_last
         target = cfg.homogeneous(tau.column_permutation[c])
         for i in range(cfg.dim + 1):
-            if sum(beta[k] * images[k][i] for k in range(len(beta))) != target[i]:
+            if -sum(lam[k] * images[k][i] for k in range(len(bcols))) != lam[-1] * target[i]:
                 return False
     return True
 
@@ -295,25 +284,11 @@ def enumerate_triangulations(cfg: PointConfiguration, budget_steps: int = 2_000_
                        if simplex_volume(cfg, s) > 0)
     volumes = [simplex_volume(cfg, s) for s in candidates]
 
-    normals: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    normals: Dict[Tuple[int, ...], List[int]] = {}
 
     def normal(f):
         if f not in normals:
-            rows = [list(cfg.homogeneous(c)) for c in f]
-            nu = []
-            for i in range(d + 1):
-                minor = [row[:i] + row[i + 1:] for row in rows]
-                nu.append((-1) ** i * det_int(minor))
-            g = 0
-            for x in nu:
-                g = gcd(g, x)
-            nu = [x // g for x in nu]
-            for x in nu:
-                if x:
-                    if x < 0:
-                        nu = [-y for y in nu]
-                    break
-            normals[f] = tuple(nu)
+            normals[f] = integer_normal([cfg.homogeneous(c) for c in f])
         return normals[f]
 
     def side(f, hom):

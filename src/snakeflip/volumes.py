@@ -7,7 +7,7 @@ from typing import Dict, Tuple
 
 from .exact import BudgetError, det_int
 from .posets import Poset, build_snake_poset, strip_embedding
-from .words import SnakeWord, parse_word, swap
+from .words import SnakeWord, parse_word
 
 
 class VolumeError(ValueError):
@@ -212,7 +212,3 @@ def verify_minmax(n: int) -> MinmaxReport:
         words_checked=len(volumes),
     )
 
-
-def swap_decreases_volume(w: SnakeWord, i: int) -> bool:
-    """Whether the swap at index i strictly decreases the volume."""
-    return volume_recursive(swap(w, i)) < volume_recursive(w)

@@ -1,13 +1,18 @@
 """End-to-end acceptance checks: every theorem at desk scale, with time budgets."""
 import itertools
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 from time import monotonic
 
 import pytest
 
 from snakeflip.circuits import all_circuits, circuits_brute, word_context
 from snakeflip.cli import main
-from snakeflip.flips import (apply_flip, canonical_of, cayley_check,
+import snakeflip
+from snakeflip.flips import (FlipError, apply_flip, canonical_of, cayley_check,
                              explore_flip_graph, find_flips)
 from snakeflip.polytope import PointConfiguration, Triangulation, is_unimodular
 from snakeflip.regularity import (count_canonical_dual_graphs,
@@ -174,8 +179,26 @@ def test_unimodularity_is_enforced_during_search():
     assert all(is_unimodular(node) for node in graph.nodes)
     stretched = PointConfiguration(1, ((0,), (2,)), ((0,), (1,)))
     seed = Triangulation.make(stretched, [(0, 1)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(FlipError):
         explore_flip_graph(seed, ())
+
+
+def test_unimodularity_is_enforced_under_optimization():
+    # python -O strips assert statements; the check must not rely on one
+    script = '\n'.join([
+        'from snakeflip.flips import FlipError, explore_flip_graph',
+        'from snakeflip.polytope import PointConfiguration, Triangulation',
+        'cfg = PointConfiguration(1, ((0,), (2,)), ((0,), (1,)))',
+        'try:',
+        '    explore_flip_graph(Triangulation.make(cfg, [(0, 1)]), ())',
+        'except FlipError:',
+        '    print("rejected")',
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(snakeflip.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, '-O', '-c', script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == 'rejected\n'
 
 
 def test_summary_output_is_worker_independent(capsys):

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import snakeflip
 from snakeflip.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main, parse
 
 
@@ -16,6 +21,22 @@ def test_volume_prints_the_number(capsys):
     code, out, _ = run_cli(capsys, ['volume', '--word', 'LRLRL'])
     assert code == EXIT_OK
     assert out == '169\n'
+
+
+@pytest.mark.parametrize('module', ['snakeflip', 'snakeflip.cli'])
+def test_python_m_entry_points(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(snakeflip.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, '-m', module, 'volume', '--word', 'LRLRL'],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == '169\n'
+
+
+def test_oversized_poset_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, ['poset', '--word', 'L' * 40])
+    assert code == EXIT_USAGE
+    assert out == ''
+    assert err.startswith('snakeflip: ') and err.count('\n') == 1
 
 
 def test_volume_json_payload(capsys):

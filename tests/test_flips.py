@@ -145,6 +145,16 @@ def test_dual_graph_of_the_diamond_is_an_edge():
     assert g.edges == frozenset({(0, 1)})
 
 
+def test_dual_graph_is_the_pairwise_shared_wall_graph():
+    for w in v_words(3):
+        graph = explore_flip_graph(canonical_of(w), all_circuits(w))
+        for t in graph.nodes:
+            sets = [set(s) for s in t.simplices]
+            pairwise = {(a, b) for a, b in itertools.combinations(range(len(sets)), 2)
+                        if len(sets[a] & sets[b]) == t.config.dim}
+            assert dual_graph(t) == Graph(len(sets), frozenset(pairwise))
+
+
 def test_ladder_dual_graphs_pairwise_isomorphic():
     w = parse_word('LL')
     g = explore_flip_graph(canonical_of(w), all_circuits(w))

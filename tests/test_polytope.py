@@ -16,6 +16,7 @@ from snakeflip.polytope import (
     is_unimodular,
     order_polytope_vertices,
     simplex_volume,
+    walls,
 )
 from snakeflip.posets import Poset, adjoin_bounds, build_snake_poset, regularity_labeling
 from snakeflip.volumes import maximal_chain_count
@@ -130,15 +131,11 @@ def test_is_triangulation_rejects_column_beyond_boundary_wall():
     cfg = canonical_triangulation(q_of(parse_word('L'))).config
     simplices = [(0, 1, 2, 3, 5, 7), (0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7)]
     assert sum(simplex_volume(cfg, s) for s in simplices) == expected_normalized_volume(cfg) == 3
-    walls = {}
-    for s in simplices:
-        for apex in s:
-            walls.setdefault(tuple(j for j in s if j != apex), []).append(apex)
-    interior = [(wall, apexes) for wall, apexes in walls.items() if len(apexes) == 2]
+    interior = [(wall, cofaces) for wall, cofaces in walls(simplices).items() if len(cofaces) == 2]
     assert interior
-    for wall, apexes in interior:
+    for wall, cofaces in interior:
         nu = integer_normal([cfg.homogeneous(j) for j in wall])
-        a, b = (sum(x * y for x, y in zip(nu, cfg.homogeneous(j))) for j in apexes)
+        a, b = (sum(x * y for x, y in zip(nu, cfg.homogeneous(j))) for _, j in cofaces)
         assert a * b < 0
     assert not is_triangulation(cfg, simplices)
 
@@ -161,6 +158,46 @@ def test_integer_normal_agrees_with_wall_determinants():
             fixed = next(s * t for s, t in signs if t)
             assert fixed != 0
             assert all(s == t * fixed for s, t in signs)
+
+
+def test_walls_lists_cofaces_by_position():
+    # two triangles of the unit square share the diagonal (0, 3)
+    assert walls([(0, 1, 3), (0, 2, 3)]) == {
+        (1, 3): [(0, 0)], (0, 3): [(0, 1), (1, 2)], (0, 1): [(0, 3)],
+        (2, 3): [(1, 0)], (0, 2): [(1, 3)],
+    }
+    for w in v_words(3):
+        tri = canonical_of(w)
+        by_facet = walls(tri.simplices)
+        assert sum(len(c) for c in by_facet.values()) == len(tri.simplices) * (tri.config.dim + 1)
+        for facet, cofaces in by_facet.items():
+            assert 1 <= len(cofaces) <= 2
+            assert [pos for pos, _ in cofaces] == sorted(pos for pos, _ in cofaces)
+            for pos, apex in cofaces:
+                assert tuple(sorted(facet + (apex,))) == tri.simplices[pos]
+
+
+def test_chain_count_volume_rejects_other_configurations():
+    # a valid fan of a non-0/1 square: 3 maximal chains, but volume 8
+    square = PointConfiguration(
+        dim=2,
+        columns=((0, 0), (2, 0), (2, 2), (0, 2), (1, 1)),
+        column_labels=((), (1,), (2,), (3,), (4,)),
+    )
+    fan = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]
+    assert sum(simplex_volume(square, s) for s in fan) == 8
+    with pytest.raises(PolytopeError):
+        expected_normalized_volume(square)
+    with pytest.raises(PolytopeError):
+        is_triangulation(square, fan)
+    # 0/1 columns that are not closed under componentwise max
+    corner = PointConfiguration(
+        dim=2,
+        columns=((0, 0), (1, 0), (0, 1)),
+        column_labels=((), (1,), (2,)),
+    )
+    with pytest.raises(PolytopeError):
+        expected_normalized_volume(corner)
 
 
 def test_volume_union_matches_poset_volume():

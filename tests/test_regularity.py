@@ -1,10 +1,12 @@
 """Tests for orders, heights, folding forms, regularity, and the experiments."""
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from snakeflip.circuits import all_circuits, word_context
+from snakeflip.exact import kernel_vector
 from snakeflip.flips import canonical_of, explore_flip_graph
 from snakeflip.polytope import Triangulation, is_triangulation
 from snakeflip.regularity import (
@@ -21,6 +23,7 @@ from snakeflip.regularity import (
     snake_polytope_word,
     verify_local_folding,
 )
+from snakeflip.regularity import _wall_rows
 from snakeflip.twists import all_twists, elementary_twist, twist_triangulation
 from snakeflip.words import SnakeWord, WordError, is_in_V, parse_word
 
@@ -131,6 +134,37 @@ def test_is_regular_on_explored_components():
         graph = explore_flip_graph(canonical_of(w), all_circuits(w))
         for node in graph.nodes:
             assert is_regular(node, verify=True)
+
+
+def _rational_wall_rows(tri):
+    # reference: a rational kernel vector per wall pair, cleared of
+    # denominators and content, with the first apex made positive
+    cfg = tri.config
+    rows = []
+    for s1, s2 in itertools.combinations(tri.simplices, 2):
+        if len(set(s1) & set(s2)) != cfg.dim:
+            continue
+        union = tuple(sorted(set(s1) | set(s2)))
+        lam = kernel_vector([list(cfg.homogeneous(j)) for j in union])
+        scale = lcm(*(Fraction(x).denominator for x in lam))
+        coeffs = {c: int(Fraction(x) * scale) for c, x in zip(union, lam) if x != 0}
+        g = 0
+        for x in coeffs.values():
+            g = gcd(g, x)
+        (apex,) = set(s1) - set(s2)
+        sign = 1 if coeffs[apex] > 0 else -1
+        rows.append(tuple(sorted((c, sign * x // g) for c, x in coeffs.items())))
+    return rows
+
+
+def test_wall_rows_equal_rational_kernel_rows():
+    for n in (1, 2):
+        w = snake_polytope_word(n)
+        graph = explore_flip_graph(canonical_of(w), all_circuits(w))
+        for node in graph.nodes:
+            rows = [tuple(sorted(r.items())) for r in _wall_rows(node)]
+            assert len(rows) == len(set(rows))
+            assert set(rows) == set(_rational_wall_rows(node))
 
 
 def test_enumeration_matches_flip_search_on_small_configs():

@@ -175,10 +175,17 @@ class Graph:
 
 
 def dual_graph(tri: Triangulation) -> Graph:
-    """Simplices as nodes, an edge whenever two simplices share a wall."""
-    edges = frozenset((cofaces[0][0], cofaces[1][0])
-                      for cofaces in walls(tri.simplices).values() if len(cofaces) == 2)
-    return Graph(len(tri.simplices), edges)
+    """Simplices as nodes, an edge whenever two simplices share a wall.
+
+    A facet in more than two simplices raises FlipError: no triangulation has one.
+    """
+    edges = set()
+    for f, cofaces in walls(tri.simplices).items():
+        if len(cofaces) > 2:
+            raise FlipError('facet %r has %d cofaces' % (f, len(cofaces)))
+        if len(cofaces) == 2:
+            edges.add((cofaces[0][0], cofaces[1][0]))
+    return Graph(len(tri.simplices), frozenset(edges))
 
 
 _certificates: Dict[Graph, Tuple[Tuple[FrozenSet[int], ...], Tuple[int, ...]]] = {}

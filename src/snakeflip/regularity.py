@@ -296,17 +296,14 @@ def enumerate_triangulations(cfg: PointConfiguration, budget_steps: int = 2_000_
         return sum(nu[i] * hom[i] for i in range(d + 1))
 
     facet_index: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-    cand_facets = []
-    for ci, s in enumerate(candidates):
-        entries = []
-        for j in s:
-            f = tuple(x for x in s if x != j)
-            sgn = _sign(side(f, cfg.homogeneous(j)))
+    cand_facets: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in candidates]
+    for f, cofaces in walls(candidates).items():
+        for ci, apex in cofaces:
+            sgn = _sign(side(f, cfg.homogeneous(apex)))
             if sgn == 0:
                 raise RegularityError('degenerate facet in a full simplex')
             facet_index.setdefault(f, []).append((ci, sgn))
-            entries.append((f, sgn))
-        cand_facets.append(tuple(entries))
+            cand_facets[ci].append((f, sgn))
 
     boundary = {}
     for f in facet_index:

@@ -18,7 +18,7 @@ from snakeflip.flips import (
     graphs_isomorphic,
     triangulation_hash,
 )
-from snakeflip.polytope import is_triangulation, is_unimodular
+from snakeflip.polytope import Triangulation, is_triangulation, is_unimodular
 from snakeflip.words import SnakeWord, is_in_V, parse_word
 
 
@@ -153,6 +153,13 @@ def test_dual_graph_is_the_pairwise_shared_wall_graph():
             pairwise = {(a, b) for a, b in itertools.combinations(range(len(sets)), 2)
                         if len(sets[a] & sets[b]) == t.config.dim}
             assert dual_graph(t) == Graph(len(sets), frozenset(pairwise))
+
+
+def test_dual_graph_rejects_a_facet_in_three_simplices():
+    cfg = canonical_of(parse_word('L')).config
+    fan = Triangulation.make(cfg, [(0, 1, 2, apex, 6, 7) for apex in (3, 4, 5)])
+    with pytest.raises(FlipError, match='3 cofaces'):
+        dual_graph(fan)
 
 
 def test_ladder_dual_graphs_pairwise_isomorphic():

@@ -10,17 +10,19 @@ from itertools import product
 from time import monotonic
 from typing import Optional, Tuple
 
-from .circuits import all_circuits, circuits_brute, word_context
-from .flips import (apply_flip, canonical_of, cayley_check, explore_flip_graph,
-                    find_flips, triangulation_hash)
-from .polytope import is_unimodular
+from .circuits import CircuitError, all_circuits, circuits_brute, word_context
+from .exact import BudgetError
+from .flips import (FlipError, apply_flip, canonical_of, cayley_check,
+                    explore_flip_graph, find_flips, triangulation_hash)
+from .polytope import PolytopeError, is_unimodular
 from .regularity import (RegularityError, conjecture_suite, folding_form,
                          height_function, is_regular, verify_local_folding)
-from .posets import adjoin_bounds, build_snake_poset, filter_lattice, meet_irreducibles
+from .posets import (PosetError, adjoin_bounds, build_snake_poset, filter_lattice,
+                     meet_irreducibles)
 from .twists import (TwistError, all_twists, commuting_square_check,
                      compose_twists, elementary_twist, identity_twist,
                      twist_circuit, twist_triangulation)
-from .volumes import catalan, volume_brute, volume_recursive, volume_skew
+from .volumes import VolumeError, catalan, volume_brute, volume_recursive, volume_skew
 from .words import (SnakeWord, WordError, connected_induced_subgraphs,
                     count_subgraphs_recursive, is_in_V, parse_word, word_graph)
 
@@ -709,7 +711,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print('snakeflip: %s' % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (WordError, TwistError, RegularityError, OverflowError) as exc:
+    except BudgetError as exc:
+        print('snakeflip: %s' % exc, file=sys.stderr)
+        return EXIT_BUDGET
+    except (WordError, TwistError, RegularityError, PolytopeError, FlipError,
+            CircuitError, PosetError, VolumeError, OverflowError) as exc:
         print('snakeflip: %s' % exc, file=sys.stderr)
         return EXIT_USAGE
 

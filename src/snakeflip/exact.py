@@ -119,63 +119,86 @@ def rank_int(matrix):
 
 
 def lp_maximize(A, b, c):
-    """Maximize c.x subject to A x = b, x >= 0, in exact rational arithmetic.
+    """Maximize c.x subject to A x = b, x >= 0, for integer A, b and c.
 
     Two-phase simplex with Bland's rule. Returns (status, value, x) where
     status is 'optimal', 'infeasible', or 'unbounded'; value and x are set
-    only when optimal.
+    only when optimal, as Fractions.
+
+    The simplex is fraction-free: it keeps an integer tableau T and one
+    common denominator D > 0, so the rational tableau is T / D.  D starts at
+    1 and is the absolute value of the previous pivot.  Pivoting on entry p
+    replaces every other row by (p * T[i][j] - T[i][c] * T[r][j]) // D,
+    an exact division by Sylvester's identity (Bareiss 1968), since every
+    entry is D times an entry of the rational tableau and so, up to sign, a
+    minor of [A | I | b].  The tableau is negated when p < 0 and D becomes
+    |p|.  A reduced cost is negative exactly when sum(lam_i * T[i][j]) <
+    c_j * D, and the ratio test compares T[i][-1] / T[i][j] by cross
+    multiplication, with the same Bland tie-break; so every pivot is the one
+    the rational simplex makes, and the result is the same.
     """
     m = len(A)
     n = len(c)
     if any(len(row) != n for row in A):
         raise ValueError('constraint rows must match the objective length')
-    rows = [[Fraction(v) for v in row] for row in A]
-    rhs = [Fraction(v) for v in b]
+    tableau = []
     for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    tableau = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]]
-               for i in range(m)]
+        row = [_as_int(v) for v in A[i]] + [int(i == j) for j in range(m)] + [_as_int(b[i])]
+        if row[-1] < 0:
+            row = [-v if k < n or k == n + m else v for k, v in enumerate(row)]
+        tableau.append(row)
+    objective = [_as_int(v) for v in c]
     basis = list(range(n, n + m))
+    in_basis = set(basis)
+    denom = 1
 
     def pivot(row, col):
-        piv = tableau[row][col]
-        tableau[row] = [v / piv for v in tableau[row]]
-        for r in range(m):
-            if r != row and tableau[r][col]:
-                factor = tableau[r][col]
-                tableau[r] = [a - factor * p for a, p in zip(tableau[r], tableau[row])]
+        nonlocal denom
+        prow = tableau[row]
+        p = prow[col]
+        for r, other in enumerate(tableau):
+            if r == row:
+                continue
+            f = other[col]
+            if f:
+                tableau[r] = [(p * a - f * q) // denom for a, q in zip(other, prow)]
+            elif p != denom:
+                tableau[r] = [p * a // denom for a in other]
+        if p < 0:
+            tableau[:] = [[-v for v in t] for t in tableau]
+            p = -p
+        denom = p
+        in_basis.discard(basis[row])
         basis[row] = col
+        in_basis.add(col)
 
-    def run_phase(objective, allowed):
+    def run_phase(costs, allowed):
         while True:
-            lam = [objective[basis[i]] for i in range(m)]
+            weighted = [(costs[basis[i]], t) for i, t in enumerate(tableau) if costs[basis[i]]]
             entering = -1
             for j in range(allowed):
-                if j in basis:
-                    continue
-                reduced = sum(lam[i] * tableau[i][j] for i in range(m)) - objective[j]
-                if reduced < 0:
+                if j not in in_basis and sum(w * t[j] for w, t in weighted) < costs[j] * denom:
                     entering = j
                     break
             if entering < 0:
                 return True
             leaving = -1
-            best = None
-            for i in range(m):
-                if tableau[i][entering] > 0:
-                    ratio = tableau[i][-1] / tableau[i][entering]
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                        best = ratio
+            for i, t in enumerate(tableau):
+                a = t[entering]
+                if a > 0:
+                    if leaving < 0:
+                        leaving = i
+                        continue
+                    best = tableau[leaving]
+                    lhs, rhs = t[-1] * best[entering], best[-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                         leaving = i
             if leaving < 0:
                 return False
             pivot(leaving, entering)
 
-    phase1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    run_phase(phase1, n + m)
-    if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) != 0:
+    run_phase([0] * n + [-1] * m, n + m)
+    if any(tableau[i][-1] for i in range(m) if basis[i] >= n):
         return 'infeasible', None, None
     for i in range(m):  # drive leftover zero-level artificials out of the basis
         if basis[i] >= n:
@@ -187,16 +210,22 @@ def lp_maximize(A, b, c):
     if len(live) < m:
         tableau[:] = [tableau[i] for i in live]
         basis[:] = [basis[i] for i in live]
-        m = len(live)
-    phase2 = [Fraction(v) for v in c] + [Fraction(0)] * (len(tableau[0]) - 1 - n)
-    if not run_phase(phase2, n):
+        in_basis.intersection_update(basis)
+    if not run_phase(objective + [0] * m, n):
         return 'unbounded', None, None
     x = [Fraction(0)] * n
-    for i in range(m):
+    for i, t in enumerate(tableau):
         if basis[i] < n:
-            x[basis[i]] = tableau[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
+            x[basis[i]] = Fraction(t[-1], denom)
+    value = sum(ci * xi for ci, xi in zip(objective, x))
     return 'optimal', value, x
+
+
+def _as_int(v):
+    iv = int(v)
+    if iv != v:
+        raise ValueError('linear program data must be integers, got %r' % (v,))
+    return iv
 
 
 def kernel_vector(columns):

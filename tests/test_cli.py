@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import snakeflip
+import snakeflip.cli as cli
+from snakeflip.circuits import CircuitError
 from snakeflip.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main, parse
+from snakeflip.exact import BudgetError
+from snakeflip.flips import FlipError
+from snakeflip.polytope import PolytopeError
+from snakeflip.posets import PosetError
+from snakeflip.volumes import VolumeError
 
 
 def run_cli(capsys, argv):
@@ -37,6 +44,22 @@ def test_oversized_poset_is_a_usage_error(capsys):
     assert code == EXIT_USAGE
     assert out == ''
     assert err.startswith('snakeflip: ') and err.count('\n') == 1
+
+
+@pytest.mark.parametrize('error, code', [
+    (BudgetError, EXIT_BUDGET),
+    (PolytopeError, EXIT_USAGE),
+    (FlipError, EXIT_USAGE),
+    (CircuitError, EXIT_USAGE),
+    (PosetError, EXIT_USAGE),
+    (VolumeError, EXIT_USAGE),
+])
+def test_library_errors_map_to_exit_codes(capsys, monkeypatch, error, code):
+    def handler(config):
+        raise error('stopped here')
+
+    monkeypatch.setitem(cli._COMMANDS, 'volume', handler)
+    assert run_cli(capsys, ['volume', '--word', 'LR']) == (code, '', 'snakeflip: stopped here\n')
 
 
 def test_volume_json_payload(capsys):

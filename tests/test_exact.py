@@ -130,3 +130,124 @@ def test_lp_redundant_rows():
 def test_lp_determinism():
     problem = ([[1, 2, 1, 0], [3, 1, 0, 1]], [4, 5], [2, 3, 0, 0])
     assert lp_maximize(*problem) == lp_maximize(*problem)
+
+
+def test_lp_all_rows_dead():
+    assert lp_maximize([[0, 0]], [0], [1, 0]) == ('unbounded', None, None)
+    assert lp_maximize([[0]], [0], [0]) == ('optimal', 0, [0])
+    assert lp_maximize([], [], [0, 0]) == ('optimal', 0, [0, 0])
+
+
+def test_lp_rejects_fractional_data():
+    with pytest.raises(ValueError):
+        lp_maximize([[Fraction(1, 2), 1]], [1], [1, 0])
+    with pytest.raises(ValueError):
+        lp_maximize([[1, 1]], [1], [0.5, 0])
+
+
+def fraction_lp_maximize(A, b, c):
+    # reference: the two-phase Bland simplex in Fraction arithmetic that the
+    # integer tableau replaced, with the phase-2 objective sized from the
+    # original row count so that an all-dead tableau does not fail
+    m = len(A)
+    n = len(c)
+    m0 = m
+    rows = [[Fraction(v) for v in row] for row in A]
+    rhs = [Fraction(v) for v in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    tableau = [rows[i] + [Fraction(int(i == j)) for j in range(m)] + [rhs[i]]
+               for i in range(m)]
+    basis = list(range(n, n + m))
+
+    def pivot(row, col):
+        piv = tableau[row][col]
+        tableau[row] = [v / piv for v in tableau[row]]
+        for r in range(m):
+            if r != row and tableau[r][col]:
+                factor = tableau[r][col]
+                tableau[r] = [a - factor * p for a, p in zip(tableau[r], tableau[row])]
+        basis[row] = col
+
+    def run_phase(objective, allowed):
+        while True:
+            lam = [objective[basis[i]] for i in range(m)]
+            entering = -1
+            for j in range(allowed):
+                if j in basis:
+                    continue
+                reduced = sum(lam[i] * tableau[i][j] for i in range(m)) - objective[j]
+                if reduced < 0:
+                    entering = j
+                    break
+            if entering < 0:
+                return True
+            leaving = -1
+            best = None
+            for i in range(m):
+                if tableau[i][entering] > 0:
+                    ratio = tableau[i][-1] / tableau[i][entering]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                        best = ratio
+                        leaving = i
+            if leaving < 0:
+                return False
+            pivot(leaving, entering)
+
+    phase1 = [Fraction(0)] * n + [Fraction(-1)] * m
+    run_phase(phase1, n + m)
+    if sum(tableau[i][-1] for i in range(m) if basis[i] >= n) != 0:
+        return 'infeasible', None, None
+    for i in range(m):
+        if basis[i] >= n:
+            for j in range(n):
+                if tableau[i][j] != 0:
+                    pivot(i, j)
+                    break
+    live = [i for i in range(m) if basis[i] < n or any(tableau[i][j] for j in range(n))]
+    if len(live) < m:
+        tableau[:] = [tableau[i] for i in live]
+        basis[:] = [basis[i] for i in live]
+        m = len(live)
+    phase2 = [Fraction(v) for v in c] + [Fraction(0)] * m0
+    if not run_phase(phase2, n):
+        return 'unbounded', None, None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tableau[i][-1]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    return 'optimal', value, x
+
+
+def _random_lp(rng):
+    m = rng.randint(1, 5)
+    n = rng.randint(1, 7)
+    A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    b = [rng.randint(-4, 4) for _ in range(m)]
+    for i in range(m):
+        shape = rng.random()
+        if shape < 0.1:  # zero row, consistent or not
+            A[i] = [0] * n
+            b[i] = rng.choice((0, 0, 1))
+        elif shape < 0.25 and i > 0:  # multiple of an earlier row
+            k = rng.randrange(i)
+            f = rng.choice((-2, -1, 1, 2))
+            A[i] = [f * v for v in A[k]]
+            b[i] = f * b[k] + rng.choice((0, 0, 0, 1))
+    c = [rng.randint(-3, 3) for _ in range(n)]
+    return A, b, c
+
+
+def test_lp_matches_the_fraction_simplex():
+    rng = random.Random(20260418)
+    seen = set()
+    for _ in range(3000):
+        A, b, c = _random_lp(rng)
+        got = lp_maximize(A, b, c)
+        assert got == fraction_lp_maximize(A, b, c), (A, b, c)
+        assert all(isinstance(v, Fraction) for v in got[2] or ())
+        seen.add(got[0])
+    assert seen == {'optimal', 'infeasible', 'unbounded'}

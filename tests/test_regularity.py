@@ -4,7 +4,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from test_exact import fraction_lp_maximize
 
+import snakeflip.regularity as regularity
 from snakeflip.circuits import all_circuits, word_context
 from snakeflip.exact import kernel_vector
 from snakeflip.flips import canonical_of, explore_flip_graph
@@ -165,6 +167,20 @@ def test_wall_rows_equal_rational_kernel_rows():
             rows = [tuple(sorted(r.items())) for r in _wall_rows(node)]
             assert len(rows) == len(set(rows))
             assert set(rows) == set(_rational_wall_rows(node))
+
+
+def test_is_regular_matches_the_fraction_simplex(monkeypatch):
+    def results(nodes):
+        return [(r.regular, r.heights, r.slack, r.constraints)
+                for r in (is_regular(node, verify=True) for node in nodes)]
+
+    nodes = []
+    for n in (1, 2):
+        w = snake_polytope_word(n)
+        nodes += explore_flip_graph(canonical_of(w), all_circuits(w)).nodes
+    integer = results(nodes)
+    monkeypatch.setattr(regularity, 'lp_maximize', fraction_lp_maximize)
+    assert results(nodes) == integer
 
 
 def test_enumeration_matches_flip_search_on_small_configs():

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .exact import BudgetError, kernel_vector
+from .exact import BudgetError, integer_normal
 from .polytope import PointConfiguration, order_polytope_vertices
 from .posets import (FilterLattice, Poset, RegularityLabeling, adjoin_bounds,
                      build_snake_poset, filter_lattice, regularity_labeling,
@@ -98,7 +98,8 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
 
     Rank decisions run modulo a 61-bit prime; a Hadamard bound on the
     column entries guarantees they agree with the rationals, and each
-    discovered support is re-solved exactly for its signs.
+    discovered support is re-solved exactly for its signs by
+    exact.integer_normal on the support's columns.
     """
     m = len(cfg.columns)
     if m > 24:
@@ -197,14 +198,14 @@ def _gamma(ctx: WordContext, idxs) -> Circuit:
     for r in range(height):
         if sum(s * col[r] for s, col in zip(signs, cols)) != 0:
             raise CircuitError('signed columns are not an exact dependence')
-    if kernel_vector(cols[:-1]) is not None:
+    if integer_normal(list(zip(*cols))) is None:
         raise CircuitError('circuit support is not minimally dependent')
     return Circuit.make([c for c, v in support.items() if v > 0],
                         [c for c, v in support.items() if v < 0])
 
 
 def _orient(cols, support) -> Circuit:
-    coeffs = kernel_vector([cols[k] for k in support])
+    coeffs = integer_normal(list(zip(*(cols[k] for k in support))))
     if coeffs is None or any(c == 0 for c in coeffs):
         raise CircuitError('modular dependence not confirmed over the rationals')
     return Circuit.make([k for k, c in zip(support, coeffs) if c > 0],

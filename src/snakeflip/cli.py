@@ -715,7 +715,7 @@ def main(argv=None) -> int:
         print('snakeflip: %s' % exc, file=sys.stderr)
         return EXIT_BUDGET
     except (WordError, TwistError, RegularityError, PolytopeError, FlipError,
-            CircuitError, PosetError, VolumeError, OverflowError) as exc:
+            CircuitError, PosetError, VolumeError) as exc:
         print('snakeflip: %s' % exc, file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,24 +37,29 @@ def det_int(matrix):
 
 
 def integer_normal(rows):
-    """Primitive integer vector orthogonal to k independent integer rows of length k + 1.
+    """Primitive integer vector spanning the kernel of integer rows of one length.
 
+    The rows may be any number of integer vectors of a common length n;
+    ragged rows raise ValueError, and [] counts as no rows of length 1.
     Fraction-free (Bareiss) elimination to echelon form, whose divisions are
-    exact, leaves one column without a pivot; integer back-substitution then
-    solves for the kernel with that column's entry set to one, scaling the
-    vector whenever a pivot does not divide.  The result is divided by its
-    content and its first nonzero entry is positive, so it is proportional to
-    the cofactor vector: det([rows..., x]) = c * (normal . x) for one nonzero
-    integer c.  Returns None when the rows are dependent.
+    exact, leaves the columns without a pivot; when exactly one is left, the
+    kernel is one-dimensional and integer back-substitution solves for it
+    with that column's entry set to one, scaling the vector whenever a pivot
+    does not divide.  The result is divided by its content and its first
+    nonzero entry is positive.  For k independent rows of length k + 1 it is
+    proportional to the cofactor vector: det([rows..., x]) = c * (normal . x)
+    for one nonzero integer c.  Returns None when the kernel is not
+    one-dimensional.
     """
     m = [[int(x) for x in row] for row in rows]
     k = len(m)
-    if any(len(row) != k + 1 for row in m):
-        raise ValueError('normal needs k rows of length k + 1')
+    n = len(m[0]) if m else 1
+    if any(len(row) != n for row in m):
+        raise ValueError('normal needs rows of one length')
     prev = 1
     pivot_cols = []
     free = None
-    for c in range(k + 1):
+    for c in range(n):
         r = len(pivot_cols)
         pivot = next((i for i in range(r, k) if m[i][c] != 0), None)
         if pivot is None:
@@ -74,9 +79,11 @@ def integer_normal(rows):
             row[c + 1:] = [(p * a - f * b) // prev for a, b in zip(row[c + 1:], tail)]
         prev = p
         pivot_cols.append(c)
-    nu = [0] * (k + 1)
+    if free is None:
+        return None
+    nu = [0] * n
     nu[free] = 1
-    for r in range(k - 1, -1, -1):
+    for r in range(len(pivot_cols) - 1, -1, -1):
         c = pivot_cols[r]
         row = m[r]
         s = sum(a * b for a, b in zip(row[c + 1:], nu[c + 1:]))
@@ -90,32 +97,6 @@ def integer_normal(rows):
     if next(x for x in nu if x) < 0:
         g = -g
     return [x // g for x in nu]
-
-
-def rank_int(matrix):
-    """Rank of an integer matrix over the rationals."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        inv = pr[c]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                factor = rows[r][c] / inv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], pr)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def lp_maximize(A, b, c):
@@ -141,6 +122,8 @@ def lp_maximize(A, b, c):
     n = len(c)
     if any(len(row) != n for row in A):
         raise ValueError('constraint rows must match the objective length')
+    if len(b) != m:
+        raise ValueError('right-hand side needs one entry per constraint row')
     tableau = []
     for i in range(m):
         row = [_as_int(v) for v in A[i]] + [int(i == j) for j in range(m)] + [_as_int(b[i])]
@@ -226,40 +209,3 @@ def _as_int(v):
     if iv != v:
         raise ValueError('linear program data must be integers, got %r' % (v,))
     return iv
-
-
-def kernel_vector(columns):
-    """A nonzero rational dependence among the given integer columns, or None.
-
-    Returns coefficients c with sum c_i * columns[i] = 0, normalized so the
-    last nonzero coefficient is 1, or None when the columns are independent.
-    """
-    if not columns:
-        return None
-    height = len(columns[0])
-    k = len(columns)
-    rows = [[Fraction(columns[j][i]) for j in range(k)] for i in range(height)]
-    pivots = {}
-    rank = 0
-    for c in range(k):
-        pivot = None
-        for r in range(rank, height):
-            if rows[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            coeffs = [Fraction(0)] * k
-            coeffs[c] = Fraction(1)
-            for cc, rr in pivots.items():
-                coeffs[cc] = -rows[rr][c]
-            return coeffs
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][c]
-        rows[rank] = [a / inv for a in rows[rank]]
-        for r in range(height):
-            if r != rank and rows[r][c] != 0:
-                factor = rows[r][c]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots[c] = rank
-        rank += 1
-    return None

@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
 from .polytope import Triangulation, is_triangulation, is_unimodular, simplex_volume, walls
-from .posets import maximal_chains
+from .posets import digraphs_isomorphic, maximal_chains
 from .words import SnakeWord
 
 
@@ -188,67 +188,11 @@ def dual_graph(tri: Triangulation) -> Graph:
     return Graph(len(tri.simplices), frozenset(edges))
 
 
-_certificates: Dict[Graph, Tuple[Tuple[FrozenSet[int], ...], Tuple[int, ...]]] = {}
-
-
-def _certificate(g: Graph) -> Tuple[Tuple[FrozenSet[int], ...], Tuple[int, ...]]:
-    """Adjacency sets plus stable colors from iterated neighborhood refinement."""
-    if g in _certificates:
-        return _certificates[g]
-    adj = [set() for _ in range(g.vertex_count)]
-    for a, b in g.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    colors = [0] * g.vertex_count
-    while True:
-        signatures = [(colors[v], tuple(sorted(colors[u] for u in adj[v])))
-                      for v in range(g.vertex_count)]
-        palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        refined = [palette[sig] for sig in signatures]
-        if refined == colors:
-            break
-        colors = refined
-    result = (tuple(frozenset(a) for a in adj), tuple(colors))
-    _certificates[g] = result
-    return result
-
-
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism decision: color refinement plus backtracking."""
-    if g1.vertex_count != g2.vertex_count or len(g1.edges) != len(g2.edges):
-        return False
-    adj1, colors1 = _certificate(g1)
-    adj2, colors2 = _certificate(g2)
-    if sorted(colors1) != sorted(colors2):
-        return False
-    n = g1.vertex_count
-    rarity = {c: colors1.count(c) for c in set(colors1)}
-    order = sorted(range(n), key=lambda v: (rarity[colors1[v]], colors1[v], v))
-    by_color: Dict[int, List[int]] = {}
-    for u in range(n):
-        by_color.setdefault(colors2[u], []).append(u)
-    mapping: Dict[int, int] = {}
-    used = set()
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        v = order[k]
-        for u in by_color[colors1[v]]:
-            if u in used:
-                continue
-            if any(w in mapping and ((mapping[w] in adj2[u]) != (w in adj1[v]))
-                   for w in range(n)):
-                continue
-            mapping[v] = u
-            used.add(u)
-            if extend(k + 1):
-                return True
-            del mapping[v]
-            used.discard(u)
-        return False
-
-    return extend(0)
+    """Exact isomorphism decision: posets.digraphs_isomorphic, each edge as two arcs."""
+    return g1.vertex_count == g2.vertex_count and digraphs_isomorphic(
+        g1.vertex_count, g1.edges | {(b, a) for a, b in g1.edges},
+        g2.edges | {(b, a) for a, b in g2.edges})
 
 
 def cayley_check(n: int) -> bool:

@@ -16,8 +16,6 @@ class Poset:
     __slots__ = ('size', 'covers', 'labels', '_up', '_down')
 
     def __init__(self, size, covers, labels=None):
-        if size > 64:
-            raise OverflowError('poset size %d exceeds 64-bit mask width' % size)
         self.size = size
         adj = [0] * size
         for lo, hi in covers:
@@ -120,60 +118,67 @@ class Poset:
         return 'Poset(size=%d, covers=%s)' % (self.size, list(self.covers))
 
     def isomorphic(self, other):
-        """Order-isomorphism test by signature refinement plus backtracking."""
-        if self.size != other.size or len(self.covers) != len(other.covers):
-            return False
-        sig_a = _stable_signatures(self)
-        sig_b = _stable_signatures(other)
-        if sorted(sig_a) != sorted(sig_b):
-            return False
-        buckets = {}
-        for e, s in enumerate(sig_b):
-            buckets.setdefault(s, []).append(e)
-        order = sorted(range(self.size), key=lambda e: (len(buckets[sig_a[e]]), e))
-        mapping = [-1] * self.size
-        used = [False] * other.size
-
-        def extend(k):
-            if k == len(order):
-                return True
-            a = order[k]
-            for b in buckets[sig_a[a]]:
-                if used[b]:
-                    continue
-                ok = True
-                for a2 in order[:k]:
-                    b2 = mapping[a2]
-                    if self.leq(a, a2) != other.leq(b, b2) or self.leq(a2, a) != other.leq(b2, b):
-                        ok = False
-                        break
-                if ok:
-                    mapping[a] = b
-                    used[b] = True
-                    if extend(k + 1):
-                        return True
-                    mapping[a] = -1
-                    used[b] = False
-            return False
-
-        return extend(0)
+        """Order-isomorphism test: isomorphism of the cover digraphs."""
+        return self.size == other.size and digraphs_isomorphic(
+            self.size, self.covers, other.covers)
 
 
-def _stable_signatures(p):
-    sig = [(bin(p.up_mask(e)).count('1'), bin(p.down_mask(e)).count('1'))
-           for e in range(p.size)]
-    for _ in range(p.size):
-        nxt = []
-        for e in range(p.size):
-            ups = sorted(sig[x] for x in p.upper_covers(e))
-            downs = sorted(sig[x] for x in p.lower_covers(e))
-            nxt.append((sig[e], tuple(ups), tuple(downs)))
-        canon = {s: i for i, s in enumerate(sorted(set(nxt)))}
-        nxt = [canon[s] for s in nxt]
-        if nxt == sig:
+def digraphs_isomorphic(n, arcs_a, arcs_b):
+    """Whether two digraphs on vertices 0..n-1, given as (tail, head) arcs, are isomorphic.
+
+    Colour refinement runs on both digraphs at once, by (colour, sorted
+    out-colours, sorted in-colours), until the partition is stable; an
+    isomorphism maps each vertex to one of the same colour.  Backtracking
+    then maps the vertices of the first digraph, rarest colour first, and
+    checks the arcs in both directions between each new pair and every pair
+    already mapped.
+    """
+    out = [set() for _ in range(2 * n)]
+    into = [set() for _ in range(2 * n)]
+    for shift, arcs in ((0, arcs_a), (n, arcs_b)):
+        for tail, head in arcs:
+            out[tail + shift].add(head + shift)
+            into[head + shift].add(tail + shift)
+    colours = [0] * (2 * n)
+    while True:
+        signatures = [(colours[v], tuple(sorted(colours[u] for u in out[v])),
+                       tuple(sorted(colours[u] for u in into[v])))
+                      for v in range(2 * n)]
+        palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+        refined = [palette[sig] for sig in signatures]
+        if refined == colours:
             break
-        sig = nxt
-    return sig
+        colours = refined
+    if sorted(colours[:n]) != sorted(colours[n:]):
+        return False
+    images = {}
+    for v in range(n, 2 * n):
+        images.setdefault(colours[v], []).append(v)
+    order = sorted(range(n), key=lambda v: (len(images[colours[v]]), colours[v], v))
+    # one iterator of untried images per mapped vertex; a loop, not recursion,
+    # so digraphs with more vertices than the recursion limit work
+    mapping = {}
+    used = set()
+    tries = [iter(images[colours[order[0]]])] if n else []
+    while tries:
+        k = len(tries) - 1
+        a = order[k]
+        used.discard(mapping.get(a))
+        for b in tries[k]:
+            mapping[a] = b
+            if b not in used and all(
+                    (x in out[a]) == (mapping[x] in out[b])
+                    and (a in out[x]) == (b in out[mapping[x]]) for x in order[:k + 1]):
+                break
+        else:
+            mapping.pop(a, None)
+            tries.pop()
+            continue
+        if k + 1 == n:
+            return True
+        used.add(b)
+        tries.append(iter(images[colours[order[k + 1]]]))
+    return n == 0
 
 
 def build_snake_poset(w):
@@ -237,8 +242,6 @@ class FilterLattice:
 
 def filter_lattice(p):
     """Lattice of filters of p ordered by reverse inclusion."""
-    if p.size > 64:
-        raise OverflowError('poset size %d exceeds 64-bit mask width' % p.size)
     seen = {0}
     stack = [0]
     while stack:

@@ -39,11 +39,12 @@ def test_python_m_entry_points(module):
     assert done.stdout == '169\n'
 
 
-def test_oversized_poset_is_a_usage_error(capsys):
+def test_poset_summary_past_64_elements(capsys):
     code, out, err = run_cli(capsys, ['poset', '--word', 'L' * 40])
-    assert code == EXIT_USAGE
-    assert out == ''
-    assert err.startswith('snakeflip: ') and err.count('\n') == 1
+    assert code == EXIT_OK
+    assert err == ''
+    assert out == ('word %s\nphat size 86\nmeet-irreducible size 44\nladders 1\n'
+                   'vertices 86\n' % ('L' * 40))
 
 
 @pytest.mark.parametrize('error, code', [

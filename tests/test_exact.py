@@ -1,11 +1,11 @@
-"""Tests for exact determinant, rank, kernel, and LP routines."""
+"""Tests for exact determinant, kernel, and LP routines."""
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from snakeflip.exact import det_int, integer_normal, kernel_vector, lp_maximize, rank_int
+from snakeflip.exact import det_int, integer_normal, lp_maximize
 
 
 def test_det_small_values():
@@ -54,8 +54,11 @@ def test_integer_normal_small_cases():
     assert all(sum(a * b for a, b in zip(nu, row)) == 0 for row in rows)
     assert integer_normal([[1, 2, 3], [2, 4, 6]]) is None
     assert integer_normal([[0, 0, 0], [0, 1, 0]]) is None
+    assert integer_normal([[1, 2], [3, 4]]) is None
+    assert integer_normal([[1, 1], [2, 2], [-3, -3]]) == [1, -1]
+    assert integer_normal([[0, 2, 4]]) is None
     with pytest.raises(ValueError):
-        integer_normal([[1, 2], [3, 4]])
+        integer_normal([[1, 2, 3], [4, 5]])
 
 
 def test_integer_normal_is_the_primitive_cofactor_vector():
@@ -75,22 +78,74 @@ def test_integer_normal_is_the_primitive_cofactor_vector():
         assert nu == [x // g if lead > 0 else -x // g for x in cofactors]
 
 
-def test_rank():
-    assert rank_int([[1, 0], [0, 1]]) == 2
-    assert rank_int([[1, 2], [2, 4]]) == 1
-    assert rank_int([[0, 0], [0, 0]]) == 0
-    assert rank_int([[1, 0, 1], [0, 1, 1], [1, 1, 2]]) == 2
+def fraction_kernel(rows):
+    # reference: the Fraction Gauss-Jordan elimination that exact.kernel_vector
+    # ran, on the matrix with these rows, returning one kernel vector per
+    # column without a pivot, so its length is the nullity
+    width = len(rows[0])
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = {}
+    free = []
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            free.append(c)
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c]
+        rows[r] = [a / inv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots[c] = r
+    basis = []
+    for f in free:
+        vector = [Fraction(0)] * width
+        vector[f] = Fraction(1)
+        for c, r in pivots.items():
+            vector[c] = -rows[r][f]
+        basis.append(vector)
+    return basis
 
 
-def test_kernel_vector():
-    assert kernel_vector([(1, 0), (0, 1)]) is None
-    coeffs = kernel_vector([(1, 0), (0, 1), (2, 3)])
-    assert coeffs is not None and coeffs[-1] == 1
-    assert all(
-        sum(c * col[i] for c, col in zip(coeffs, [(1, 0), (0, 1), (2, 3)])) == 0
-        for i in range(2)
-    )
-    assert kernel_vector([(1, 1), (2, 2)]) == [Fraction(-2), Fraction(1)]
+def test_fraction_kernel_reference():
+    assert fraction_kernel([[1, 0], [0, 1]]) == []
+    assert fraction_kernel([[1, 0, 2], [0, 1, 3]]) == [[-2, -3, 1]]
+    assert fraction_kernel([[1, 2], [1, 2]]) == [[-2, 1]]
+    assert fraction_kernel([[0, 0, 0]]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _random_matrix(rng):
+    k = rng.randint(1, 7)
+    n = rng.randint(1, 7)
+    rows = []
+    for i in range(k):
+        if i and rng.random() < 0.25:  # multiple of an earlier row
+            f = rng.choice((-2, -1, 1, 3))
+            rows.append([f * v for v in rows[rng.randrange(i)]])
+        else:
+            rows.append([rng.choice((-2, -1, 0, 0, 1, 1, 3)) for _ in range(n)])
+    return rows
+
+
+def test_integer_normal_matches_the_fraction_kernel():
+    rng = random.Random(20261018)
+    nullities = set()
+    for _ in range(5000):
+        rows = _random_matrix(rng)
+        basis = fraction_kernel(rows)
+        nu = integer_normal(rows)
+        nullities.add(min(len(basis), 2))
+        if len(basis) != 1:
+            assert nu is None, rows
+            continue
+        (lam,) = basis
+        lead = next(i for i, x in enumerate(nu) if x)
+        assert nu[lead] > 0 and math.gcd(*nu) == 1, rows
+        assert [lam[lead] / nu[lead] * x for x in nu] == lam, rows
+    assert nullities == {0, 1, 2}
 
 
 def test_lp_optimal():
@@ -143,6 +198,13 @@ def test_lp_rejects_fractional_data():
         lp_maximize([[Fraction(1, 2), 1]], [1], [1, 0])
     with pytest.raises(ValueError):
         lp_maximize([[1, 1]], [1], [0.5, 0])
+
+
+def test_lp_rejects_a_right_hand_side_of_another_length():
+    with pytest.raises(ValueError):
+        lp_maximize([[1, 1]], [1, 5], [1, 0])
+    with pytest.raises(ValueError):
+        lp_maximize([[1, 1], [1, 0]], [1], [1, 0])
 
 
 def fraction_lp_maximize(A, b, c):

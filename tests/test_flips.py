@@ -1,8 +1,10 @@
 """Tests for flips, flip-graph exploration, GKZ vectors, and dual graphs."""
 import itertools
+import random
 from math import factorial
 
 import pytest
+from test_posets import brute_isomorphic, relabel_and_reroute
 
 from snakeflip.circuits import Circuit, all_circuits
 from snakeflip.flips import (
@@ -177,6 +179,34 @@ def test_graph_isomorphism_small_cases():
     assert not graphs_isomorphic(path3, triangle)
     relabeled = Graph(3, frozenset({(0, 2), (1, 2)}))
     assert graphs_isomorphic(path3, relabeled)
+    # both 3-regular, so one colour class; sending one side of K3,3 to prism
+    # vertex 0 and the other to its non-adjacent neighbours 1 and 3 keeps
+    # every edge and non-edge, so only the one-to-one condition tells them apart
+    k33 = Graph(6, frozenset((a, b) for a in range(3) for b in range(3, 6)))
+    prism = Graph(6, frozenset({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                (0, 3), (1, 4), (2, 5)}))
+    assert not graphs_isomorphic(k33, prism)
+
+
+def test_graph_isomorphism_matches_brute_force():
+    def both_ways(edges):
+        return edges | {(b, a) for a, b in edges}
+
+    rng = random.Random(61018)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        pairs = list(itertools.combinations(range(n), 2))
+        density = rng.choice((0.2, 0.4, 0.6))
+        edges = {e for e in pairs if rng.random() < density}
+        copy, moved = relabel_and_reroute(rng, n, edges, pairs)
+        g = Graph(n, frozenset(edges))
+        assert graphs_isomorphic(g, Graph(n, frozenset(copy)))
+        if moved is not None:
+            expected = brute_isomorphic(n, both_ways(edges), both_ways(moved))
+            assert graphs_isomorphic(g, Graph(n, frozenset(moved))) == expected, (n, edges, moved)
+            outcomes.add(expected)
+    assert outcomes == {False, True}
 
 
 def test_cayley_check_small_ladders():

@@ -1,5 +1,6 @@
 """Tests for poset construction, lattices, squares, ladders, and labelings."""
 import itertools
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from snakeflip.posets import (
     PosetError,
     adjoin_bounds,
     build_snake_poset,
+    digraphs_isomorphic,
     filter_lattice,
     ladder_decomposition,
     linear_extensions,
@@ -43,9 +45,14 @@ def test_poset_rejects_cycle():
         Poset(2, [(0, 1), (1, 0)])
 
 
-def test_poset_rejects_oversize():
-    with pytest.raises(OverflowError):
-        Poset(65, [])
+def test_poset_and_filter_lattice_have_no_size_cap():
+    assert Poset(65, []).size == 65
+    chain = Poset(70, [(i, i + 1) for i in range(69)])
+    assert len(chain.covers) == 69 and chain.leq(0, 69)
+    assert len(filter_lattice(chain).filters) == 71
+    # past the recursion limit too: a chain is isomorphic to its reversal
+    long_chain = [(i, i + 1) for i in range(1023)]
+    assert Poset(1024, long_chain).isomorphic(Poset(1024, [(b, a) for a, b in long_chain]))
 
 
 def test_build_snake_poset_base():
@@ -300,3 +307,88 @@ def test_strip_embedding_turns_covers_into_unit_steps():
             dx = pos[hi][0] - pos[lo][0]
             dy = pos[hi][1] - pos[lo][1]
             assert (dx, dy) in ((1, 0), (0, 1))
+
+
+def brute_isomorphic(n, arcs_a, arcs_b):
+    # reference: try every bijection of 0..n-1
+    arcs_a, arcs_b = set(arcs_a), set(arcs_b)
+    return any({(p[t], p[h]) for t, h in arcs_a} == arcs_b
+               for p in itertools.permutations(range(n)))
+
+
+def relabel_and_reroute(rng, n, arcs, allowed):
+    """A relabelled copy of arcs, and that copy with one arc moved to a free place."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    copy = {(perm[t], perm[h]) for t, h in arcs}
+    free = sorted({(perm[t], perm[h]) for t, h in allowed} - copy)
+    if not copy or not free:
+        return copy, None
+    moved = (copy - {rng.choice(sorted(copy))}) | {rng.choice(free)}
+    return copy, moved
+
+
+def _random_digraph(rng, n, regular):
+    if not regular:
+        density = rng.choice((0.15, 0.3, 0.5))
+        return {(t, h) for t in range(n) for h in range(n) if t != h and rng.random() < density}
+    arcs = set()  # unions of permutations: refinement leaves few colours to split
+    for _ in range(rng.randint(1, 2)):
+        image = rng.sample(range(n), n)
+        arcs |= {(v, image[v]) for v in range(n) if image[v] != v}
+    return arcs
+
+
+def test_digraphs_isomorphic_matches_brute_force():
+    rng = random.Random(20261018)
+    outcomes = {'moved': set(), 'other': set()}
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+        arcs = _random_digraph(rng, n, trial % 2)
+        copy, moved = relabel_and_reroute(rng, n, arcs, pairs)
+        assert digraphs_isomorphic(n, arcs, copy)
+        if pairs:
+            toggled = copy ^ {rng.choice(pairs)}
+            assert not digraphs_isomorphic(n, arcs, toggled)
+        other = _random_digraph(rng, n, trial % 2)
+        for key, arcs_b in (('moved', moved), ('other', other)):
+            if arcs_b is not None and len(arcs_b) == len(arcs):
+                expected = brute_isomorphic(n, arcs, arcs_b)
+                assert digraphs_isomorphic(n, arcs, arcs_b) == expected, (n, arcs, arcs_b)
+                outcomes[key].add(expected)
+    assert outcomes == {'moved': {False, True}, 'other': {False, True}}
+
+
+def test_digraphs_isomorphic_needs_arcs_in_both_directions():
+    six_cycle = [(v, (v + 1) % 6) for v in range(6)]
+    two_triangles = [(v, v // 3 * 3 + (v + 1) % 3) for v in range(6)]
+    assert not digraphs_isomorphic(6, six_cycle, two_triangles)
+    assert digraphs_isomorphic(6, six_cycle, [(h, t) for t, h in six_cycle])
+    assert not digraphs_isomorphic(2, [(0, 1)], [(0, 1), (1, 0)])
+    # one colour class after refinement, and a bijection keeps every arc
+    # towards an earlier mapped vertex; only the arcs the other way differ
+    two_and_three = [(0, 3), (3, 0), (1, 2), (2, 4), (4, 1)]
+    five_cycle = [(0, 1), (1, 3), (3, 2), (2, 4), (4, 0)]
+    assert not digraphs_isomorphic(5, two_and_three, five_cycle)
+
+
+def test_poset_isomorphic_matches_brute_force_on_random_dags():
+    def strict_order(p):
+        return {(a, b) for a in range(p.size) for b in range(p.size) if a != b and p.leq(a, b)}
+
+    rng = random.Random(181018)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        upward = [(t, h) for t in range(n) for h in range(t + 1, n)]
+        p = Poset(n, [a for a in upward if rng.random() < rng.choice((0.2, 0.4))])
+        # relabel, then move one cover to a pair upward in the original labels: still acyclic
+        copy, moved = relabel_and_reroute(rng, n, p.covers, upward)
+        assert p.isomorphic(Poset(n, copy))
+        if moved is not None:
+            q = Poset(n, moved)
+            expected = brute_isomorphic(n, strict_order(p), strict_order(q))
+            assert p.isomorphic(q) == expected, (p, q)
+            outcomes.add(expected)
+    assert outcomes == {False, True}

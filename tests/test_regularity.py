@@ -4,11 +4,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from test_exact import fraction_lp_maximize
+from test_exact import fraction_kernel, fraction_lp_maximize
 
 import snakeflip.regularity as regularity
 from snakeflip.circuits import all_circuits, word_context
-from snakeflip.exact import kernel_vector
 from snakeflip.flips import canonical_of, explore_flip_graph
 from snakeflip.polytope import Triangulation, is_triangulation
 from snakeflip.regularity import (
@@ -147,7 +146,7 @@ def _rational_wall_rows(tri):
         if len(set(s1) & set(s2)) != cfg.dim:
             continue
         union = tuple(sorted(set(s1) | set(s2)))
-        lam = kernel_vector([list(cfg.homogeneous(j)) for j in union])
+        (lam,) = fraction_kernel(list(zip(*(cfg.homogeneous(j) for j in union))))
         scale = lcm(*(Fraction(x).denominator for x in lam))
         coeffs = {c: int(Fraction(x) * scale) for c, x in zip(union, lam) if x != 0}
         g = 0

@@ -2,15 +2,14 @@
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 from time import monotonic
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
-from .polytope import Triangulation, is_triangulation, is_unimodular, simplex_volume, walls
+from .polytope import Triangulation, is_triangulation, simplex_volume, walls
 from .posets import digraphs_isomorphic, maximal_chains
 from .words import SnakeWord
 
@@ -53,67 +52,171 @@ def triangulation_hash(tri: Triangulation) -> str:
     return hashlib.blake2b(repr(tri.simplices).encode(), digest_size=16).hexdigest()
 
 
+# Mask kernel.  Column c of an N-column configuration is bit 1 << (N - 1 - c)
+# and a simplex is the OR of its column bits.  Masks of equal popcount sort in
+# descending order exactly as their sorted column tuples sort in ascending
+# order, so a node is its masks sorted in reverse, and sorting nodes in reverse
+# orders them as their simplex tuples.
+
+def _encode(n: int, columns) -> int:
+    mask = 0
+    for c in columns:
+        mask |= 1 << (n - 1 - c)
+    return mask
+
+
+def _decode(n: int, mask: int) -> Tuple[int, ...]:
+    columns = []
+    while mask:
+        top = mask.bit_length() - 1
+        columns.append(n - 1 - top)
+        mask ^= 1 << top
+    return tuple(columns)
+
+
+class _Side(NamedTuple):
+    """One side of a circuit, its cells as masks (the support without one column)."""
+
+    circuit: Circuit
+    direction: str
+    other: Tuple[int, ...]
+    rests: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    cells: Tuple[int, ...]
+    other_cells: Tuple[int, ...]
+
+
+def _plan(n: int, circuits) -> List[_Side]:
+    """Both sides of every circuit, in circuit order, plus before minus.
+
+    rests pairs the cell of each side column j with the side's other columns.
+    """
+    plan = []
+    for z in circuits:
+        support = _encode(n, z.plus + z.minus)
+        cells = {j: support ^ (1 << (n - 1 - j)) for j in z.plus + z.minus}
+        for direction, side, other in (('plus', z.plus, z.minus), ('minus', z.minus, z.plus)):
+            rests = tuple((cells[j], tuple(c for c in side if c != j)) for j in side)
+            plan.append(_Side(z, direction, other, rests, tuple(cells[j] for j in side),
+                              tuple(cells[j] for j in other)))
+    return plan
+
+
+def _moves(n: int, node: Tuple[int, ...], columns_of: Dict[int, Tuple[int, ...]],
+           plan) -> List[Tuple[_Side, FrozenSet[int]]]:
+    """(side, link face masks) of every move the node supports.
+
+    A side is contained when every one of its cells lies in some simplex and
+    all its cells share one link: the faces host ^ cell of their hosts.
+    """
+    hosts_of = [0] * n
+    for pos, mask in enumerate(node):
+        for c in columns_of[mask]:
+            hosts_of[c] |= 1 << pos
+    everyone = (1 << len(node)) - 1
+    moves = []
+    for side in plan:
+        # every cell of the side holds the whole other side
+        common = everyone
+        for c in side.other:
+            common &= hosts_of[c]
+        if not common:
+            continue
+        link = None
+        for cell, rest in side.rests:
+            hosts = common
+            for c in rest:
+                hosts &= hosts_of[c]
+            if not hosts:
+                link = None
+                break
+            faces = set()
+            while hosts:
+                low = hosts & -hosts
+                faces.add(node[low.bit_length() - 1] ^ cell)
+                hosts ^= low
+            if link is None:
+                link = frozenset(faces)
+            elif faces != link:
+                link = None
+                break
+        if link:
+            moves.append((side, link))
+    return moves
+
+
+def _flip(node: Tuple[int, ...], present: FrozenSet[int], side: _Side,
+          link) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
+    """The node after the move, and the simplices the move created."""
+    old = {cell | face for cell in side.cells for face in link}
+    new = frozenset(cell | face for cell in side.other_cells for face in link)
+    if not old <= present:
+        raise FlipError('flip move does not match the triangulation')
+    result = (present - old) | new
+    if len(result) != len(node):
+        raise FlipError('flip changed the simplex count')
+    return tuple(sorted(result, reverse=True)), new
+
+
+def _node(tri: Triangulation) -> Tuple[int, Tuple[int, ...]]:
+    n = len(tri.config.columns)
+    return n, tuple(_encode(n, s) for s in tri.simplices)
+
+
 def find_flips(tri: Triangulation, circuits) -> List[FlipMove]:
     """Flip moves supported by the triangulation, in circuit order."""
-    incidence: Dict[int, set] = {}
-    sets = []
-    for pos, simplex in enumerate(tri.simplices):
-        sets.append(frozenset(simplex))
-        for v in simplex:
-            incidence.setdefault(v, set()).add(pos)
-    moves = []
-    for z in circuits:
-        support = set(z.support())
-        for direction, side in (('plus', z.plus), ('minus', z.minus)):
-            links: Optional[List[FrozenSet[Tuple[int, ...]]]] = []
-            for j in side:
-                cell = support - {j}
-                hosts = set.intersection(*(incidence.get(v, set()) for v in cell))
-                if not hosts:
-                    links = None
-                    break
-                links.append(frozenset(tuple(sorted(sets[h] - cell)) for h in hosts))
-            if links and all(link == links[0] for link in links):
-                moves.append(FlipMove(z, direction, tuple(sorted(links[0]))))
-    return moves
+    n, node = _node(tri)
+    columns_of = dict(zip(node, tri.simplices))
+    return [FlipMove(side.circuit, side.direction,
+                     tuple(_decode(n, face) for face in sorted(link, reverse=True)))
+            for side, link in _moves(n, node, columns_of, _plan(n, circuits))]
 
 
 def apply_flip(tri: Triangulation, move: FlipMove, validate: bool = True) -> Triangulation:
     """Replace the contained side of the circuit, joined with its link, by the other."""
-    z = move.circuit
-    side, other = (z.plus, z.minus) if move.direction == 'plus' else (z.minus, z.plus)
-    support = set(z.support())
-    current = set(tri.simplices)
-    old = {tuple(sorted((support - {j}) | set(face))) for j in side for face in move.link}
-    new = {tuple(sorted((support - {j}) | set(face))) for j in other for face in move.link}
-    if not old <= current:
-        raise FlipError('flip move does not match the triangulation')
-    result = Triangulation.make(tri.config, (current - old) | new)
-    if len(result.simplices) != len(tri.simplices):
-        raise FlipError('flip changed the simplex count')
+    n, node = _node(tri)
+    plus, minus = _plan(n, (move.circuit,))
+    side = plus if move.direction == 'plus' else minus
+    link = {_encode(n, face) for face in move.link}
+    image, _ = _flip(node, frozenset(node), side, link)
+    result = Triangulation(tri.config, tuple(_decode(n, mask) for mask in image))
     if validate and not is_triangulation(tri.config, result.simplices):
         raise FlipError('flip produced a non-triangulation')
     return result
 
 
-def _neighbors(tri: Triangulation, circuits) -> List[Tuple[Circuit, Triangulation]]:
-    # validation is skipped on the search path; count and unimodularity are
-    # checked per node and full validation is exercised by the tests
-    return [(m.circuit, apply_flip(tri, m, validate=False)) for m in find_flips(tri, circuits)]
-
-
 def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
                        workers: int = 1, max_depth: Optional[int] = None,
                        deadline: Optional[float] = None) -> FlipGraph:
-    """Deterministic breadth-first closure of the seed under circuit flips."""
-    circuits = tuple(circuits)
-    if not is_unimodular(seed):
+    """Deterministic breadth-first closure of the seed under circuit flips.
+
+    The search runs in one thread on simplex masks; workers is accepted and
+    ignored.  Each distinct simplex is checked unimodular once, when a new
+    node first holds it.  Validation is skipped on the search path; full
+    validation is apply_flip's and is exercised by the tests.
+    """
+    cfg = seed.config
+    n, root = _node(seed)
+    plan = _plan(n, circuits)
+    # mask -> sorted column tuple of every unimodular simplex seen so far;
+    # the decoded nodes share these tuples
+    columns_of: Dict[int, Tuple[int, ...]] = {}
+
+    def unimodular(masks) -> bool:
+        for mask in masks:
+            if mask not in columns_of:
+                columns = _decode(n, mask)
+                if simplex_volume(cfg, columns) != 1:
+                    return False
+                columns_of[mask] = columns
+        return True
+
+    if not unimodular(root):
         raise FlipError('seed triangulation is not unimodular')
-    index = {seed.simplices: 0}
-    nodes = [seed]
+    index = {root: 0}
+    nodes = [root]
     depths = [0]
     edges = set()
-    frontier = [seed]
+    frontier = [root]
     partial = False
     depth = 0
     while frontier:
@@ -124,36 +227,35 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
         if deadline is not None and monotonic() >= deadline:
             partial = True
             break
-        tasks = sorted(frontier, key=lambda t: t.simplices)
-        if workers > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                expansions = list(pool.map(lambda t: _neighbors(t, circuits), tasks))
-        else:
-            expansions = [_neighbors(t, circuits) for t in tasks]
+        tasks = sorted(frontier, reverse=True)
         frontier = []
         truncated = False
-        for tri, found in zip(tasks, expansions):
-            a = index[tri.simplices]
-            for z, image in found:
-                b = index.get(image.simplices)
+        for node in tasks:
+            a = index[node]
+            present = frozenset(node)
+            for side, link in _moves(n, node, columns_of, plan):
+                image, created = _flip(node, present, side, link)
+                b = index.get(image)
                 if b is None:
                     if len(nodes) >= budget:
                         truncated = True
                         continue
-                    if not is_unimodular(image):
+                    if not unimodular(created):
                         raise FlipError('flip produced a non-unimodular triangulation')
                     b = len(nodes)
-                    index[image.simplices] = b
+                    index[image] = b
                     nodes.append(image)
                     depths.append(depth + 1)
                     frontier.append(image)
-                edges.add((min(a, b), max(a, b), z))
+                edges.add((min(a, b), max(a, b), side.circuit))
         depth += 1
         if truncated:
             partial = True
             break
     ordered = sorted(edges, key=lambda e: (e[0], e[1], e[2].plus, e[2].minus))
-    return FlipGraph(tuple(nodes), tuple(ordered), tuple(depths), partial)
+    triangulations = tuple(Triangulation(cfg, tuple(columns_of[mask] for mask in node))
+                           for node in nodes)
+    return FlipGraph(triangulations, tuple(ordered), tuple(depths), partial)
 
 
 def gkz_vector(tri: Triangulation) -> Tuple[int, ...]:
@@ -233,7 +335,10 @@ def cayley_check(n: int) -> bool:
     for r in range(n + 1):
         label_of[col[uppers[r]]] = r
         label_of[col[lowers[r]]] = r
+    degree = [0] * len(graph.nodes)
     for a, b, z in graph.edges:
+        degree[a] += 1
+        degree[b] += 1
         pair = {label_of[c] for c in z.support()}
         if len(pair) != 2:
             return False
@@ -247,4 +352,4 @@ def cayley_check(n: int) -> bool:
         swapped[pi], swapped[pj] = swapped[pj], swapped[pi]
         if tuple(swapped) != tau:
             return False
-    return all(graph.degree(i) == n for i in range(len(graph.nodes)))
+    return all(d == n for d in degree)

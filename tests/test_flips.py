@@ -1,4 +1,5 @@
 """Tests for flips, flip-graph exploration, GKZ vectors, and dual graphs."""
+import hashlib
 import itertools
 import random
 from math import factorial
@@ -9,6 +10,7 @@ from test_posets import brute_isomorphic, relabel_and_reroute
 from snakeflip.circuits import Circuit, all_circuits
 from snakeflip.flips import (
     FlipError,
+    FlipMove,
     Graph,
     apply_flip,
     canonical_of,
@@ -20,7 +22,8 @@ from snakeflip.flips import (
     graphs_isomorphic,
     triangulation_hash,
 )
-from snakeflip.polytope import Triangulation, is_triangulation, is_unimodular
+from snakeflip.polytope import PointConfiguration, Triangulation, is_triangulation, is_unimodular
+from snakeflip.regularity import snake_polytope_word
 from snakeflip.words import SnakeWord, is_in_V, parse_word
 
 
@@ -30,6 +33,91 @@ def v_words(max_len):
             w = SnakeWord(letters)
             if is_in_V(w):
                 yield w
+
+
+def reference_find_flips(tri, circuits):
+    # reference: the set-based search that flips.find_flips ran before the
+    # mask kernel, on per-vertex incidence sets and sorted simplex tuples
+    incidence = {}
+    sets = []
+    for pos, simplex in enumerate(tri.simplices):
+        sets.append(frozenset(simplex))
+        for v in simplex:
+            incidence.setdefault(v, set()).add(pos)
+    moves = []
+    for z in circuits:
+        support = set(z.support())
+        for direction, side in (('plus', z.plus), ('minus', z.minus)):
+            links = []
+            for j in side:
+                cell = support - {j}
+                hosts = set.intersection(*(incidence.get(v, set()) for v in cell))
+                if not hosts:
+                    links = None
+                    break
+                links.append(frozenset(tuple(sorted(sets[h] - cell)) for h in hosts))
+            if links and all(link == links[0] for link in links):
+                moves.append(FlipMove(z, direction, tuple(sorted(links[0]))))
+    return moves
+
+
+def reference_apply_flip(tri, move):
+    # reference: the set-based flip of apply_flip before the mask kernel
+    z = move.circuit
+    side, other = (z.plus, z.minus) if move.direction == 'plus' else (z.minus, z.plus)
+    support = set(z.support())
+    current = set(tri.simplices)
+    old = {tuple(sorted((support - {j}) | set(face))) for j in side for face in move.link}
+    new = {tuple(sorted((support - {j}) | set(face))) for j in other for face in move.link}
+    assert old <= current
+    return Triangulation.make(tri.config, (current - old) | new)
+
+
+def test_find_flips_matches_the_set_based_reference():
+    cases = [(canonical_of(w), all_circuits(w)) for w in v_words(5)]
+    for word in ('L', 'LL', 'LR', 'LRRL'):
+        w = parse_word(word)
+        zs = all_circuits(w)
+        cases += [(t, zs) for t in explore_flip_graph(canonical_of(w), zs).nodes]
+    assert len(cases) == 39 + 6 + 24 + 20 + 336
+    for tri, zs in cases:
+        moves = find_flips(tri, zs)
+        assert moves == reference_find_flips(tri, zs)
+        for m in moves:
+            assert apply_flip(tri, m, validate=False) == reference_apply_flip(tri, m)
+
+
+def test_snake_search_at_n2_is_pinned():
+    w = snake_polytope_word(2)
+    g = explore_flip_graph(canonical_of(w), all_circuits(w))
+    assert (len(g.nodes), len(g.edges)) == (336, 840)
+    text = repr((tuple(t.simplices for t in g.nodes), g.depths,
+                 tuple((a, b, z.plus, z.minus) for a, b, z in g.edges), g.partial))
+    digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+    assert digest == '85993d0f1ef2f25004fb15f6b050aaee'
+
+
+def _square_with_a_far_point():
+    # (-1, -1), (1, 0) and (0, 1) span a triangle of normalized volume 3
+    cfg = PointConfiguration(2, ((0, 0), (1, 0), (0, 1), (-1, -1)), ((0,), (1,), (2,), (3,)))
+    return Triangulation.make(cfg, [(0, 1, 3), (0, 2, 3)])
+
+
+def test_search_rejects_a_flip_to_a_non_unimodular_simplex():
+    # not a real circuit of the four points: real circuits keep unit volumes
+    seed = _square_with_a_far_point()
+    assert is_unimodular(seed)
+    z = Circuit.make([1, 2], [0, 3])
+    assert find_flips(seed, [z]) == [FlipMove(z, 'minus', ((),))]
+    with pytest.raises(FlipError, match='non-unimodular'):
+        explore_flip_graph(seed, [z])
+
+
+def test_flip_rejects_a_move_that_changes_the_simplex_count():
+    seed = _square_with_a_far_point()
+    move = FlipMove(Circuit.make([1], [2]), 'minus', ((0, 3),))
+    with pytest.raises(FlipError, match='simplex count'):
+        apply_flip(seed, move, validate=False)
 
 
 def test_single_move_of_the_diamond():

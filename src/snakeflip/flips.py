@@ -81,7 +81,6 @@ class _Side(NamedTuple):
     direction: str
     other: Tuple[int, ...]
     rests: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    cells: Tuple[int, ...]
     other_cells: Tuple[int, ...]
 
 
@@ -96,8 +95,7 @@ def _plan(n: int, circuits) -> List[_Side]:
         cells = {j: support ^ (1 << (n - 1 - j)) for j in z.plus + z.minus}
         for direction, side, other in (('plus', z.plus, z.minus), ('minus', z.minus, z.plus)):
             rests = tuple((cells[j], tuple(c for c in side if c != j)) for j in side)
-            plan.append(_Side(z, direction, other, rests, tuple(cells[j] for j in side),
-                              tuple(cells[j] for j in other)))
+            plan.append(_Side(z, direction, other, rests, tuple(cells[j] for j in other)))
     return plan
 
 
@@ -147,7 +145,7 @@ def _moves(n: int, node: Tuple[int, ...], columns_of: Dict[int, Tuple[int, ...]]
 def _flip(node: Tuple[int, ...], present: FrozenSet[int], side: _Side,
           link) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
     """The node after the move, and the simplices the move created."""
-    old = {cell | face for cell in side.cells for face in link}
+    old = {cell | face for cell, _ in side.rests for face in link}
     new = frozenset(cell | face for cell in side.other_cells for face in link)
     if not old <= present:
         raise FlipError('flip move does not match the triangulation')

@@ -97,7 +97,7 @@ def test_snake_search_at_n2_is_pinned():
     assert digest == '85993d0f1ef2f25004fb15f6b050aaee'
 
 
-def _square_with_a_far_point():
+def _two_triangles_at_the_origin():
     # (-1, -1), (1, 0) and (0, 1) span a triangle of normalized volume 3
     cfg = PointConfiguration(2, ((0, 0), (1, 0), (0, 1), (-1, -1)), ((0,), (1,), (2,), (3,)))
     return Triangulation.make(cfg, [(0, 1, 3), (0, 2, 3)])
@@ -105,7 +105,7 @@ def _square_with_a_far_point():
 
 def test_search_rejects_a_flip_to_a_non_unimodular_simplex():
     # not a real circuit of the four points: real circuits keep unit volumes
-    seed = _square_with_a_far_point()
+    seed = _two_triangles_at_the_origin()
     assert is_unimodular(seed)
     z = Circuit.make([1, 2], [0, 3])
     assert find_flips(seed, [z]) == [FlipMove(z, 'minus', ((),))]
@@ -114,7 +114,7 @@ def test_search_rejects_a_flip_to_a_non_unimodular_simplex():
 
 
 def test_flip_rejects_a_move_that_changes_the_simplex_count():
-    seed = _square_with_a_far_point()
+    seed = _two_triangles_at_the_origin()
     move = FlipMove(Circuit.make([1], [2]), 'minus', ((0, 3),))
     with pytest.raises(FlipError, match='simplex count'):
         apply_flip(seed, move, validate=False)

@@ -452,8 +452,9 @@ def _cmd_twist(config: RunConfig) -> int:
 def _cmd_regularity(config: RunConfig) -> int:
     w = _require_word(config)
     tau = _twist_of(w, config.twist) if config.twist is not None else None
+    circuits = all_circuits(w)
     if config.node is not None:
-        graph = explore_flip_graph(canonical_of(w), all_circuits(w),
+        graph = explore_flip_graph(canonical_of(w), circuits,
                                    budget=config.budget_nodes, workers=config.threads,
                                    max_depth=config.max_depth,
                                    deadline=_deadline(config))
@@ -477,7 +478,7 @@ def _cmd_regularity(config: RunConfig) -> int:
     folding = None
     if certificate is not None:
         folding = verify_local_folding(tri, height_function(w, tau))
-    result = is_regular(tri, verify=True)
+    result = is_regular(tri, circuits, verify=True)
     payload = {
         'word': str(w),
         'mask': sorted(tau.ladder_mask) if tau is not None else [],

@@ -9,7 +9,7 @@ from itertools import combinations
 from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .circuits import all_circuits, word_context
+from .circuits import Circuit, all_circuits, word_context
 from .exact import det_int, integer_normal, lp_maximize
 from .flips import canonical_of, dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash
 from .polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
@@ -139,26 +139,38 @@ def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingRe
     return FoldingReport(tuple(checks), verdict, first)
 
 
-def _wall_rows(tri: Triangulation):
-    """Deduplicated primitive integer inequalities, one per wall dependence."""
+def _wall_rows(tri: Triangulation, circuits):
+    """Deduplicated +-1 inequalities, one per wall: the wall pair's one circuit.
+
+    The union of two simplices that meet in a wall holds exactly one circuit,
+    with both apexes on one side when the simplices lie on opposite sides of
+    the wall; it is oriented so that the first apex is positive.
+    """
+    index: Dict[Tuple[int, int], List[Circuit]] = {}
+    for z in circuits:
+        for side in (z.plus, z.minus):
+            for pair in combinations(side, 2):
+                index.setdefault(pair, []).append(z)
     cfg = tri.config
     rows = []
     seen = set()
     for f, i1, v1, i2, v2 in _walls(tri):
-        union = tuple(sorted(set(tri.simplices[i1]) | set(tri.simplices[i2])))
-        lam = integer_normal(list(zip(*(cfg.homogeneous(j) for j in union))))
-        if lam is None:
-            raise RegularityError('wall pair %r spans more than one dependence' % (f,))
-        coeffs = {c: x for c, x in zip(union, lam) if x != 0}
-        a1, a2 = coeffs.get(v1, 0), coeffs.get(v2, 0)
-        if a1 == 0 or a2 == 0 or (a1 > 0) != (a2 > 0):
-            raise RegularityError('wall dependence does not isolate the apexes')
-        if a1 < 0:
-            coeffs = {c: -x for c, x in coeffs.items()}
-        key = tuple(sorted(coeffs.items()))
-        if key not in seen:
-            seen.add(key)
-            rows.append(coeffs)
+        union = set(tri.simplices[i1]) | set(tri.simplices[i2])
+        hits = [z for z in index.get((min(v1, v2), max(v1, v2)), ())
+                if union.issuperset(z.plus) and union.issuperset(z.minus)]
+        if len(hits) != 1:
+            raise RegularityError('wall %r matches %d circuits with both apexes on one side'
+                                  % (f, len(hits)))
+        (z,) = hits
+        sign = 1 if v1 in z.plus else -1
+        if (z, sign) in seen:
+            continue
+        seen.add((z, sign))
+        # a circuit listed for another configuration must not pass as this wall's row
+        if (list(map(sum, zip(*map(cfg.homogeneous, z.plus))))
+                != list(map(sum, zip(*map(cfg.homogeneous, z.minus))))):
+            raise RegularityError('circuit %r is not a dependence of the columns' % (z,))
+        rows.append({c: sign if c in z.plus else -sign for c in z.support()})
     return rows
 
 
@@ -175,11 +187,18 @@ class RegularityResult:
         return self.regular
 
 
-def is_regular(tri: Triangulation, verify: bool = False) -> RegularityResult:
-    """Decide by exact feasibility whether some heights select this triangulation."""
+def is_regular(tri: Triangulation, circuits, verify: bool = False) -> RegularityResult:
+    """Decide by exact feasibility whether some heights select this triangulation.
+
+    circuits must be the complete circuit list of tri.config, as from
+    all_circuits or circuits_brute; each interior wall reads its inequality
+    from the one circuit in its two simplices.  A wall that matches none or
+    several, or a matched circuit that is not a dependence of the columns,
+    raises RegularityError.
+    """
     cfg = tri.config
     ncols = len(cfg.columns)
-    rows = _wall_rows(tri)
+    rows = _wall_rows(tri, circuits)
     pinned = set(tri.simplices[0])
     free = [c for c in range(ncols) if c not in pinned]
     pos = {c: k for k, c in enumerate(free)}
@@ -478,13 +497,14 @@ def check_flip_degrees(w: SnakeWord, budget_nodes: int = 100000,
 def find_new_dual_graph(w: SnakeWord, budget_nodes: int = 100000,
                         workers: int = 1) -> DualGraphReport:
     """Look for a regular triangulation whose dual graph differs from canonical."""
-    graph = explore_flip_graph(canonical_of(w), all_circuits(w),
+    circuits = all_circuits(w)
+    graph = explore_flip_graph(canonical_of(w), circuits,
                                budget=budget_nodes, workers=workers)
     base = dual_graph(graph.nodes[0])
     expected_found = any(w.letter(i) != w.letter(i + 1) for i in range(1, len(w)))
     for node in graph.nodes[1:]:
         if not graphs_isomorphic(dual_graph(node), base):
-            regular = bool(is_regular(node))
+            regular = bool(is_regular(node, circuits))
             return DualGraphReport(str(w), len(graph.nodes), expected_found, True,
                                    triangulation_hash(node), regular, graph.partial)
     return DualGraphReport(str(w), len(graph.nodes), expected_found, False,
@@ -513,7 +533,8 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
                                  budget_steps: int = 2_000_000) -> RegularCountReport:
     """Count regular triangulations in the explored component of the snake polytope."""
     w = snake_polytope_word(n)
-    graph = explore_flip_graph(canonical_of(w), all_circuits(w),
+    circuits = all_circuits(w)
+    graph = explore_flip_graph(canonical_of(w), circuits,
                                budget=budget_nodes, workers=workers)
     taus = all_twists(w)
     affine = all(_twist_is_affine(w, tau) for tau in taus[1:])
@@ -524,7 +545,7 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
         if i in verdicts:
             continue
         orbits += 1
-        verdict = bool(is_regular(node))
+        verdict = bool(is_regular(node, circuits))
         orbit = {i}
         if affine:
             for tau in taus[1:]:
@@ -553,7 +574,7 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
                 regular += 1 if verdicts[i] else 0
             else:
                 tri = Triangulation.make(cfg, simplices)
-                regular += 1 if is_regular(tri) else 0
+                regular += 1 if is_regular(tri, circuits) else 0
         exhaustive_report = ExhaustiveReport(len(found), reachable, regular, complete)
     return RegularCountReport(n, str(w), len(graph.nodes), regular_nodes, expected,
                               matches, graph.partial, orbits, affine, exhaustive_report)

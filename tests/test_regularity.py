@@ -1,4 +1,5 @@
 """Tests for orders, heights, folding forms, regularity, and the experiments."""
+import hashlib
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,7 +8,7 @@ import pytest
 from test_exact import fraction_kernel, fraction_lp_maximize
 
 import snakeflip.regularity as regularity
-from snakeflip.circuits import all_circuits, word_context
+from snakeflip.circuits import Circuit, all_circuits, word_context
 from snakeflip.flips import canonical_of, explore_flip_graph
 from snakeflip.polytope import Triangulation, is_triangulation
 from snakeflip.regularity import (
@@ -120,7 +121,7 @@ def test_mismatched_heights_fail_somewhere():
 def test_is_regular_certifies_the_canonical_diamond():
     w = parse_word('')
     t = canonical_of(w)
-    result = is_regular(t, verify=True)
+    result = is_regular(t, all_circuits(w), verify=True)
     assert result
     assert result.slack == 1
     assert result.constraints == 1
@@ -129,24 +130,86 @@ def test_is_regular_certifies_the_canonical_diamond():
     assert verify_local_folding(t, result.heights).verdict
 
 
-def test_is_regular_on_explored_components():
-    for word in ('L', 'LR'):
+def test_is_regular_on_explored_components(monkeypatch):
+    # the wall rows come from the circuit list, so no kernel is eliminated
+    components = []
+    for word in ('L', 'LR', 'LRRL'):
         w = parse_word(word)
-        graph = explore_flip_graph(canonical_of(w), all_circuits(w))
-        for node in graph.nodes:
-            assert is_regular(node, verify=True)
+        circuits = all_circuits(w)
+        components.append((circuits, explore_flip_graph(canonical_of(w), circuits).nodes))
+
+    def no_kernel(rows):
+        raise AssertionError('is_regular eliminated a kernel')
+
+    monkeypatch.setattr(regularity, 'integer_normal', no_kernel)
+    for circuits, nodes in components:
+        for node in nodes:
+            assert is_regular(node, circuits, verify=True)
 
 
-def _rational_wall_rows(tri):
+def test_is_regular_raises_on_a_short_circuit_list():
+    w = snake_polytope_word(1)
+    circuits = all_circuits(w)
+    t = canonical_of(w)
+    needed = {tuple(sorted(r)) for r in _wall_rows(t, circuits)}
+    dropped = [z for z in circuits if z.support() in needed]
+    assert dropped
+    for z in dropped:
+        with pytest.raises(RegularityError):
+            is_regular(t, tuple(y for y in circuits if y != z))
+
+
+def test_is_regular_raises_on_another_words_circuits():
+    w = snake_polytope_word(1)
+    own = all_circuits(w)
+    nodes = explore_flip_graph(canonical_of(w), own).nodes
+    circuits = all_circuits(parse_word('LL'))
+    for node in nodes:
+        with pytest.raises(RegularityError):
+            is_regular(node, circuits)
+    # LRR's circuits that fit LR's walls are LR's own: a verdict never changes
+    circuits = all_circuits(parse_word('LRR'))
+    for node in nodes:
+        try:
+            result = is_regular(node, circuits)
+        except RegularityError:
+            continue
+        assert result == is_regular(node, own)
+
+
+def test_is_regular_raises_on_a_listed_non_dependence():
+    w = parse_word('')
+    t = canonical_of(w)
+    # the apexes 2 and 3 share a side, as in the true circuit 1 + 4 = 2 + 3
+    fake = Circuit.make((2, 3), (0, 5))
+    with pytest.raises(RegularityError):
+        is_regular(t, (fake,))
+
+
+def test_is_regular_raises_on_an_overlapping_pair():
+    w = parse_word('')
+    cfg = word_context(w).config
+    (z,) = all_circuits(w)
+    assert (z.plus, z.minus) == ((1, 4), (2, 3))
+    # apexes 1 and 2 lie on opposite sides of the circuit, so on one side of the wall
+    overlap = Triangulation.make(cfg, [(0, 2, 3, 4, 5), (0, 1, 3, 4, 5)])
+    with pytest.raises(RegularityError):
+        is_regular(overlap, all_circuits(w))
+
+
+def _rational_wall_rows(tri, kernels):
     # reference: a rational kernel vector per wall pair, cleared of
-    # denominators and content, with the first apex made positive
+    # denominators and content, with the first apex made positive;
+    # kernels memoizes the kernel of each union across calls
     cfg = tri.config
     rows = []
     for s1, s2 in itertools.combinations(tri.simplices, 2):
         if len(set(s1) & set(s2)) != cfg.dim:
             continue
         union = tuple(sorted(set(s1) | set(s2)))
-        (lam,) = fraction_kernel(list(zip(*(cfg.homogeneous(j) for j in union))))
+        if union not in kernels:
+            kernels[union] = fraction_kernel(list(zip(*(cfg.homogeneous(j) for j in union))))
+        (lam,) = kernels[union]
         scale = lcm(*(Fraction(x).denominator for x in lam))
         coeffs = {c: int(Fraction(x) * scale) for c, x in zip(union, lam) if x != 0}
         g = 0
@@ -159,27 +222,45 @@ def _rational_wall_rows(tri):
 
 
 def test_wall_rows_equal_rational_kernel_rows():
-    for n in (1, 2):
+    for n, step in ((1, 1), (2, 1), (3, 60)):
         w = snake_polytope_word(n)
-        graph = explore_flip_graph(canonical_of(w), all_circuits(w))
-        for node in graph.nodes:
-            rows = [tuple(sorted(r.items())) for r in _wall_rows(node)]
+        circuits = all_circuits(w)
+        graph = explore_flip_graph(canonical_of(w), circuits)
+        kernels = {}
+        for node in graph.nodes[::step]:
+            rows = [tuple(sorted(r.items())) for r in _wall_rows(node, circuits)]
             assert len(rows) == len(set(rows))
-            assert set(rows) == set(_rational_wall_rows(node))
+            assert set(rows) == set(_rational_wall_rows(node, kernels))
 
 
 def test_is_regular_matches_the_fraction_simplex(monkeypatch):
-    def results(nodes):
+    def results(components):
         return [(r.regular, r.heights, r.slack, r.constraints)
-                for r in (is_regular(node, verify=True) for node in nodes)]
+                for circuits, nodes in components
+                for r in (is_regular(node, circuits, verify=True) for node in nodes)]
 
-    nodes = []
+    components = []
     for n in (1, 2):
         w = snake_polytope_word(n)
-        nodes += explore_flip_graph(canonical_of(w), all_circuits(w)).nodes
-    integer = results(nodes)
+        circuits = all_circuits(w)
+        components.append((circuits, explore_flip_graph(canonical_of(w), circuits).nodes))
+    integer = results(components)
     monkeypatch.setattr(regularity, 'lp_maximize', fraction_lp_maximize)
-    assert results(nodes) == integer
+    assert results(components) == integer
+
+
+def test_is_regular_results_pinned_at_n3():
+    # digest of every 16th node's (regular, heights, slack, constraints),
+    # recorded when each wall row came from a kernel of the wall pair
+    w = snake_polytope_word(3)
+    circuits = all_circuits(w)
+    nodes = explore_flip_graph(canonical_of(w), circuits).nodes[::16]
+    h = hashlib.blake2b(digest_size=16)
+    for node in nodes:
+        r = is_regular(node, circuits)
+        h.update(repr((r.regular, r.heights, r.slack, r.constraints)).encode())
+    assert len(nodes) == 429
+    assert h.hexdigest() == '27bd5f65534fbe927be20a42d5a057a4'
 
 
 def test_enumeration_matches_flip_search_on_small_configs():

@@ -6,25 +6,23 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from itertools import product
 from time import monotonic
 from typing import Optional, Tuple
 
-from .circuits import CircuitError, all_circuits, circuits_brute, word_context
+from . import checks
+from .circuits import CircuitError, all_circuits
 from .exact import BudgetError
-from .flips import (FlipError, apply_flip, canonical_of, cayley_check,
-                    explore_flip_graph, find_flips, triangulation_hash)
+from .flips import (FlipError, canonical_of, explore_flip_graph,
+                    triangulation_hash)
 from .polytope import PolytopeError, is_unimodular
-from .regularity import (RegularityError, conjecture_suite, folding_form,
-                         height_function, is_regular, verify_local_folding)
+from .regularity import (RegularityError, conjecture_suite, height_function,
+                         is_regular, verify_local_folding)
 from .posets import (PosetError, adjoin_bounds, build_snake_poset, filter_lattice,
                      meet_irreducibles)
-from .twists import (TwistError, all_twists, commuting_square_check,
-                     compose_twists, elementary_twist, identity_twist,
-                     twist_circuit, twist_triangulation)
-from .volumes import VolumeError, catalan, volume_brute, volume_recursive, volume_skew
-from .words import (SnakeWord, WordError, connected_induced_subgraphs,
-                    count_subgraphs_recursive, is_in_V, parse_word, word_graph)
+from .twists import (TwistError, all_twists, compose_twists, elementary_twist,
+                     identity_twist, twist_triangulation)
+from .volumes import VolumeError, volume_recursive
+from .words import SnakeWord, WordError, parse_word
 
 SCHEMA_VERSION = 1
 
@@ -538,146 +536,31 @@ def _cmd_conjectures(config: RunConfig) -> int:
     return EXIT_BUDGET if getattr(report, 'partial', False) else EXIT_OK
 
 
-def _v_words(max_len: int):
-    for n in range(max_len + 1):
-        for letters in product('LR', repeat=n):
-            w = SnakeWord(letters)
-            if is_in_V(w):
-                yield w
-
-
-def _check_volumes(max_len: int) -> Tuple[str, int, bool]:
-    bound = min(max_len, 8)
-    ok = True
-    cases = 0
-    for n in range(bound + 1):
-        for letters in product('LR', repeat=n):
-            w = SnakeWord(letters)
-            cases += 1
-            ok = ok and volume_recursive(w) == volume_brute(w) == volume_skew(w)
-    pell = [2, 5]
-    while len(pell) <= bound:
-        pell.append(2 * pell[-1] + pell[-2])
-    for n in range(bound + 1):
-        for first in 'LR':
-            second = 'R' if first == 'L' else 'L'
-            snake = SnakeWord(tuple((first if i % 2 == 0 else second)
-                                    for i in range(n)))
-            ladder = SnakeWord((first,) * n)
-            ok = ok and volume_recursive(snake) == pell[n]
-            ok = ok and volume_recursive(ladder) == catalan(n + 2)
-    return 'all words len <= %d' % bound, cases, ok
-
-
-def _check_circuits(max_len: int) -> Tuple[str, int, bool]:
-    bound = min(max_len, 6)
-    ok = True
-    cases = 0
-    for w in _v_words(bound):
-        cases += 1
-        ctx = word_context(w)
-        gamma = all_circuits(w)
-        ok = ok and set(gamma) == set(circuits_brute(ctx.config))
-        graph = word_graph(w)
-        ok = ok and len(gamma) == len(connected_induced_subgraphs(graph))
-        ok = ok and len(gamma) == count_subgraphs_recursive(w)
-    return 'V words len <= %d' % bound, cases, ok
-
-
-def _check_flip_counts(max_len: int) -> Tuple[str, int, bool]:
-    ok = True
-    cases = 0
-    for w in _v_words(max_len):
-        cases += 1
-        tri = canonical_of(w)
-        moves = find_flips(tri, all_circuits(w))
-        ok = ok and len(moves) == len(w) + 1
-        for move in moves:
-            image = apply_flip(tri, move)
-            ok = ok and is_unimodular(image)
-    return 'V words len <= %d' % max_len, cases, ok
-
-
-def _check_cayley(max_len: int) -> Tuple[str, int, bool]:
-    ns = [n for n in (2, 3, 4) if n - 1 <= max_len]
-    ok = all(cayley_check(n) for n in ns)
-    scope = 'ladders n in {%s}' % ','.join(map(str, ns)) if ns else 'skipped'
-    return scope, len(ns), ok
-
-
-def _check_twist_laws(max_len: int) -> Tuple[str, int, bool]:
-    ok = True
-    cases = 0
-    for w in _v_words(max_len):
-        cases += 1
-        twists = all_twists(w)
-        ladders = max(1, len(w.runs()))
-        ok = ok and len(twists) == 2 ** ladders
-        ok = ok and len({t.column_permutation for t in twists}) == len(twists)
-        identity = identity_twist(w)
-        circuits = all_circuits(w)
-        circuit_set = set(circuits)
-        for tau in twists:
-            ok = ok and compose_twists(tau, tau) == identity
-            ok = ok and {twist_circuit(tau, z) for z in circuits} == circuit_set
-        for a in twists:
-            for b in twists:
-                ok = ok and compose_twists(a, b) == compose_twists(b, a)
-    return 'V words len <= %d' % max_len, cases, ok
-
-
-def _check_commuting_squares(max_len: int, threads: int) -> Tuple[str, int, bool]:
-    words = [w for w in (parse_word(''), parse_word('LL'), parse_word('LR'))
-             if len(w) <= max_len]
-    ok = all(bool(commuting_square_check(w, workers=threads)) for w in words)
-    scope = ', '.join(str(w) or 'eps' for w in words)
-    return scope, len(words), ok
-
-
-def _check_folding(max_len: int) -> Tuple[str, int, bool]:
-    ok = True
-    cases = 0
-    for w in _v_words(max_len):
-        cases += 1
-        tri = canonical_of(w)
-        for tau in all_twists(w):
-            image = twist_triangulation(tau, tri)
-            ok = ok and image.valid
-            report = verify_local_folding(image.triangulation, height_function(w, tau))
-            ok = ok and report.verdict
-    base = parse_word('')
-    tri = canonical_of(base)
-    omega = height_function(base)
-    s1, s2 = tri.simplices
-    ok = ok and folding_form(tri.config, s1, 3, omega) == 6
-    ok = ok and folding_form(tri.config, s2, 2, omega) == 6
-    return 'V words len <= %d' % max_len, cases, ok
-
-
 def _cmd_verify_all(config: RunConfig) -> int:
     max_len = config.max_len
-    checks = [
-        ('volume-agreement',) + _check_volumes(max_len),
-        ('circuit-bijection',) + _check_circuits(max_len),
-        ('flip-count',) + _check_flip_counts(max_len),
-        ('cayley-graph',) + _check_cayley(max_len),
-        ('twist-laws',) + _check_twist_laws(max_len),
-        ('commuting-square',) + _check_commuting_squares(max_len, config.threads),
-        ('folding-certificates',) + _check_folding(max_len),
+    squares = [w for w in map(parse_word, ('', 'LL', 'LR')) if len(w) <= max_len]
+    results = [
+        checks.volume_agreement(min(max_len, 8)),
+        checks.circuit_bijection(min(max_len, 6)),
+        checks.flip_counts(max_len),
+        checks.cayley_graphs([n for n in (2, 3, 4) if n - 1 <= max_len]),
+        checks.twist_laws(max_len),
+        checks.commuting_squares(squares),
+        checks.folding_certificates(max_len),
     ]
-    passed = all(ok for _, _, _, ok in checks)
+    passed = all(r.ok for r in results)
     if config.format == 'json':
         _emit_json(config, {
             'max_len': max_len,
-            'checks': [{'name': name, 'scope': scope, 'cases': cases, 'ok': ok}
-                       for name, scope, cases, ok in checks],
+            'checks': [{'name': r.name, 'scope': r.scope, 'cases': r.cases, 'ok': r.ok}
+                       for r in results],
             'passed': passed,
         })
     else:
         lines = ['%-22s %-22s %6s  %s' % ('check', 'scope', 'cases', 'status')]
-        for name, scope, cases, ok in checks:
+        for r in results:
             lines.append('%-22s %-22s %6d  %s'
-                         % (name, scope, cases, 'ok' if ok else 'FAIL'))
+                         % (r.name, r.scope, r.cases, 'ok' if r.ok else 'FAIL'))
         lines.append('all checks passed' if passed else 'FAILED')
         _emit(config, '\n'.join(lines))
     return EXIT_OK if passed else EXIT_VERIFICATION

@@ -36,9 +36,13 @@ class FlipGraph:
     depths: Tuple[int, ...]
     partial: bool
 
-    def degree(self, i: int) -> int:
-        """Number of flip edges incident to node i."""
-        return sum(1 for a, b, _ in self.edges if i == a or i == b)
+    def degrees(self) -> Tuple[int, ...]:
+        """Number of flip edges incident to each node, in node order."""
+        out = [0] * len(self.nodes)
+        for a, b, _ in self.edges:
+            out[a] += 1
+            out[b] += 1
+        return tuple(out)
 
 
 def canonical_of(w: SnakeWord) -> Triangulation:
@@ -333,10 +337,7 @@ def cayley_check(n: int) -> bool:
     for r in range(n + 1):
         label_of[col[uppers[r]]] = r
         label_of[col[lowers[r]]] = r
-    degree = [0] * len(graph.nodes)
     for a, b, z in graph.edges:
-        degree[a] += 1
-        degree[b] += 1
         pair = {label_of[c] for c in z.support()}
         if len(pair) != 2:
             return False
@@ -350,4 +351,4 @@ def cayley_check(n: int) -> bool:
         swapped[pi], swapped[pj] = swapped[pj], swapped[pi]
         if tuple(swapped) != tau:
             return False
-    return all(d == n for d in degree)
+    return all(d == n for d in graph.degrees())

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .exact import det_int, integer_normal, lp_maximize
+from .exact import det_int, integer_normal
 from .posets import Poset, filter_lattice, maximal_chains
 
 
@@ -124,28 +124,8 @@ def walls(simplices) -> Dict[Tuple[int, ...], List[Tuple[int, int]]]:
     return out
 
 
-def _pair_has_common_face(cfg: PointConfiguration, s1, s2) -> bool:
-    """Exact LP: every point of both simplices uses only shared vertices."""
-    shared = set(s1) & set(s2)
-    k1, k2 = len(s1), len(s2)
-    rows = []
-    rhs = []
-    for i in range(cfg.dim):
-        rows.append([cfg.columns[j][i] for j in s1] + [-cfg.columns[j][i] for j in s2])
-        rhs.append(0)
-    rows.append([1] * k1 + [0] * k2)
-    rhs.append(1)
-    rows.append([0] * k1 + [1] * k2)
-    rhs.append(1)
-    objective = [0 if j in shared else 1 for j in s1] + [0 if j in shared else 1 for j in s2]
-    status, value, _ = lp_maximize(rows, rhs, objective)
-    if status == 'infeasible':
-        return True
-    return status == 'optimal' and value == 0
-
-
-def is_triangulation(cfg: PointConfiguration, simplices, pairwise_lp: bool = False) -> bool:
-    """Union property plus the wall certificate (and optional pairwise LP check).
+def is_triangulation(cfg: PointConfiguration, simplices) -> bool:
+    """Union property plus the wall certificate.
 
     The union property compares the summed simplex volumes with
     expected_normalized_volume, so the configuration must be the 0/1 vertex
@@ -185,11 +165,6 @@ def is_triangulation(cfg: PointConfiguration, simplices, pairwise_lp: bool = Fal
             if any(side(nu, j) == -signs[0]
                    for j in range(len(hom)) if j not in wall_set):
                 return False
-    if pairwise_lp:
-        for a in range(len(canon)):
-            for b in range(a + 1, len(canon)):
-                if not _pair_has_common_face(cfg, canon[a], canon[b]):
-                    return False
     return True
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
@@ -16,6 +16,7 @@ from .polytope import (PointConfiguration, Triangulation, expected_normalized_vo
                        simplex_volume, walls)
 from .posets import build_snake_poset
 from .twists import Twist, all_twists
+from .volumes import catalan
 from .words import SnakeWord
 
 
@@ -247,10 +248,6 @@ def is_regular(tri: Triangulation, circuits, verify: bool = False) -> Regularity
     return RegularityResult(True, witness, Fraction(value), nrows)
 
 
-def _catalan(m: int) -> int:
-    return comb(2 * m, m) // (m + 1)
-
-
 def _snake_poset(n: int):
     letters = tuple('L' if i % 2 == 0 else 'R' for i in range(n))
     return build_snake_poset(SnakeWord(letters))
@@ -473,14 +470,6 @@ class RegularCountReport:
     exhaustive: Optional[ExhaustiveReport]
 
 
-def _degrees(graph) -> Counter:
-    counter: Counter = Counter({i: 0 for i in range(len(graph.nodes))})
-    for a, b, _ in graph.edges:
-        counter[a] += 1
-        counter[b] += 1
-    return counter
-
-
 def check_flip_degrees(w: SnakeWord, budget_nodes: int = 100000,
                        workers: int = 1) -> DegreeReport:
     """Explore the flip graph and compare all degrees to the secondary dimension."""
@@ -488,7 +477,7 @@ def check_flip_degrees(w: SnakeWord, budget_nodes: int = 100000,
     graph = explore_flip_graph(canonical_of(w), all_circuits(w),
                                budget=budget_nodes, workers=workers)
     k = len(ctx.config.columns) - ctx.config.dim - 1
-    hist = Counter(_degrees(graph).values())
+    hist = Counter(graph.degrees())
     degrees = tuple(sorted(hist.items()))
     k_regular = not graph.partial and set(hist) == {k}
     return DegreeReport(str(w), len(graph.nodes), k, degrees, k_regular, graph.partial)
@@ -558,7 +547,7 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
         for j in orbit:
             verdicts[j] = verdict
     regular_nodes = sum(1 for v in verdicts.values() if v)
-    expected = 2 ** (n + 1) * _catalan(2 * n + 1)
+    expected = 2 ** (n + 1) * catalan(2 * n + 1)
     matches = not graph.partial and regular_nodes == expected
     if exhaustive is None:
         exhaustive = n <= 2

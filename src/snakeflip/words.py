@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 
 class WordError(ValueError):
@@ -68,6 +69,15 @@ def is_in_V(w):
     """True iff w avoids the substrings LRL and RLR."""
     s = str(w)
     return 'LRL' not in s and 'RLR' not in s
+
+
+def v_words(max_len):
+    """Every word of V of length at most max_len, shortest first, L before R."""
+    for n in range(max_len + 1):
+        for letters in product('LR', repeat=n):
+            w = SnakeWord(letters)
+            if is_in_V(w):
+                yield w
 
 
 def swap(w, i):

@@ -1,39 +1,23 @@
 """End-to-end acceptance checks: every theorem at desk scale, with time budgets."""
-import itertools
 import os
 import subprocess
 import sys
-from math import factorial
 from pathlib import Path
 from time import monotonic
 
 import pytest
 
-from snakeflip.circuits import all_circuits, circuits_brute, word_context
-from snakeflip.cli import main
 import snakeflip
-from snakeflip.flips import (FlipError, apply_flip, canonical_of, cayley_check,
-                             explore_flip_graph, find_flips)
+from snakeflip import checks
+from snakeflip.circuits import all_circuits
+from snakeflip.cli import main
+from snakeflip.flips import FlipError, canonical_of, explore_flip_graph
 from snakeflip.polytope import PointConfiguration, Triangulation, is_unimodular
-from snakeflip.regularity import (count_canonical_dual_graphs,
-                                  count_regular_triangulations, folding_form,
-                                  height_function, verify_local_folding)
-from snakeflip.twists import (all_twists, commuting_square_check, compose_twists,
-                              identity_twist, twist_circuit, twist_triangulation)
-from snakeflip.volumes import catalan, verify_minmax, volume_brute, volume_recursive, volume_skew
-from snakeflip.words import (SnakeWord, connected_induced_subgraphs,
-                             count_subgraphs_recursive, is_in_V, parse_word,
-                             word_graph)
+from snakeflip.regularity import count_canonical_dual_graphs, count_regular_triangulations
+from snakeflip.volumes import catalan, verify_minmax
+from snakeflip.words import SnakeWord, parse_word
 
 PELL = (2, 5, 12, 29, 70, 169, 408, 985, 2378)
-
-
-def v_words(max_len):
-    for n in range(max_len + 1):
-        for letters in itertools.product('LR', repeat=n):
-            w = SnakeWord(letters)
-            if is_in_V(w):
-                yield w
 
 
 def alternating(n, first):
@@ -44,14 +28,8 @@ def alternating(n, first):
 def test_volume_oracles_agree_to_length_8():
     # budget: 30 s
     start = monotonic()
-    for n in range(9):
-        for letters in itertools.product('LR', repeat=n):
-            w = SnakeWord(letters)
-            assert volume_recursive(w) == volume_brute(w) == volume_skew(w)
-    for n in range(9):
-        for first in 'LR':
-            assert volume_recursive(alternating(n, first)) == PELL[n]
-            assert volume_recursive(SnakeWord((first,) * n)) == catalan(n + 2)
+    result = checks.volume_agreement(8)
+    assert not result.failures, result.failures
     assert monotonic() - start < 30
 
 
@@ -73,78 +51,42 @@ def test_extremes_are_snake_and_ladder_to_length_8():
 def test_circuit_bijection_to_length_6():
     # budget: 5 min
     start = monotonic()
-    for w in v_words(6):
-        gamma = all_circuits(w)
-        assert set(gamma) == set(circuits_brute(word_context(w).config))
-        subgraphs = connected_induced_subgraphs(word_graph(w))
-        assert len(gamma) == len(subgraphs) == count_subgraphs_recursive(w)
+    result = checks.circuit_bijection(6)
+    assert not result.failures, result.failures
     assert monotonic() - start < 300
 
 
 def test_flip_counts_to_length_7():
     # budget: 2 min
     start = monotonic()
-    for w in v_words(7):
-        tri = canonical_of(w)
-        moves = find_flips(tri, all_circuits(w))
-        assert len(moves) == len(w) + 1
-        for move in moves:
-            image = apply_flip(tri, move)
-            assert is_unimodular(image)
+    result = checks.flip_counts(7)
+    assert not result.failures, result.failures
     assert monotonic() - start < 120
 
 
 def test_ladder_flip_graphs_are_permutation_graphs():
     # budget: 1 min for the 120-node case
     start = monotonic()
-    for n in (2, 3, 4):
-        assert cayley_check(n)
-        w = SnakeWord(('L',) * (n - 1))
-        graph = explore_flip_graph(canonical_of(w), all_circuits(w))
-        assert len(graph.nodes) == factorial(n + 1)
-        assert all(graph.degree(i) == n for i in range(len(graph.nodes)))
+    result = checks.cayley_graphs((2, 3, 4))
+    assert not result.failures, result.failures
     assert monotonic() - start < 60
 
 
 def test_twist_laws_and_commuting_squares():
     # budget: 10 min
     start = monotonic()
-    for w in v_words(6):
-        twists = all_twists(w)
-        assert len(twists) == 2 ** max(1, len(w.runs()))
-        assert len({t.column_permutation for t in twists}) == len(twists)
-        identity = identity_twist(w)
-        circuits = all_circuits(w)
-        circuit_set = set(circuits)
-        for tau in twists:
-            assert compose_twists(tau, tau) == identity
-            assert {twist_circuit(tau, z) for z in circuits} == circuit_set
-        for a in twists:
-            for b in twists:
-                assert compose_twists(a, b) == compose_twists(b, a)
-    for word in ('', 'LL', 'LR', 'LRRL'):
-        report = commuting_square_check(parse_word(word))
-        assert report, word
-        assert not report.counterexamples
+    result = checks.twist_laws(6)
+    assert not result.failures, result.failures
+    result = checks.commuting_squares(map(parse_word, ('', 'LL', 'LR', 'LRRL')))
+    assert not result.failures, result.failures
     assert monotonic() - start < 600
 
 
 def test_folding_certificates_to_length_6():
     # budget: 5 min
     start = monotonic()
-    base = parse_word('')
-    tri = canonical_of(base)
-    omega = height_function(base)
-    s1, s2 = tri.simplices
-    assert folding_form(tri.config, s1, 3, omega) == 6
-    assert folding_form(tri.config, s2, 2, omega) == 6
-    for w in v_words(6):
-        tri = canonical_of(w)
-        for tau in all_twists(w):
-            image = twist_triangulation(tau, tri)
-            assert image.valid
-            report = verify_local_folding(image.triangulation, height_function(w, tau))
-            assert report.verdict, (str(w), tuple(sorted(tau.ladder_mask)))
+    result = checks.folding_certificates(6)
+    assert not result.failures, result.failures
     assert monotonic() - start < 300
 
 

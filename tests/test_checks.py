@@ -1,0 +1,47 @@
+"""The shared theorem checks report a broken primitive, and so does verify-all."""
+from dataclasses import replace
+
+import pytest
+
+from snakeflip import checks, flips, regularity, twists, volumes, words
+from snakeflip.cli import EXIT_VERIFICATION, main
+from snakeflip.words import parse_word
+
+
+def plus_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+def drop_last(fn):
+    return lambda *args: fn(*args)[:-1]
+
+
+# row of verify-all: (check, its scope, module, primitive, how to break it)
+BREAKS = {
+    'volume-agreement': (checks.volume_agreement, 2, volumes, 'volume_skew', plus_one),
+    'circuit-bijection': (checks.circuit_bijection, 2, words, 'count_subgraphs_recursive',
+                          plus_one),
+    'flip-count': (checks.flip_counts, 2, flips, 'find_flips', drop_last),
+    'cayley-graph': (checks.cayley_graphs, (2, 3), flips.FlipGraph, 'degrees',
+                     lambda fn: lambda graph: fn(graph) + (0,)),
+    'twist-laws': (checks.twist_laws, 2, twists, 'all_twists', drop_last),
+    # the name commuting_square_check binds, not flips.find_flips
+    'commuting-square': (checks.commuting_squares, [parse_word('LR')], twists,
+                         'find_flips', drop_last),
+    'folding-certificates': (checks.folding_certificates, 2, regularity,
+                             'verify_local_folding',
+                             lambda fn: lambda *args: replace(fn(*args), verdict=False)),
+}
+
+
+@pytest.mark.parametrize('row', sorted(BREAKS))
+def test_a_broken_primitive_fails_its_check(monkeypatch, capsys, row):
+    check, scope, module, name, broken = BREAKS[row]
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    result = check(scope)
+    assert result.name == row
+    assert result.failures and not result.ok
+    assert main(['verify-all', '--max-len', '2']) == EXIT_VERIFICATION
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if line.endswith('FAIL')] == [row]
+    assert lines[-1] == 'FAILED'

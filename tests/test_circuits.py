@@ -1,5 +1,4 @@
 """Tests for circuits of order polytope vertex configurations."""
-import itertools
 from math import comb
 
 import pytest
@@ -23,18 +22,10 @@ from snakeflip.words import (
     WordError,
     connected_induced_subgraphs,
     count_subgraphs_recursive,
-    is_in_V,
     parse_word,
+    v_words,
     word_graph,
 )
-
-
-def v_words(max_len):
-    for n in range(max_len + 1):
-        for letters in itertools.product('LR', repeat=n):
-            w = SnakeWord(letters)
-            if is_in_V(w):
-                yield w
 
 
 def test_single_square_circuit_of_the_diamond():

@@ -237,8 +237,18 @@ def test_output_goes_to_file(capsys, tmp_path):
 def test_verify_all_small(capsys):
     code, out, _ = run_cli(capsys, ['verify-all', '--max-len', '2'])
     assert code == EXIT_OK
-    assert out.strip().endswith('all checks passed')
-    assert 'FAIL' not in out
+    assert out == '\n'.join([
+        'check                  scope                   cases  status',
+        'volume-agreement       all words len <= 2          7  ok',
+        'circuit-bijection      V words len <= 2            7  ok',
+        'flip-count             V words len <= 2            7  ok',
+        'cayley-graph           ladders n in {2,3}          2  ok',
+        'twist-laws             V words len <= 2            7  ok',
+        'commuting-square       eps, LL, LR                 3  ok',
+        'folding-certificates   V words len <= 2            7  ok',
+        'all checks passed',
+        '',
+    ])
 
 
 def test_outputs_do_not_depend_on_thread_count(capsys):

@@ -24,15 +24,7 @@ from snakeflip.flips import (
 )
 from snakeflip.polytope import PointConfiguration, Triangulation, is_triangulation, is_unimodular
 from snakeflip.regularity import snake_polytope_word
-from snakeflip.words import SnakeWord, is_in_V, parse_word
-
-
-def v_words(max_len):
-    for n in range(max_len + 1):
-        for letters in itertools.product('LR', repeat=n):
-            w = SnakeWord(letters)
-            if is_in_V(w):
-                yield w
+from snakeflip.words import parse_word, v_words
 
 
 def reference_find_flips(tri, circuits):
@@ -180,7 +172,7 @@ def test_explore_ladder_hexagon():
     g = explore_flip_graph(canonical_of(w), all_circuits(w))
     assert len(g.nodes) == 6
     assert len(g.edges) == 6
-    assert all(g.degree(i) == 2 for i in range(6))
+    assert g.degrees() == (2,) * 6
 
 
 def test_explore_respects_budget_and_depth():
@@ -303,7 +295,7 @@ def test_cayley_check_small_ladders():
     w = parse_word('LL')
     g = explore_flip_graph(canonical_of(w), all_circuits(w))
     assert len(g.nodes) == factorial(4)
-    assert all(g.degree(i) == 3 for i in range(len(g.nodes)))
+    assert g.degrees() == (3,) * factorial(4)
     with pytest.raises(ValueError):
         cayley_check(0)
 

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from snakeflip.circuits import all_circuits
-from snakeflip.exact import det_int, integer_normal
+from snakeflip.exact import det_int, integer_normal, lp_maximize
 from snakeflip.flips import apply_flip, canonical_of, find_flips
 from snakeflip.polytope import (
     PointConfiguration,
@@ -20,7 +20,7 @@ from snakeflip.polytope import (
 )
 from snakeflip.posets import Poset, adjoin_bounds, build_snake_poset, regularity_labeling
 from snakeflip.volumes import maximal_chain_count
-from snakeflip.words import SnakeWord, is_in_V, parse_word
+from snakeflip.words import parse_word, v_words
 
 
 def q_of(word):
@@ -32,12 +32,20 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def v_words(max_len):
-    for n in range(max_len + 1):
-        for letters in itertools.product('LR', repeat=n):
-            w = SnakeWord(letters)
-            if is_in_V(w):
-                yield w
+def meet_in_common_faces(cfg, simplices):
+    # reference: an exact LP per pair, independent of the wall certificate.
+    # Two simplices meet in a common face iff every point of both uses only
+    # their shared vertices.
+    for s1, s2 in itertools.combinations(simplices, 2):
+        shared = set(s1) & set(s2)
+        rows = [[cfg.columns[j][i] for j in s1] + [-cfg.columns[j][i] for j in s2]
+                for i in range(cfg.dim)]
+        rows += [[1] * len(s1) + [0] * len(s2), [0] * len(s1) + [1] * len(s2)]
+        objective = [0 if j in shared else 1 for j in s1 + s2]
+        status, value, _ = lp_maximize(rows, [0] * cfg.dim + [1, 1], objective)
+        if not (status == 'infeasible' or status == 'optimal' and value == 0):
+            return False
+    return True
 
 
 def test_vertices_of_diamond():
@@ -109,9 +117,11 @@ def test_is_triangulation_canonical_and_deficit():
 
 def test_is_triangulation_lp_cross_check():
     tri = canonical_triangulation(q_of(parse_word('')))
-    assert is_triangulation(tri.config, tri.simplices, pairwise_lp=True)
+    assert is_triangulation(tri.config, tri.simplices)
+    assert meet_in_common_faces(tri.config, tri.simplices)
     tri_l = canonical_triangulation(q_of(parse_word('L')))
-    assert is_triangulation(tri_l.config, tri_l.simplices, pairwise_lp=True)
+    assert is_triangulation(tri_l.config, tri_l.simplices)
+    assert meet_in_common_faces(tri_l.config, tri_l.simplices)
 
 
 def test_is_triangulation_rejects_overlap():
@@ -122,7 +132,7 @@ def test_is_triangulation_rejects_overlap():
     )
     assert is_triangulation(cfg, [(0, 1, 3), (0, 2, 3)])
     assert not is_triangulation(cfg, [(0, 1, 2), (0, 1, 3)])
-    assert not is_triangulation(cfg, [(0, 1, 2), (0, 1, 3)], pairwise_lp=True)
+    assert not meet_in_common_faces(cfg, [(0, 1, 2), (0, 1, 3)])
 
 
 def test_is_triangulation_rejects_column_beyond_boundary_wall():

@@ -19,15 +19,7 @@ from snakeflip.posets import (
     squares_of,
     strip_embedding,
 )
-from snakeflip.words import SnakeWord, WordError, is_in_V, parse_word, word_graph
-
-
-def v_words(max_len):
-    for n in range(max_len + 1):
-        for letters in itertools.product('LR', repeat=n):
-            w = SnakeWord(letters)
-            if is_in_V(w):
-                yield w
+from snakeflip.words import SnakeWord, WordError, parse_word, v_words, word_graph
 
 
 def phat_of(w):

@@ -27,15 +27,7 @@ from snakeflip.regularity import (
 )
 from snakeflip.regularity import _wall_rows
 from snakeflip.twists import all_twists, elementary_twist, twist_triangulation
-from snakeflip.words import SnakeWord, WordError, is_in_V, parse_word
-
-
-def v_words(max_len):
-    for n in range(max_len + 1):
-        for letters in itertools.product('LR', repeat=n):
-            w = SnakeWord(letters)
-            if is_in_V(w):
-                yield w
+from snakeflip.words import WordError, parse_word, v_words
 
 
 def test_canonical_order_of_the_diamond():

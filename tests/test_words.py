@@ -11,16 +11,15 @@ from snakeflip.words import (
     is_in_V,
     parse_word,
     swap,
+    v_words,
     word_graph,
 )
 
 
-def all_words(max_len, only_v=False):
+def all_words(max_len):
     for n in range(max_len + 1):
         for letters in itertools.product('LR', repeat=n):
-            w = SnakeWord(letters)
-            if not only_v or is_in_V(w):
-                yield w
+            yield SnakeWord(letters)
 
 
 def test_parse_word_basic():
@@ -43,6 +42,14 @@ def test_is_in_V():
     assert not is_in_V(parse_word('RRLRLL'))
     assert is_in_V(parse_word(''))
     assert is_in_V(parse_word('LR'))
+
+
+def test_v_words_counts():
+    # from length 3 on, each count is the sum of the two before it
+    counts = [sum(1 for w in v_words(6) if len(w) == n) for n in range(7)]
+    assert counts == [1, 2, 4, 6, 10, 16, 26]
+    assert all(is_in_V(w) for w in v_words(6))
+    assert [str(w) for w in v_words(2)] == ['', 'L', 'R', 'LL', 'LR', 'RL', 'RR']
 
 
 def test_swap():
@@ -147,6 +154,6 @@ def test_count_subgraphs_recursive_rejects_outside_V():
 
 
 def test_recursion_matches_enumeration():
-    for w in all_words(8, only_v=True):
+    for w in v_words(8):
         expected = len(connected_induced_subgraphs(word_graph(w)))
         assert count_subgraphs_recursive(w) == expected

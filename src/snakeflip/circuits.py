@@ -96,10 +96,31 @@ def all_circuits(w: SnakeWord) -> Tuple[Circuit, ...]:
 def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Circuit, ...]:
     """Every minimal affinely dependent column set, oriented by its dependence.
 
-    Rank decisions run modulo a 61-bit prime; a Hadamard bound on the
-    column entries guarantees they agree with the rationals, and each
-    discovered support is re-solved exactly for its signs by
-    exact.integer_normal on the support's columns.
+    The search runs on the Gale dual.  Row-reducing the homogenized columns
+    gives their rank r; the m - r kernel vectors give each column j a dual
+    vector g_j.  The circuits of the columns are exactly the complements of
+    the hyperplanes (flats of rank m - r - 1) of the dual vectors, so the
+    search visits flats of a rank-(m - r) matroid instead of every
+    independent set of the columns.
+
+    A depth-first search grows index-increasing sets S of dual vectors and
+    keeps the residual of every g_i modulo span(S); it adds j > max(S) only
+    if the residual of g_j is nonzero.  It prunes j if adding it zeroes the
+    residual of some i < j not in S, because then S + {j} is not the greedy
+    (lex-first) basis of its span and no extension of it is.  Every flat has
+    exactly one greedy basis, and every prefix of a greedy basis is the
+    greedy basis of its own span, so each hyperplane is reached once, at
+    |S| = m - r - 1, where the columns with a nonzero residual form its
+    circuit.  One budget step is one attempted addition of a column j to a
+    node S; BudgetError is raised past ``budget`` steps.
+
+    Rank decisions run modulo a 61-bit prime.  A Hadamard bound on the
+    column entries keeps every minor below the prime in absolute value, so a
+    column set is independent mod p exactly when it is over the rationals;
+    the two matroids, and so their duals, agree.  Each discovered support is
+    re-solved exactly for its signs by exact.integer_normal on the support's
+    columns, which raises CircuitError unless the kernel is one-dimensional
+    with full support.
     """
     m = len(cfg.columns)
     if m > 24:
@@ -111,36 +132,65 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
     p = _BRUTE_PRIME
     if s and (s * max(largest, 1) ** 2) ** s >= p * p:
         raise CircuitError('column entries too large for exact modular rank decisions')
+    rows = [[v % p for v in row] for row in zip(*cols)]
+    pivots = []
+    for c in range(m):
+        r = next((i for i in range(len(pivots), height) if rows[i][c]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        inv = pow(rows[k][c], p - 2, p)
+        rows[k] = [v * inv % p for v in rows[k]]
+        for i in range(height):
+            f = rows[i][c]
+            if i != k and f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[k])]
+        pivots.append(c)
+    # rows[:r] is now in reduced echelon form: free column f has the kernel
+    # vector e_f - sum_k rows[k][f] e_pivots[k]; g_j lists column j's entries
+    free = [c for c in range(m) if c not in pivots]
+    d = len(free)
+    if not d:
+        return ()
+    dual = [[0] * d for _ in range(m)]
+    for t, f in enumerate(free):
+        dual[f][t] = 1
+        for k, c in enumerate(pivots):
+            dual[c][t] = -rows[k][f] % p
     steps = 0
     found = []
 
-    def extend(stack, basis):
+    def extend(residual, live, last, depth):
+        # live: bit i set when the residual of g_i is nonzero
         nonlocal steps
-        start = stack[-1] + 1 if stack else 0
-        for j in range(start, m):
+        if depth == d - 1:
+            found.append(_orient(cols, [i for i in range(m) if live >> i & 1]))
+            return
+        for j in range(last + 1, m):
             steps += 1
             if steps > budget:
                 raise BudgetError('brute circuit search exceeded %d steps' % budget)
-            vec = [v % p for v in cols[j]]
-            combo = {j: 1}
-            for piv, bvec, bcombo in basis:
-                f = vec[piv]
+            if not live >> j & 1:
+                continue
+            v = residual[j]
+            piv = next(t for t, a in enumerate(v) if a)
+            inv = pow(v[piv], p - 2, p)
+            v = [a * inv % p for a in v]
+            nxt = []
+            nlive = 0
+            for i, g in enumerate(residual):
+                f = g[piv]
                 if f:
-                    vec = [(a - f * b) % p for a, b in zip(vec, bvec)]
-                    for k, v in bcombo.items():
-                        combo[k] = (combo.get(k, 0) - f * v) % p
-            piv = next((r for r, a in enumerate(vec) if a), None)
-            if piv is None:
-                support = sorted(k for k, v in combo.items() if v)
-                if support == stack + [j]:
-                    found.append(_orient(cols, support))
-            else:
-                inv = pow(vec[piv], p - 2, p)
-                nvec = [a * inv % p for a in vec]
-                ncombo = {k: v * inv % p for k, v in combo.items() if v}
-                extend(stack + [j], basis + [(piv, nvec, ncombo)])
+                    g = [(a - f * b) % p for a, b in zip(g, v)]
+                nxt.append(g)
+                if any(g):
+                    nlive |= 1 << i
+            if (live & ~nlive) & ((1 << j) - 1):
+                continue
+            extend(nxt, nlive, j, depth + 1)
 
-    extend([], [])
+    extend(dual, sum(1 << i for i, g in enumerate(dual) if any(g)), -1, 0)
     return tuple(sorted(found, key=lambda z: (z.plus, z.minus)))
 
 

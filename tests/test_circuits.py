@@ -1,4 +1,5 @@
 """Tests for circuits of order polytope vertex configurations."""
+import random
 from math import comb
 
 import pytest
@@ -14,7 +15,7 @@ from snakeflip.circuits import (
     circuits_brute,
     word_context,
 )
-from snakeflip.exact import BudgetError
+from snakeflip.exact import BudgetError, integer_normal
 from snakeflip.polytope import PointConfiguration, order_polytope_vertices
 from snakeflip.posets import adjoin_bounds, build_snake_poset, meet_irreducibles
 from snakeflip.words import (
@@ -71,8 +72,101 @@ def test_circuit_count_matches_subgraph_count():
         assert len(circuits) == len(connected_induced_subgraphs(g))
 
 
+def reference_circuits_brute(cfg, budget=2_000_000):
+    """Independent-set DFS over the columns: the oracle before the Gale dual.
+
+    Every index-increasing independent set is extended by each later column;
+    a column that reduces to zero closes a circuit when its dependence uses
+    the whole set.  Kept as the reference that circuits_brute must match.
+    """
+    m = len(cfg.columns)
+    if m > 24:
+        raise CircuitError('brute circuit search is limited to 24 columns, got %d' % m)
+    cols = [tuple(int(v) for v in cfg.homogeneous(j)) for j in range(m)]
+    height = len(cols[0]) if cols else 0
+    largest = max((abs(v) for col in cols for v in col), default=0)
+    s = min(height, m)
+    p = (1 << 61) - 1
+    if s and (s * max(largest, 1) ** 2) ** s >= p * p:
+        raise CircuitError('column entries too large for exact modular rank decisions')
+    steps = 0
+    found = []
+
+    def orient(support):
+        coeffs = integer_normal(list(zip(*(cols[k] for k in support))))
+        if coeffs is None or any(c == 0 for c in coeffs):
+            raise CircuitError('modular dependence not confirmed over the rationals')
+        return Circuit.make([k for k, c in zip(support, coeffs) if c > 0],
+                            [k for k, c in zip(support, coeffs) if c < 0])
+
+    def extend(stack, basis):
+        nonlocal steps
+        start = stack[-1] + 1 if stack else 0
+        for j in range(start, m):
+            steps += 1
+            if steps > budget:
+                raise BudgetError('brute circuit search exceeded %d steps' % budget)
+            vec = [v % p for v in cols[j]]
+            combo = {j: 1}
+            for piv, bvec, bcombo in basis:
+                f = vec[piv]
+                if f:
+                    vec = [(a - f * b) % p for a, b in zip(vec, bvec)]
+                    for k, v in bcombo.items():
+                        combo[k] = (combo.get(k, 0) - f * v) % p
+            piv = next((r for r, a in enumerate(vec) if a), None)
+            if piv is None:
+                support = sorted(k for k, v in combo.items() if v)
+                if support == stack + [j]:
+                    found.append(orient(support))
+            else:
+                inv = pow(vec[piv], p - 2, p)
+                nvec = [a * inv % p for a in vec]
+                ncombo = {k: v * inv % p for k, v in combo.items() if v}
+                extend(stack + [j], basis + [(piv, nvec, ncombo)])
+
+    extend([], [])
+    return tuple(sorted(found, key=lambda z: (z.plus, z.minus)))
+
+
+def _outcome(oracle, cfg):
+    try:
+        return oracle(cfg)
+    except (CircuitError, BudgetError) as exc:
+        return type(exc)
+
+
+def _plain(columns):
+    return PointConfiguration(
+        dim=len(columns[0]), columns=tuple(tuple(c) for c in columns),
+        column_labels=tuple((i,) for i in range(len(columns))))
+
+
+def test_brute_oracle_matches_independent_set_reference():
+    rng = random.Random(20211)
+    configs = []
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        configs.append(_plain([[rng.randint(-2, 2) for _ in range(dim)]
+                               for _ in range(rng.randint(1, 9))]))
+    for _ in range(20):
+        dim = rng.randint(1, 4)
+        configs.append(_plain([[rng.randint(-10 ** 9, 10 ** 9) for _ in range(dim)]
+                               for _ in range(rng.randint(2, 6))]))
+    for text in ('LRL', 'RLRL', 'LRLR', 'RLR'):
+        q = meet_irreducibles(adjoin_bounds(build_snake_poset(parse_word(text))))
+        configs.append(order_polytope_vertices(q))
+    outcomes = []
+    for cfg in configs:
+        expected = _outcome(reference_circuits_brute, cfg)
+        assert _outcome(circuits_brute, cfg) == expected, cfg
+        outcomes.append(expected)
+    assert outcomes.count(CircuitError) >= 1
+    assert sum(isinstance(o, tuple) and len(o) > 1 for o in outcomes) >= 100
+
+
 def test_brute_oracle_equals_subgraph_construction():
-    for w in v_words(4):
+    for w in v_words(5):
         ctx = word_context(w)
         assert circuits_brute(ctx.config) == all_circuits(w)
 
@@ -86,6 +180,12 @@ def test_brute_oracle_on_plain_configurations():
         dim=2, columns=((0, 0), (1, 0), (0, 1), (1, 1)),
         column_labels=((0,), (1,), (2,), (3,)))
     assert circuits_brute(square) == (Circuit(plus=(0, 3), minus=(1, 2)),)
+    # one dual dimension: the circuit is emitted at the root, before any step
+    assert circuits_brute(square, budget=0) == (Circuit(plus=(0, 3), minus=(1, 2)),)
+    independent = _plain([(0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, -2)])
+    assert circuits_brute(independent) == ()
+    repeated = _plain([(0, 0), (1, -2), (2, 1), (1, -2)])
+    assert circuits_brute(repeated) == (Circuit(plus=(1,), minus=(3,)),)
 
 
 def test_brute_oracle_guards():

@@ -36,6 +36,50 @@ def det_int(matrix):
     return sign * m[n - 1][n - 1]
 
 
+def adjugate(matrix):
+    """(det, adj) of a square integer matrix, with adj . matrix = det * I.
+
+    Fraction-free Gauss-Jordan (Bareiss) elimination of [matrix | I]: each
+    step replaces every row but the pivot row by (p * row - f * pivot_row)
+    // prev, an exact division since every entry is a minor of the augmented
+    matrix.  At the end the left block is d * I and the right block is
+    d * matrix^-1, where d is the determinant of the row-swapped matrix; the
+    swap sign turns d into det and the right block into adj.  Row k of adj
+    vanishes on every column of the matrix but column k, so it is a normal
+    of the facet opposite column k, and adj[k] . column_k = det.  adj is
+    None when det is 0.
+    """
+    n = len(matrix)
+    m = [[int(x) for x in row] + [int(i == j) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    if any(len(row) != 2 * n for row in m):
+        raise ValueError('adjugate needs a square matrix')
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
+            if r is None:
+                return 0, None
+            m[k], m[r] = m[r], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in row]
+        prev = p
+    if sign < 0:
+        return -prev, [[-x for x in row[n:]] for row in m]
+    return prev, [row[n:] for row in m]
+
+
 def integer_normal(rows):
     """Primitive integer vector spanning the kernel of integer rows of one length.
 

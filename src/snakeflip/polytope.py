@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .exact import det_int, integer_normal
+from .exact import adjugate, det_int
 from .posets import Poset, filter_lattice, maximal_chains
 
 
@@ -124,47 +124,63 @@ def walls(simplices) -> Dict[Tuple[int, ...], List[Tuple[int, int]]]:
     return out
 
 
+def simplex_normals(cfg: PointConfiguration, simplex):
+    """Normalized volume and apex-signed wall normals of a simplex, by one adjugate.
+
+    Row k of the adjugate of the simplex's homogenized columns vanishes on
+    every column but simplex[k], where it equals the determinant.  Signed by
+    the determinant, it is the normal of the wall opposite simplex[k],
+    positive on that apex, with normals[k] . simplex[k] the volume.  Returns
+    (0, None) for a degenerate simplex.
+    """
+    det, adj = adjugate([[cfg.homogeneous(j)[i] for j in simplex] for i in range(cfg.dim + 1)])
+    if det < 0:
+        adj = [[-x for x in row] for row in adj]
+    return abs(det), adj
+
+
 def is_triangulation(cfg: PointConfiguration, simplices) -> bool:
     """Union property plus the wall certificate.
 
     The union property compares the summed simplex volumes with
     expected_normalized_volume, so the configuration must be the 0/1 vertex
     set of an order polytope; any other configuration raises PolytopeError.
+    Each simplex's volume and wall normals come from simplex_normals, one
+    adjugate per simplex and call.  An interior wall is certified when its
+    second apex lies strictly on the negative side of the first coface's
+    normal, a boundary wall when no column does.
     """
     canon = [tuple(sorted(s)) for s in simplices]
     if len(set(canon)) != len(canon):
         return False
+    normals = []
     total = 0
     for s in canon:
         if len(s) != cfg.dim + 1 or len(set(s)) != len(s):
             return False
-        vol = simplex_volume(cfg, s)
+        vol, rows = simplex_normals(cfg, s)
         if vol == 0:
             return False
+        normals.append(dict(zip(s, rows)))
         total += vol
     if total != expected_normalized_volume(cfg):
         return False
     hom = [cfg.homogeneous(j) for j in range(len(cfg.columns))]
 
     def side(nu, j):
-        x = sum(a * b for a, b in zip(nu, hom[j]))
-        return (x > 0) - (x < 0)
+        return sum(a * b for a, b in zip(nu, hom[j]))
 
     for wall, cofaces in walls(canon).items():
         if len(cofaces) > 2:
             return False
-        # the wall spans a hyperplane, since its simplex has nonzero volume
-        nu = integer_normal([hom[j] for j in wall])
-        signs = [side(nu, a) for _, a in cofaces]
+        pos, apex = cofaces[0]
+        nu = normals[pos][apex]
         if len(cofaces) == 2:
-            if signs[0] * signs[1] != -1:
+            if side(nu, cofaces[1][1]) >= 0:
                 return False
-        else:
+        elif any(side(nu, j) < 0 for j in range(len(hom))):
             # boundary wall: all columns must lie on the apex's closed side
-            wall_set = set(wall)
-            if any(side(nu, j) == -signs[0]
-                   for j in range(len(hom)) if j not in wall_set):
-                return False
+            return False
     return True
 
 

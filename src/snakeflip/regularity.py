@@ -6,14 +6,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial
 from typing import Dict, List, Optional, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
-from .exact import det_int, integer_normal, lp_maximize
+from .exact import integer_normal, lp_maximize
 from .flips import canonical_of, dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash
 from .polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
-                       simplex_volume, walls)
+                       simplex_normals, simplex_volume, walls)
 from .posets import build_snake_poset
 from .twists import Twist, all_twists
 from .volumes import catalan
@@ -72,24 +72,40 @@ def height_function(w: SnakeWord, tau: Optional[Twist] = None) -> HeightFunction
     return HeightFunction(tuple(heights))
 
 
+def _folding_base(cfg: PointConfiguration, idx):
+    base = simplex_normals(cfg, idx)
+    if base[0] == 0:
+        raise RegularityError('folding base is degenerate')
+    return base
+
+
+def _fold(cfg: PointConfiguration, idx, base, p: int, heights):
+    """Schur complement |det M| * h_p - h_M . sgn(det M) adj(M) . x_p.
+
+    base is simplex_normals(cfg, idx): |det M| and the rows of sgn(det M) adj(M).
+    """
+    vol, normals = base
+    x = cfg.homogeneous(p)
+    value = vol * heights[p] - sum(heights[j] * sum(a * b for a, b in zip(nu, x))
+                                   for j, nu in zip(idx, normals))
+    return int(value) if value.denominator == 1 else value
+
+
+def _exact_heights(omega: HeightFunction):
+    return [h if isinstance(h, int) else Fraction(h) for h in omega.heights]
+
+
 def folding_form(cfg: PointConfiguration, simplex, p: int, omega: HeightFunction):
-    """Signed cofactor of the lifted column against an affinely independent base."""
+    """Signed cofactor of the lifted column against an affinely independent base.
+
+    This is det([[M, x_p], [h_M, h_p]]) times the sign of det M, for the base
+    columns M, the column x_p and their heights, taken as the Schur
+    complement over M's adjugate.
+    """
     idx = tuple(sorted(simplex))
     if len(idx) != cfg.dim + 1:
         raise RegularityError('folding base needs %d columns, got %d' % (cfg.dim + 1, len(idx)))
-    base_cols = [cfg.homogeneous(j) for j in idx]
-    base = [[col[i] for col in base_cols] for i in range(cfg.dim + 1)]
-    base_det = det_int(base)
-    if base_det == 0:
-        raise RegularityError('folding base is degenerate')
-    ext = idx + (p,)
-    cols = [cfg.homogeneous(j) for j in ext]
-    matrix = [[col[i] for col in cols] for i in range(cfg.dim + 1)]
-    hrow = [Fraction(omega.heights[j]) for j in ext]
-    scale = lcm(*(h.denominator for h in hrow))
-    matrix.append([int(h * scale) for h in hrow])
-    value = Fraction((1 if base_det > 0 else -1) * det_int(matrix), scale)
-    return int(value) if value.denominator == 1 else value
+    return _fold(cfg, idx, _folding_base(cfg, idx), p, _exact_heights(omega))
 
 
 def _walls(tri: Triangulation):
@@ -126,13 +142,27 @@ class FoldingReport:
 
 
 def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingReport:
-    """Certify that the heights select this triangulation across every wall."""
+    """Certify that the heights select this triangulation across every wall.
+
+    Each simplex's adjugate is computed at most once per call and serves as
+    the base of every folding form across its walls.
+    """
+    cfg = tri.config
+    heights = _exact_heights(omega)
+    bases: Dict[int, Tuple] = {}
+
+    def form(i, p):
+        idx = tri.simplices[i]
+        if i not in bases:
+            bases[i] = _folding_base(cfg, idx)
+        return _fold(cfg, idx, bases[i], p, heights)
+
     checks = []
     verdict = True
     first = None
     for f, i1, v1, i2, v2 in _walls(tri):
-        psi1 = folding_form(tri.config, tri.simplices[i2], v1, omega)
-        psi2 = folding_form(tri.config, tri.simplices[i1], v2, omega)
+        psi1 = form(i2, v1)
+        psi2 = form(i1, v2)
         checks.append(WallCheck(f, (i1, i2), (v1, v2), (psi1, psi2)))
         if verdict and (psi1 <= 0 or psi2 <= 0):
             verdict = False
@@ -140,18 +170,34 @@ def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingRe
     return FoldingReport(tuple(checks), verdict, first)
 
 
-def _wall_rows(tri: Triangulation, circuits):
-    """Deduplicated +-1 inequalities, one per wall: the wall pair's one circuit.
+@lru_cache(maxsize=1)
+def _apex_pairs(circuits: Tuple[Circuit, ...]) -> Dict[Tuple[int, int], List[Circuit]]:
+    """Apex pair (a, b), a < b on one side of a circuit -> the circuits, in list order.
 
-    The union of two simplices that meet in a wall holds exactly one circuit,
-    with both apexes on one side when the simplices lie on opposite sides of
-    the wall; it is oriented so that the first apex is positive.
+    A run passes one circuit list to every is_regular call, so the index of
+    the last list is kept and reused.
     """
     index: Dict[Tuple[int, int], List[Circuit]] = {}
     for z in circuits:
         for side in (z.plus, z.minus):
             for pair in combinations(side, 2):
                 index.setdefault(pair, []).append(z)
+    return index
+
+
+def _wall_rows(tri: Triangulation, circuits):
+    """Deduplicated +-1 inequalities, one per wall: the wall pair's one circuit.
+
+    The union of two simplices that meet in a wall holds exactly one circuit,
+    with both apexes on one side when the simplices lie on opposite sides of
+    the wall; it is oriented so that the first apex is positive.  A Circuit
+    carries its support and signs only, so the row assumes every coefficient
+    is +-1, as it is for order polytopes: the circuit must satisfy
+    sum(plus columns) == sum(minus columns).  A circuit with other
+    coefficients fails that test and raises RegularityError ('not a
+    dependence') instead of giving a wrong row.
+    """
+    index = _apex_pairs(tuple(circuits))
     cfg = tri.config
     rows = []
     seen = set()
@@ -195,7 +241,10 @@ def is_regular(tri: Triangulation, circuits, verify: bool = False) -> Regularity
     all_circuits or circuits_brute; each interior wall reads its inequality
     from the one circuit in its two simplices.  A wall that matches none or
     several, or a matched circuit that is not a dependence of the columns,
-    raises RegularityError.
+    raises RegularityError.  The rows take every circuit coefficient to be
+    +-1, as on order polytopes; a configuration with other circuit
+    coefficients raises RegularityError ('not a dependence') rather than
+    return a verdict.
     """
     cfg = tri.config
     ncols = len(cfg.columns)

@@ -39,6 +39,18 @@ def test_python_m_entry_points(module):
     assert done.stdout == '169\n'
 
 
+def test_verify_all_is_the_same_without_asserts():
+    # python -O strips assert statements, so no check may rest on one
+    env = dict(os.environ, PYTHONPATH=str(Path(snakeflip.__file__).resolve().parents[1]))
+    runs = [subprocess.run([sys.executable, *flags, '-m', 'snakeflip', 'verify-all',
+                            '--max-len', '3'],
+                           env=env, capture_output=True, text=True, timeout=300)
+            for flags in ([], ['-O'])]
+    plain, optimized = runs
+    assert plain.returncode == EXIT_OK, plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
 def test_poset_summary_past_64_elements(capsys):
     code, out, err = run_cli(capsys, ['poset', '--word', 'L' * 40])
     assert code == EXIT_OK

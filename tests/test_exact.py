@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from snakeflip.exact import det_int, integer_normal, lp_maximize
+from snakeflip.exact import adjugate, det_int, integer_normal, lp_maximize
 
 
 def test_det_small_values():
@@ -146,6 +146,66 @@ def test_integer_normal_matches_the_fraction_kernel():
         assert nu[lead] > 0 and math.gcd(*nu) == 1, rows
         assert [lam[lead] / nu[lead] * x for x in nu] == lam, rows
     assert nullities == {0, 1, 2}
+
+
+def fraction_inverse(matrix):
+    # reference: Fraction Gauss-Jordan elimination of [matrix | I]; None when
+    # the matrix is singular
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = rows[c][c]
+        rows[c] = [a / inv for a in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def test_adjugate_edge_cases():
+    assert adjugate([]) == (1, [])
+    assert adjugate([[7]]) == (7, [[1]])
+    assert adjugate([[-2]]) == (-2, [[1]])
+    assert adjugate([[0]]) == (0, None)
+    assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    assert adjugate([[2, 1], [1, 3]]) == (5, [[3, -1], [-1, 2]])
+    assert adjugate([[1, 2], [2, 4]]) == (0, None)
+    with pytest.raises(ValueError):
+        adjugate([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        adjugate([[1, 2]])
+
+
+def test_adjugate_matches_the_fraction_inverse():
+    rng = random.Random(20261019)
+    singular = 0
+    for _ in range(5000):
+        n = rng.randint(1, 7)
+        rows = []
+        for i in range(n):
+            if i and rng.random() < 0.1:  # multiple of an earlier row
+                f = rng.choice((-2, -1, 1, 3))
+                rows.append([f * v for v in rows[rng.randrange(i)]])
+            else:
+                rows.append([rng.choice((-2, -1, 0, 0, 1, 1, 3)) for _ in range(n)])
+        det, adj = adjugate(rows)
+        assert det == det_int(rows), rows
+        inverse = fraction_inverse(rows)
+        if det == 0:
+            singular += 1
+            assert adj is None and inverse is None, rows
+            continue
+        for i in range(n):
+            for j in range(n):
+                assert sum(adj[i][k] * rows[k][j] for k in range(n)) == det * (i == j), rows
+        assert adj == [[det * x for x in row] for row in inverse], rows
+    assert 500 < singular < 4500
 
 
 def test_lp_optimal():

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from snakeflip.circuits import all_circuits
-from snakeflip.exact import det_int, integer_normal, lp_maximize
+from snakeflip.exact import adjugate, det_int, integer_normal, lp_maximize
 from snakeflip.flips import apply_flip, canonical_of, find_flips
 from snakeflip.polytope import (
     PointConfiguration,
@@ -19,6 +19,7 @@ from snakeflip.polytope import (
     walls,
 )
 from snakeflip.posets import Poset, adjoin_bounds, build_snake_poset, regularity_labeling
+from snakeflip.twists import all_twists, twist_triangulation
 from snakeflip.volumes import maximal_chain_count
 from snakeflip.words import parse_word, v_words
 
@@ -44,6 +45,41 @@ def meet_in_common_faces(cfg, simplices):
         objective = [0 if j in shared else 1 for j in s1 + s2]
         status, value, _ = lp_maximize(rows, [0] * cfg.dim + [1, 1], objective)
         if not (status == 'infeasible' or status == 'optimal' and value == 0):
+            return False
+    return True
+
+
+def normal_is_triangulation(cfg, simplices):
+    # reference: the wall certificate with one primitive integer normal per
+    # wall, solved from the wall's columns alone, and the volume of each
+    # simplex from its own determinant
+    canon = [tuple(sorted(s)) for s in simplices]
+    if len(set(canon)) != len(canon):
+        return False
+    total = 0
+    for s in canon:
+        if len(s) != cfg.dim + 1 or len(set(s)) != len(s):
+            return False
+        vol = simplex_volume(cfg, s)
+        if vol == 0:
+            return False
+        total += vol
+    if total != expected_normalized_volume(cfg):
+        return False
+    hom = [cfg.homogeneous(j) for j in range(len(cfg.columns))]
+
+    def side(nu, j):
+        return _sign(sum(a * b for a, b in zip(nu, hom[j])))
+
+    for wall, cofaces in walls(canon).items():
+        if len(cofaces) > 2:
+            return False
+        nu = integer_normal([hom[j] for j in wall])
+        signs = [side(nu, a) for _, a in cofaces]
+        if len(cofaces) == 2:
+            if signs[0] * signs[1] != -1:
+                return False
+        elif any(side(nu, j) == -signs[0] for j in range(len(hom)) if j not in wall):
             return False
     return True
 
@@ -150,6 +186,60 @@ def test_is_triangulation_rejects_column_beyond_boundary_wall():
     assert not is_triangulation(cfg, simplices)
 
 
+def test_is_triangulation_matches_the_normal_reference_on_flips_and_twists():
+    cases = 0
+    for w in v_words(5):
+        tri = canonical_of(w)
+        cfg = tri.config
+        images = [apply_flip(tri, m, validate=False) for m in find_flips(tri, all_circuits(w))]
+        images += [twist_triangulation(tau, tri).triangulation for tau in all_twists(w)]
+        for image in [tri] + images:
+            assert is_triangulation(cfg, image.simplices), str(w)
+            assert normal_is_triangulation(cfg, image.simplices), str(w)
+            cases += 1
+    assert cases == 392
+
+
+def test_is_triangulation_matches_the_normal_reference_on_broken_inputs():
+    verdicts = set()
+
+    def check(cfg, simplices):
+        verdict = is_triangulation(cfg, simplices)
+        assert verdict == normal_is_triangulation(cfg, simplices), simplices
+        verdicts.add(verdict)
+        return verdict
+
+    for w in v_words(3):
+        tri = canonical_of(w)
+        cfg = tri.config
+        ncols = len(cfg.columns)
+        tris = [tri] + [apply_flip(tri, m) for m in find_flips(tri, all_circuits(w))]
+        for t in tris:
+            simplices = list(t.simplices)
+            for k, s in enumerate(simplices):
+                # one simplex dropped
+                assert not check(cfg, simplices[:k] + simplices[k + 1:])
+                # one column replaced, in every position and by every other column
+                for drop in range(len(s)):
+                    for c in range(ncols):
+                        if c not in s:
+                            broken = tuple(sorted(s[:drop] + s[drop + 1:] + (c,)))
+                            check(cfg, simplices[:k] + [broken] + simplices[k + 1:])
+        # an overlapping pair: one canonical simplex swapped for a flip
+        # image's, the volume sum unchanged, so only the walls reject it
+        simplices = list(tri.simplices)
+        for extra in {s for t in tris for s in t.simplices} - set(simplices):
+            for k in range(len(simplices)):
+                assert not check(cfg, simplices[:k] + [extra] + simplices[k + 1:])
+    square = PointConfiguration(dim=2, columns=((0, 0), (1, 0), (0, 1), (1, 1)),
+                                column_labels=((), (1,), (2,), (1, 2)))
+    assert check(square, [(0, 1, 3), (0, 2, 3)])
+    assert not check(square, [(0, 1, 2), (0, 1, 3)])
+    cfg = canonical_triangulation(q_of(parse_word('L'))).config
+    assert not check(cfg, [(0, 1, 2, 3, 5, 7), (0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7)])
+    assert verdicts == {True, False}
+
+
 def test_integer_normal_agrees_with_wall_determinants():
     # the side test of is_triangulation against the determinant it replaced
     for w in v_words(4):
@@ -168,6 +258,20 @@ def test_integer_normal_agrees_with_wall_determinants():
             fixed = next(s * t for s, t in signs if t)
             assert fixed != 0
             assert all(s == t * fixed for s, t in signs)
+        # each adjugate row, signed by the determinant, is a positive multiple
+        # of the integer normal of its wall oriented toward the apex
+        for s in {s for t in tris for s in t.simplices}:
+            det, adj = adjugate([[hom[j][i] for j in s] for i in range(cfg.dim + 1)])
+            assert det != 0
+            for k, apex in enumerate(s):
+                nu = integer_normal([hom[j] for j in s if j != apex])
+                if sum(a * b for a, b in zip(nu, hom[apex])) < 0:
+                    nu = [-x for x in nu]
+                row = [_sign(det) * x for x in adj[k]]
+                lead = next(i for i, x in enumerate(nu) if x)
+                scale, rest = divmod(row[lead], nu[lead])
+                assert rest == 0 and scale > 0
+                assert row == [scale * x for x in nu]
 
 
 def test_walls_lists_cofaces_by_position():

@@ -8,10 +8,12 @@ import pytest
 from test_exact import fraction_kernel, fraction_lp_maximize
 
 import snakeflip.regularity as regularity
-from snakeflip.circuits import Circuit, all_circuits, word_context
+from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
+from snakeflip.exact import det_int
 from snakeflip.flips import canonical_of, explore_flip_graph
-from snakeflip.polytope import Triangulation, is_triangulation
+from snakeflip.polytope import PointConfiguration, Triangulation, is_triangulation
 from snakeflip.regularity import (
+    HeightFunction,
     RegularityError,
     canonical_order,
     check_flip_degrees,
@@ -83,6 +85,63 @@ def test_folding_form_rejects_bad_bases():
         folding_form(t.config, (0, 1, 2), 3, omega)
     with pytest.raises(RegularityError):
         folding_form(t.config, (0, 1, 2, 3, 4), 5, omega)
+
+
+def determinant_folding_form(cfg, simplex, p, omega):
+    # reference: sgn(det M) * det([[M, x_p], [h_M, h_p]]) by two determinants,
+    # the heights scaled to integers by the lcm of their denominators
+    idx = tuple(sorted(simplex))
+    base_det = det_int([[cfg.homogeneous(j)[i] for j in idx] for i in range(cfg.dim + 1)])
+    ext = idx + (p,)
+    matrix = [[cfg.homogeneous(j)[i] for j in ext] for i in range(cfg.dim + 1)]
+    hrow = [Fraction(omega.heights[j]) for j in ext]
+    scale = lcm(*(h.denominator for h in hrow))
+    matrix.append([int(h * scale) for h in hrow])
+    value = Fraction((1 if base_det > 0 else -1) * det_int(matrix), scale)
+    return int(value) if value.denominator == 1 else value
+
+
+def _assert_forms_match_the_determinants(tri, omega):
+    report = verify_local_folding(tri, omega)
+    assert report.walls
+    for check in report.walls:
+        (i1, i2), (v1, v2) = check.simplices, check.opposite
+        expected = (determinant_folding_form(tri.config, tri.simplices[i2], v1, omega),
+                    determinant_folding_form(tri.config, tri.simplices[i1], v2, omega))
+        assert [(type(x), x) for x in check.forms] == [(type(x), x) for x in expected]
+    return report
+
+
+def test_folding_forms_match_the_determinants_on_twisted_canonical_triangulations():
+    verdicts = set()
+    for w in v_words(4):
+        t = canonical_of(w)
+        for tau in all_twists(w):
+            image = twist_triangulation(tau, t).triangulation
+            assert _assert_forms_match_the_determinants(image, height_function(w, tau))
+            # the untwisted heights give negative forms on the twisted images
+            verdicts.add(_assert_forms_match_the_determinants(image, height_function(w)).verdict)
+        for s in t.simplices:
+            for p in range(len(t.config.columns)):
+                assert (folding_form(t.config, s, p, height_function(w))
+                        == determinant_folding_form(t.config, s, p, height_function(w)))
+    assert verdicts == {True, False}
+
+
+def test_folding_forms_match_the_determinants_on_witness_heights():
+    # the LP witnesses are Fractions with denominator 1 at n=2, so they are
+    # also compared divided by 3, where most forms are not integers
+    w = snake_polytope_word(2)
+    circuits = all_circuits(w)
+    fractional = 0
+    for node in explore_flip_graph(canonical_of(w), circuits).nodes:
+        heights = is_regular(node, circuits).heights
+        assert _assert_forms_match_the_determinants(node, heights).verdict
+        thirds = HeightFunction(tuple(h / 3 for h in heights.heights))
+        report = _assert_forms_match_the_determinants(node, thirds)
+        assert report.verdict
+        fractional += any(isinstance(x, Fraction) for c in report.walls for x in c.forms)
+    assert fractional
 
 
 def test_canonical_heights_certify_canonical_triangulations():
@@ -187,6 +246,20 @@ def test_is_regular_raises_on_an_overlapping_pair():
     overlap = Triangulation.make(cfg, [(0, 2, 3, 4, 5), (0, 1, 3, 4, 5)])
     with pytest.raises(RegularityError):
         is_regular(overlap, all_circuits(w))
+
+
+def test_is_regular_fails_safe_on_circuits_with_other_coefficients():
+    # the planar "mother of all examples": its circuits have coefficients
+    # other than +-1, so no +-1 wall row may be read from them
+    cfg = PointConfiguration(
+        dim=2,
+        columns=((0, 0), (12, 0), (0, 12), (3, 3), (6, 3), (3, 6)),
+        column_labels=((0,), (1,), (2,), (3,), (4,), (5,)),
+    )
+    tri = Triangulation.make(cfg, [(3, 4, 5), (0, 1, 3), (1, 3, 4), (1, 2, 4),
+                                   (2, 4, 5), (0, 2, 5), (0, 3, 5)])
+    with pytest.raises(RegularityError, match='not a dependence'):
+        is_regular(tri, circuits_brute(cfg))
 
 
 def _rational_wall_rows(tri, kernels):

@@ -74,24 +74,6 @@ _FORMATS = {
     'verify-all': ('text', 'json'),
 }
 
-_CONFIG_KEYS = {
-    'word': str,
-    'id': str,
-    'n': int,
-    'twist': str,
-    'node': str,
-    'budget_nodes': int,
-    'max_depth': int,
-    'time_budget': float,
-    'budget_steps': int,
-    'exhaustive': bool,
-    'max_len': int,
-    'format': str,
-    'output': str,
-    'threads': int,
-}
-
-
 def build_parser() -> _Parser:
     """Argument parser for the snakeflip command."""
     parser = _Parser(prog='snakeflip', description=__doc__)
@@ -150,7 +132,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, parser: _Parser, ns: argparse.Namespace) -> dict:
+    """The file's key=value lines, each parsed by the subcommand's own flag.
+
+    A key is a long flag name of the subcommand, with dashes or underscores
+    (id for --id); --config and any flag the subcommand lacks are unknown
+    keys.  Boolean flags take true or false.
+    """
     values = {}
     try:
         with open(path) as fh:
@@ -166,17 +154,21 @@ def _parse_config_file(path: str) -> dict:
         key, _, value = line.partition('=')
         key = key.strip().replace('-', '_')
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        dest = 'conjecture' if key == 'id' else key
+        if key in ('command', 'config', 'conjecture') or not hasattr(ns, dest):
             raise UsageError('%s:%d: unknown key %r' % (path, lineno, key))
-        kind = _CONFIG_KEYS[key]
-        try:
-            if kind is bool:
-                if value.lower() not in ('true', 'false'):
-                    raise ValueError(value)
-                values[key] = value.lower() == 'true'
-            else:
-                values[key] = kind(value)
-        except ValueError:
+        flag = '--' + key.replace('_', '-')
+        candidates = ['%s=%s' % (flag, value)]
+        if value.lower() in ('true', 'false'):
+            # a boolean flag takes no value: true is --flag, false is --no-flag
+            candidates.append(flag if value.lower() == 'true' else '--no-' + flag[2:])
+        for arg in candidates:
+            try:
+                values[dest] = getattr(parser.parse_args([ns.command, arg]), dest)
+                break
+            except UsageError:
+                continue
+        else:
             raise UsageError('%s:%d: bad value %r for %s' % (path, lineno, value, key))
     return values
 
@@ -190,10 +182,11 @@ def _parse_mask(text: str) -> Tuple[int, ...]:
 
 def parse(argv) -> RunConfig:
     """Resolve argv, an optional config file, and the environment."""
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
     if ns.command is None:
         raise UsageError('a command is required')
-    file_values = _parse_config_file(ns.config) if ns.config else {}
+    file_values = _parse_config_file(ns.config, parser, ns) if ns.config else {}
 
     def pick(key, default=None):
         flag = getattr(ns, key, None)

@@ -20,12 +20,10 @@ class PointConfiguration:
     dim: int
     columns: Tuple[Tuple[int, ...], ...]
     column_labels: Tuple[Tuple[int, ...], ...]
-    homogenized: bool = False
 
     def homogeneous(self, j: int) -> Tuple[int, ...]:
         """Column j with the all-ones row appended."""
-        col = self.columns[j]
-        return col if self.homogenized else col + (1,)
+        return self.columns[j] + (1,)
 
 
 @dataclass(frozen=True)

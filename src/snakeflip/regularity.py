@@ -15,7 +15,7 @@ from .flips import canonical_of, dual_graph, explore_flip_graph, graphs_isomorph
 from .polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
                        simplex_normals, simplex_volume, walls)
 from .posets import build_snake_poset
-from .twists import Twist, all_twists
+from .twists import Twist, all_twists, twist_simplices
 from .volumes import catalan
 from .words import SnakeWord
 
@@ -319,20 +319,25 @@ def snake_polytope_word(n: int) -> SnakeWord:
 
 
 def _twist_is_affine(w: SnakeWord, tau: Twist) -> bool:
-    """Whether the twist permutes columns by an affine map of the ambient space."""
+    """Whether the twist permutes columns by an affine map of the ambient space.
+
+    With vol and normals from one adjugate of a base simplex, every column is
+    vol·x_c = sum_k (normals_k·x_c) base_k; the twist is affine when those
+    coordinates carry the base's images to vol times the image of x_c.
+    """
     cfg = word_context(w).config
     base = canonical_of(w).simplices[0]
-    bcols = [cfg.homogeneous(c) for c in base]
+    vol, normals = simplex_normals(cfg, base)
+    if vol == 0:
+        raise RegularityError('base simplex does not span the configuration')
     images = [cfg.homogeneous(tau.column_permutation[c]) for c in base]
     for c in range(len(cfg.columns)):
-        lam = integer_normal(list(zip(*bcols, cfg.homogeneous(c))))
-        if lam is None or lam[-1] == 0:
-            raise RegularityError('base simplex does not span the configuration')
-        # sum_k lam_k base_k + lam_last c = 0, so c maps to -sum_k lam_k image_k / lam_last
+        x = cfg.homogeneous(c)
+        coords = [sum(a * b for a, b in zip(nu, x)) for nu in normals]
         target = cfg.homogeneous(tau.column_permutation[c])
-        for i in range(cfg.dim + 1):
-            if -sum(lam[k] * images[k][i] for k in range(len(bcols))) != lam[-1] * target[i]:
-                return False
+        if any(sum(lam * y[i] for lam, y in zip(coords, images)) != vol * target[i]
+               for i in range(cfg.dim + 1)):
+            return False
     return True
 
 
@@ -587,10 +592,7 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
         orbit = {i}
         if affine:
             for tau in taus[1:]:
-                cols = tau.column_permutation
-                image = tuple(sorted(tuple(sorted(cols[c] for c in s))
-                                     for s in node.simplices))
-                j = index.get(image)
+                j = index.get(twist_simplices(tau, node.simplices))
                 if j is not None:
                     orbit.add(j)
         for j in orbit:

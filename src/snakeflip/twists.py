@@ -3,10 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
-from .flips import apply_flip, canonical_of, explore_flip_graph, find_flips, triangulation_hash
+from .flips import canonical_of, explore_flip_graph, triangulation_hash
 from .polytope import Triangulation, is_triangulation
 from .words import SnakeWord
 
@@ -83,6 +83,12 @@ def twist_circuit(tau: Twist, z: Circuit) -> Circuit:
     return image
 
 
+def twist_simplices(tau: Twist, simplices) -> Tuple[Tuple[int, ...], ...]:
+    """The twist's image of a simplex list, in canonical sorted form."""
+    cols = tau.column_permutation
+    return tuple(sorted(tuple(sorted(cols[c] for c in s)) for s in simplices))
+
+
 @dataclass(frozen=True)
 class TwistImage:
     """Twisted simplex set together with its validation verdict."""
@@ -93,9 +99,7 @@ class TwistImage:
 
 def twist_triangulation(tau: Twist, tri: Triangulation) -> TwistImage:
     """Apply the twist to every simplex and validate the result."""
-    cols = tau.column_permutation
-    simplices = [tuple(sorted(cols[c] for c in s)) for s in tri.simplices]
-    image = Triangulation.make(tri.config, simplices)
+    image = Triangulation.make(tri.config, twist_simplices(tau, tri.simplices))
     return TwistImage(image, is_triangulation(tri.config, image.simplices))
 
 
@@ -104,7 +108,6 @@ class CommutingSquareReport:
     """Outcome of checking flip-then-twist against twist-then-flip."""
 
     word: SnakeWord
-    depth: Optional[int]
     triangulations: int
     twists: int
     moves_checked: int
@@ -114,41 +117,39 @@ class CommutingSquareReport:
         return not self.counterexamples
 
 
-def commuting_square_check(w: SnakeWord, depth: Optional[int] = None,
-                           workers: int = 1) -> CommutingSquareReport:
-    """Check the commuting square on every flip within depth of the canonical."""
+def commuting_square_check(w: SnakeWord) -> CommutingSquareReport:
+    """Check that every twist is an automorphism of the canonical's flip component.
+
+    Each node is validated once; a twist must send every node to a node and
+    each flip a -Z-> b to the flip τa -τZ-> τb, so every twist image is a
+    validated node.  A partial component fails the check.
+    """
     circuits = all_circuits(w)
-    graph = explore_flip_graph(canonical_of(w), circuits, workers=workers, max_depth=depth)
-    twists = all_twists(w)
-    images: Dict[Tuple[FrozenSet[int], Tuple], TwistImage] = {}
-
-    def image(tau: Twist, tri: Triangulation) -> TwistImage:
-        key = (tau.ladder_mask, tri.simplices)
-        if key not in images:
-            images[key] = twist_triangulation(tau, tri)
-        return images[key]
-
+    graph = explore_flip_graph(canonical_of(w), circuits)
+    nodes = graph.nodes
+    index = {t.simplices: i for i, t in enumerate(nodes)}
+    flips: List[Dict[Circuit, int]] = [{} for _ in nodes]
+    for a, b, z in graph.edges:
+        flips[a][z] = b
+        flips[b][z] = a
     bad = []
+    if graph.partial:
+        bad.append((triangulation_hash(nodes[0]), (), 'flip component is partial'))
+    bad += [(triangulation_hash(t), (), 'node is not a triangulation')
+            for t in nodes if not is_triangulation(t.config, t.simplices)]
+    twists = all_twists(w)
     moves_checked = 0
-    for tri in graph.nodes:
-        moves = find_flips(tri, circuits)
-        for tau in twists:
-            mask = tuple(sorted(tau.ladder_mask))
-            twisted = image(tau, tri)
-            if not twisted.valid:
-                bad.append((triangulation_hash(tri), mask, 'twist image is not a triangulation'))
+    for tau in twists:
+        mask = tuple(sorted(tau.ladder_mask))
+        image = [index.get(twist_simplices(tau, t.simplices)) for t in nodes]
+        circuit_image = {z: twist_circuit(tau, z) for z in circuits}
+        for a, moves in enumerate(flips):
+            if image[a] is None:
+                bad.append((triangulation_hash(nodes[a]), mask,
+                            'twist image is outside the component'))
                 continue
-            partner_moves = {m.circuit: m for m in find_flips(twisted.triangulation, circuits)}
-            for m in moves:
+            for z, b in moves.items():
                 moves_checked += 1
-                z2 = twist_circuit(tau, m.circuit)
-                m2 = partner_moves.get(z2)
-                if m2 is None:
-                    bad.append((triangulation_hash(tri), mask, 'no flip at the twisted circuit'))
-                    continue
-                left = image(tau, apply_flip(tri, m, validate=False))
-                right = apply_flip(twisted.triangulation, m2, validate=False)
-                if not left.valid or left.triangulation.simplices != right.simplices:
-                    bad.append((triangulation_hash(tri), mask, 'square does not commute'))
-    return CommutingSquareReport(w, depth, len(graph.nodes), len(twists),
-                                 moves_checked, tuple(bad))
+                if flips[image[a]].get(circuit_image[z]) != image[b]:
+                    bad.append((triangulation_hash(nodes[a]), mask, 'square does not commute'))
+    return CommutingSquareReport(w, len(nodes), len(twists), moves_checked, tuple(bad))

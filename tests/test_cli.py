@@ -227,6 +227,45 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert 'unknown key' in err
 
 
+def test_config_file_id_key_selects_the_experiment(capsys, tmp_path):
+    cfg = tmp_path / 'run.cfg'
+    cfg.write_text('id=6.4\nn=1\nexhaustive=false\n')
+    code, out, _ = run_cli(capsys, ['conjectures', '--config', str(cfg), '--format', 'json'])
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload['id'], payload['n'], payload['exhaustive']) == ('6.4', 1, None)
+
+
+def test_config_file_takes_only_the_subcommands_flags(capsys, tmp_path):
+    cfg = tmp_path / 'run.cfg'
+    for command, text, key in (
+            ('conjectures', 'id=6.4\nn=1\ntime_budget=0.001\n', 'time_budget'),
+            ('conjectures', 'conjecture=6.4\nn=1\n', 'conjecture'),
+            ('conjectures', 'id=6.4\nconfig=other.cfg\n', 'config'),
+            ('volume', 'word=L\nthreads=2\n', 'threads'),
+            ('flipgraph', 'word=L\nbudget=5\n', 'budget')):
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, [command, '--config', str(cfg)])
+        assert code == EXIT_USAGE, text
+        assert out == '' and 'unknown key %r' % key in err, text
+    code, _, err = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', '1',
+                                    '--time-budget', '0.001'])
+    assert code == EXIT_USAGE
+
+
+def test_config_file_values_are_parsed_by_the_flags(capsys, tmp_path):
+    cfg = tmp_path / 'run.cfg'
+    for text, message in (('id=6.4\nn=one\n', "bad value 'one' for n"),
+                          ('id=6.4\nn=1\nexhaustive=maybe\n', "bad value 'maybe'"),
+                          ('id=6.4\nn=1\nformat=dot\n', "bad value 'dot'")):
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, ['conjectures', '--config', str(cfg)])
+        assert code == EXIT_USAGE and message in err, text
+    cfg.write_text('word=LR\nbudget-nodes=4\nmax_depth=1\n')
+    config = parse(['flipgraph', '--config', str(cfg), '--max-depth', '2'])
+    assert (str(config.word), config.budget_nodes, config.max_depth) == ('LR', 4, 2)
+
+
 def test_threads_from_environment(capsys, monkeypatch):
     monkeypatch.setenv('SNAKEFLIP_THREADS', '4')
     assert parse(['flipgraph', '--word', 'L']).threads == 4

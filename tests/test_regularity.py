@@ -1,6 +1,7 @@
 """Tests for orders, heights, folding forms, regularity, and the experiments."""
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -9,7 +10,7 @@ from test_exact import fraction_kernel, fraction_lp_maximize
 
 import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
-from snakeflip.exact import det_int
+from snakeflip.exact import det_int, integer_normal
 from snakeflip.flips import canonical_of, explore_flip_graph
 from snakeflip.polytope import PointConfiguration, Triangulation, is_triangulation
 from snakeflip.regularity import (
@@ -27,8 +28,8 @@ from snakeflip.regularity import (
     snake_polytope_word,
     verify_local_folding,
 )
-from snakeflip.regularity import _wall_rows
-from snakeflip.twists import all_twists, elementary_twist, twist_triangulation
+from snakeflip.regularity import _twist_is_affine, _wall_rows
+from snakeflip.twists import Twist, all_twists, elementary_twist, twist_triangulation
 from snakeflip.words import WordError, parse_word, v_words
 
 
@@ -326,6 +327,37 @@ def test_is_regular_results_pinned_at_n3():
         h.update(repr((r.regular, r.heights, r.slack, r.constraints)).encode())
     assert len(nodes) == 429
     assert h.hexdigest() == '27bd5f65534fbe927be20a42d5a057a4'
+
+
+def kernel_twist_is_affine(w, tau):
+    """One kernel per column: sum_k lam_k base_k + lam_last x_c = 0 fixes x_c's image."""
+    cfg = word_context(w).config
+    base = canonical_of(w).simplices[0]
+    bcols = [cfg.homogeneous(c) for c in base]
+    images = [cfg.homogeneous(tau.column_permutation[c]) for c in base]
+    for c in range(len(cfg.columns)):
+        lam = integer_normal(list(zip(*bcols, cfg.homogeneous(c))))
+        target = cfg.homogeneous(tau.column_permutation[c])
+        for i in range(cfg.dim + 1):
+            if -sum(lam[k] * images[k][i] for k in range(len(bcols))) != lam[-1] * target[i]:
+                return False
+    return True
+
+
+def test_twist_is_affine_matches_the_per_column_kernels():
+    rng = random.Random(12)
+    rejected = 0
+    for w in v_words(5):
+        for tau in all_twists(w):
+            assert _twist_is_affine(w, tau) and kernel_twist_is_affine(w, tau)
+        columns = list(range(len(word_context(w).config.columns)))
+        for _ in range(4):
+            rng.shuffle(columns)
+            tau = Twist(w, frozenset(), (), tuple(columns))
+            verdict = kernel_twist_is_affine(w, tau)
+            assert _twist_is_affine(w, tau) == verdict
+            rejected += not verdict
+    assert rejected > 100
 
 
 def test_enumeration_matches_flip_search_on_small_configs():

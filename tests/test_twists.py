@@ -1,6 +1,9 @@
 """Tests for the twist group and its action on circuits and triangulations."""
+from dataclasses import replace
+
 import pytest
 
+from snakeflip import twists
 from snakeflip.circuits import all_circuits, circuit_from_subgraph, word_context
 from snakeflip.flips import canonical_of, dual_graph, find_flips, graphs_isomorphic
 from snakeflip.twists import (
@@ -147,3 +150,36 @@ def test_commuting_square_is_deterministic():
     first = commuting_square_check(w)
     second = commuting_square_check(w)
     assert first == second
+
+
+def test_commuting_square_counts_on_ll_and_lrrl():
+    for word, counts in (('LL', (24, 2, 144)), ('LRRL', (336, 8, 13440))):
+        r = commuting_square_check(parse_word(word))
+        assert r.counterexamples == ()
+        assert (r.triangulations, r.twists, r.moves_checked) == counts
+
+
+def test_commuting_square_fails_on_a_truncated_component(monkeypatch):
+    explore = twists.explore_flip_graph
+
+    def truncated(seed, circuits):
+        return explore(seed, circuits, budget=5)
+
+    monkeypatch.setattr(twists, 'explore_flip_graph', truncated)
+    r = commuting_square_check(parse_word('LR'))
+    assert not r
+    assert r.triangulations == 5
+    assert r.counterexamples[0][2] == 'flip component is partial'
+    # the same nodes claimed complete still fail: some twist image lies outside
+    monkeypatch.setattr(twists, 'explore_flip_graph',
+                        lambda seed, circuits: replace(truncated(seed, circuits), partial=False))
+    r = commuting_square_check(parse_word('LR'))
+    reasons = {reason for _, _, reason in r.counterexamples}
+    assert 'flip component is partial' not in reasons
+    assert 'twist image is outside the component' in reasons
+
+
+def test_commuting_square_validates_every_node(monkeypatch):
+    monkeypatch.setattr(twists, 'is_triangulation', lambda cfg, simplices: False)
+    r = commuting_square_check(parse_word(''))
+    assert [reason for _, _, reason in r.counterexamples] == ['node is not a triangulation'] * 2

@@ -249,8 +249,11 @@ def parse(argv) -> RunConfig:
 def _emit(config: RunConfig, text: str) -> None:
     data = text if text.endswith('\n') else text + '\n'
     if config.output:
-        with open(config.output, 'w') as fh:
-            fh.write(data)
+        try:
+            with open(config.output, 'w') as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise UsageError('cannot write output file: %s' % exc)
     else:
         sys.stdout.write(data)
 
@@ -526,7 +529,8 @@ def _cmd_conjectures(config: RunConfig) -> int:
         lines = []
         _flatten('', payload, lines)
         _emit(config, '\n'.join(sorted(lines)))
-    return EXIT_BUDGET if getattr(report, 'partial', False) else EXIT_OK
+    truncated = getattr(report, 'exhaustive', None) and not report.exhaustive.complete
+    return EXIT_BUDGET if getattr(report, 'partial', False) or truncated else EXIT_OK
 
 
 def _cmd_verify_all(config: RunConfig) -> int:

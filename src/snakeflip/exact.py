@@ -93,7 +93,8 @@ def integer_normal(rows):
     nonzero entry is positive.  For k independent rows of length k + 1 it is
     proportional to the cofactor vector: det([rows..., x]) = c * (normal . x)
     for one nonzero integer c.  Returns None when the kernel is not
-    one-dimensional.
+    one-dimensional.  Its only caller is circuits, for the kernel of a
+    support's columns; wall normals come from polytope.simplex_normals.
     """
     m = [[int(x) for x in row] for row in rows]
     k = len(m)

@@ -80,33 +80,22 @@ def expected_normalized_volume(cfg: PointConfiguration) -> int:
 
     Only 0/1 columns closed under componentwise min and max form a lattice of
     filters (Birkhoff) whose chain count is the volume (Stanley); any other
-    configuration raises PolytopeError.
+    configuration raises PolytopeError.  Chains step up one coordinate at a
+    time, so a configuration that is not full-dimensional counts 0.
     """
     present = set(cfg.columns)
     if any(x not in (0, 1) for col in present for x in col) or any(
             tuple(map(f, a, b)) not in present
             for f in (min, max) for a in present for b in present):
         raise PolytopeError('volume by chain count needs 0/1 columns closed under min and max')
-    order = {}
-    for j, col in enumerate(cfg.columns):
-        order[j] = [k for k, other in enumerate(cfg.columns)
-                    if k != j and all(a <= b for a, b in zip(col, other))]
-    # keep covers only: drop comparabilities that factor through a third column
-    bottom = min(range(len(cfg.columns)), key=lambda j: sum(cfg.columns[j]))
-    top = max(range(len(cfg.columns)), key=lambda j: sum(cfg.columns[j]))
-    memo = {}
-
-    def paths(j):
-        if j == top:
-            return 1
-        if j not in memo:
-            above = set(order[j])
-            covers = [k for k in above
-                      if not any(m in above and k in order[m] for m in above if m != k)]
-            memo[j] = sum(paths(k) for k in covers)
-        return memo[j]
-
-    return paths(bottom)
+    # a cover of a filter lattice adds one element, so a column's chains from
+    # the bottom are the sum over the columns one coordinate below it
+    order = sorted(present, key=sum)
+    chains = {order[0]: 1}
+    for col in order[1:]:
+        chains[col] = sum(chains.get(col[:i] + (0,) + col[i + 1:], 0)
+                          for i, x in enumerate(col) if x)
+    return chains[order[-1]]
 
 
 def walls(simplices) -> Dict[Tuple[int, ...], List[Tuple[int, int]]]:
@@ -137,6 +126,16 @@ def simplex_normals(cfg: PointConfiguration, simplex):
     return abs(det), adj
 
 
+def _side(normal, column) -> int:
+    """normal . (column, 1): the homogenized column against a wall normal."""
+    return normal[-1] + sum(a * b for a, b in zip(normal, column))
+
+
+def is_boundary_wall(cfg: PointConfiguration, normal) -> bool:
+    """Whether no column lies strictly on the negative side of an apex-positive normal."""
+    return all(_side(normal, col) >= 0 for col in cfg.columns)
+
+
 def is_triangulation(cfg: PointConfiguration, simplices) -> bool:
     """Union property plus the wall certificate.
 
@@ -146,7 +145,7 @@ def is_triangulation(cfg: PointConfiguration, simplices) -> bool:
     Each simplex's volume and wall normals come from simplex_normals, one
     adjugate per simplex and call.  An interior wall is certified when its
     second apex lies strictly on the negative side of the first coface's
-    normal, a boundary wall when no column does.
+    normal, a boundary wall by is_boundary_wall.
     """
     canon = [tuple(sorted(s)) for s in simplices]
     if len(set(canon)) != len(canon):
@@ -163,21 +162,15 @@ def is_triangulation(cfg: PointConfiguration, simplices) -> bool:
         total += vol
     if total != expected_normalized_volume(cfg):
         return False
-    hom = [cfg.homogeneous(j) for j in range(len(cfg.columns))]
-
-    def side(nu, j):
-        return sum(a * b for a, b in zip(nu, hom[j]))
-
-    for wall, cofaces in walls(canon).items():
+    for cofaces in walls(canon).values():
         if len(cofaces) > 2:
             return False
         pos, apex = cofaces[0]
         nu = normals[pos][apex]
         if len(cofaces) == 2:
-            if side(nu, cofaces[1][1]) >= 0:
+            if _side(nu, cfg.columns[cofaces[1][1]]) >= 0:
                 return False
-        elif any(side(nu, j) < 0 for j in range(len(hom))):
-            # boundary wall: all columns must lie on the apex's closed side
+        elif not is_boundary_wall(cfg, nu):
             return False
     return True
 

@@ -10,10 +10,10 @@ from math import factorial
 from typing import Dict, List, Optional, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
-from .exact import integer_normal, lp_maximize
+from .exact import lp_maximize
 from .flips import canonical_of, dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash
 from .polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
-                       simplex_normals, simplex_volume, walls)
+                       is_boundary_wall, simplex_normals, walls)
 from .posets import build_snake_poset
 from .twists import Twist, all_twists, twist_simplices
 from .volumes import catalan
@@ -341,55 +341,49 @@ def _twist_is_affine(w: SnakeWord, tau: Twist) -> bool:
     return True
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def enumerate_triangulations(cfg: PointConfiguration, budget_steps: int = 2_000_000):
-    """All triangulations, found by completing walls outward from a generic point."""
+    """All triangulations, found by completing walls outward from a generic point.
+
+    Each (d+1)-subset's volume and apex-positive wall normals come from one
+    simplex_normals adjugate.  A coface's side of a wall is the sign of the
+    first nonzero entry of its normal.  A candidate contains the reference
+    point q when every barycentric coordinate normal . q is positive, and q
+    is generic when none is zero.
+    """
     d = cfg.dim
-    ncols = len(cfg.columns)
     expected = expected_normalized_volume(cfg)
-    candidates = tuple(s for s in combinations(range(ncols), d + 1)
-                       if simplex_volume(cfg, s) > 0)
-    volumes = [simplex_volume(cfg, s) for s in candidates]
-
-    normals: Dict[Tuple[int, ...], List[int]] = {}
-
-    def normal(f):
-        if f not in normals:
-            normals[f] = integer_normal([cfg.homogeneous(c) for c in f])
-        return normals[f]
-
-    def side(f, hom):
-        nu = normal(f)
-        return sum(nu[i] * hom[i] for i in range(d + 1))
+    candidates = []
+    volumes = []
+    normals = []
+    for s in combinations(range(len(cfg.columns)), d + 1):
+        volume, rows = simplex_normals(cfg, s)
+        if volume:
+            candidates.append(s)
+            volumes.append(volume)
+            normals.append(rows)
 
     facet_index: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-    cand_facets: List[List[Tuple[Tuple[int, ...], int]]] = [[] for _ in candidates]
-    for f, cofaces in walls(candidates).items():
-        for ci, apex in cofaces:
-            sgn = _sign(side(f, cfg.homogeneous(apex)))
-            if sgn == 0:
-                raise RegularityError('degenerate facet in a full simplex')
+    cand_facets: List[List[Tuple[Tuple[int, ...], int]]] = []
+    boundary = {}
+    for ci, (s, rows) in enumerate(zip(candidates, normals)):
+        cand_facets.append([])
+        for k, nu in enumerate(rows):
+            f = s[:k] + s[k + 1:]
+            sgn = 1 if next(x for x in nu if x) > 0 else -1
             facet_index.setdefault(f, []).append((ci, sgn))
             cand_facets[ci].append((f, sgn))
+            if f not in boundary:
+                boundary[f] = is_boundary_wall(cfg, nu)
 
-    boundary = {}
-    for f in facet_index:
-        signs = {_sign(side(f, cfg.homogeneous(c))) for c in range(ncols)}
-        boundary[f] = not (1 in signs and -1 in signs)
-
+    homs = [cfg.homogeneous(c) for c in range(len(cfg.columns))]
     for t in (2, 3, 5, 7, 11, 13, 17):
-        q = tuple(sum(t ** c * cfg.homogeneous(c)[i] for c in range(ncols))
-                  for i in range(d + 1))
-        qside = {f: _sign(side(f, q)) for f in facet_index}
-        if all(qside[f] != 0 for f in facet_index):
+        q = tuple(sum(t ** c * hom[i] for c, hom in enumerate(homs)) for i in range(d + 1))
+        coords = [[sum(a * b for a, b in zip(nu, q)) for nu in rows] for rows in normals]
+        if all(all(row) for row in coords):
             break
     else:
         raise RegularityError('no generic interior reference point found')
-    contains_q = [all(qside[f] == sgn for f, sgn in cand_facets[ci])
-                  for ci in range(len(candidates))]
+    contains_q = [all(x > 0 for x in row) for row in coords]
 
     counts: Dict[Tuple[int, ...], List[int]] = {}
     open_facets = set()

@@ -194,6 +194,18 @@ def test_conjecture_budget_exhaustion(capsys):
     assert 'partial True' in out
 
 
+def test_truncated_exhaustive_check_exits_with_budget(capsys):
+    # the flip search completes; only the enumeration's step budget runs out
+    code, out, _ = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', '1',
+                                    '--budget-steps', '5'])
+    assert code == EXIT_BUDGET
+    assert 'partial False' in out
+    assert 'exhaustive.complete False' in out
+    code, out, _ = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', '1'])
+    assert code == EXIT_OK
+    assert 'exhaustive.complete True' in out
+
+
 def test_usage_errors(capsys):
     for argv in ([],
                  ['volume'],
@@ -283,6 +295,16 @@ def test_output_goes_to_file(capsys, tmp_path):
     assert code == EXIT_OK
     assert out == ''
     assert json.loads(path.read_text())['volume'] == 14
+
+
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / 'missing' / 'out.txt'
+    code, out, err = run_cli(capsys, ['volume', '--word', 'LR', '--output', str(path)])
+    assert code == EXIT_USAGE
+    assert out == ''
+    assert err.startswith('snakeflip: cannot write output file: ')
+    assert err.count('\n') == 1 and 'Traceback' not in err
+    assert not path.parent.exists()
 
 
 def test_verify_all_small(capsys):

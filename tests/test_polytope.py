@@ -1,9 +1,10 @@
 """Tests for order polytope vertices, canonical triangulations, and validity."""
 import itertools
+import random
 
 import pytest
 
-from snakeflip.circuits import all_circuits
+from snakeflip.circuits import all_circuits, word_context
 from snakeflip.exact import adjugate, det_int, integer_normal, lp_maximize
 from snakeflip.flips import apply_flip, canonical_of, find_flips
 from snakeflip.polytope import (
@@ -12,13 +13,16 @@ from snakeflip.polytope import (
     Triangulation,
     canonical_triangulation,
     expected_normalized_volume,
+    is_boundary_wall,
     is_triangulation,
     is_unimodular,
     order_polytope_vertices,
+    simplex_normals,
     simplex_volume,
     walls,
 )
-from snakeflip.posets import Poset, adjoin_bounds, build_snake_poset, regularity_labeling
+from snakeflip.posets import (Poset, adjoin_bounds, build_snake_poset, linear_extensions,
+                              regularity_labeling)
 from snakeflip.twists import all_twists, twist_triangulation
 from snakeflip.volumes import maximal_chain_count
 from snakeflip.words import parse_word, v_words
@@ -312,6 +316,75 @@ def test_chain_count_volume_rejects_other_configurations():
     )
     with pytest.raises(PolytopeError):
         expected_normalized_volume(corner)
+
+
+def cover_walk_volume(cfg):
+    """Chains from the bottom to the top column through covers of the containment order.
+
+    A cover is a containment with no third column between; this is the search
+    expected_normalized_volume made before it stepped one coordinate at a time.
+    """
+    order = {}
+    for j, col in enumerate(cfg.columns):
+        order[j] = [k for k, other in enumerate(cfg.columns)
+                    if k != j and all(a <= b for a, b in zip(col, other))]
+    bottom = min(range(len(cfg.columns)), key=lambda j: sum(cfg.columns[j]))
+    top = max(range(len(cfg.columns)), key=lambda j: sum(cfg.columns[j]))
+    memo = {}
+
+    def paths(j):
+        if j == top:
+            return 1
+        if j not in memo:
+            above = set(order[j])
+            covers = [k for k in above
+                      if not any(m in above and k in order[m] for m in above if m != k)]
+            memo[j] = sum(paths(k) for k in covers)
+        return memo[j]
+
+    return paths(bottom)
+
+
+def test_chain_count_matches_the_cover_walk_on_v_words():
+    words = list(v_words(7))
+    assert len(words) == 107
+    for w in words:
+        cfg = word_context(w).config
+        assert expected_normalized_volume(cfg) == cover_walk_volume(cfg) == maximal_chain_count(w)
+
+
+def test_chain_count_is_the_number_of_linear_extensions():
+    rng = random.Random(20261018)
+    posets = [Poset(7, []), Poset(7, [(i, i + 1) for i in range(6)])]
+    for _ in range(60):
+        n = rng.randint(0, 7)
+        density = rng.choice((0.1, 0.3, 0.6))
+        posets.append(Poset(n, [(i, j) for i, j in itertools.combinations(range(n), 2)
+                                if rng.random() < density]))
+    seen = set()
+    for q in posets:
+        cfg = order_polytope_vertices(q)
+        extensions = len(list(linear_extensions(q)))
+        assert expected_normalized_volume(cfg) == cover_walk_volume(cfg) == extensions
+        seen.add(extensions)
+    assert len(seen) > 20 and {1, 5040} <= seen
+
+
+def test_chain_count_of_a_lower_dimensional_segment_is_zero():
+    # closed under min and max, but no chain steps one coordinate at a time
+    segment = PointConfiguration(dim=2, columns=((0, 0), (1, 1)), column_labels=((), (1,)))
+    assert expected_normalized_volume(segment) == 0
+    assert cover_walk_volume(segment) == 1
+
+
+def test_boundary_walls_are_the_walls_with_one_coface():
+    for w in v_words(3):
+        tri = canonical_of(w)
+        cfg = tri.config
+        rows = [dict(zip(s, simplex_normals(cfg, s)[1])) for s in tri.simplices]
+        for cofaces in walls(tri.simplices).values():
+            pos, apex = cofaces[0]
+            assert is_boundary_wall(cfg, rows[pos][apex]) == (len(cofaces) == 1)
 
 
 def test_volume_union_matches_poset_volume():

@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,7 +13,8 @@ import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
 from snakeflip.exact import det_int, integer_normal
 from snakeflip.flips import canonical_of, explore_flip_graph
-from snakeflip.polytope import PointConfiguration, Triangulation, is_triangulation
+from snakeflip.polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
+                                is_triangulation, simplex_volume, walls)
 from snakeflip.regularity import (
     HeightFunction,
     RegularityError,
@@ -193,7 +195,11 @@ def test_is_regular_on_explored_components(monkeypatch):
     def no_kernel(rows):
         raise AssertionError('is_regular eliminated a kernel')
 
-    monkeypatch.setattr(regularity, 'integer_normal', no_kernel)
+    bindings = [module for name, module in sorted(sys.modules.items())
+                if name.startswith('snakeflip') and hasattr(module, 'integer_normal')]
+    assert {m.__name__ for m in bindings} >= {'snakeflip.exact', 'snakeflip.circuits'}
+    for module in bindings:
+        monkeypatch.setattr(module, 'integer_normal', no_kernel)
     for circuits, nodes in components:
         for node in nodes:
             assert is_regular(node, circuits, verify=True)
@@ -360,8 +366,124 @@ def test_twist_is_affine_matches_the_per_column_kernels():
     assert rejected > 100
 
 
+def kernel_enumerate_triangulations(cfg, budget_steps=2_000_000):
+    """The enumeration with one integer_normal kernel per wall, kept as a reference."""
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    d = cfg.dim
+    ncols = len(cfg.columns)
+    expected = expected_normalized_volume(cfg)
+    candidates = tuple(s for s in itertools.combinations(range(ncols), d + 1)
+                       if simplex_volume(cfg, s) > 0)
+    volumes = [simplex_volume(cfg, s) for s in candidates]
+    normals = {}
+
+    def side(f, hom):
+        if f not in normals:
+            normals[f] = integer_normal([cfg.homogeneous(c) for c in f])
+        return sum(a * b for a, b in zip(normals[f], hom))
+
+    facet_index = {}
+    cand_facets = [[] for _ in candidates]
+    for f, cofaces in walls(candidates).items():
+        for ci, apex in cofaces:
+            sgn = sign(side(f, cfg.homogeneous(apex)))
+            assert sgn != 0
+            facet_index.setdefault(f, []).append((ci, sgn))
+            cand_facets[ci].append((f, sgn))
+    boundary = {}
+    for f in facet_index:
+        signs = {sign(side(f, cfg.homogeneous(c))) for c in range(ncols)}
+        boundary[f] = not (1 in signs and -1 in signs)
+    for t in (2, 3, 5, 7, 11, 13, 17):
+        q = tuple(sum(t ** c * cfg.homogeneous(c)[i] for c in range(ncols))
+                  for i in range(d + 1))
+        qside = {f: sign(side(f, q)) for f in facet_index}
+        if all(qside.values()):
+            break
+    else:
+        raise RegularityError('no generic interior reference point found')
+    contains_q = [all(qside[f] == sgn for f, sgn in cand_facets[ci])
+                  for ci in range(len(candidates))]
+
+    counts = {}
+    open_facets = set()
+    chosen = []
+    state = {'vol': 0, 'steps': 0, 'complete': True}
+    results = []
+
+    def can_place(ci):
+        if state['vol'] + volumes[ci] > expected:
+            return False
+        return not any(counts.get(f) and (counts[f][0] >= 2 or counts[f][1] == sgn)
+                       for f, sgn in cand_facets[ci])
+
+    def place(ci):
+        chosen.append(ci)
+        state['vol'] += volumes[ci]
+        for f, sgn in cand_facets[ci]:
+            st = counts.setdefault(f, [0, sgn])
+            st[0] += 1
+            if st[0] == 1:
+                st[1] = sgn
+                if not boundary[f]:
+                    open_facets.add(f)
+            else:
+                open_facets.discard(f)
+
+    def unplace(ci):
+        chosen.pop()
+        state['vol'] -= volumes[ci]
+        for f, sgn in cand_facets[ci]:
+            counts[f][0] -= 1
+            if counts[f][0] == 0:
+                del counts[f]
+                open_facets.discard(f)
+            elif not boundary[f]:
+                open_facets.add(f)
+
+    def rec():
+        state['steps'] += 1
+        if state['steps'] > budget_steps:
+            state['complete'] = False
+            return
+        if not open_facets:
+            if state['vol'] == expected:
+                results.append(tuple(sorted(candidates[ci] for ci in chosen)))
+            return
+        f = min(open_facets)
+        want = -counts[f][1]
+        for ci, sgn in facet_index[f]:
+            if sgn == want and not contains_q[ci] and can_place(ci):
+                place(ci)
+                rec()
+                unplace(ci)
+
+    for ci in range(len(candidates)):
+        if contains_q[ci] and state['complete']:
+            place(ci)
+            rec()
+            unplace(ci)
+    return tuple(sorted(results)), state['complete']
+
+
+def test_enumeration_matches_the_kernel_reference():
+    words = list(v_words(3)) + [parse_word('LRRL')]
+    truncated = 0
+    for w in words:
+        cfg = word_context(w).config
+        for budget in (2_000_000, 1, 50, 1000):
+            found = enumerate_triangulations(cfg, budget_steps=budget)
+            assert found == kernel_enumerate_triangulations(cfg, budget_steps=budget), (w, budget)
+            truncated += not found[1]
+    # the cuts at 1, 50 and 1000 steps land in the search, not only before it
+    assert truncated > len(words)
+    assert len(enumerate_triangulations(word_context(parse_word('LRRL')).config)[0]) == 336
+
+
 def test_enumeration_matches_flip_search_on_small_configs():
-    for word in ('', 'L'):
+    for word in ('', 'L', 'LL', 'LR'):
         w = parse_word(word)
         cfg = word_context(w).config
         found, complete = enumerate_triangulations(cfg)

@@ -120,57 +120,96 @@ def simplex_normals(cfg: PointConfiguration, simplex):
     positive on that apex, with normals[k] . simplex[k] the volume.  Returns
     (0, None) for a degenerate simplex.
     """
-    det, adj = adjugate([[cfg.homogeneous(j)[i] for j in simplex] for i in range(cfg.dim + 1)])
+    det, adj = adjugate(list(zip(*map(cfg.homogeneous, simplex))))
     if det < 0:
         adj = [[-x for x in row] for row in adj]
     return abs(det), adj
 
 
-def _side(normal, column) -> int:
-    """normal . (column, 1): the homogenized column against a wall normal."""
-    return normal[-1] + sum(a * b for a, b in zip(normal, column))
+@lru_cache(maxsize=1)
+def _facet_masks(cfg: PointConfiguration) -> Tuple[int, ...]:
+    """Per column, a bitmask of the facet inequalities of the configuration tight on it.
+
+    The inequalities are x_i >= 0, x_i <= 1, and x_i <= x_j wherever every
+    column with x_i = 1 has x_j = 1; an inequality tight on every column is
+    dropped.  The configuration must pass expected_normalized_volume.  The
+    table of the last configuration asked for is kept.
+    """
+    expected_normalized_volume(cfg)
+    n = cfg.dim
+    cols = cfg.columns
+    tight = [[col[i] == 0 for col in cols] for i in range(n)]
+    tight += [[col[i] == 1 for col in cols] for i in range(n)]
+    tight += [[col[i] == col[j] for col in cols]
+              for i in range(n) for j in range(n)
+              if i != j and all(col[j] for col in cols if col[i])]
+    masks = [0] * len(cols)
+    for bit, row in enumerate(r for r in tight if not all(r)):
+        for c, on in enumerate(row):
+            if on:
+                masks[c] |= 1 << bit
+    return tuple(masks)
 
 
-def is_boundary_wall(cfg: PointConfiguration, normal) -> bool:
-    """Whether no column lies strictly on the negative side of an apex-positive normal."""
-    return all(_side(normal, col) >= 0 for col in cfg.columns)
+def is_boundary_wall(cfg: PointConfiguration, wall) -> bool:
+    """Whether the columns of a wall lie on a common facet of the configuration.
+
+    The wall is a set of column indices.  On the 0/1 columns closed under
+    componentwise min and max that expected_normalized_volume accepts, the
+    convex hull is an order polytope, whose facets are x_i >= 0, x_i <= 1 and
+    x_i <= x_j for a cover i < j (Stanley 1986).  The wall of a full
+    simplex spans a hyperplane, and it lies on the boundary exactly when
+    that hyperplane is a facet's, so exactly when one of these inequalities
+    not tight on every column is tight on each of its columns: when the AND
+    of their _facet_masks is nonzero.
+    """
+    masks = _facet_masks(cfg)
+    common = -1
+    for c in wall:
+        common &= masks[c]
+    return common != 0
 
 
 def is_triangulation(cfg: PointConfiguration, simplices) -> bool:
-    """Union property plus the wall certificate.
+    """Union property plus the wall certificate, from one signed determinant per simplex.
 
-    The union property compares the summed simplex volumes with
+    The union property compares the summed simplex volumes |det| with
     expected_normalized_volume, so the configuration must be the 0/1 vertex
     set of an order polytope; any other configuration raises PolytopeError.
-    Each simplex's volume and wall normals come from simplex_normals, one
-    adjugate per simplex and call.  An interior wall is certified when its
-    second apex lies strictly on the negative side of the first coface's
-    normal, a boundary wall by is_boundary_wall.
+    An empty list covers nothing and is rejected.  A wall opposite position k
+    of a sorted simplex s has the apex on the side sgn(det s) * (-1)^k, since
+    moving the apex column to the front takes k transpositions.  An interior
+    wall is certified when its two cofaces put their apexes on opposite
+    sides, a boundary wall when is_boundary_wall finds a facet of the
+    polytope holding it; each wall of a full simplex spans a hyperplane, and
+    the facets of an order polytope are among the inequalities that
+    predicate tests.
     """
     canon = [tuple(sorted(s)) for s in simplices]
     if len(set(canon)) != len(canon):
         return False
-    normals = []
+    signs = []
     total = 0
     for s in canon:
         if len(s) != cfg.dim + 1 or len(set(s)) != len(s):
             return False
-        vol, rows = simplex_normals(cfg, s)
-        if vol == 0:
+        # the homogenized columns as rows: the transpose has the same determinant
+        det = det_int(map(cfg.homogeneous, s))
+        if det == 0:
             return False
-        normals.append(dict(zip(s, rows)))
-        total += vol
-    if total != expected_normalized_volume(cfg):
+        signs.append(1 if det > 0 else -1)
+        total += abs(det)
+    if total == 0 or total != expected_normalized_volume(cfg):
         return False
-    for cofaces in walls(canon).values():
+    for wall, cofaces in walls(canon).items():
         if len(cofaces) > 2:
             return False
-        pos, apex = cofaces[0]
-        nu = normals[pos][apex]
         if len(cofaces) == 2:
-            if _side(nu, cfg.columns[cofaces[1][1]]) >= 0:
+            (p1, a1), (p2, a2) = cofaces
+            k1, k2 = canon[p1].index(a1), canon[p2].index(a2)
+            if signs[p1] * (-1) ** k1 == signs[p2] * (-1) ** k2:
                 return False
-        elif not is_boundary_wall(cfg, nu):
+        elif not is_boundary_wall(cfg, wall):
             return False
     return True
 

@@ -348,7 +348,8 @@ def enumerate_triangulations(cfg: PointConfiguration, budget_steps: int = 2_000_
     simplex_normals adjugate.  A coface's side of a wall is the sign of the
     first nonzero entry of its normal.  A candidate contains the reference
     point q when every barycentric coordinate normal . q is positive, and q
-    is generic when none is zero.
+    is generic when none is zero.  Boundary walls are the column sets that
+    is_boundary_wall finds on a facet.
     """
     d = cfg.dim
     expected = expected_normalized_volume(cfg)
@@ -373,7 +374,7 @@ def enumerate_triangulations(cfg: PointConfiguration, budget_steps: int = 2_000_
             facet_index.setdefault(f, []).append((ci, sgn))
             cand_facets[ci].append((f, sgn))
             if f not in boundary:
-                boundary[f] = is_boundary_wall(cfg, nu)
+                boundary[f] = is_boundary_wall(cfg, f)
 
     homs = [cfg.homogeneous(c) for c in range(len(cfg.columns))]
     for t in (2, 3, 5, 7, 11, 13, 17):

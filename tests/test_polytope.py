@@ -381,10 +381,57 @@ def test_boundary_walls_are_the_walls_with_one_coface():
     for w in v_words(3):
         tri = canonical_of(w)
         cfg = tri.config
-        rows = [dict(zip(s, simplex_normals(cfg, s)[1])) for s in tri.simplices]
-        for cofaces in walls(tri.simplices).values():
-            pos, apex = cofaces[0]
-            assert is_boundary_wall(cfg, rows[pos][apex]) == (len(cofaces) == 1)
+        for wall, cofaces in walls(tri.simplices).items():
+            assert is_boundary_wall(cfg, wall) == (len(cofaces) == 1)
+
+
+def scan_is_boundary_wall(cfg, normal):
+    # reference: the column scan is_boundary_wall made before the facet table,
+    # no column strictly on the negative side of an apex-positive normal
+    return all(normal[-1] + sum(a * b for a, b in zip(normal, col)) >= 0 for col in cfg.columns)
+
+
+def cube_configuration(order):
+    # the order polytope of a 3-antichain, its columns in the given order
+    cfg = order_polytope_vertices(Poset(3, []))
+    labels = dict(zip(cfg.columns, cfg.column_labels))
+    return PointConfiguration(dim=3, columns=tuple(order),
+                              column_labels=tuple(labels[c] for c in order))
+
+
+CUBE_ORDER = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
+              (1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def test_boundary_walls_match_the_column_scan_on_every_full_simplex():
+    configs = [word_context(w).config for w in list(v_words(3)) + [parse_word('LRRL')]]
+    configs.append(cube_configuration(CUBE_ORDER))
+    verdicts = []
+    for cfg in configs:
+        seen = {}
+        for s in itertools.combinations(range(len(cfg.columns)), cfg.dim + 1):
+            vol, normals = simplex_normals(cfg, s)
+            if vol == 0:
+                continue
+            for k in range(len(s)):
+                wall = s[:k] + s[k + 1:]
+                verdict = scan_is_boundary_wall(cfg, normals[k])
+                assert seen.setdefault(wall, verdict) == verdict
+                assert is_boundary_wall(cfg, wall) == verdict, (cfg.columns, wall)
+                verdicts.append(verdict)
+    assert len(verdicts) == 8292
+    assert set(verdicts) == {True, False}
+
+
+def test_a_segment_that_is_not_full_dimensional():
+    # closed under min and max, but no full simplex: nothing triangulates it,
+    # and an inequality tight on both columns holds no boundary wall
+    segment = PointConfiguration(dim=2, columns=((0, 0), (1, 1)), column_labels=((), (1,)))
+    assert not is_triangulation(segment, [])
+    assert not is_triangulation(segment, [(0, 1)])
+    assert not is_triangulation(segment, [(0, 1, 1)])
+    assert is_boundary_wall(segment, (0,)) and is_boundary_wall(segment, (1,))
+    assert not is_boundary_wall(segment, (0, 1))
 
 
 def test_volume_union_matches_poset_volume():

@@ -8,13 +8,16 @@ from math import gcd, lcm
 
 import pytest
 from test_exact import fraction_kernel, fraction_lp_maximize
+from test_polytope import CUBE_ORDER, cube_configuration
 
 import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
 from snakeflip.exact import det_int, integer_normal
 from snakeflip.flips import canonical_of, explore_flip_graph
 from snakeflip.polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
-                                is_triangulation, simplex_volume, walls)
+                                is_triangulation, order_polytope_vertices, simplex_volume,
+                                walls)
+from snakeflip.posets import Poset
 from snakeflip.regularity import (
     HeightFunction,
     RegularityError,
@@ -498,6 +501,24 @@ def test_enumeration_respects_budget():
     cfg = word_context(parse_word('')).config
     found, complete = enumerate_triangulations(cfg, budget_steps=1)
     assert not complete
+
+
+def test_enumeration_falls_back_past_a_reference_point_on_a_wall():
+    # with these columns the point sum 2^c (x_c, 1) lies on the hyperplane of a
+    # wall of a full simplex, so the search takes its reference point at t = 3
+    cube = cube_configuration(CUBE_ORDER)
+    homs = [cube.homogeneous(c) for c in range(len(cube.columns))]
+    q = [sum(2 ** c * hom[i] for c, hom in enumerate(homs)) for i in range(cube.dim + 1)]
+    assert any(det_int([homs[j] for j in s if j != apex] + [q]) == 0
+               for s in itertools.combinations(range(len(homs)), cube.dim + 1)
+               if det_int([homs[j] for j in s])
+               for apex in s)
+    found, complete = enumerate_triangulations(cube)
+    assert complete and len(found) == 74
+    natural = order_polytope_vertices(Poset(3, []))
+    relabel = [natural.columns.index(col) for col in cube.columns]
+    moved = {tuple(sorted(tuple(sorted(relabel[c] for c in s)) for s in t)) for t in found}
+    assert moved == set(enumerate_triangulations(natural)[0])
 
 
 def test_snake_polytope_words():

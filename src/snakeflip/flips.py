@@ -186,15 +186,31 @@ def apply_flip(tri: Triangulation, move: FlipMove, validate: bool = True) -> Tri
     return result
 
 
-def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
-                       workers: int = 1, max_depth: Optional[int] = None,
-                       deadline: Optional[float] = None) -> FlipGraph:
-    """Deterministic breadth-first closure of the seed under circuit flips.
+class _Search(NamedTuple):
+    """A breadth-first search on masks: nodes in discovery order, as masks.
 
-    The search runs in one thread on simplex masks; workers is accepted and
-    ignored.  Each distinct simplex is checked unimodular once, when a new
-    node first holds it.  Validation is skipped on the search path; full
-    validation is apply_flip's and is exercised by the tests.
+    index maps each node to its position.  parents[b] is (a, circuit) for
+    the node a whose move first reached b and the circuit it flipped; the
+    seed's entry is (-1, None).  columns_of maps each simplex mask of the
+    nodes to its sorted column tuple.
+    """
+
+    n: int
+    nodes: List[Tuple[int, ...]]
+    index: Dict[Tuple[int, ...], int]
+    depths: List[int]
+    parents: List[Tuple[int, Optional[Circuit]]]
+    columns_of: Dict[int, Tuple[int, ...]]
+    partial: bool
+
+
+def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int] = None,
+            deadline: Optional[float] = None, edges: Optional[set] = None) -> _Search:
+    """Breadth-first closure of the seed under circuit flips, on simplex masks.
+
+    Each level expands its nodes in reverse mask order, which is the order of
+    their simplex tuples.  When edges is a set, every move adds
+    (min(a, b), max(a, b), circuit) to it.
     """
     cfg = seed.config
     n, root = _node(seed)
@@ -217,7 +233,7 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     index = {root: 0}
     nodes = [root]
     depths = [0]
-    edges = set()
+    parents: List[Tuple[int, Optional[Circuit]]] = [(-1, None)]
     frontier = [root]
     partial = False
     depth = 0
@@ -248,16 +264,34 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
                     index[image] = b
                     nodes.append(image)
                     depths.append(depth + 1)
+                    parents.append((a, side.circuit))
                     frontier.append(image)
-                edges.add((min(a, b), max(a, b), side.circuit))
+                if edges is not None:
+                    edges.add((min(a, b), max(a, b), side.circuit))
         depth += 1
         if truncated:
             partial = True
             break
+    return _Search(n, nodes, index, depths, parents, columns_of, partial)
+
+
+def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
+                       workers: int = 1, max_depth: Optional[int] = None,
+                       deadline: Optional[float] = None) -> FlipGraph:
+    """Deterministic breadth-first closure of the seed under circuit flips.
+
+    The search runs in one thread on simplex masks; workers is accepted and
+    ignored.  Each distinct simplex is checked unimodular once, when a new
+    node first holds it.  Validation is skipped on the search path; full
+    validation is apply_flip's and is exercised by the tests.
+    """
+    edges: set = set()
+    search = _search(seed, circuits, budget, max_depth, deadline, edges)
     ordered = sorted(edges, key=lambda e: (e[0], e[1], e[2].plus, e[2].minus))
-    triangulations = tuple(Triangulation(cfg, tuple(columns_of[mask] for mask in node))
-                           for node in nodes)
-    return FlipGraph(triangulations, tuple(ordered), tuple(depths), partial)
+    columns_of = search.columns_of
+    triangulations = tuple(Triangulation(seed.config, tuple(columns_of[mask] for mask in node))
+                           for node in search.nodes)
+    return FlipGraph(triangulations, tuple(ordered), tuple(search.depths), search.partial)
 
 
 def gkz_vector(tri: Triangulation) -> Tuple[int, ...]:

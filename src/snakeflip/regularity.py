@@ -6,16 +6,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
-from typing import Dict, List, Optional, Tuple
+from math import factorial, gcd, lcm
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
 from .exact import lp_maximize
-from .flips import canonical_of, dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash
+from .flips import (_decode, _encode, _node, _search, _Search, canonical_of, dual_graph,
+                    explore_flip_graph, graphs_isomorphic, triangulation_hash)
 from .polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
                        is_boundary_wall, simplex_normals, walls)
 from .posets import build_snake_poset
-from .twists import Twist, all_twists, twist_simplices
+from .twists import Twist, all_twists
 from .volumes import catalan
 from .words import SnakeWord
 
@@ -72,27 +73,37 @@ def height_function(w: SnakeWord, tau: Optional[Twist] = None) -> HeightFunction
     return HeightFunction(tuple(heights))
 
 
-def _folding_base(cfg: PointConfiguration, idx):
-    base = simplex_normals(cfg, idx)
-    if base[0] == 0:
-        raise RegularityError('folding base is degenerate')
-    return base
+def _folding_base(cfg: PointConfiguration, idx, heights):
+    """|det M| and h_M . sgn(det M) adj(M), from simplex_normals(cfg, idx).
 
-
-def _fold(cfg: PointConfiguration, idx, base, p: int, heights):
-    """Schur complement |det M| * h_p - h_M . sgn(det M) adj(M) . x_p.
-
-    base is simplex_normals(cfg, idx): |det M| and the rows of sgn(det M) adj(M).
+    The second is the heights' combination of the base's apex-signed
+    normals, so each folding form over the base is one dot product.
     """
-    vol, normals = base
-    x = cfg.homogeneous(p)
-    value = vol * heights[p] - sum(heights[j] * sum(a * b for a, b in zip(nu, x))
-                                   for j, nu in zip(idx, normals))
-    return int(value) if value.denominator == 1 else value
+    vol, normals = simplex_normals(cfg, idx)
+    if vol == 0:
+        raise RegularityError('folding base is degenerate')
+    return vol, [sum(heights[j] * nu[i] for j, nu in zip(idx, normals))
+                 for i in range(cfg.dim + 1)]
 
 
-def _exact_heights(omega: HeightFunction):
-    return [h if isinstance(h, int) else Fraction(h) for h in omega.heights]
+def _fold(cfg: PointConfiguration, base, p: int, heights, scale: int):
+    """Schur complement |det M| * h_p - h_M . sgn(det M) adj(M) . x_p, base from _folding_base.
+
+    heights are integers, the true heights times scale.
+    """
+    vol, lifted = base
+    value = vol * heights[p] - sum(a * b for a, b in zip(lifted, cfg.homogeneous(p)))
+    if scale == 1:
+        return value
+    form = Fraction(value, scale)
+    return int(form) if form.denominator == 1 else form
+
+
+def _integer_heights(values):
+    """Heights as integers over a common denominator: (integers, denominator)."""
+    exact = [h if isinstance(h, int) else Fraction(h) for h in values]
+    scale = lcm(*(h.denominator for h in exact))
+    return [int(h * scale) for h in exact], scale
 
 
 def folding_form(cfg: PointConfiguration, simplex, p: int, omega: HeightFunction):
@@ -105,7 +116,8 @@ def folding_form(cfg: PointConfiguration, simplex, p: int, omega: HeightFunction
     idx = tuple(sorted(simplex))
     if len(idx) != cfg.dim + 1:
         raise RegularityError('folding base needs %d columns, got %d' % (cfg.dim + 1, len(idx)))
-    return _fold(cfg, idx, _folding_base(cfg, idx), p, _exact_heights(omega))
+    heights, scale = _integer_heights(omega.heights)
+    return _fold(cfg, _folding_base(cfg, idx, heights), p, heights, scale)
 
 
 def _walls(tri: Triangulation):
@@ -144,18 +156,19 @@ class FoldingReport:
 def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingReport:
     """Certify that the heights select this triangulation across every wall.
 
-    Each simplex's adjugate is computed at most once per call and serves as
-    the base of every folding form across its walls.
+    Each simplex's adjugate is computed at most once per call and, combined
+    with the heights, serves as the base of every folding form across its
+    walls.
     """
     cfg = tri.config
-    heights = _exact_heights(omega)
+    heights, scale = _integer_heights(omega.heights)
     bases: Dict[int, Tuple] = {}
 
     def form(i, p):
         idx = tri.simplices[i]
         if i not in bases:
-            bases[i] = _folding_base(cfg, idx)
-        return _fold(cfg, idx, bases[i], p, heights)
+            bases[i] = _folding_base(cfg, idx, heights)
+        return _fold(cfg, bases[i], p, heights, scale)
 
     checks = []
     verdict = True
@@ -170,54 +183,94 @@ def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingRe
     return FoldingReport(tuple(checks), verdict, first)
 
 
-@lru_cache(maxsize=1)
-def _apex_pairs(circuits: Tuple[Circuit, ...]) -> Dict[Tuple[int, int], List[Circuit]]:
-    """Apex pair (a, b), a < b on one side of a circuit -> the circuits, in list order.
+class _RowIndex:
+    """Wall-row lookup for one configuration and one circuit list.
 
-    A run passes one circuit list to every is_regular call, so the index of
-    the last list is kept and reused.
+    pairs maps the mask of a column pair a < b on one side of a circuit (the
+    column bits of flips' mask kernel) to (k, support mask, plus mask) of
+    each such circuit k, in list order; a circuit on a column past the last
+    is left out.  signed[k] holds circuit k's two +-1 rows, (minus side
+    positive, plus side positive), once its dependence has been checked.
     """
-    index: Dict[Tuple[int, int], List[Circuit]] = {}
-    for z in circuits:
-        for side in (z.plus, z.minus):
-            for pair in combinations(side, 2):
-                index.setdefault(pair, []).append(z)
-    return index
+
+    def __init__(self, cfg: PointConfiguration, circuits: Tuple[Circuit, ...]):
+        n = len(cfg.columns)
+        self.cfg = cfg
+        self.n = n
+        self.circuits = circuits
+        self.signed: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
+        self.pairs: Dict[int, List[Tuple[int, int, int]]] = {}
+        for k, z in enumerate(circuits):
+            if max(z.support()) >= n:
+                # no wall of these columns holds it
+                continue
+            entry = (k, _encode(n, z.support()), _encode(n, z.plus))
+            for side in (z.plus, z.minus):
+                for pair in combinations(side, 2):
+                    self.pairs.setdefault(_encode(n, pair), []).append(entry)
+
+    def rows(self, k: int) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Circuit k's rows with its minus and with its plus side positive."""
+        if k not in self.signed:
+            z = self.circuits[k]
+            hom = self.cfg.homogeneous
+            # a circuit listed for another configuration must not pass as a wall's row
+            if list(map(sum, zip(*map(hom, z.plus)))) != list(map(sum, zip(*map(hom, z.minus)))):
+                raise RegularityError('circuit %r is not a dependence of the columns' % (z,))
+            self.signed[k] = tuple({c: sign if c in z.plus else -sign for c in z.support()}
+                                   for sign in (-1, 1))
+        return self.signed[k]
 
 
-def _wall_rows(tri: Triangulation, circuits):
+@lru_cache(maxsize=1)
+def _row_index(cfg: PointConfiguration, circuits: Tuple[Circuit, ...]) -> _RowIndex:
+    """The _RowIndex of the last configuration and circuit list asked for."""
+    return _RowIndex(cfg, circuits)
+
+
+def _wall_rows(index: _RowIndex, node) -> List[Dict[int, int]]:
     """Deduplicated +-1 inequalities, one per wall: the wall pair's one circuit.
 
-    The union of two simplices that meet in a wall holds exactly one circuit,
-    with both apexes on one side when the simplices lie on opposite sides of
-    the wall; it is oriented so that the first apex is positive.  A Circuit
-    carries its support and signs only, so the row assumes every coefficient
-    is +-1, as it is for order polytopes: the circuit must satisfy
-    sum(plus columns) == sum(minus columns).  A circuit with other
-    coefficients fails that test and raises RegularityError ('not a
-    dependence') instead of giving a wrong row.
+    node is a triangulation as simplex masks of flips' mask kernel, in
+    reverse order, so the facets taken in reverse mask order are the walls
+    in the order of their column tuples.  The union of two simplices that
+    meet in a wall holds exactly one circuit, with both apexes on one side
+    when the simplices lie on opposite sides of the wall; it is oriented so
+    that the apex of the earlier simplex is positive.  A Circuit carries its
+    support and signs only, so the row assumes every coefficient is +-1, as
+    it is for order polytopes: the circuit must satisfy sum(plus columns) ==
+    sum(minus columns), which index checks once per circuit.  A circuit
+    with other coefficients fails that test and raises RegularityError ('not
+    a dependence') instead of giving a wrong row.  The rows are index's own
+    dicts and must not be changed.
     """
-    index = _apex_pairs(tuple(circuits))
-    cfg = tri.config
+    cofaces: Dict[int, List[Tuple[int, int]]] = {}
+    for pos, simplex in enumerate(node):
+        rest = simplex
+        while rest:
+            apex = rest & -rest
+            cofaces.setdefault(simplex ^ apex, []).append((pos, apex))
+            rest ^= apex
     rows = []
     seen = set()
-    for f, i1, v1, i2, v2 in _walls(tri):
-        union = set(tri.simplices[i1]) | set(tri.simplices[i2])
-        hits = [z for z in index.get((min(v1, v2), max(v1, v2)), ())
-                if union.issuperset(z.plus) and union.issuperset(z.minus)]
+    for f in sorted(cofaces, reverse=True):
+        incident = cofaces[f]
+        if len(incident) == 1:
+            continue
+        if len(incident) > 2:
+            raise RegularityError('facet %r has %d cofaces' % (_decode(index.n, f), len(incident)))
+        (p1, a1), (p2, a2) = incident
+        union = node[p1] | node[p2]
+        hits = [entry for entry in index.pairs.get(a1 | a2, ()) if not entry[1] & ~union]
         if len(hits) != 1:
             raise RegularityError('wall %r matches %d circuits with both apexes on one side'
-                                  % (f, len(hits)))
-        (z,) = hits
-        sign = 1 if v1 in z.plus else -1
-        if (z, sign) in seen:
+                                  % (_decode(index.n, f), len(hits)))
+        ((k, _, plus),) = hits
+        key = (k, 1 if a1 & plus else 0)
+        if key in seen:
             continue
-        seen.add((z, sign))
-        # a circuit listed for another configuration must not pass as this wall's row
-        if (list(map(sum, zip(*map(cfg.homogeneous, z.plus))))
-                != list(map(sum, zip(*map(cfg.homogeneous, z.minus))))):
-            raise RegularityError('circuit %r is not a dependence of the columns' % (z,))
-        rows.append({c: sign if c in z.plus else -sign for c in z.support()})
+        seen.add(key)
+        rows.append(index.rows(k)[key[1]])
     return rows
 
 
@@ -248,7 +301,7 @@ def is_regular(tri: Triangulation, circuits, verify: bool = False) -> Regularity
     """
     cfg = tri.config
     ncols = len(cfg.columns)
-    rows = _wall_rows(tri, circuits)
+    rows = _wall_rows(_row_index(cfg, tuple(circuits)), _node(tri)[1])
     pinned = set(tri.simplices[0])
     free = [c for c in range(ncols) if c not in pinned]
     pos = {c: k for k, c in enumerate(free)}
@@ -566,53 +619,179 @@ def count_canonical_dual_graphs(n: int, budget_nodes: int = 100000,
                                     matches, graph.partial)
 
 
+def _mask_table(n: int, perm: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """Byte k of a simplex mask -> the mask of the permuted columns of its bits.
+
+    The image of a mask is the OR over its bytes, by flips' column bits.
+    """
+    table = []
+    for shift in range(0, n, 8):
+        bits = [1 << (n - 1 - perm[n - 1 - shift - b]) if shift + b < n else 0
+                for b in range(8)]
+        chunk = [0] * 256
+        for byte in range(1, 256):
+            low = byte & -byte
+            chunk[byte] = chunk[byte ^ low] | bits[low.bit_length() - 1]
+        table.append(tuple(chunk))
+    return tuple(table)
+
+
+def _image(table, node) -> Tuple[int, ...]:
+    """A node's image under a _mask_table, in reverse mask order."""
+    out = []
+    for mask in node:
+        image = 0
+        for chunk in table:
+            image |= chunk[mask & 255]
+            mask >>= 8
+        out.append(image)
+    return tuple(sorted(out, reverse=True))
+
+
+def _primitive(values) -> List[int]:
+    """Heights on a common denominator, divided by their content."""
+    ints, _ = _integer_heights(values)
+    g = gcd(*ints) or 1
+    return [h // g for h in ints]
+
+
+# (num, den): a flip on Z moves the parent's heights w to
+# den*|Z|*w - num*<l_Z, w>*l_Z, so <l_Z, w> becomes -(num/den - 1) times itself
+_STEPS = ((2, 1), (3, 2), (3, 1))
+
+
+def _carry(omega: List[int], z: Circuit, rows) -> Optional[List[int]]:
+    """The first candidate step from the parent heights whose every row is positive."""
+    lam = dict.fromkeys(z.plus, 1)
+    lam.update(dict.fromkeys(z.minus, -1))
+    dot = sum(omega[c] * x for c, x in lam.items())
+    values = [sum(omega[c] * x for c, x in row.items()) for row in rows]
+    shifts = [sum(lam.get(c, 0) * x for c, x in row.items()) for row in rows]
+    size = len(lam)
+    for num, den in _STEPS:
+        scale, step = den * size, num * dot
+        if all(scale * v > step * t for v, t in zip(values, shifts)):
+            heights = [scale * h for h in omega]
+            for c, x in lam.items():
+                heights[c] -= step * x
+            return _primitive(heights)
+    return None
+
+
+class _Fold(NamedTuple):
+    """Regularity of a breadth-first flip search, decided once per orbit.
+
+    orbit[i] is (r, k) when node i is the image of its representative r
+    under perms[k], and (i, -1) when i is a representative.  witnesses[r]
+    holds primitive integer heights that select r, or None when the LP
+    found none.  propagated holds the representatives certified by heights
+    carried from their search parent; the others were decided by is_regular.
+    """
+
+    search: _Search
+    perms: Tuple[Tuple[int, ...], ...]
+    orbit: List[Tuple[int, int]]
+    witnesses: Dict[int, Optional[List[int]]]
+    propagated: Set[int]
+
+    def heights(self, i: int) -> Optional[List[int]]:
+        """Integer heights selecting node i, or None when it is not regular."""
+        r, k = self.orbit[i]
+        omega = self.witnesses[r]
+        if omega is None or k < 0:
+            return omega
+        carried = [0] * len(omega)
+        for c, h in zip(self.perms[k], omega):
+            carried[c] = h
+        return carried
+
+
+def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
+                     max_depth: Optional[int] = None) -> _Fold:
+    """Search the seed's flip component and decide every node's regularity.
+
+    perms are column permutations that must act on the component as affine
+    symmetries; nodes are taken in search order, and each node not yet
+    reached as an image of an earlier one is an orbit's representative.  A
+    representative reached by a flip on Z from a parent with heights w first
+    tries the integer steps of _carry along Z's +-1 vector, accepted only
+    when every wall row is strictly positive.  Otherwise is_regular's exact
+    LP decides it, so "not regular" comes only from the LP.
+    """
+    circuits = tuple(circuits)
+    cfg = seed.config
+    search = _search(seed, circuits, budget, max_depth)
+    nodes = search.nodes
+    rows_of = _row_index(cfg, circuits)
+    perms = tuple(tuple(p) for p in perms)
+    tables = [_mask_table(search.n, p) for p in perms]
+    fold = _Fold(search, perms, [(-1, -1)] * len(nodes), {}, set())
+    for i, node in enumerate(nodes):
+        if fold.orbit[i][0] >= 0:
+            continue
+        fold.orbit[i] = (i, -1)
+        witness = None
+        parent, z = search.parents[i]
+        omega = fold.heights(parent) if parent >= 0 else None
+        if omega is not None:
+            witness = _carry(omega, z, _wall_rows(rows_of, node))
+        if witness is not None:
+            fold.propagated.add(i)
+        else:
+            tri = Triangulation(cfg, tuple(search.columns_of[mask] for mask in node))
+            result = is_regular(tri, circuits)
+            witness = _primitive(result.heights.heights) if result else None
+        fold.witnesses[i] = witness
+        for k, table in enumerate(tables):
+            j = search.index.get(_image(table, node))
+            if j is not None and fold.orbit[j][0] < 0:
+                fold.orbit[j] = (i, k)
+    return fold
+
+
 def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: int = 1,
                                  exhaustive: Optional[bool] = None,
                                  budget_steps: int = 2_000_000) -> RegularCountReport:
-    """Count regular triangulations in the explored component of the snake polytope."""
+    """Count regular triangulations in the explored component of the snake polytope.
+
+    One fold over the flip search (_regularity_fold) decides one node per
+    twist orbit, since affine twists preserve regularity; workers is
+    accepted and ignored.  Integer heights carried from the node's search
+    parent across the flipped circuit prove "regular" when every wall row
+    is strictly positive on them; otherwise is_regular's exact LP decides,
+    so only the LP ever says "not regular".
+    """
     w = snake_polytope_word(n)
     circuits = all_circuits(w)
-    graph = explore_flip_graph(canonical_of(w), circuits,
-                               budget=budget_nodes, workers=workers)
     taus = all_twists(w)
     affine = all(_twist_is_affine(w, tau) for tau in taus[1:])
-    index = {t.simplices: i for i, t in enumerate(graph.nodes)}
-    verdicts: Dict[int, bool] = {}
-    orbits = 0
-    for i, node in enumerate(graph.nodes):
-        if i in verdicts:
-            continue
-        orbits += 1
-        verdict = bool(is_regular(node, circuits))
-        orbit = {i}
-        if affine:
-            for tau in taus[1:]:
-                j = index.get(twist_simplices(tau, node.simplices))
-                if j is not None:
-                    orbit.add(j)
-        for j in orbit:
-            verdicts[j] = verdict
-    regular_nodes = sum(1 for v in verdicts.values() if v)
+    perms = [tau.column_permutation for tau in taus[1:]] if affine else []
+    fold = _regularity_fold(canonical_of(w), circuits, perms, budget_nodes)
+    search = fold.search
+    verdicts = [fold.witnesses[r] is not None for r, _ in fold.orbit]
+    regular_nodes = sum(verdicts)
     expected = 2 ** (n + 1) * catalan(2 * n + 1)
-    matches = not graph.partial and regular_nodes == expected
+    matches = not search.partial and regular_nodes == expected
     if exhaustive is None:
         exhaustive = n <= 2
     exhaustive_report = None
     if exhaustive:
         cfg = word_context(w).config
         found, complete = enumerate_triangulations(cfg, budget_steps=budget_steps)
-        reachable = sum(1 for simplices in found if simplices in index)
+        reachable = 0
         regular = 0
         for simplices in found:
-            i = index.get(simplices)
+            i = search.index.get(tuple(_encode(search.n, s) for s in simplices))
             if i is not None:
-                regular += 1 if verdicts[i] else 0
+                reachable += 1
+                regular += verdicts[i]
             else:
                 tri = Triangulation.make(cfg, simplices)
                 regular += 1 if is_regular(tri, circuits) else 0
         exhaustive_report = ExhaustiveReport(len(found), reachable, regular, complete)
-    return RegularCountReport(n, str(w), len(graph.nodes), regular_nodes, expected,
-                              matches, graph.partial, orbits, affine, exhaustive_report)
+    return RegularCountReport(n, str(w), len(search.nodes), regular_nodes, expected,
+                              matches, search.partial, len(fold.witnesses), affine,
+                              exhaustive_report)
 
 
 def conjecture_suite(conjecture: str, word: Optional[SnakeWord] = None,

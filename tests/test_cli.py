@@ -1,4 +1,5 @@
 """Tests for the command-line interface."""
+import hashlib
 import json
 import os
 import subprocess
@@ -184,6 +185,16 @@ def test_conjecture_experiment_run(capsys):
     assert code == EXIT_OK
     assert 'matches True' in out
     assert 'count 12' in out
+
+
+@pytest.mark.parametrize('n, digest', [('2', 'aa08b4d946e68ea7b8df56a80259fa3d'),
+                                       ('3', '44fe45489545ca6c774465492f0a8e4e')])
+def test_regular_count_json_is_pinned(capsys, n, digest):
+    # recorded when the LP decided every twist orbit; the carried heights
+    # may change how a verdict is reached but not the report
+    code, out, _ = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', n, '--format', 'json'])
+    assert code == EXIT_OK
+    assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == digest
 
 
 def test_conjecture_budget_exhaustion(capsys):

@@ -22,6 +22,7 @@ from snakeflip.flips import (
     graphs_isomorphic,
     triangulation_hash,
 )
+from snakeflip.flips import _search
 from snakeflip.polytope import PointConfiguration, Triangulation, is_triangulation, is_unimodular
 from snakeflip.regularity import snake_polytope_word
 from snakeflip.words import parse_word, v_words
@@ -87,6 +88,26 @@ def test_snake_search_at_n2_is_pinned():
                  tuple((a, b, z.plus, z.minus) for a, b, z in g.edges), g.partial))
     digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
     assert digest == '85993d0f1ef2f25004fb15f6b050aaee'
+
+
+def test_search_records_the_first_move_to_each_node():
+    # a level is expanded in the order of its nodes' simplex tuples, so a
+    # node's parent is its first neighbour one level up in that order
+    w = snake_polytope_word(2)
+    circuits = all_circuits(w)
+    g = explore_flip_graph(canonical_of(w), circuits)
+    search = _search(canonical_of(w), circuits, budget=100000)
+    assert [tuple(search.columns_of[mask] for mask in node) for node in search.nodes] == [
+        t.simplices for t in g.nodes]
+    assert (search.depths, search.partial) == (list(g.depths), g.partial)
+    up = {b: [] for b in range(len(g.nodes))}
+    for a, b, z in g.edges:
+        if g.depths[a] + 1 == g.depths[b]:
+            up[b].append((g.nodes[a].simplices, a, z))
+    assert search.parents[0] == (-1, None)
+    for b in range(1, len(g.nodes)):
+        _, a, z = min(up[b])
+        assert search.parents[b] == (a, z)
 
 
 def _two_triangles_at_the_origin():
@@ -218,6 +239,27 @@ def test_gkz_extremes_count_simplices_and_separate_nodes():
             assert v[-1] == len(t.simplices)
             vecs.add(v)
         assert len(vecs) == len(g.nodes)
+
+
+def test_gkz_vectors_step_along_the_flipped_circuit():
+    # a flip on Z moves the GKZ vector by a nonzero multiple of Z's +-1
+    # vector (De Loera, Rambau and Santos 2010, ch. 5)
+    edges = 0
+    for n in (1, 2):
+        w = snake_polytope_word(n)
+        g = explore_flip_graph(canonical_of(w), all_circuits(w))
+        gkz = [gkz_vector(t) for t in g.nodes]
+        for a, b, z in g.edges:
+            lam = [0] * len(gkz[a])
+            for c in z.plus:
+                lam[c] = 1
+            for c in z.minus:
+                lam[c] = -1
+            k = gkz[b][z.plus[0]] - gkz[a][z.plus[0]]
+            assert k != 0
+            assert [y - x for x, y in zip(gkz[a], gkz[b])] == [k * x for x in lam]
+        edges += len(g.edges)
+    assert edges == 870
 
 
 def test_dual_graph_of_the_diamond_is_an_edge():

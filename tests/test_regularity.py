@@ -13,10 +13,10 @@ from test_polytope import CUBE_ORDER, cube_configuration
 import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
 from snakeflip.exact import det_int, integer_normal
-from snakeflip.flips import canonical_of, explore_flip_graph
-from snakeflip.polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
-                                is_triangulation, order_polytope_vertices, simplex_volume,
-                                walls)
+from snakeflip.flips import _node, canonical_of, explore_flip_graph
+from snakeflip.polytope import (PointConfiguration, Triangulation, canonical_triangulation,
+                                expected_normalized_volume, is_triangulation,
+                                order_polytope_vertices, simplex_volume, walls)
 from snakeflip.posets import Poset
 from snakeflip.regularity import (
     HeightFunction,
@@ -33,8 +33,10 @@ from snakeflip.regularity import (
     snake_polytope_word,
     verify_local_folding,
 )
-from snakeflip.regularity import _twist_is_affine, _wall_rows
-from snakeflip.twists import Twist, all_twists, elementary_twist, twist_triangulation
+from snakeflip.regularity import (_image, _mask_table, _regularity_fold, _row_index,
+                                  _twist_is_affine, _wall_rows)
+from snakeflip.twists import (Twist, all_twists, elementary_twist, twist_simplices,
+                              twist_triangulation)
 from snakeflip.words import WordError, parse_word, v_words
 
 
@@ -208,11 +210,15 @@ def test_is_regular_on_explored_components(monkeypatch):
             assert is_regular(node, circuits, verify=True)
 
 
+def wall_rows(tri, circuits):
+    return _wall_rows(_row_index(tri.config, tuple(circuits)), _node(tri)[1])
+
+
 def test_is_regular_raises_on_a_short_circuit_list():
     w = snake_polytope_word(1)
     circuits = all_circuits(w)
     t = canonical_of(w)
-    needed = {tuple(sorted(r)) for r in _wall_rows(t, circuits)}
+    needed = {tuple(sorted(r)) for r in wall_rows(t, circuits)}
     dropped = [z for z in circuits if z.support() in needed]
     assert dropped
     for z in dropped:
@@ -303,7 +309,7 @@ def test_wall_rows_equal_rational_kernel_rows():
         graph = explore_flip_graph(canonical_of(w), circuits)
         kernels = {}
         for node in graph.nodes[::step]:
-            rows = [tuple(sorted(r.items())) for r in _wall_rows(node, circuits)]
+            rows = [tuple(sorted(r.items())) for r in wall_rows(node, circuits)]
             assert len(rows) == len(set(rows))
             assert set(rows) == set(_rational_wall_rows(node, kernels))
 
@@ -336,6 +342,68 @@ def test_is_regular_results_pinned_at_n3():
         h.update(repr((r.regular, r.heights, r.slack, r.constraints)).encode())
     assert len(nodes) == 429
     assert h.hexdigest() == '27bd5f65534fbe927be20a42d5a057a4'
+
+
+def fold_node(fold, i):
+    return tuple(fold.search.columns_of[mask] for mask in fold.search.nodes[i])
+
+
+def test_mask_tables_move_simplices_as_the_twists_do():
+    for w in (snake_polytope_word(2), parse_word('LLRRL'), snake_polytope_word(3)):
+        circuits = all_circuits(w)
+        nodes = explore_flip_graph(canonical_of(w), circuits, budget=40).nodes
+        for tau in all_twists(w):
+            table = _mask_table(len(word_context(w).config.columns), tau.column_permutation)
+            for t in nodes:
+                assert _image(table, _node(t)[1]) == _node(
+                    Triangulation(t.config, twist_simplices(tau, t.simplices)))[1]
+
+
+def test_fold_verdicts_match_is_regular():
+    # every node at n <= 2 and every orbit representative at n = 3; the
+    # carried heights must select their node, and both the carried and the
+    # LP path must decide some representatives
+    decided = {}
+    for n in (1, 2, 3):
+        w = snake_polytope_word(n)
+        cfg = word_context(w).config
+        circuits = all_circuits(w)
+        perms = [tau.column_permutation for tau in all_twists(w)[1:]]
+        fold = _regularity_fold(canonical_of(w), circuits, perms, budget=100000)
+        assert not fold.search.partial
+        checked = range(len(fold.search.nodes)) if n <= 2 else sorted(fold.witnesses)
+        for i in checked:
+            tri = Triangulation(cfg, fold_node(fold, i))
+            heights = fold.heights(i)
+            assert (heights is not None) == is_regular(tri, circuits).regular
+            if n <= 2 and heights is not None:
+                assert all(isinstance(h, int) for h in heights)
+                assert verify_local_folding(tri, HeightFunction(tuple(heights))).verdict
+        decided[n] = (len(fold.witnesses), len(fold.propagated))
+    # (orbits, orbits certified by carried heights); the rest ran the LP
+    assert decided == {1: (5, 4), 2: (42, 35), 3: (429, 330)}
+
+
+def test_fold_finds_the_non_regular_triangulations_of_delta3_times_delta3():
+    # Delta3 x Delta3 is the order polytope of two disjoint 3-chains and has
+    # non-regular triangulations (De Loera 1996); the first two the search
+    # meets lie at depth 5.  No symmetry is used, so every node is decided.
+    seed = canonical_triangulation(Poset(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+    cfg = seed.config
+    circuits = circuits_brute(cfg)
+    fold = _regularity_fold(seed, circuits, (), budget=100000, max_depth=5)
+    nodes = fold.search.nodes
+    assert (len(nodes), fold.search.partial) == (3252, True)
+    assert sorted(fold.witnesses) == list(range(len(nodes)))
+    assert [i for i in range(len(nodes)) if fold.heights(i) is None] == [2159, 2454]
+    assert 0 < len(fold.propagated) < len(nodes) - 2
+    for i in range(len(nodes)):
+        tri = Triangulation(cfg, fold_node(fold, i))
+        heights = fold.heights(i)
+        if heights is None:
+            assert is_triangulation(cfg, tri.simplices)
+        else:
+            assert verify_local_folding(tri, HeightFunction(tuple(heights))).verdict
 
 
 def kernel_twist_is_affine(w, tau):

@@ -194,11 +194,6 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
     return tuple(sorted(found, key=lambda z: (z.plus, z.minus)))
 
 
-def circuit_size_bounds(w: SnakeWord) -> Tuple[int, int]:
-    """Smallest and largest circuit size: 4 and 4 plus twice the turn count."""
-    return 4, 4 + 2 * len(w.turns())
-
-
 def circuit_json(circuit: Circuit, cfg: PointConfiguration) -> dict:
     """JSON-ready view of a circuit, columns named by their filter generators."""
     return {'plus': [list(cfg.column_labels[j]) for j in circuit.plus],

@@ -186,13 +186,60 @@ def apply_flip(tri: Triangulation, move: FlipMove, validate: bool = True) -> Tri
     return result
 
 
+class _Group:
+    """Column permutations closed under composition, acting on nodes as masks.
+
+    A node's key is its greatest image under the group; its stabiliser is
+    the number of elements that fix it.  images maps each simplex mask met
+    so far to its images under the non-identity elements, in one order.
+    """
+
+    def __init__(self, n: int, perms):
+        identity = tuple(range(n))
+        elements = {identity}
+        for perm in perms:
+            perm = tuple(perm)
+            if sorted(perm) != list(identity):
+                raise FlipError('%r is not a permutation of the %d columns' % (perm, n))
+            elements.add(perm)
+        for p in elements:
+            for q in elements:
+                if tuple(p[c] for c in q) not in elements:
+                    raise FlipError('the permutations and the identity are not closed '
+                                    'under composition')
+        self.n = n
+        self.order = len(elements)
+        # bits[k][c] is the mask bit of column c's image under the k-th element
+        self.bits = [[1 << (n - 1 - c) for c in perm] for perm in sorted(elements - {identity})]
+        self.images: Dict[int, Tuple[int, ...]] = {}
+
+    def key(self, node: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+        """The node's greatest image and its orbit size, |G| / |stabiliser|."""
+        if not self.bits:
+            return node, 1
+        images = self.images
+        rows = []
+        for mask in node:
+            row = images.get(mask)
+            if row is None:
+                columns = _decode(self.n, mask)
+                row = images[mask] = tuple(sum(map(bits.__getitem__, columns))
+                                           for bits in self.bits)
+            rows.append(row)
+        candidates = [node] + [tuple(sorted(image, reverse=True)) for image in zip(*rows)]
+        return max(candidates), self.order // candidates.count(node)
+
+
 class _Search(NamedTuple):
     """A breadth-first search on masks: nodes in discovery order, as masks.
 
-    index maps each node to its position.  parents[b] is (a, circuit) for
-    the node a whose move first reached b and the circuit it flipped; the
-    seed's entry is (-1, None).  columns_of maps each simplex mask of the
-    nodes to its sorted column tuple.
+    Node i stands for its orbit under group, the first member the search
+    reached; index maps each orbit's key (group.key) to its position, and
+    sizes[i] is the orbit's size.  With the trivial group every node is its
+    own key and orbit.  parents[b] is (a, circuit) for the node a whose move
+    first reached b and the circuit it flipped, so nodes[b] is the flip of
+    nodes[a] on it; the seed's entry is (-1, None).  columns_of maps each
+    simplex mask of the nodes to its sorted column tuple.
     """
 
     n: int
@@ -200,21 +247,35 @@ class _Search(NamedTuple):
     index: Dict[Tuple[int, ...], int]
     depths: List[int]
     parents: List[Tuple[int, Optional[Circuit]]]
+    sizes: List[int]
+    group: _Group
     columns_of: Dict[int, Tuple[int, ...]]
     partial: bool
 
 
 def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int] = None,
-            deadline: Optional[float] = None, edges: Optional[set] = None) -> _Search:
+            deadline: Optional[float] = None, edges: Optional[set] = None,
+            perms=()) -> _Search:
     """Breadth-first closure of the seed under circuit flips, on simplex masks.
 
-    Each level expands its nodes in reverse mask order, which is the order of
-    their simplex tuples.  When edges is a set, every move adds
-    (min(a, b), max(a, b), circuit) to it.
+    perms are column permutations that, with the identity, form a group G
+    (FlipError otherwise).  The search then stores one node per G-orbit it
+    meets, keyed on the orbit's greatest image, with the orbit's size from
+    orbit-stabiliser; budget bounds the sum of the sizes, which is the number
+    of triangulations found.  The union of the orbits is the component only
+    when G maps the component to itself, as affine symmetries of a component
+    closed under a G-invariant property do; the caller must ensure that.
+    Each level expands its nodes in reverse mask order, which is the order
+    of their simplex tuples.  When edges is a set, every move adds
+    (min(a, b), max(a, b), circuit) to it; that needs the trivial group.
     """
     cfg = seed.config
     n, root = _node(seed)
     plan = _plan(n, circuits)
+    group = _Group(n, perms)
+    trivial = not group.bits
+    if edges is not None and not trivial:
+        raise FlipError('flip edges need the trivial group')
     # mask -> sorted column tuple of every unimodular simplex seen so far;
     # the decoded nodes share these tuples
     columns_of: Dict[int, Tuple[int, ...]] = {}
@@ -230,11 +291,14 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
 
     if not unimodular(root):
         raise FlipError('seed triangulation is not unimodular')
-    index = {root: 0}
+    key, size = group.key(root)
+    index = {key: 0}
     nodes = [root]
     depths = [0]
     parents: List[Tuple[int, Optional[Circuit]]] = [(-1, None)]
-    frontier = [root]
+    sizes = [size]
+    total = size
+    frontier = [0]
     partial = False
     depth = 0
     while frontier:
@@ -245,34 +309,37 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
         if deadline is not None and monotonic() >= deadline:
             partial = True
             break
-        tasks = sorted(frontier, reverse=True)
+        tasks = sorted(frontier, key=nodes.__getitem__, reverse=True)
         frontier = []
         truncated = False
-        for node in tasks:
-            a = index[node]
+        for a in tasks:
+            node = nodes[a]
             present = frozenset(node)
             for side, link in _moves(n, node, columns_of, plan):
                 image, created = _flip(node, present, side, link)
-                b = index.get(image)
+                key, size = (image, 1) if trivial else group.key(image)
+                b = index.get(key)
                 if b is None:
-                    if len(nodes) >= budget:
+                    if total + size > budget:
                         truncated = True
                         continue
                     if not unimodular(created):
                         raise FlipError('flip produced a non-unimodular triangulation')
                     b = len(nodes)
-                    index[image] = b
+                    index[key] = b
                     nodes.append(image)
                     depths.append(depth + 1)
                     parents.append((a, side.circuit))
-                    frontier.append(image)
+                    sizes.append(size)
+                    total += size
+                    frontier.append(b)
                 if edges is not None:
                     edges.add((min(a, b), max(a, b), side.circuit))
         depth += 1
         if truncated:
             partial = True
             break
-    return _Search(n, nodes, index, depths, parents, columns_of, partial)
+    return _Search(n, nodes, index, depths, parents, sizes, group, columns_of, partial)
 
 
 def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,

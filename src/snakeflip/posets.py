@@ -288,31 +288,6 @@ def meet_irreducibles(obj):
     return p.induced(keep)
 
 
-def linear_extensions(p):
-    """Yield every linear extension, lexicographic among available minima."""
-    indeg = [len(p.lower_covers(e)) for e in range(p.size)]
-    uppers = [p.upper_covers(e) for e in range(p.size)]
-    seq = []
-
-    def rec():
-        if len(seq) == p.size:
-            yield tuple(seq)
-            return
-        for e in range(p.size):
-            if indeg[e] == 0:
-                indeg[e] = -1
-                for u in uppers[e]:
-                    indeg[u] -= 1
-                seq.append(e)
-                yield from rec()
-                seq.pop()
-                for u in uppers[e]:
-                    indeg[u] += 1
-                indeg[e] = 0
-
-    yield from rec()
-
-
 def maximal_chains(lat):
     """Yield saturated bottom-to-top chains of a filter lattice, by index."""
     p = lat.poset

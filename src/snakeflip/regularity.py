@@ -643,75 +643,55 @@ def _carry(omega: List[int], z: Circuit, rows) -> Optional[List[int]]:
 
 
 class _Fold(NamedTuple):
-    """Regularity of a breadth-first flip search, decided once per orbit.
+    """Regularity of every node of a breadth-first flip search.
 
-    orbit[i] is (r, k) when node i is the image of its representative r
-    under perms[k], and (i, -1) when i is a representative.  witnesses[r]
-    holds primitive integer heights that select r, or None when the LP
-    found none.  propagated holds the representatives certified by heights
+    witnesses[i] holds primitive integer heights that select node i, or None
+    when the LP found none.  propagated holds the nodes certified by heights
     carried from their search parent; the others were decided by is_regular.
     """
 
     search: _Search
-    perms: Tuple[Tuple[int, ...], ...]
-    orbit: List[Tuple[int, int]]
-    witnesses: Dict[int, Optional[List[int]]]
+    witnesses: List[Optional[List[int]]]
     propagated: Set[int]
-
-    def heights(self, i: int) -> Optional[List[int]]:
-        """Integer heights selecting node i, or None when it is not regular."""
-        r, k = self.orbit[i]
-        omega = self.witnesses[r]
-        if omega is None or k < 0:
-            return omega
-        carried = [0] * len(omega)
-        for c, h in zip(self.perms[k], omega):
-            carried[c] = h
-        return carried
 
 
 def _regularity_fold(seed: Triangulation, circuits, perms, budget: int) -> _Fold:
-    """Search the seed's flip component and decide every node's regularity.
+    """Search the seed's flip component and decide every stored node's regularity.
 
-    perms are column permutations that must act on the component as affine
-    symmetries; nodes are taken in search order, and each node not yet
-    reached as an image of an earlier one is an orbit's representative.  A
-    representative reached by a flip on Z from a parent with heights w first
-    tries the integer steps of _carry along Z's +-1 vector, accepted only
-    when every wall row is strictly positive.  Otherwise is_regular's exact
-    LP decides it, so "not regular" comes only from the LP.
+    perms are column permutations that must act on the configuration as
+    affine symmetries and, with the identity, form a group; the search then
+    stores one node per orbit (flips._search).  That counts the regular
+    triangulations: the seed is regular, affine maps keep triangulations
+    regular, and the regular ones are connected by flips, the edges of the
+    secondary polytope.  So perms are used only once the seed is found
+    regular, and a seed that is not raises RegularityError.  A node reached
+    by a flip on Z from a parent with heights w first tries the integer steps
+    of _carry along Z's +-1 vector, accepted only when every wall row is
+    strictly positive.  Otherwise is_regular's exact LP decides it, so "not
+    regular" comes only from the LP.
     """
     circuits = tuple(circuits)
     cfg = seed.config
-    search = _search(seed, circuits, budget)
-    nodes = search.nodes
+    result = is_regular(seed, circuits)
+    if perms and not result:
+        raise RegularityError('an orbit search needs a regular seed')
+    search = _search(seed, circuits, budget, perms=perms)
     rows_of = _row_index(cfg, circuits)
-    perms = tuple(tuple(p) for p in perms)
-    # bits[k][c] is the mask bit of column perms[k][c]
-    bits = [[1 << (search.n - 1 - c) for c in perm] for perm in perms]
-    fold = _Fold(search, perms, [(-1, -1)] * len(nodes), {}, set())
-    for i, node in enumerate(nodes):
-        if fold.orbit[i][0] >= 0:
-            continue
-        fold.orbit[i] = (i, -1)
-        columns = tuple(search.columns_of[mask] for mask in node)
-        witness = None
+    fold = _Fold(search, [None] * len(search.nodes), set())
+    for i, node in enumerate(search.nodes):
         parent, z = search.parents[i]
-        omega = fold.heights(parent) if parent >= 0 else None
+        omega = fold.witnesses[parent] if parent >= 0 else None
         if omega is not None:
             witness = _carry(omega, z, _wall_rows(rows_of, node))
-        if witness is not None:
-            fold.propagated.add(i)
-        else:
-            tri = Triangulation(cfg, columns)
+            if witness is not None:
+                fold.witnesses[i] = witness
+                fold.propagated.add(i)
+                continue
+        # the seed, node 0, was decided before the search
+        if parent >= 0:
+            tri = Triangulation(cfg, tuple(search.columns_of[mask] for mask in node))
             result = is_regular(tri, circuits)
-            witness = _primitive(result.heights.heights) if result else None
-        fold.witnesses[i] = witness
-        for k, moved in enumerate(bits):
-            image = sorted([sum(map(moved.__getitem__, s)) for s in columns], reverse=True)
-            j = search.index.get(tuple(image))
-            if j is not None and fold.orbit[j][0] < 0:
-                fold.orbit[j] = (i, k)
+        fold.witnesses[i] = _primitive(result.heights.heights) if result else None
     return fold
 
 
@@ -720,12 +700,14 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
                                  budget_steps: int = 2_000_000) -> RegularCountReport:
     """Count regular triangulations in the explored component of the snake polytope.
 
-    One fold over the flip search (_regularity_fold) decides one node per
-    twist orbit, since affine twists preserve regularity; workers is
-    accepted and ignored.  Integer heights carried from the node's search
-    parent across the flipped circuit prove "regular" when every wall row
-    is strictly positive on them; otherwise is_regular's exact LP decides,
-    so only the LP ever says "not regular".
+    One fold over the flip search (_regularity_fold) runs over twist orbits
+    when the twists are affine: it stores and decides one triangulation per
+    orbit, and nodes and regular_nodes sum the orbit sizes (orbit-stabiliser),
+    so budget_nodes bounds triangulations, not orbits; workers is accepted
+    and ignored.  Integer heights carried from the node's search parent
+    across the flipped circuit prove "regular" when every wall row is
+    strictly positive on them; otherwise is_regular's exact LP decides, so
+    only the LP ever says "not regular".
     """
     w = snake_polytope_word(n)
     circuits = all_circuits(w)
@@ -734,8 +716,9 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     perms = [tau.column_permutation for tau in taus[1:]] if affine else []
     fold = _regularity_fold(canonical_of(w), circuits, perms, budget_nodes)
     search = fold.search
-    verdicts = [fold.witnesses[r] is not None for r, _ in fold.orbit]
-    regular_nodes = sum(verdicts)
+    nodes = sum(search.sizes)
+    regular_nodes = sum(size for size, omega in zip(search.sizes, fold.witnesses)
+                        if omega is not None)
     expected = 2 ** (n + 1) * catalan(2 * n + 1)
     matches = not search.partial and regular_nodes == expected
     if exhaustive is None:
@@ -747,16 +730,17 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
         reachable = 0
         regular = 0
         for simplices in found:
-            i = search.index.get(tuple(_encode(search.n, s) for s in simplices))
+            key, _ = search.group.key(tuple(_encode(search.n, s) for s in simplices))
+            i = search.index.get(key)
             if i is not None:
                 reachable += 1
-                regular += verdicts[i]
+                regular += fold.witnesses[i] is not None
             else:
                 tri = Triangulation.make(cfg, simplices)
                 regular += 1 if is_regular(tri, circuits) else 0
         exhaustive_report = ExhaustiveReport(len(found), reachable, regular, complete)
-    return RegularCountReport(n, str(w), len(search.nodes), regular_nodes, expected,
-                              matches, search.partial, len(fold.witnesses), affine,
+    return RegularCountReport(n, str(w), nodes, regular_nodes, expected,
+                              matches, search.partial, len(search.nodes), affine,
                               exhaustive_report)
 
 

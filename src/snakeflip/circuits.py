@@ -5,15 +5,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .exact import BudgetError, integer_normal
+from .exact import RANK_PRIME, BudgetError, integer_normal, modular_rank_is_exact
 from .polytope import PointConfiguration, order_polytope_vertices
 from .posets import (FilterLattice, Poset, RegularityLabeling, adjoin_bounds,
                      build_snake_poset, filter_lattice, regularity_labeling,
                      squares_of)
 from .words import (SnakeWord, WordError, connected_induced_subgraphs, is_in_V,
                     word_graph)
-
-_BRUTE_PRIME = (1 << 61) - 1
 
 
 class CircuitError(ValueError):
@@ -114,9 +112,10 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
     circuit.  One budget step is one attempted addition of a column j to a
     node S; BudgetError is raised past ``budget`` steps.
 
-    Rank decisions run modulo a 61-bit prime.  A Hadamard bound on the
-    column entries keeps every minor below the prime in absolute value, so a
-    column set is independent mod p exactly when it is over the rationals;
+    Rank decisions run modulo the 61-bit exact.RANK_PRIME.  A Hadamard bound
+    on the column entries (exact.modular_rank_is_exact) keeps every minor
+    below the prime in absolute value, so a column set is independent mod p
+    exactly when it is over the rationals;
     the two matroids, and so their duals, agree.  Each discovered support is
     re-solved exactly for its signs by exact.integer_normal on the support's
     columns, which raises CircuitError unless the kernel is one-dimensional
@@ -127,10 +126,8 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
         raise CircuitError('brute circuit search is limited to 24 columns, got %d' % m)
     cols = [tuple(int(v) for v in cfg.homogeneous(j)) for j in range(m)]
     height = len(cols[0]) if cols else 0
-    largest = max((abs(v) for col in cols for v in col), default=0)
-    s = min(height, m)
-    p = _BRUTE_PRIME
-    if s and (s * max(largest, 1) ** 2) ** s >= p * p:
+    p = RANK_PRIME
+    if not modular_rank_is_exact(cols):
         raise CircuitError('column entries too large for exact modular rank decisions')
     rows = [[v % p for v in row] for row in zip(*cols)]
     pivots = []

@@ -9,6 +9,23 @@ class BudgetError(RuntimeError):
     """Raised when an enumeration exceeds its state budget."""
 
 
+RANK_PRIME = (1 << 61) - 1
+
+
+def modular_rank_is_exact(columns) -> bool:
+    """Whether every column subset is independent mod RANK_PRIME exactly when it is over Q.
+
+    The columns are integer vectors of one height.  By Hadamard's bound an
+    s x s minor with entries at most B in absolute value is at most
+    (s B^2)^(s/2), so when (s B^2)^s < RANK_PRIME^2 for s = min(height,
+    number of columns) no nonzero minor vanishes mod the prime.
+    """
+    height = len(columns[0]) if columns else 0
+    largest = max((abs(v) for col in columns for v in col), default=0)
+    s = min(height, len(columns))
+    return not s or (s * max(largest, 1) ** 2) ** s < RANK_PRIME * RANK_PRIME
+
+
 def det_int(matrix):
     """Determinant of an integer matrix by fraction-free elimination."""
     m = [[int(x) for x in row] for row in matrix]

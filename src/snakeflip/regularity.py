@@ -10,7 +10,7 @@ from math import factorial, gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
-from .exact import lp_maximize
+from .exact import RANK_PRIME, lp_maximize, modular_rank_is_exact
 from .flips import (_decode, _encode, _node, _search, _Search, canonical_of, dual_graph,
                     explore_flip_graph, graphs_isomorphic, triangulation_hash)
 from .polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
@@ -264,12 +264,19 @@ def _wall_rows(index: _RowIndex, node) -> List[Dict[int, int]]:
 
 @dataclass(frozen=True)
 class RegularityResult:
-    """Feasibility verdict with witness heights when regular."""
+    """Feasibility verdict with witness heights when regular, a Gordan certificate when not.
+
+    certificate holds one nonnegative primitive integer multiplier per wall
+    row, in the order of the deduplicated wall rows (walls in the order of
+    their column tuples), whose combination of the rows is the zero vector;
+    it is None when regular.
+    """
 
     regular: bool
     heights: Optional[HeightFunction]
     slack: Optional[Fraction]
     constraints: int
+    certificate: Optional[Tuple[int, ...]] = None
 
     def __bool__(self) -> bool:
         return self.regular
@@ -285,57 +292,65 @@ def is_regular(tri: Triangulation, circuits, verify: bool = False) -> Regularity
     raises RegularityError.  The rows take every circuit coefficient to be
     +-1, as on order polytopes; a configuration with other circuit
     coefficients raises RegularityError ('not a dependence') rather than
-    return a verdict.
+    return a verdict.  _decide turns the rows into the verdict: witness
+    heights with tri.simplices[0] at height 0 and slack, their least
+    wall-row value, exactly 1; or a Gordan certificate and slack 0.
     """
     cfg = tri.config
-    ncols = len(cfg.columns)
     rows = _wall_rows(_row_index(cfg, tuple(circuits)), _node(tri)[1])
-    pinned = set(tri.simplices[0])
+    result = _decide(rows, tri.simplices[0], len(cfg.columns))
+    if verify and result and not verify_local_folding(tri, result.heights).verdict:
+        raise RegularityError('witness heights fail the folding certificate')
+    return result
+
+
+def _decide(rows: List[Dict[int, int]], pinned, ncols: int) -> RegularityResult:
+    """Phase-1 feasibility of heights h >= 0, zero on pinned, with every <row, h> >= 1.
+
+    Some heights select the triangulation exactly when every wall row is
+    positive on them.  The rows are dependences of the columns, so adding an
+    affine function changes no row value; subtracting the one that agrees
+    with h on the pinned simplex, a cell of the lower hull, leaves h zero
+    there and positive elsewhere (De Loera, Rambau and Santos 2010, ch. 5),
+    and scaling makes every row at least 1.  So the program is [R | -I] x =
+    1, x >= 0 over the free heights and one surplus per row, with no
+    objective.  Its solution is a vertex, where some row is tight: the least
+    row value, slack, is exactly 1.  When it is infeasible, Gordan's
+    alternative gives y >= 0, y != 0 with sum y_i row_i = 0; the program
+    sum y_i row_i = 0 on every column, sum y_i = 1 is already in the form
+    lp_maximize takes, and its y, as primitive integers, is checked against
+    the rows before it is returned.  If neither program is feasible,
+    RegularityError is raised.
+    """
+    pinned = set(pinned)
     free = [c for c in range(ncols) if c not in pinned]
     pos = {c: k for k, c in enumerate(free)}
     m = len(free)
     nrows = len(rows)
-    # variables: free heights, epsilon, one slack per row, box slacks, cap slack
-    nvars = m + 1 + nrows + m + 1
     A = []
-    b = []
-    box = 2 ** ncols
     for r, coeffs in enumerate(rows):
-        row = [0] * nvars
+        row = [0] * (m + nrows)
         for c, x in coeffs.items():
             if c in pos:
                 row[pos[c]] = x
-        row[m] = -1
-        row[m + 1 + r] = -1
+        row[m + r] = -1
         A.append(row)
-        b.append(0)
-    for k in range(m):
-        row = [0] * nvars
-        row[k] = 1
-        row[m + 1 + nrows + k] = 1
-        A.append(row)
-        b.append(box)
-    row = [0] * nvars
-    row[m] = 1
-    row[nvars - 1] = 1
-    A.append(row)
-    b.append(1)
-    c_obj = [0] * nvars
-    c_obj[m] = 1
-    status, value, x = lp_maximize(A, b, c_obj)
+    status, _, x = lp_maximize(A, [1] * nrows, [0] * (m + nrows))
+    if status == 'optimal':
+        heights = [Fraction(0)] * ncols
+        for c in free:
+            heights[c] = x[pos[c]]
+        # <row_r, h> = 1 + surplus_r
+        slack = 1 + min(x[m:], default=Fraction(0))
+        return RegularityResult(True, HeightFunction(tuple(heights)), slack, nrows)
+    A = [[row.get(c, 0) for row in rows] for c in range(ncols)] + [[1] * nrows]
+    status, _, y = lp_maximize(A, [0] * ncols + [1], [0] * nrows)
     if status != 'optimal':
-        raise RegularityError('height feasibility program is %s' % status)
-    if value <= 0:
-        return RegularityResult(False, None, Fraction(value), nrows)
-    heights = [Fraction(0)] * ncols
-    for c in free:
-        heights[c] = Fraction(x[pos[c]])
-    witness = HeightFunction(tuple(heights))
-    if verify:
-        report = verify_local_folding(tri, witness)
-        if not report.verdict:
-            raise RegularityError('witness heights fail the folding certificate')
-    return RegularityResult(True, witness, Fraction(value), nrows)
+        raise RegularityError('neither heights nor a Gordan certificate exist')
+    certificate = tuple(_primitive(y))
+    if any(sum(k * row.get(c, 0) for k, row in zip(certificate, rows)) for c in range(ncols)):
+        raise RegularityError('Gordan certificate does not sum the wall rows to zero')
+    return RegularityResult(False, None, Fraction(0), nrows, certificate)
 
 
 def _snake_poset(n: int):
@@ -382,27 +397,82 @@ def _twist_is_affine(w: SnakeWord, tau: Twist) -> bool:
     return True
 
 
+def _independent_sets(cfg: PointConfiguration, budget: int):
+    """The (d+1)-sets of columns with a nonzero volume, in lexicographic order.
+
+    A depth-first walk grows index-increasing column sets S and keeps every
+    later column's residual modulo span(S), in exact.RANK_PRIME arithmetic;
+    a column j whose residual is zero would make S + {j} dependent, so that
+    set and every set through it are dropped.  A column j is tried only while
+    enough columns after it remain to reach d+1.  One step is one attempted
+    addition of a column; returns (sets, steps), or (None, steps) past
+    budget steps.  The Hadamard guard of exact.modular_rank_is_exact makes
+    the rank mod the prime the rank over Q.
+    """
+    p = RANK_PRIME
+    ncols = len(cfg.columns)
+    size = cfg.dim + 1
+    cols = [cfg.homogeneous(c) for c in range(ncols)]
+    if not modular_rank_is_exact(cols):
+        raise RegularityError('column entries too large for exact modular rank decisions')
+    found: List[Tuple[int, ...]] = []
+    steps = 0
+
+    def extend(chosen, residual, first):
+        # residual[j - first] is column j modulo the span of chosen
+        nonlocal steps
+        last = ncols - size + len(chosen)
+        for j in range(first, last + 1):
+            steps += 1
+            if steps > budget:
+                return False
+            v = residual[j - first]
+            if not any(v):
+                continue
+            if len(chosen) + 1 == size:
+                found.append(chosen + (j,))
+                continue
+            piv = next(t for t, a in enumerate(v) if a)
+            inv = pow(v[piv], p - 2, p)
+            nxt = []
+            for g in residual[j + 1 - first:]:
+                f = g[piv] * inv % p
+                nxt.append([(a - f * b) % p for a, b in zip(g, v)] if f else g)
+            if not extend(chosen + (j,), nxt, j + 1):
+                return False
+        return True
+
+    complete = extend((), [[a % p for a in col] for col in cols], 0)
+    return (found if complete else None), steps
+
+
 def enumerate_triangulations(cfg: PointConfiguration, budget_steps: int = 2_000_000):
     """All triangulations, found by completing walls outward from a generic point.
 
-    Each (d+1)-subset's volume and apex-positive wall normals come from one
-    simplex_normals adjugate.  A coface's side of a wall is the sign of the
-    first nonzero entry of its normal.  A candidate contains the reference
-    point q when every barycentric coordinate normal . q is positive, and q
-    is generic when none is zero.  Boundary walls are the column sets that
-    is_boundary_wall finds on a facet.
+    The candidates are the (d+1)-sets of independent columns, from the
+    modular walk of _independent_sets; only they get a simplex_normals
+    adjugate, for their volume and apex-positive wall normals.  A coface's
+    side of a wall is the sign of the first nonzero entry of its normal.  A
+    candidate contains the reference point q when every barycentric
+    coordinate normal . q is positive, and q is generic when none is zero.
+    Boundary walls are the column sets that is_boundary_wall finds on a
+    facet.  budget_steps bounds the walk's steps and the search's calls
+    together; past it, the triangulations found so far are returned with
+    complete False, and none when the walk itself ran out.
     """
     d = cfg.dim
     expected = expected_normalized_volume(cfg)
-    candidates = []
+    candidates, setup_steps = _independent_sets(cfg, budget_steps)
+    if candidates is None:
+        return (), False
     volumes = []
     normals = []
-    for s in combinations(range(len(cfg.columns)), d + 1):
+    for s in candidates:
         volume, rows = simplex_normals(cfg, s)
-        if volume:
-            candidates.append(s)
-            volumes.append(volume)
-            normals.append(rows)
+        if not volume:
+            raise RegularityError('simplex %r is independent mod the prime but flat' % (s,))
+        volumes.append(volume)
+        normals.append(rows)
 
     facet_index: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
     cand_facets: List[List[Tuple[Tuple[int, ...], int]]] = []
@@ -431,7 +501,7 @@ def enumerate_triangulations(cfg: PointConfiguration, budget_steps: int = 2_000_
     open_facets = set()
     chosen: List[int] = []
     vol = [0]
-    steps = [0]
+    steps = [setup_steps]
     complete = [True]
     results: List[Tuple[Tuple[int, ...], ...]] = []
 
@@ -619,8 +689,8 @@ def _primitive(values) -> List[int]:
 # (num, den): a flip on Z moves the parent's heights w to
 # den*|Z|*w - num*<l_Z, w>*l_Z, so <l_Z, w> becomes -(num/den - 1) times itself:
 # (2, 1) reflects it, (3, 2) goes half as far past zero.  Of the 429 orbits at
-# n=3, (2, 1) first certifies 278 and (3, 2) 52 more; (3, 2) alone certifies
-# 315, and a step (3, 1) after these two certified none at n=3 or n=4.
+# n=3, (2, 1) first certifies 277 and (3, 2) 77 more; (3, 2) alone certifies
+# 334, and a step (3, 1) after these two certified none at n=3 or n=4.
 _STEPS = ((2, 1), (3, 2))
 
 
@@ -667,8 +737,8 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int) -> _Fold
     regular, and a seed that is not raises RegularityError.  A node reached
     by a flip on Z from a parent with heights w first tries the integer steps
     of _carry along Z's +-1 vector, accepted only when every wall row is
-    strictly positive.  Otherwise is_regular's exact LP decides it, so "not
-    regular" comes only from the LP.
+    strictly positive.  Otherwise is_regular's exact decision, _decide, runs
+    on the same wall rows, so "not regular" comes only from the LP.
     """
     circuits = tuple(circuits)
     cfg = seed.config
@@ -680,17 +750,16 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int) -> _Fold
     fold = _Fold(search, [None] * len(search.nodes), set())
     for i, node in enumerate(search.nodes):
         parent, z = search.parents[i]
-        omega = fold.witnesses[parent] if parent >= 0 else None
-        if omega is not None:
-            witness = _carry(omega, z, _wall_rows(rows_of, node))
+        # the seed, node 0, was decided before the search
+        if parent >= 0:
+            rows = _wall_rows(rows_of, node)
+            omega = fold.witnesses[parent]
+            witness = _carry(omega, z, rows) if omega is not None else None
             if witness is not None:
                 fold.witnesses[i] = witness
                 fold.propagated.add(i)
                 continue
-        # the seed, node 0, was decided before the search
-        if parent >= 0:
-            tri = Triangulation(cfg, tuple(search.columns_of[mask] for mask in node))
-            result = is_regular(tri, circuits)
+            result = _decide(rows, search.columns_of[node[0]], len(cfg.columns))
         fold.witnesses[i] = _primitive(result.heights.heights) if result else None
     return fold
 

@@ -329,9 +329,25 @@ def test_is_regular_matches_the_fraction_simplex(monkeypatch):
     assert results(components) == integer
 
 
+def test_is_regular_witnesses_reach_exactly_1():
+    # the phase-1 program returns a vertex of {h >= 0, <row, h> >= 1}, so the
+    # least wall-row value is exactly 1, on heights zero on the first simplex
+    for n in (1, 2):
+        w = snake_polytope_word(n)
+        circuits = all_circuits(w)
+        for node in explore_flip_graph(canonical_of(w), circuits).nodes:
+            r = is_regular(node, circuits)
+            assert r.certificate is None
+            heights = r.heights.heights
+            assert min(sum(heights[c] * x for c, x in row.items())
+                       for row in wall_rows(node, circuits)) == r.slack == 1
+            assert min(heights) == 0
+            assert all(heights[c] == 0 for c in node.simplices[0])
+
+
 def test_is_regular_results_pinned_at_n3():
     # digest of every 16th node's (regular, heights, slack, constraints),
-    # recorded when each wall row came from a kernel of the wall pair
+    # recorded when the heights came from the phase-1 feasibility program
     w = snake_polytope_word(3)
     circuits = all_circuits(w)
     nodes = explore_flip_graph(canonical_of(w), circuits).nodes[::16]
@@ -340,7 +356,7 @@ def test_is_regular_results_pinned_at_n3():
         r = is_regular(node, circuits)
         h.update(repr((r.regular, r.heights, r.slack, r.constraints)).encode())
     assert len(nodes) == 429
-    assert h.hexdigest() == '27bd5f65534fbe927be20a42d5a057a4'
+    assert h.hexdigest() == '6b99fa7bda36dd569fe4dcd1011bf692'
 
 
 def search_node(search, i):
@@ -372,7 +388,7 @@ def test_fold_verdicts_match_is_regular():
                 assert all(isinstance(h, int) for h in heights)
                 assert verify_local_folding(tri, HeightFunction(tuple(heights))).verdict
     # (orbits, orbits certified by carried heights); the rest ran the LP
-    assert decided == {1: (5, 4), 2: (42, 35), 3: (429, 330)}
+    assert decided == {1: (5, 4), 2: (42, 40), 3: (429, 354)}
 
 
 def test_orbit_search_covers_the_plain_search():
@@ -439,6 +455,35 @@ def test_fold_finds_the_non_regular_triangulations_of_delta3_times_delta3():
     for i in sorted(fold.propagated)[::2]:
         tri = Triangulation(cfg, search_node(fold.search, i))
         assert verify_local_folding(tri, HeightFunction(tuple(fold.witnesses[i]))).verdict
+
+
+def test_gordan_certificates_of_the_non_regular_delta3_times_delta3_nodes():
+    # integers only: nonnegative multipliers, not all zero, one per wall row,
+    # whose combination of the rows is the zero vector
+    seed, circuits = delta3_times_delta3()
+    cfg = seed.config
+    search = _search(seed, circuits, budget=3252)
+    for i in (2159, 2454):
+        tri = Triangulation(cfg, search_node(search, i))
+        result = is_regular(tri, circuits)
+        assert not result and result.heights is None
+        y = result.certificate
+        rows = wall_rows(tri, circuits)
+        assert len(y) == len(rows) == result.constraints
+        assert all(isinstance(k, int) and k >= 0 for k in y) and any(y)
+        total = [0] * len(cfg.columns)
+        for k, row in zip(y, rows):
+            for c, x in row.items():
+                total[c] += k * x
+        assert total == [0] * len(cfg.columns)
+    assert is_regular(seed, circuits).certificate is None
+
+
+def test_is_regular_raises_without_heights_or_certificate(monkeypatch):
+    w = parse_word('')
+    monkeypatch.setattr(regularity, 'lp_maximize', lambda A, b, c: ('infeasible', None, None))
+    with pytest.raises(RegularityError, match='Gordan'):
+        is_regular(canonical_of(w), all_circuits(w))
 
 
 def kernel_twist_is_affine(w, tau):
@@ -574,16 +619,37 @@ def kernel_enumerate_triangulations(cfg, budget_steps=2_000_000):
     return tuple(sorted(results)), state['complete']
 
 
+def set_up_steps(cfg):
+    """Attempts of enumerate_triangulations' set-up walk, counted with rational ranks.
+
+    From every independent index-increasing column set S that can still
+    grow to d + 1 columns, the walk tries each later column that leaves room.
+    """
+    size = cfg.dim + 1
+    ncols = len(cfg.columns)
+
+    def count(s):
+        tries = range(s[-1] + 1 if s else 0, ncols - size + len(s) + 1)
+        if len(s) + 1 == size:
+            return len(tries)
+        return len(tries) + sum(count(s + (j,)) for j in tries
+                                if not fraction_kernel(list(zip(*map(cfg.homogeneous, s + (j,))))))
+    return count(())
+
+
 def test_enumeration_matches_the_kernel_reference():
+    # budget_steps counts the set-up walk's steps before the search's, so the
+    # reference, which counts search steps only, gets what the walk leaves
     words = list(v_words(3)) + [parse_word('LRRL')]
     truncated = 0
     for w in words:
         cfg = word_context(w).config
+        setup = set_up_steps(cfg)
         for budget in (2_000_000, 1, 50, 1000):
-            found = enumerate_triangulations(cfg, budget_steps=budget)
+            found = enumerate_triangulations(cfg, budget_steps=setup + budget)
             assert found == kernel_enumerate_triangulations(cfg, budget_steps=budget), (w, budget)
             truncated += not found[1]
-    # the cuts at 1, 50 and 1000 steps land in the search, not only before it
+    # the cuts at 1, 50 and 1000 search steps land in the search, not only before it
     assert truncated > len(words)
     assert len(enumerate_triangulations(word_context(parse_word('LRRL')).config)[0]) == 336
 
@@ -604,6 +670,46 @@ def test_enumeration_respects_budget():
     cfg = word_context(parse_word('')).config
     found, complete = enumerate_triangulations(cfg, budget_steps=1)
     assert not complete
+
+
+def counted_simplex_normals(monkeypatch):
+    calls = []
+    real = regularity.simplex_normals
+
+    def counted(cfg, simplex):
+        calls.append(tuple(simplex))
+        return real(cfg, simplex)
+
+    monkeypatch.setattr(regularity, 'simplex_normals', counted)
+    return calls
+
+
+def test_enumeration_budget_bounds_the_set_up(monkeypatch):
+    # no adjugate is computed until the walk has finished within the budget
+    cfg = word_context(parse_word('LRRL')).config
+    calls = counted_simplex_normals(monkeypatch)
+    setup = set_up_steps(cfg)
+    for budget in (1, setup - 1):
+        assert enumerate_triangulations(cfg, budget_steps=budget) == ((), False)
+        assert calls == []
+    assert enumerate_triangulations(cfg, budget_steps=setup) == ((), False)
+    assert len(calls) == 288
+
+
+def test_enumeration_candidates_are_the_full_simplices(monkeypatch):
+    # only the (d+1)-sets of nonzero volume get an adjugate, in lexicographic order
+    configs = [word_context(parse_word(word)).config for word in ('LR', 'LRRL')]
+    configs.append(order_polytope_vertices(Poset(4, [(0, 1), (2, 3)])))
+    calls = counted_simplex_normals(monkeypatch)
+    sizes = []
+    for cfg in configs:
+        calls.clear()
+        found, complete = enumerate_triangulations(cfg)
+        assert complete and found
+        subsets = list(itertools.combinations(range(len(cfg.columns)), cfg.dim + 1))
+        assert calls == [s for s in subsets if simplex_volume(cfg, s)]
+        sizes.append((len(calls), len(subsets)))
+    assert sizes[1] == (288, 2002)
 
 
 def test_enumeration_falls_back_past_a_reference_point_on_a_wall():

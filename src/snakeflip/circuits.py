@@ -191,6 +191,16 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
     return tuple(sorted(found, key=lambda z: (z.plus, z.minus)))
 
 
+def is_unit_dependence(cfg: PointConfiguration, z: Circuit) -> bool:
+    """Whether the circuit's +-1 vector is a dependence of the homogenized columns.
+
+    That is, whether its plus columns sum to its minus columns, as every
+    circuit of an order polytope's vertices does.
+    """
+    hom = cfg.homogeneous
+    return list(map(sum, zip(*map(hom, z.plus)))) == list(map(sum, zip(*map(hom, z.minus))))
+
+
 def circuit_json(circuit: Circuit, cfg: PointConfiguration) -> dict:
     """JSON-ready view of a circuit, columns named by their filter generators."""
     return {'plus': [list(cfg.column_labels[j]) for j in circuit.plus],

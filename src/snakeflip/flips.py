@@ -5,10 +5,11 @@ import hashlib
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
+from operator import itemgetter
 from time import monotonic
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from .circuits import Circuit, all_circuits, word_context
+from .circuits import Circuit, all_circuits, is_unit_dependence, word_context
 from .polytope import Triangulation, is_triangulation, simplex_volume, walls
 from .posets import digraphs_isomorphic, maximal_chains
 from .words import SnakeWord
@@ -186,12 +187,18 @@ def apply_flip(tri: Triangulation, move: FlipMove, validate: bool = True) -> Tri
     return result
 
 
+_LEAST = itemgetter(0)
+
+
 class _Group:
     """Column permutations closed under composition, acting on nodes as masks.
 
-    A node's key is its greatest image under the group; its stabiliser is
-    the number of elements that fix it.  images maps each simplex mask met
-    so far to its images under the non-identity elements, in one order.
+    images maps each simplex mask met so far to its least image followed by
+    its images under the elements, the identity's (the mask itself) first.
+    A node's invariant, the sorted least images of its simplices, is the
+    same for every node of its orbit.  Whether an element maps one node
+    onto another is one pass over the node's simplices that stops at the
+    first image outside the other's simplex set.
     """
 
     def __init__(self, n: int, perms):
@@ -209,34 +216,68 @@ class _Group:
                                     'under composition')
         self.n = n
         self.order = len(elements)
-        # bits[k][c] is the mask bit of column c's image under the k-th element
+        # bits[k][c] is the mask bit of column c's image under the k-th
+        # element other than the identity
         self.bits = [[1 << (n - 1 - c) for c in perm] for perm in sorted(elements - {identity})]
+        self.elements = [itemgetter(k) for k in range(1, self.order + 1)]
         self.images: Dict[int, Tuple[int, ...]] = {}
 
-    def key(self, node: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
-        """The node's greatest image and its orbit size, |G| / |stabiliser|."""
-        if not self.bits:
-            return node, 1
+    def invariant(self, node: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The sorted least images of the node's simplices."""
         images = self.images
-        rows = []
         for mask in node:
-            row = images.get(mask)
-            if row is None:
+            if mask not in images:
                 columns = _decode(self.n, mask)
-                row = images[mask] = tuple(sum(map(bits.__getitem__, columns))
-                                           for bits in self.bits)
-            rows.append(row)
-        candidates = [node] + [tuple(sorted(image, reverse=True)) for image in zip(*rows)]
-        return max(candidates), self.order // candidates.count(node)
+                row = [mask] + [sum(map(bits.__getitem__, columns)) for bits in self.bits]
+                images[mask] = (min(row), *row)
+        return tuple(sorted(map(_LEAST, map(images.__getitem__, node))))
+
+    def onto(self, node: Tuple[int, ...], target: Set[int]):
+        """Per element, whether it maps the node onto the simplex set target.
+
+        The node's invariant must have been taken, and target must have as
+        many simplices as the node.
+        """
+        rows = list(map(self.images.__getitem__, node))
+        return (target.issuperset(map(element, rows)) for element in self.elements)
+
+    def orbit_size(self, node: Tuple[int, ...]) -> int:
+        """|G| over the number of elements that fix the node, once located."""
+        if self.order == 1:
+            return 1
+        return self.order // sum(self.onto(node, set(node)))
+
+    def locate(self, index: Dict, nodes: List[Tuple[int, ...]],
+               node: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Optional[int]]:
+        """The node's key in index and the stored node of its orbit, or None.
+
+        With the trivial group the key is the node itself and index maps it
+        to its position; otherwise the key is the invariant and index maps
+        it to the positions of the stored nodes that have it.
+        """
+        if self.order == 1:
+            return node, index.get(node)
+        key = self.invariant(node)
+        for b in index.get(key, ()):
+            if any(self.onto(node, set(nodes[b]))):
+                return key, b
+        return key, None
+
+    def store(self, index: Dict, key: Tuple[int, ...], b: int) -> None:
+        """File the stored node b in index under its key from locate."""
+        if self.order == 1:
+            index[key] = b
+        else:
+            index.setdefault(key, []).append(b)
 
 
 class _Search(NamedTuple):
     """A breadth-first search on masks: nodes in discovery order, as masks.
 
     Node i stands for its orbit under group, the first member the search
-    reached; index maps each orbit's key (group.key) to its position, and
+    reached; index holds the nodes under their keys (group.locate), and
     sizes[i] is the orbit's size.  With the trivial group every node is its
-    own key and orbit.  parents[b] is (a, circuit) for the node a whose move
+    own orbit.  parents[b] is (a, circuit) for the node a whose move
     first reached b and the circuit it flipped, so nodes[b] is the flip of
     nodes[a] on it; the seed's entry is (-1, None).  columns_of maps each
     simplex mask of the nodes to its sorted column tuple.
@@ -244,13 +285,20 @@ class _Search(NamedTuple):
 
     n: int
     nodes: List[Tuple[int, ...]]
-    index: Dict[Tuple[int, ...], int]
+    index: Dict
     depths: List[int]
     parents: List[Tuple[int, Optional[Circuit]]]
     sizes: List[int]
     group: _Group
     columns_of: Dict[int, Tuple[int, ...]]
     partial: bool
+
+    def find(self, node: Tuple[int, ...]) -> Optional[int]:
+        """Position of the stored node whose orbit holds node, or None.
+
+        node is simplex masks in reverse order, as the stored nodes are.
+        """
+        return self.group.locate(self.index, self.nodes, node)[1]
 
 
 def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int] = None,
@@ -260,44 +308,46 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
 
     perms are column permutations that, with the identity, form a group G
     (FlipError otherwise).  The search then stores one node per G-orbit it
-    meets, keyed on the orbit's greatest image, with the orbit's size from
-    orbit-stabiliser; budget bounds the sum of the sizes, which is the number
-    of triangulations found.  The union of the orbits is the component only
-    when G maps the component to itself, as affine symmetries of a component
-    closed under a G-invariant property do; the caller must ensure that.
-    Each level expands its nodes in reverse mask order, which is the order
-    of their simplex tuples.  When edges is a set, every move adds
-    (min(a, b), max(a, b), circuit) to it; that needs the trivial group.
+    meets: a flipped node is looked up among the stored nodes with its
+    invariant and joins the first one some element maps it onto.  A new
+    orbit's size is |G| over the number of elements that fix the node
+    (orbit-stabiliser); budget bounds the sum of the sizes, which is the
+    number of triangulations found.  The union of the orbits is the
+    component only when G maps the component to itself, as affine
+    symmetries of a component closed under a G-invariant property do; the
+    caller must ensure that.  Each level expands its nodes in reverse mask
+    order, which is the order of their simplex tuples.  When edges is a set,
+    every move adds (min(a, b), max(a, b), circuit) to it; that needs the
+    trivial group.
+
+    The seed's simplices must be unimodular.  A flip on Z trades the cells
+    Z - i for the cells Z - j, each joined with the same link faces, and by
+    Cramer's rule, with one face, vol(Z - j) / vol(Z - i) = |lambda_j /
+    lambda_i|.  So when Z's +-1 vector is a dependence of the columns, every
+    created simplex is unimodular; a flip to a new node on a circuit that is
+    not one raises FlipError.
     """
     cfg = seed.config
     n, root = _node(seed)
     plan = _plan(n, circuits)
     group = _Group(n, perms)
-    trivial = not group.bits
+    trivial = group.order == 1
     if edges is not None and not trivial:
         raise FlipError('flip edges need the trivial group')
-    # mask -> sorted column tuple of every unimodular simplex seen so far;
-    # the decoded nodes share these tuples
-    columns_of: Dict[int, Tuple[int, ...]] = {}
-
-    def unimodular(masks) -> bool:
-        for mask in masks:
-            if mask not in columns_of:
-                columns = _decode(n, mask)
-                if simplex_volume(cfg, columns) != 1:
-                    return False
-                columns_of[mask] = columns
-        return True
-
-    if not unimodular(root):
+    # mask -> sorted column tuple of every simplex of the nodes; the decoded
+    # nodes share these tuples
+    columns_of = {mask: _decode(n, mask) for mask in root}
+    if any(simplex_volume(cfg, columns) != 1 for columns in columns_of.values()):
         raise FlipError('seed triangulation is not unimodular')
-    key, size = group.key(root)
-    index = {key: 0}
+    dependence: Dict[Circuit, bool] = {}
+    index: Dict = {}
+    key, _ = group.locate(index, [], root)
+    group.store(index, key, 0)
     nodes = [root]
     depths = [0]
     parents: List[Tuple[int, Optional[Circuit]]] = [(-1, None)]
-    sizes = [size]
-    total = size
+    sizes = [group.orbit_size(root)]
+    total = sizes[0]
     frontier = [0]
     partial = False
     depth = 0
@@ -317,19 +367,25 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
             present = frozenset(node)
             for side, link in _moves(n, node, columns_of, plan):
                 image, created = _flip(node, present, side, link)
-                key, size = (image, 1) if trivial else group.key(image)
-                b = index.get(key)
+                key, b = group.locate(index, nodes, image)
                 if b is None:
+                    size = group.orbit_size(image)
                     if total + size > budget:
                         truncated = True
                         continue
-                    if not unimodular(created):
+                    z = side.circuit
+                    if z not in dependence:
+                        dependence[z] = is_unit_dependence(cfg, z)
+                    if not dependence[z]:
                         raise FlipError('flip produced a non-unimodular triangulation')
+                    for mask in created:
+                        if mask not in columns_of:
+                            columns_of[mask] = _decode(n, mask)
                     b = len(nodes)
-                    index[key] = b
+                    group.store(index, key, b)
                     nodes.append(image)
                     depths.append(depth + 1)
-                    parents.append((a, side.circuit))
+                    parents.append((a, z))
                     sizes.append(size)
                     total += size
                     frontier.append(b)
@@ -348,9 +404,11 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     """Deterministic breadth-first closure of the seed under circuit flips.
 
     The search runs in one thread on simplex masks; workers is accepted and
-    ignored.  Each distinct simplex is checked unimodular once, when a new
-    node first holds it.  Validation is skipped on the search path; full
-    validation is apply_flip's and is exercised by the tests.
+    ignored.  The seed's simplices are checked unimodular; a later simplex is
+    unimodular because the circuit whose flip created it is a +-1 dependence
+    of the columns, which is checked once per circuit (_search).  Validation
+    is skipped on the search path; full validation is apply_flip's and is
+    exercised by the tests.
     """
     edges: set = set()
     search = _search(seed, circuits, budget, max_depth, deadline, edges)

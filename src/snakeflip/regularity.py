@@ -9,7 +9,7 @@ from itertools import combinations
 from math import factorial, gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .circuits import Circuit, all_circuits, word_context
+from .circuits import Circuit, all_circuits, is_unit_dependence, word_context
 from .exact import RANK_PRIME, lp_maximize, modular_rank_is_exact
 from .flips import (_decode, _encode, _node, _search, _Search, canonical_of, dual_graph,
                     explore_flip_graph, graphs_isomorphic, triangulation_hash)
@@ -201,9 +201,8 @@ class _RowIndex:
         """Circuit k's rows with its minus and with its plus side positive."""
         if k not in self.signed:
             z = self.circuits[k]
-            hom = self.cfg.homogeneous
             # a circuit listed for another configuration must not pass as a wall's row
-            if list(map(sum, zip(*map(hom, z.plus)))) != list(map(sum, zip(*map(hom, z.minus)))):
+            if not is_unit_dependence(self.cfg, z):
                 raise RegularityError('circuit %r is not a dependence of the columns' % (z,))
             self.signed[k] = tuple({c: sign if c in z.plus else -sign for c in z.support()}
                                    for sign in (-1, 1))
@@ -374,11 +373,11 @@ def snake_polytope_word(n: int) -> SnakeWord:
     return w
 
 
-def _twist_is_affine(w: SnakeWord, tau: Twist) -> bool:
-    """Whether the twist permutes columns by an affine map of the ambient space.
+def _twists_are_affine(w: SnakeWord, taus) -> bool:
+    """Whether every twist permutes columns by an affine map of the ambient space.
 
     With vol and normals from one adjugate of a base simplex, every column is
-    vol·x_c = sum_k (normals_k·x_c) base_k; the twist is affine when those
+    vol·x_c = sum_k (normals_k·x_c) base_k; a twist is affine when those
     coordinates carry the base's images to vol times the image of x_c.
     """
     cfg = word_context(w).config
@@ -386,15 +385,22 @@ def _twist_is_affine(w: SnakeWord, tau: Twist) -> bool:
     vol, normals = simplex_normals(cfg, base)
     if vol == 0:
         raise RegularityError('base simplex does not span the configuration')
-    images = [cfg.homogeneous(tau.column_permutation[c]) for c in base]
-    for c in range(len(cfg.columns)):
-        x = cfg.homogeneous(c)
-        coords = [sum(a * b for a, b in zip(nu, x)) for nu in normals]
-        target = cfg.homogeneous(tau.column_permutation[c])
-        if any(sum(lam * y[i] for lam, y in zip(coords, images)) != vol * target[i]
-               for i in range(cfg.dim + 1)):
-            return False
+    coords = [[sum(a * b for a, b in zip(nu, cfg.homogeneous(c))) for nu in normals]
+              for c in range(len(cfg.columns))]
+    for tau in taus:
+        perm = tau.column_permutation
+        images = [cfg.homogeneous(perm[c]) for c in base]
+        for c, lams in enumerate(coords):
+            target = cfg.homogeneous(perm[c])
+            if any(sum(lam * y[i] for lam, y in zip(lams, images)) != vol * target[i]
+                   for i in range(cfg.dim + 1)):
+                return False
     return True
+
+
+def _twist_is_affine(w: SnakeWord, tau: Twist) -> bool:
+    """Whether the one twist is affine (_twists_are_affine)."""
+    return _twists_are_affine(w, (tau,))
 
 
 def _independent_sets(cfg: PointConfiguration, budget: int):
@@ -781,7 +787,7 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     w = snake_polytope_word(n)
     circuits = all_circuits(w)
     taus = all_twists(w)
-    affine = all(_twist_is_affine(w, tau) for tau in taus[1:])
+    affine = _twists_are_affine(w, taus[1:])
     perms = [tau.column_permutation for tau in taus[1:]] if affine else []
     fold = _regularity_fold(canonical_of(w), circuits, perms, budget_nodes)
     search = fold.search
@@ -799,8 +805,7 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
         reachable = 0
         regular = 0
         for simplices in found:
-            key, _ = search.group.key(tuple(_encode(search.n, s) for s in simplices))
-            i = search.index.get(key)
+            i = search.find(tuple(_encode(search.n, s) for s in simplices))
             if i is not None:
                 reachable += 1
                 regular += fold.witnesses[i] is not None

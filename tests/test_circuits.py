@@ -12,6 +12,7 @@ from snakeflip.circuits import (
     circuit_from_subgraph,
     circuit_json,
     circuits_brute,
+    is_unit_dependence,
     word_context,
 )
 from snakeflip.exact import BudgetError, integer_normal
@@ -283,3 +284,14 @@ def test_determinism():
     assert all_circuits(w) == all_circuits(w)
     cfg = word_context(w).config
     assert circuits_brute(cfg) == circuits_brute(cfg)
+
+
+def test_unit_dependence_holds_for_order_polytope_circuits_only():
+    for w in v_words(4):
+        cfg = word_context(w).config
+        assert all(is_unit_dependence(cfg, z) for z in all_circuits(w))
+    # on four points of a line, x0 + x3 = x1 + x2, but the circuit x0 + x2 = 2 x1
+    # has a coefficient 2
+    line = PointConfiguration(1, ((0,), (1,), (2,), (3,)), ((0,), (1,), (2,), (3,)))
+    assert is_unit_dependence(line, Circuit.make([0, 3], [1, 2]))
+    assert not is_unit_dependence(line, Circuit.make([0, 2], [1]))

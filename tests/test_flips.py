@@ -153,6 +153,38 @@ def test_search_rejects_a_flip_to_a_non_unimodular_simplex():
         explore_flip_graph(seed, [z])
 
 
+def test_orbit_search_is_pinned():
+    # nodes, first parents, orbit sizes and depths of the twist-orbit search
+    pinned = {2: '5747f6837ad2a253b06fda2d43d8405b', 3: '14d3da5f84b947d910ce0cac9133772c'}
+    for n, digest in pinned.items():
+        w = snake_polytope_word(n)
+        perms = [tau.column_permutation for tau in all_twists(w)[1:]]
+        search = _search(canonical_of(w), all_circuits(w), budget=100000, perms=perms)
+        parents = [(a, None if z is None else (z.plus, z.minus)) for a, z in search.parents]
+        text = repr((search.nodes, parents, search.sizes, search.depths))
+        assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
+
+
+def test_search_rejects_a_circuit_whose_coefficients_are_not_unit():
+    # x0 + x2 = 2 x1 is a genuine circuit; its flip would trade the unimodular
+    # {0, 1}, {1, 2} for {0, 2} of volume 2, one simplex for two
+    cfg = PointConfiguration(1, ((0,), (1,), (2,)), ((0,), (1,), (2,)))
+    seed = Triangulation.make(cfg, [(0, 1), (1, 2)])
+    assert is_unimodular(seed)
+    z = Circuit.make([0, 2], [1])
+    with pytest.raises(FlipError, match='simplex count'):
+        explore_flip_graph(seed, [z])
+    with pytest.raises(FlipError, match='simplex count'):
+        _search(seed, [z], budget=100, perms=[(2, 1, 0)])
+    # with unimodular cells and sides of one size a genuine circuit has +-1
+    # coefficients, so what the +-1 dependence test rejects is a set that is
+    # not a dependence, here under the symmetry that swaps the axes
+    seed = _two_triangles_at_the_origin()
+    z = Circuit.make([1, 2], [0, 3])
+    with pytest.raises(FlipError, match='non-unimodular'):
+        _search(seed, [z], budget=100, perms=[(0, 2, 1, 3)])
+
+
 def test_flip_rejects_a_move_that_changes_the_simplex_count():
     seed = _two_triangles_at_the_origin()
     move = FlipMove(Circuit.make([1], [2]), 'minus', ((0, 3),))

@@ -34,7 +34,8 @@ from snakeflip.regularity import (
     snake_polytope_word,
     verify_local_folding,
 )
-from snakeflip.regularity import _regularity_fold, _row_index, _twist_is_affine, _wall_rows
+from snakeflip.regularity import (_regularity_fold, _row_index, _twist_is_affine,
+                                  _twists_are_affine, _wall_rows)
 from snakeflip.twists import Twist, all_twists, elementary_twist, twist_triangulation
 from snakeflip.words import WordError, parse_word, v_words
 
@@ -403,7 +404,7 @@ def test_orbit_search_covers_the_plain_search():
         assert not plain.partial and not orbit.partial
         assert len(plain.nodes) == total
         assert (sum(orbit.sizes), len(orbit.nodes)) == (total, orbits)
-        assert all(orbit.group.key(node)[0] in orbit.index for node in plain.nodes)
+        assert all(orbit.find(node) is not None for node in plain.nodes)
         # each stored node is the flip of its stored parent on the recorded circuit
         cfg = word_context(w).config
         for b, (a, z) in enumerate(orbit.parents[1:], 1):
@@ -411,6 +412,24 @@ def test_orbit_search_covers_the_plain_search():
             (move,) = find_flips(parent, [z])
             assert apply_flip(parent, move, validate=False).simplices == search_node(orbit, b)
         assert orbit.group.order == len(all_twists(w))
+
+
+def test_orbit_lookup_maps_every_node_onto_its_representative():
+    # invariants do not separate the orbits at n = 3, so find must test
+    # membership: some twist, applied to the columns, maps each node of the
+    # plain search onto the stored node that find returns
+    w = snake_polytope_word(3)
+    circuits = all_circuits(w)
+    perms = [tau.column_permutation for tau in all_twists(w)]
+    plain = _search(canonical_of(w), circuits, budget=100000)
+    orbit = _search(canonical_of(w), circuits, budget=100000, perms=perms[1:])
+    assert max(map(len, orbit.index.values())) >= 2
+    for i in range(len(plain.nodes)):
+        b = orbit.find(plain.nodes[i])
+        assert b is not None
+        stored = set(search_node(orbit, b))
+        assert any({tuple(sorted(perm[c] for c in s)) for s in search_node(plain, i)} == stored
+                   for perm in perms)
 
 
 def delta3_times_delta3():
@@ -515,6 +534,17 @@ def test_twist_is_affine_matches_the_per_column_kernels():
             assert _twist_is_affine(w, tau) == verdict
             rejected += not verdict
     assert rejected > 100
+
+
+def test_twists_are_affine_takes_every_twist_of_the_word():
+    w = parse_word('LRRL')
+    taus = all_twists(w)
+    assert _twists_are_affine(w, taus)
+    columns = list(range(len(word_context(w).config.columns)))
+    random.Random(3).shuffle(columns)
+    shuffled = Twist(w, frozenset(), (), tuple(columns))
+    assert not _twist_is_affine(w, shuffled)
+    assert not _twists_are_affine(w, taus + (shuffled,))
 
 
 def kernel_enumerate_triangulations(cfg, budget_steps=2_000_000):

@@ -80,77 +80,141 @@ def _decode(n: int, mask: int) -> Tuple[int, ...]:
 
 
 class _Side(NamedTuple):
-    """One side of a circuit, its cells as masks (the support without one column)."""
+    """One side of a circuit, its cells and the other side's as masks.
+
+    A cell is the support without one column of the side.
+    """
 
     circuit: Circuit
     direction: str
-    other: Tuple[int, ...]
-    rests: Tuple[Tuple[int, Tuple[int, ...]], ...]
+    cells: Tuple[int, ...]
     other_cells: Tuple[int, ...]
 
 
 def _plan(n: int, circuits) -> List[_Side]:
-    """Both sides of every circuit, in circuit order, plus before minus.
-
-    rests pairs the cell of each side column j with the side's other columns.
-    """
+    """Both sides of every circuit, in circuit order, plus before minus."""
     plan = []
     for z in circuits:
         support = _encode(n, z.plus + z.minus)
         cells = {j: support ^ (1 << (n - 1 - j)) for j in z.plus + z.minus}
         for direction, side, other in (('plus', z.plus, z.minus), ('minus', z.minus, z.plus)):
-            rests = tuple((cells[j], tuple(c for c in side if c != j)) for j in side)
-            plan.append(_Side(z, direction, other, rests, tuple(cells[j] for j in other)))
+            plan.append(_Side(z, direction, tuple(cells[j] for j in side),
+                              tuple(cells[j] for j in other)))
     return plan
 
 
-def _moves(n: int, node: Tuple[int, ...], columns_of: Dict[int, Tuple[int, ...]],
-           plan) -> List[Tuple[_Side, FrozenSet[int]]]:
-    """(side, link face masks) of every move the node supports.
+class _Cells:
+    """Per-search table of the circuit cells each simplex holds, and the scan over it.
 
-    A side is contained when every one of its cells lies in some simplex and
-    all its cells share one link: the faces host ^ cell of their hosts.
+    circuits are the listed circuits on the configuration's columns (one on
+    a column past the last is left out) and sides their _plan, so side s is
+    a side of circuits[s >> 1], the plus side for even s.  A simplex holds
+    the cell Z - j when j is the only support column of Z outside it; the
+    cell's link face is the simplex without Z's support.  entries[mask]
+    lists, flat, one key and one column bit per cell the simplex holds: the
+    key packs j's side s and the face as (s << n) | face, and the bit is the
+    shared object of bits[j].  columns[s] and supports[s] are side s's
+    columns and its circuit's support as masks.  unit[k] caches whether
+    circuit k's +-1 vector is a dependence of the columns
+    (circuits.is_unit_dependence).
     """
-    hosts_of = [0] * n
-    for pos, mask in enumerate(node):
-        for c in columns_of[mask]:
-            hosts_of[c] |= 1 << pos
-    everyone = (1 << len(node)) - 1
-    moves = []
-    for side in plan:
-        # every cell of the side holds the whole other side
-        common = everyone
-        for c in side.other:
-            common &= hosts_of[c]
-        if not common:
-            continue
-        link = None
-        for cell, rest in side.rests:
-            hosts = common
-            for c in rest:
-                hosts &= hosts_of[c]
-            if not hosts:
-                link = None
-                break
-            faces = set()
-            while hosts:
-                low = hosts & -hosts
-                faces.add(node[low.bit_length() - 1] ^ cell)
-                hosts ^= low
-            if link is None:
-                link = frozenset(faces)
-            elif faces != link:
-                link = None
-                break
-        if link:
-            moves.append((side, link))
-    return moves
+
+    def __init__(self, cfg, circuits):
+        n = len(cfg.columns)
+        self.cfg = cfg
+        self.n = n
+        self.circuits = tuple(z for z in circuits if max(z.support()) < n)
+        self.sides = _plan(n, self.circuits)
+        self.bits = [1 << (n - 1 - c) for c in range(n)]
+        self.face_bits = (1 << n) - 1
+        self.columns: List[int] = []
+        self.supports: List[int] = []
+        for z in self.circuits:
+            self.columns += (_encode(n, z.plus), _encode(n, z.minus))
+            self.supports += (_encode(n, z.support()),) * 2
+        self.entries: Dict[int, Tuple[int, ...]] = {}
+        self.unit: Dict[int, bool] = {}
+
+    def is_unit(self, k: int) -> bool:
+        """Whether circuit k's +-1 vector is a dependence of the columns, tested once."""
+        if k not in self.unit:
+            self.unit[k] = is_unit_dependence(self.cfg, self.circuits[k])
+        return self.unit[k]
+
+    def _entries(self, mask: int) -> Tuple[int, ...]:
+        n = self.n
+        bits = self.bits
+        columns = self.columns
+        flat = []
+        for s in range(0, len(columns), 2):
+            support = self.supports[s]
+            outside = support & ~mask
+            if outside and not outside & (outside - 1):
+                side = s if outside & columns[s] else s + 1
+                flat += ((side << n) | (mask & ~support), bits[n - outside.bit_length()])
+        entries = self.entries[mask] = tuple(flat)
+        return entries
+
+    def scan(self, node: Tuple[int, ...]):
+        """(moves, matched walls, wall sides) of a node, from one pass over its cells.
+
+        The pass ORs the column bits of the node's cells into one value per
+        (side, face).  A side is a move when every face it meets carries all
+        the side's columns; the move is (s, link faces), in plan order.  A
+        face carrying m >= 2 columns of one side is C(m, 2) walls: the
+        simplices (Z - j) + face and (Z - j') + face share the facet
+        (Z - j - j') + face, and Z is the circuit of their union, with both
+        apexes on side s.  matched counts these walls, and the wall sides
+        are the distinct sides that match one, by their greatest facet mask
+        in reverse, which is the order of the first wall each matches when
+        the walls are taken in the order of their column tuples.
+        """
+        entries = self.entries
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for mask in node:
+            flat = entries.get(mask)
+            if flat is None:
+                flat = self._entries(mask)
+            pairs = iter(flat)
+            for key, bit in zip(pairs, pairs):
+                acc[key] = get(key, 0) | bit
+        n = self.n
+        columns = self.columns
+        supports = self.supports
+        links: Dict[int, List[int]] = {}
+        broken = set()
+        top: Dict[int, int] = {}
+        matched = 0
+        for key, got in acc.items():
+            s = key >> n
+            if got == columns[s]:
+                if s in links:
+                    links[s].append(key)
+                else:
+                    links[s] = [key]
+            else:
+                broken.add(s)
+            if got & (got - 1):
+                m = got.bit_count()
+                matched += m * (m - 1) // 2
+                low = got & -got
+                rest = got ^ low
+                # the greatest facet drops the side's two lowest column bits;
+                # it keeps the key's side tag, which orders one side's facets
+                facet = (key | supports[s]) ^ low ^ (rest & -rest)
+                if facet > top.get(s, 0):
+                    top[s] = facet
+        face_bits = self.face_bits
+        moves = [(s, frozenset(key & face_bits for key in links[s]))
+                 for s in sorted(links) if s not in broken]
+        return moves, matched, tuple(sorted(top, key=lambda s: top[s] & face_bits, reverse=True))
 
 
 def _flip(node: Tuple[int, ...], present: FrozenSet[int], side: _Side,
           link) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
     """The node after the move, and the simplices the move created."""
-    old = {cell | face for cell, _ in side.rests for face in link}
+    old = {cell | face for cell in side.cells for face in link}
     new = frozenset(cell | face for cell in side.other_cells for face in link)
     if not old <= present:
         raise FlipError('flip move does not match the triangulation')
@@ -166,12 +230,19 @@ def _node(tri: Triangulation) -> Tuple[int, Tuple[int, ...]]:
 
 
 def find_flips(tri: Triangulation, circuits) -> List[FlipMove]:
-    """Flip moves supported by the triangulation, in circuit order."""
+    """Flip moves supported by the triangulation, in circuit order.
+
+    A side of a circuit is a move when every cell of the side lies in some
+    simplex and all its cells share one link, the faces simplex - cell of
+    their simplices (_Cells.scan).  A circuit on a column past the last
+    supports no move.
+    """
     n, node = _node(tri)
-    columns_of = dict(zip(node, tri.simplices))
-    return [FlipMove(side.circuit, side.direction,
+    cells = _Cells(tri.config, circuits)
+    moves, _, _ = cells.scan(node)
+    return [FlipMove(cells.sides[s].circuit, cells.sides[s].direction,
                      tuple(_decode(n, face) for face in sorted(link, reverse=True)))
-            for side, link in _moves(n, node, columns_of, _plan(n, circuits))]
+            for s, link in moves]
 
 
 def apply_flip(tri: Triangulation, move: FlipMove, validate: bool = True) -> Triangulation:
@@ -193,8 +264,9 @@ _LEAST = itemgetter(0)
 class _Group:
     """Column permutations closed under composition, acting on nodes as masks.
 
-    images maps each simplex mask met so far to its least image followed by
-    its images under the elements, the identity's (the mask itself) first.
+    perms lists the elements, the identity first, and images maps each
+    simplex mask met so far to its least image followed by its images under
+    the elements in that order.
     A node's invariant, the sorted least images of its simplices, is the
     same for every node of its orbit.  Whether an element maps one node
     onto another is one pass over the node's simplices that stops at the
@@ -216,9 +288,9 @@ class _Group:
                                     'under composition')
         self.n = n
         self.order = len(elements)
-        # bits[k][c] is the mask bit of column c's image under the k-th
-        # element other than the identity
-        self.bits = [[1 << (n - 1 - c) for c in perm] for perm in sorted(elements - {identity})]
+        self.perms = [identity] + sorted(elements - {identity})
+        # bits[k][c] is the mask bit of column c's image under perms[k + 1]
+        self.bits = [[1 << (n - 1 - c) for c in perm] for perm in self.perms[1:]]
         self.elements = [itemgetter(k) for k in range(1, self.order + 1)]
         self.images: Dict[int, Tuple[int, ...]] = {}
 
@@ -248,20 +320,23 @@ class _Group:
         return self.order // sum(self.onto(node, set(node)))
 
     def locate(self, index: Dict, nodes: List[Tuple[int, ...]],
-               node: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Optional[int]]:
-        """The node's key in index and the stored node of its orbit, or None.
+               node: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Optional[int], int]:
+        """The node's key in index, the stored node b of its orbit or None, and an element.
 
-        With the trivial group the key is the node itself and index maps it
-        to its position; otherwise the key is the invariant and index maps
-        it to the positions of the stored nodes that have it.
+        The element is the position in perms of the first element that maps
+        the node onto nodes[b], 0 when b is None.  With the trivial group the
+        key is the node itself and index maps it to its position; otherwise
+        the key is the invariant and index maps it to the positions of the
+        stored nodes that have it.
         """
         if self.order == 1:
-            return node, index.get(node)
+            return node, index.get(node), 0
         key = self.invariant(node)
         for b in index.get(key, ()):
-            if any(self.onto(node, set(nodes[b]))):
-                return key, b
-        return key, None
+            for e, onto in enumerate(self.onto(node, set(nodes[b]))):
+                if onto:
+                    return key, b, e
+        return key, None, 0
 
     def store(self, index: Dict, key: Tuple[int, ...], b: int) -> None:
         """File the stored node b in index under its key from locate."""
@@ -279,8 +354,13 @@ class _Search(NamedTuple):
     sizes[i] is the orbit's size.  With the trivial group every node is its
     own orbit.  parents[b] is (a, circuit) for the node a whose move
     first reached b and the circuit it flipped, so nodes[b] is the flip of
-    nodes[a] on it; the seed's entry is (-1, None).  columns_of maps each
-    simplex mask of the nodes to its sorted column tuple.
+    nodes[a] on it; the seed's entry is (-1, None).  arrivals[b] packs every
+    other move of a node a < b that landed in b's orbit as one int, which
+    arrived(b) unpacks; a move from b into the orbit of a < b is the image
+    of one of a's moves, so it is not kept.  scans[a] is (matched walls,
+    wall sides) of cells.scan(nodes[a]) once a is expanded, None before.
+    columns_of maps each simplex mask of the nodes to its sorted column
+    tuple.
     """
 
     n: int
@@ -292,6 +372,9 @@ class _Search(NamedTuple):
     group: _Group
     columns_of: Dict[int, Tuple[int, ...]]
     partial: bool
+    cells: _Cells
+    scans: List[Optional[Tuple[int, Tuple[int, ...]]]]
+    arrivals: List[List[int]]
 
     def find(self, node: Tuple[int, ...]) -> Optional[int]:
         """Position of the stored node whose orbit holds node, or None.
@@ -299,6 +382,19 @@ class _Search(NamedTuple):
         node is simplex masks in reverse order, as the stored nodes are.
         """
         return self.group.locate(self.index, self.nodes, node)[1]
+
+    def arrived(self, b: int):
+        """(a, s, e) for each arrival at b, in the order of the moves.
+
+        Node a's move on cells.sides[s] gave a node that group.perms[e] maps
+        onto nodes[b].
+        """
+        order = self.group.order
+        sides = len(self.cells.sides)
+        for packed in self.arrivals[b]:
+            rest, e = divmod(packed, order)
+            a, s = divmod(rest, sides)
+            yield a, s, e
 
 
 def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int] = None,
@@ -316,9 +412,14 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     component only when G maps the component to itself, as affine
     symmetries of a component closed under a G-invariant property do; the
     caller must ensure that.  Each level expands its nodes in reverse mask
-    order, which is the order of their simplex tuples.  When edges is a set,
-    every move adds (min(a, b), max(a, b), circuit) to it; that needs the
-    trivial group.
+    order, which is the order of their simplex tuples.  Expanding a node is
+    one scan of its cells in a per-search _Cells table, which gives its
+    moves and its walls; a move to a later stored orbit is kept as an
+    arrival.  Nodes are discovered level by level, so every node left
+    unexpanded comes after every expanded one, and an edge between an
+    expanded node and another is a move from the earlier of the two.  When
+    edges is a set, every flip edge (a, b, circuit) with a < b is added to
+    it from the parents and arrivals; that needs the trivial group.
 
     The seed's simplices must be unimodular.  A flip on Z trades the cells
     Z - i for the cells Z - j, each joined with the same link faces, and by
@@ -329,24 +430,25 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     """
     cfg = seed.config
     n, root = _node(seed)
-    plan = _plan(n, circuits)
+    cells = _Cells(cfg, circuits)
+    sides = cells.sides
     group = _Group(n, perms)
-    trivial = group.order == 1
-    if edges is not None and not trivial:
+    if edges is not None and group.order != 1:
         raise FlipError('flip edges need the trivial group')
     # mask -> sorted column tuple of every simplex of the nodes; the decoded
     # nodes share these tuples
     columns_of = {mask: _decode(n, mask) for mask in root}
     if any(simplex_volume(cfg, columns) != 1 for columns in columns_of.values()):
         raise FlipError('seed triangulation is not unimodular')
-    dependence: Dict[Circuit, bool] = {}
     index: Dict = {}
-    key, _ = group.locate(index, [], root)
+    key, _, _ = group.locate(index, [], root)
     group.store(index, key, 0)
     nodes = [root]
     depths = [0]
     parents: List[Tuple[int, Optional[Circuit]]] = [(-1, None)]
     sizes = [group.orbit_size(root)]
+    scans: List[Optional[Tuple[int, Tuple[int, ...]]]] = [None]
+    arrivals: List[List[int]] = [[]]
     total = sizes[0]
     frontier = [0]
     partial = False
@@ -365,18 +467,18 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
         for a in tasks:
             node = nodes[a]
             present = frozenset(node)
-            for side, link in _moves(n, node, columns_of, plan):
+            moves, matched, walls = cells.scan(node)
+            scans[a] = (matched, walls)
+            for s, link in moves:
+                side = sides[s]
                 image, created = _flip(node, present, side, link)
-                key, b = group.locate(index, nodes, image)
+                key, b, e = group.locate(index, nodes, image)
                 if b is None:
                     size = group.orbit_size(image)
                     if total + size > budget:
                         truncated = True
                         continue
-                    z = side.circuit
-                    if z not in dependence:
-                        dependence[z] = is_unit_dependence(cfg, z)
-                    if not dependence[z]:
+                    if not cells.is_unit(s >> 1):
                         raise FlipError('flip produced a non-unimodular triangulation')
                     for mask in created:
                         if mask not in columns_of:
@@ -385,17 +487,27 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
                     group.store(index, key, b)
                     nodes.append(image)
                     depths.append(depth + 1)
-                    parents.append((a, z))
+                    parents.append((a, side.circuit))
                     sizes.append(size)
+                    scans.append(None)
+                    arrivals.append([])
                     total += size
                     frontier.append(b)
-                if edges is not None:
-                    edges.add((min(a, b), max(a, b), side.circuit))
+                elif a < b:
+                    arrivals[b].append((a * len(sides) + s) * group.order + e)
         depth += 1
         if truncated:
             partial = True
             break
-    return _Search(n, nodes, index, depths, parents, sizes, group, columns_of, partial)
+    search = _Search(n, nodes, index, depths, parents, sizes, group, columns_of, partial,
+                     cells, scans, arrivals)
+    if edges is not None:
+        for b in range(1, len(nodes)):
+            a, z = parents[b]
+            edges.add((a, b, z))
+            for a, s, _ in search.arrived(b):
+                edges.add((a, b, sides[s].circuit))
+    return search
 
 
 def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,

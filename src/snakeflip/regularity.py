@@ -5,13 +5,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import repeat
 from math import factorial, gcd, lcm
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .circuits import Circuit, all_circuits, is_unit_dependence, word_context
+from .circuits import all_circuits, word_context
 from .exact import RANK_PRIME, lp_maximize, modular_rank_is_exact
-from .flips import (_decode, _encode, _node, _search, _Search, canonical_of, dual_graph,
+from .flips import (_Cells, _encode, _node, _search, _Search, canonical_of, dual_graph,
                     explore_flip_graph, graphs_isomorphic, triangulation_hash)
 from .polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
                        is_boundary_wall, simplex_normals, walls)
@@ -172,93 +173,57 @@ def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingRe
 
 
 class _RowIndex:
-    """Wall-row lookup for one configuration and one circuit list.
+    """The +-1 wall rows of the circuit sides of one flips._Cells table.
 
-    pairs maps the mask of a column pair a < b on one side of a circuit (the
-    column bits of flips' mask kernel) to (k, support mask, plus mask) of
-    each such circuit k, in list order; a circuit on a column past the last
-    is left out.  signed[k] holds circuit k's two +-1 rows, (minus side
-    positive, plus side positive), once its dependence has been checked.
+    Side s's row is its circuit's +-1 vector with side s positive: the
+    circuit of two simplices that meet in a wall has both apexes on one side,
+    and the row is positive on them.  A Circuit carries its support and
+    signs only, so the row assumes every coefficient is +-1, as it is for
+    order polytopes: each circuit must satisfy sum(plus columns) ==
+    sum(minus columns), which the table tests once per circuit.  A circuit
+    with other coefficients raises RegularityError ('not a dependence')
+    instead of giving a wrong row.  The rows are the index's own dicts and
+    must not be changed.
     """
 
-    def __init__(self, cfg: PointConfiguration, circuits: Tuple[Circuit, ...]):
-        n = len(cfg.columns)
-        self.cfg = cfg
-        self.n = n
-        self.circuits = circuits
-        self.signed: Dict[int, Tuple[Dict[int, int], Dict[int, int]]] = {}
-        self.pairs: Dict[int, List[Tuple[int, int, int]]] = {}
-        for k, z in enumerate(circuits):
-            if max(z.support()) >= n:
-                # no wall of these columns holds it
-                continue
-            entry = (k, _encode(n, z.support()), _encode(n, z.plus))
-            for side in (z.plus, z.minus):
-                for pair in combinations(side, 2):
-                    self.pairs.setdefault(_encode(n, pair), []).append(entry)
+    def __init__(self, cells: _Cells):
+        self.cells = cells
+        self.signed: Dict[int, Dict[int, int]] = {}
 
-    def rows(self, k: int) -> Tuple[Dict[int, int], Dict[int, int]]:
-        """Circuit k's rows with its minus and with its plus side positive."""
-        if k not in self.signed:
-            z = self.circuits[k]
-            # a circuit listed for another configuration must not pass as a wall's row
-            if not is_unit_dependence(self.cfg, z):
-                raise RegularityError('circuit %r is not a dependence of the columns' % (z,))
-            self.signed[k] = tuple({c: sign if c in z.plus else -sign for c in z.support()}
-                                   for sign in (-1, 1))
-        return self.signed[k]
+    def rows(self, sides) -> List[Dict[int, int]]:
+        """The rows of the sides, in their order."""
+        out = []
+        for s in sides:
+            if s not in self.signed:
+                k = s >> 1
+                z = self.cells.circuits[k]
+                # a circuit listed for another configuration must not pass as a wall's row
+                if not self.cells.is_unit(k):
+                    raise RegularityError('circuit %r is not a dependence of the columns' % (z,))
+                positive = z.minus if s & 1 else z.plus
+                self.signed[s] = {c: 1 if c in positive else -1 for c in z.support()}
+            out.append(self.signed[s])
+        return out
 
 
-@lru_cache(maxsize=1)
-def _row_index(cfg: PointConfiguration, circuits: Tuple[Circuit, ...]) -> _RowIndex:
-    """The _RowIndex of the last configuration and circuit list asked for."""
-    return _RowIndex(cfg, circuits)
-
-
-def _wall_rows(index: _RowIndex, node) -> List[Dict[int, int]]:
+def _checked_rows(tri: Triangulation, circuits) -> List[Dict[int, int]]:
     """Deduplicated +-1 inequalities, one per wall: the wall pair's one circuit.
 
-    node is a triangulation as simplex masks of flips' mask kernel, in
-    reverse order, so the facets taken in reverse mask order are the walls
-    in the order of their column tuples.  The union of two simplices that
-    meet in a wall holds exactly one circuit, with both apexes on one side
-    when the simplices lie on opposite sides of the wall; it is oriented so
-    that the apex of the earlier simplex is positive.  A Circuit carries its
-    support and signs only, so the row assumes every coefficient is +-1, as
-    it is for order polytopes: the circuit must satisfy sum(plus columns) ==
-    sum(minus columns), which index checks once per circuit.  A circuit
-    with other coefficients fails that test and raises RegularityError ('not
-    a dependence') instead of giving a wrong row.  The rows are index's own
-    dicts and must not be changed.
+    One facet pass counts the interior walls I and raises on a facet with
+    more than two cofaces.  The scan of the cells (flips._Cells.scan)
+    matches each wall to the listed circuits that hold both its simplices'
+    cells with both apexes on one side; when the matches are not I, some
+    wall matched no circuit or several (a short or duplicated list, or two
+    simplices on one side of their wall) and RegularityError is raised.
+    The rows come in the order of the first wall each matches, the walls
+    taken in the order of their column tuples.
     """
-    cofaces: Dict[int, List[Tuple[int, int]]] = {}
-    for pos, simplex in enumerate(node):
-        rest = simplex
-        while rest:
-            apex = rest & -rest
-            cofaces.setdefault(simplex ^ apex, []).append((pos, apex))
-            rest ^= apex
-    rows = []
-    seen = set()
-    for f in sorted(cofaces, reverse=True):
-        incident = cofaces[f]
-        if len(incident) == 1:
-            continue
-        if len(incident) > 2:
-            raise RegularityError('facet %r has %d cofaces' % (_decode(index.n, f), len(incident)))
-        (p1, a1), (p2, a2) = incident
-        union = node[p1] | node[p2]
-        hits = [entry for entry in index.pairs.get(a1 | a2, ()) if not entry[1] & ~union]
-        if len(hits) != 1:
-            raise RegularityError('wall %r matches %d circuits with both apexes on one side'
-                                  % (_decode(index.n, f), len(hits)))
-        ((k, _, plus),) = hits
-        key = (k, 1 if a1 & plus else 0)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(index.rows(k)[key[1]])
-    return rows
+    interior = len(_walls(tri))
+    cells = _Cells(tri.config, circuits)
+    _, matched, sides = cells.scan(_node(tri)[1])
+    if matched != interior:
+        raise RegularityError('%d interior walls match circuits %d times' % (interior, matched))
+    return _RowIndex(cells).rows(sides)
 
 
 @dataclass(frozen=True)
@@ -286,9 +251,10 @@ def is_regular(tri: Triangulation, circuits, verify: bool = False) -> Regularity
 
     circuits must be the complete circuit list of tri.config, as from
     all_circuits or circuits_brute; each interior wall reads its inequality
-    from the one circuit in its two simplices.  A wall that matches none or
-    several, or a matched circuit that is not a dependence of the columns,
-    raises RegularityError.  The rows take every circuit coefficient to be
+    from the one circuit in its two simplices (_checked_rows).  Walls that
+    do not match exactly one circuit each, counted against one facet pass,
+    or a matched circuit that is not a dependence of the columns, raise
+    RegularityError.  The rows take every circuit coefficient to be
     +-1, as on order polytopes; a configuration with other circuit
     coefficients raises RegularityError ('not a dependence') rather than
     return a verdict.  _decide turns the rows into the verdict: witness
@@ -296,7 +262,7 @@ def is_regular(tri: Triangulation, circuits, verify: bool = False) -> Regularity
     wall-row value, exactly 1; or a Gordan certificate and slack 0.
     """
     cfg = tri.config
-    rows = _wall_rows(_row_index(cfg, tuple(circuits)), _node(tri)[1])
+    rows = _checked_rows(tri, circuits)
     result = _decide(rows, tri.simplices[0], len(cfg.columns))
     if verify and result and not verify_local_folding(tri, result.heights).verdict:
         raise RegularityError('witness heights fail the folding certificate')
@@ -396,11 +362,6 @@ def _twists_are_affine(w: SnakeWord, taus) -> bool:
                    for i in range(cfg.dim + 1)):
                 return False
     return True
-
-
-def _twist_is_affine(w: SnakeWord, tau: Twist) -> bool:
-    """Whether the one twist is affine (_twists_are_affine)."""
-    return _twists_are_affine(w, (tau,))
 
 
 def _independent_sets(cfg: PointConfiguration, budget: int):
@@ -700,13 +661,14 @@ def _primitive(values) -> List[int]:
 _STEPS = ((2, 1), (3, 2))
 
 
-def _carry(omega: List[int], z: Circuit, rows) -> Optional[List[int]]:
-    """The first candidate step from the parent heights whose every row is positive."""
-    lam = dict.fromkeys(z.plus, 1)
-    lam.update(dict.fromkeys(z.minus, -1))
-    dot = sum(omega[c] * x for c, x in lam.items())
-    values = [sum(omega[c] * x for c, x in row.items()) for row in rows]
-    shifts = [sum(lam.get(c, 0) * x for c, x in row.items()) for row in rows]
+def _carry(omega: List[int], plus, minus, rows) -> Optional[List[int]]:
+    """The first step of a neighbour's heights across the circuit plus - minus
+    on which every row is positive, as primitive integers, or None."""
+    lam = dict.fromkeys(plus, 1)
+    lam.update(dict.fromkeys(minus, -1))
+    dot = sum(map(omega.__getitem__, plus)) - sum(map(omega.__getitem__, minus))
+    values = [sum(map(mul, map(omega.__getitem__, row), row.values())) for row in rows]
+    shifts = [sum(map(mul, map(lam.get, row, repeat(0)), row.values())) for row in rows]
     size = len(lam)
     for num, den in _STEPS:
         scale, step = den * size, num * dot
@@ -723,12 +685,15 @@ class _Fold(NamedTuple):
 
     witnesses[i] holds primitive integer heights that select node i, or None
     when the LP found none.  propagated holds the nodes certified by heights
-    carried from their search parent; the others were decided by is_regular.
+    carried from a neighbour; arrived maps those whose heights came from an
+    arrival rather than the search parent to the arrival's node.  The others
+    were decided by the LP.
     """
 
     search: _Search
     witnesses: List[Optional[List[int]]]
     propagated: Set[int]
+    arrived: Dict[int, int]
 
 
 def _regularity_fold(seed: Triangulation, circuits, perms, budget: int) -> _Fold:
@@ -740,32 +705,69 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int) -> _Fold
     triangulations: the seed is regular, affine maps keep triangulations
     regular, and the regular ones are connected by flips, the edges of the
     secondary polytope.  So perms are used only once the seed is found
-    regular, and a seed that is not raises RegularityError.  A node reached
-    by a flip on Z from a parent with heights w first tries the integer steps
-    of _carry along Z's +-1 vector, accepted only when every wall row is
-    strictly positive.  Otherwise is_regular's exact decision, _decide, runs
-    on the same wall rows, so "not regular" comes only from the LP.
+    regular, and a seed that is not raises RegularityError.
+
+    A node's wall rows come from the search's scan of it.  is_regular checks
+    the walls the seed's scan matches against a facet pass.  Every node has
+    the seed's simplex count and only unimodular simplices, so each facet of
+    the polytope holds as many boundary facets of the node as its own
+    normalized volume, and the node has as many interior walls as the seed.
+    A node whose scan matches another number of walls raises
+    RegularityError.
+
+    A node reached by a flip on Z from a parent with heights w first tries
+    the integer steps of _carry along Z's +-1 vector.  Then, for each
+    arrival from an earlier node a, a's heights and circuit are moved by the
+    element that maps a's flip onto the node, and carried the same way.  A
+    candidate is accepted only when every wall row of the node is strictly
+    positive on it.  Otherwise is_regular's exact decision, _decide, runs on
+    the same wall rows, so "not regular" comes only from the LP.
     """
     circuits = tuple(circuits)
     cfg = seed.config
+    ncols = len(cfg.columns)
     result = is_regular(seed, circuits)
     if perms and not result:
         raise RegularityError('an orbit search needs a regular seed')
     search = _search(seed, circuits, budget, perms=perms)
-    rows_of = _row_index(cfg, circuits)
-    fold = _Fold(search, [None] * len(search.nodes), set())
+    cells = search.cells
+    rows_of = _RowIndex(cells)
+    fold = _Fold(search, [None] * len(search.nodes), set(), {})
+    interior = None
     for i, node in enumerate(search.nodes):
+        matched, sides = search.scans[i] or cells.scan(node)[1:]
+        if i == 0:
+            # is_regular checked the seed's against its facet pass
+            interior = matched
+        elif matched != interior:
+            raise RegularityError('triangulation %d matches %d walls to circuits, the seed %d'
+                                  % (i, matched, interior))
         parent, z = search.parents[i]
         # the seed, node 0, was decided before the search
         if parent >= 0:
-            rows = _wall_rows(rows_of, node)
+            rows = rows_of.rows(sides)
             omega = fold.witnesses[parent]
-            witness = _carry(omega, z, rows) if omega is not None else None
+            witness = _carry(omega, z.plus, z.minus, rows) if omega is not None else None
+            if witness is None:
+                for a, s, e in search.arrived(i):
+                    omega = fold.witnesses[a]
+                    if omega is None:
+                        continue
+                    perm = search.group.perms[e]
+                    moved = [0] * ncols
+                    for c, h in enumerate(omega):
+                        moved[perm[c]] = h
+                    z = cells.sides[s].circuit
+                    witness = _carry(moved, [perm[c] for c in z.plus],
+                                     [perm[c] for c in z.minus], rows)
+                    if witness is not None:
+                        fold.arrived[i] = a
+                        break
             if witness is not None:
                 fold.witnesses[i] = witness
                 fold.propagated.add(i)
                 continue
-            result = _decide(rows, search.columns_of[node[0]], len(cfg.columns))
+            result = _decide(rows, search.columns_of[node[0]], ncols)
         fold.witnesses[i] = _primitive(result.heights.heights) if result else None
     return fold
 

@@ -13,7 +13,7 @@ from test_polytope import CUBE_ORDER, cube_configuration
 import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
 from snakeflip.exact import det_int, integer_normal
-from snakeflip.flips import (_node, _search, apply_flip, canonical_of, explore_flip_graph,
+from snakeflip.flips import (_search, apply_flip, canonical_of, explore_flip_graph,
                             find_flips)
 from snakeflip.polytope import (PointConfiguration, Triangulation, canonical_triangulation,
                                 expected_normalized_volume, is_triangulation,
@@ -34,8 +34,7 @@ from snakeflip.regularity import (
     snake_polytope_word,
     verify_local_folding,
 )
-from snakeflip.regularity import (_regularity_fold, _row_index, _twist_is_affine,
-                                  _twists_are_affine, _wall_rows)
+from snakeflip.regularity import _checked_rows, _regularity_fold, _twists_are_affine
 from snakeflip.twists import Twist, all_twists, elementary_twist, twist_triangulation
 from snakeflip.words import WordError, parse_word, v_words
 
@@ -211,7 +210,7 @@ def test_is_regular_on_explored_components(monkeypatch):
 
 
 def wall_rows(tri, circuits):
-    return _wall_rows(_row_index(tri.config, tuple(circuits)), _node(tri)[1])
+    return _checked_rows(tri, circuits)
 
 
 def test_is_regular_raises_on_a_short_circuit_list():
@@ -279,15 +278,17 @@ def test_is_regular_fails_safe_on_circuits_with_other_coefficients():
 
 
 def _rational_wall_rows(tri, kernels):
-    # reference: a rational kernel vector per wall pair, cleared of
-    # denominators and content, with the first apex made positive;
-    # kernels memoizes the kernel of each union across calls
+    # reference: a rational kernel vector per interior wall, cleared of
+    # denominators and content, with the first coface's apex made positive;
+    # the walls in the order of their column tuples, each row kept at its
+    # first wall; kernels memoizes the kernel of each union across calls
     cfg = tri.config
     rows = []
-    for s1, s2 in itertools.combinations(tri.simplices, 2):
-        if len(set(s1) & set(s2)) != cfg.dim:
+    for f, cofaces in sorted(walls(tri.simplices).items()):
+        if len(cofaces) != 2:
             continue
-        union = tuple(sorted(set(s1) | set(s2)))
+        (_, apex), (_, other) = cofaces
+        union = tuple(sorted(f + (apex, other)))
         if union not in kernels:
             kernels[union] = fraction_kernel(list(zip(*(cfg.homogeneous(j) for j in union))))
         (lam,) = kernels[union]
@@ -296,13 +297,15 @@ def _rational_wall_rows(tri, kernels):
         g = 0
         for x in coeffs.values():
             g = gcd(g, x)
-        (apex,) = set(s1) - set(s2)
         sign = 1 if coeffs[apex] > 0 else -1
-        rows.append(tuple(sorted((c, sign * x // g) for c, x in coeffs.items())))
+        row = tuple(sorted((c, sign * x // g) for c, x in coeffs.items()))
+        if row not in rows:
+            rows.append(row)
     return rows
 
 
 def test_wall_rows_equal_rational_kernel_rows():
+    # the same rows in the same order, so the LP sees the same program
     for n, step in ((1, 1), (2, 1), (3, 60)):
         w = snake_polytope_word(n)
         circuits = all_circuits(w)
@@ -310,8 +313,33 @@ def test_wall_rows_equal_rational_kernel_rows():
         kernels = {}
         for node in graph.nodes[::step]:
             rows = [tuple(sorted(r.items())) for r in wall_rows(node, circuits)]
-            assert len(rows) == len(set(rows))
-            assert set(rows) == set(_rational_wall_rows(node, kernels))
+            assert rows == _rational_wall_rows(node, kernels)
+
+
+def test_scan_matches_every_interior_wall_once():
+    # the scan's matched walls are the facets with two cofaces, at every
+    # node of the plain searches of the snakes n <= 3 and the V-words to
+    # length 4
+    words = [snake_polytope_word(n) for n in (1, 2, 3)] + list(v_words(4))
+    for w in words:
+        search = _search(canonical_of(w), all_circuits(w), budget=100000)
+        assert not search.partial
+        for i in range(len(search.nodes)):
+            cofaces = walls(search_node(search, i)).values()
+            assert max(map(len, cofaces)) <= 2
+            matched, _ = search.scans[i]
+            assert matched == sum(len(c) == 2 for c in cofaces)
+
+
+def test_is_regular_rejects_a_duplicated_wall_circuit():
+    w = snake_polytope_word(2)
+    circuits = all_circuits(w)
+    t = canonical_of(w)
+    used = {tuple(sorted(r)) for r in wall_rows(t, circuits)}
+    z = next(z for z in circuits if z.support() in used)
+    for extra in (z, Circuit(z.minus, z.plus)):
+        with pytest.raises(RegularityError, match='interior walls match'):
+            is_regular(t, circuits + (extra,))
 
 
 def test_is_regular_matches_the_fraction_simplex(monkeypatch):
@@ -389,7 +417,49 @@ def test_fold_verdicts_match_is_regular():
                 assert all(isinstance(h, int) for h in heights)
                 assert verify_local_folding(tri, HeightFunction(tuple(heights))).verdict
     # (orbits, orbits certified by carried heights); the rest ran the LP
-    assert decided == {1: (5, 4), 2: (42, 40), 3: (429, 354)}
+    assert decided == {1: (5, 4), 2: (42, 41), 3: (429, 408)}
+
+
+def test_fold_carries_heights_from_arrivals():
+    # at n = 3 some orbit is certified by heights carried from an earlier
+    # neighbour other than its search parent, and some still need the LP
+    w = snake_polytope_word(3)
+    cfg = word_context(w).config
+    circuits = all_circuits(w)
+    perms = [tau.column_permutation for tau in all_twists(w)[1:]]
+    fold = _regularity_fold(canonical_of(w), circuits, perms, budget=100000)
+    search = fold.search
+    assert any(a != search.parents[i][0] for i, a in fold.arrived.items())
+    assert set(fold.arrived) <= fold.propagated
+    assert len(fold.propagated) < len(search.nodes) - 1
+    for i, a in fold.arrived.items():
+        assert a < i and a in {x for x, _, _ in search.arrived(i)}
+        tri = Triangulation(cfg, search_node(search, i))
+        assert verify_local_folding(tri, HeightFunction(tuple(fold.witnesses[i]))).verdict
+
+
+def test_fold_raises_when_a_later_node_matches_fewer_walls():
+    # a circuit the seed's walls do not use but a wall of a node one flip
+    # away does: without it that node matches too few walls
+    w = snake_polytope_word(2)
+    circuits = all_circuits(w)
+    seed = canonical_of(w)
+    search = _search(seed, circuits, budget=100000)
+    sides = search.cells.sides
+    seed_circuits = {sides[s].circuit for s in search.scans[0][1]}
+    missing = None
+    for b in range(1, len(search.nodes)):
+        a, y = search.parents[b]
+        if a == 0:
+            later = [sides[s].circuit for s in search.scans[b][1]]
+            missing = next((z for z in later if z not in seed_circuits and z != y), None)
+            if missing is not None:
+                break
+    assert missing is not None
+    short = tuple(z for z in circuits if z != missing)
+    assert is_regular(seed, short)
+    with pytest.raises(RegularityError, match='matches'):
+        _regularity_fold(seed, short, (), budget=100000)
 
 
 def test_orbit_search_covers_the_plain_search():
@@ -520,18 +590,22 @@ def kernel_twist_is_affine(w, tau):
     return True
 
 
+def twist_is_affine(w, tau):
+    return _twists_are_affine(w, (tau,))
+
+
 def test_twist_is_affine_matches_the_per_column_kernels():
     rng = random.Random(12)
     rejected = 0
     for w in v_words(5):
         for tau in all_twists(w):
-            assert _twist_is_affine(w, tau) and kernel_twist_is_affine(w, tau)
+            assert twist_is_affine(w, tau) and kernel_twist_is_affine(w, tau)
         columns = list(range(len(word_context(w).config.columns)))
         for _ in range(4):
             rng.shuffle(columns)
             tau = Twist(w, frozenset(), (), tuple(columns))
             verdict = kernel_twist_is_affine(w, tau)
-            assert _twist_is_affine(w, tau) == verdict
+            assert twist_is_affine(w, tau) == verdict
             rejected += not verdict
     assert rejected > 100
 
@@ -543,7 +617,7 @@ def test_twists_are_affine_takes_every_twist_of_the_word():
     columns = list(range(len(word_context(w).config.columns)))
     random.Random(3).shuffle(columns)
     shuffled = Twist(w, frozenset(), (), tuple(columns))
-    assert not _twist_is_affine(w, shuffled)
+    assert not twist_is_affine(w, shuffled)
     assert not _twists_are_affine(w, taus + (shuffled,))
 
 

@@ -14,8 +14,8 @@ from .circuits import all_circuits, word_context
 from .exact import RANK_PRIME, lp_maximize, modular_rank_is_exact
 from .flips import (_Cells, _encode, _node, _search, _Search, canonical_of, dual_graph,
                     explore_flip_graph, graphs_isomorphic, triangulation_hash)
-from .polytope import (PointConfiguration, Triangulation, expected_normalized_volume,
-                       is_boundary_wall, simplex_normals, walls)
+from .polytope import (PointConfiguration, Triangulation, is_boundary_wall, simplex_normals,
+                       walls)
 from .posets import build_snake_poset
 from .twists import Twist, all_twists
 from .volumes import catalan
@@ -413,47 +413,36 @@ def _independent_sets(cfg: PointConfiguration, budget: int):
     return (found if complete else None), steps
 
 
-def enumerate_triangulations(cfg: PointConfiguration, budget_steps: int = 2_000_000):
-    """All triangulations, found by completing walls outward from a generic point.
+def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: int = 2_000_000):
+    """All triangulations, found as sets of pairwise compatible full simplices.
 
-    The candidates are the (d+1)-sets of independent columns, from the
-    modular walk of _independent_sets; only they get a simplex_normals
-    adjugate, for their volume and apex-positive wall normals.  A coface's
-    side of a wall is the sign of the first nonzero entry of its normal.  A
-    candidate contains the reference point q when every barycentric
-    coordinate normal . q is positive, and q is generic when none is zero.
-    Boundary walls are the column sets that is_boundary_wall finds on a
-    facet.  budget_steps bounds the walk's steps and the search's calls
-    together; past it, the triangulations found so far are returned with
-    complete False, and none when the walk itself ran out.
+    circuits is the complete circuit list of cfg (as from all_circuits or
+    circuits_brute).  The candidates are the independent (d+1)-sets of
+    _independent_sets.  Two intersect properly exactly when no circuit Z has
+    Z+ in one and Z- in the other (De Loera, Rambau and Santos 2010, ch. 4),
+    which gives each candidate a bitset of the others it is compatible with.
+    The search keeps the AND of the chosen candidates' bitsets and the open
+    interior facets (not is_boundary_wall), those with one chosen coface:
+    compatibility caps a facet at two, so a placed candidate toggles its
+    facets.  It branches over the allowed cofaces of the open facet with the
+    fewest, and records a triangulation when none is open.  A triangulation
+    holding the chosen candidates has exactly one simplex across that facet,
+    so the branches are disjoint.  The roots are the candidates holding a
+    generic point q, where every barycentric coordinate normal . q from
+    simplex_normals is positive.  budget_steps bounds the walk's steps and
+    the search's calls together; past it, the triangulations found so far
+    are returned with complete False, and none when the walk itself ran out.
     """
     d = cfg.dim
-    expected = expected_normalized_volume(cfg)
     candidates, setup_steps = _independent_sets(cfg, budget_steps)
     if candidates is None:
         return (), False
-    volumes = []
     normals = []
     for s in candidates:
         volume, rows = simplex_normals(cfg, s)
         if not volume:
             raise RegularityError('simplex %r is independent mod the prime but flat' % (s,))
-        volumes.append(volume)
         normals.append(rows)
-
-    facet_index: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
-    cand_facets: List[List[Tuple[Tuple[int, ...], int]]] = []
-    boundary = {}
-    for ci, (s, rows) in enumerate(zip(candidates, normals)):
-        cand_facets.append([])
-        for k, nu in enumerate(rows):
-            f = s[:k] + s[k + 1:]
-            sgn = 1 if next(x for x in nu if x) > 0 else -1
-            facet_index.setdefault(f, []).append((ci, sgn))
-            cand_facets[ci].append((f, sgn))
-            if f not in boundary:
-                boundary[f] = is_boundary_wall(cfg, f)
-
     homs = [cfg.homogeneous(c) for c in range(len(cfg.columns))]
     for t in (2, 3, 5, 7, 11, 13, 17):
         q = tuple(sum(t ** c * hom[i] for c, hom in enumerate(homs)) for i in range(d + 1))
@@ -462,75 +451,67 @@ def enumerate_triangulations(cfg: PointConfiguration, budget_steps: int = 2_000_
             break
     else:
         raise RegularityError('no generic interior reference point found')
-    contains_q = [all(x > 0 for x in row) for row in coords]
 
-    counts: Dict[Tuple[int, ...], List[int]] = {}
-    open_facets = set()
+    holding = [0] * len(homs)
+    for ci, s in enumerate(candidates):
+        for c in s:
+            holding[c] |= 1 << ci
+
+    def holding_all(cols):
+        got = -1
+        for c in cols:
+            got &= holding[c]
+        return got
+
+    clash = [0] * len(candidates)
+    for z in circuits:
+        plus, minus = holding_all(z.plus), holding_all(z.minus)
+        for side, other in ((plus, minus), (minus, plus)):
+            while side:
+                low = side & -side
+                clash[low.bit_length() - 1] |= other
+                side ^= low
+    everything = (1 << len(candidates)) - 1
+    compatible = [everything & ~(bad | 1 << ci) for ci, bad in enumerate(clash)]
+
+    facets = [[s[:k] + s[k + 1:] for k in range(d + 1)] for s in candidates]
+    cofaces: Dict[Tuple[int, ...], int] = {}
+    for ci, mine in enumerate(facets):
+        for f in mine:
+            cofaces[f] = cofaces.get(f, 0) | 1 << ci
+    cofaces = {f: got for f, got in cofaces.items() if not is_boundary_wall(cfg, f)}
+    facets_of = [frozenset(f for f in mine if f in cofaces) for mine in facets]
+
+    steps = setup_steps
+    complete = True
     chosen: List[int] = []
-    vol = [0]
-    steps = [setup_steps]
-    complete = [True]
     results: List[Tuple[Tuple[int, ...], ...]] = []
 
-    def can_place(ci):
-        if vol[0] + volumes[ci] > expected:
-            return False
-        for f, sgn in cand_facets[ci]:
-            st = counts.get(f)
-            if st and (st[0] >= 2 or st[1] == sgn):
-                return False
-        return True
-
-    def place(ci):
-        chosen.append(ci)
-        vol[0] += volumes[ci]
-        for f, sgn in cand_facets[ci]:
-            st = counts.setdefault(f, [0, sgn])
-            st[0] += 1
-            if st[0] == 1:
-                st[1] = sgn
-                if not boundary[f]:
-                    open_facets.add(f)
-            else:
-                open_facets.discard(f)
-
-    def unplace(ci):
-        chosen.pop()
-        vol[0] -= volumes[ci]
-        for f, sgn in cand_facets[ci]:
-            st = counts[f]
-            st[0] -= 1
-            if st[0] == 0:
-                del counts[f]
-                open_facets.discard(f)
-            elif not boundary[f]:
-                open_facets.add(f)
-
-    def rec():
-        steps[0] += 1
-        if steps[0] > budget_steps:
-            complete[0] = False
+    def search(allowed, open_facets):
+        nonlocal steps, complete
+        steps += 1
+        if steps > budget_steps:
+            complete = False
             return
         if not open_facets:
-            if vol[0] == expected:
-                results.append(tuple(sorted(candidates[ci] for ci in chosen)))
+            results.append(tuple(candidates[ci] for ci in sorted(chosen)))
             return
-        f = min(open_facets)
-        want = -counts[f][1]
-        for ci, sgn in facet_index[f]:
-            if sgn == want and not contains_q[ci] and can_place(ci):
-                place(ci)
-                rec()
-                unplace(ci)
+        f = min(open_facets, key=lambda f: ((cofaces[f] & allowed).bit_count(), f))
+        branch = cofaces[f] & allowed
+        while branch and complete:
+            low = branch & -branch
+            ci = low.bit_length() - 1
+            branch ^= low
+            chosen.append(ci)
+            search(allowed & compatible[ci], open_facets ^ facets_of[ci])
+            chosen.pop()
 
-    for ci in range(len(candidates)):
-        if contains_q[ci] and complete[0]:
-            place(ci)
-            rec()
-            unplace(ci)
-    if len(set(results)) != len(results):
-        raise RegularityError('triangulation enumeration produced duplicates')
-    return tuple(sorted(results)), complete[0]
+    for ci, row in enumerate(coords):
+        if all(x > 0 for x in row) and complete:
+            chosen.append(ci)
+            search(compatible[ci], facets_of[ci])
+            chosen.pop()
+    return tuple(sorted(results)), complete
 
 
 @dataclass(frozen=True)
@@ -781,10 +762,14 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     when the twists are affine: it stores and decides one triangulation per
     orbit, and nodes and regular_nodes sum the orbit sizes (orbit-stabiliser),
     so budget_nodes bounds triangulations, not orbits; workers is accepted
-    and ignored.  Integer heights carried from the node's search parent
-    across the flipped circuit prove "regular" when every wall row is
+    and ignored.  Integer heights carried across the flipped circuit from
+    the node's search parent, and then from every earlier stored neighbour
+    whose flip lands in its orbit, prove "regular" when every wall row is
     strictly positive on them; otherwise is_regular's exact LP decides, so
-    only the LP ever says "not regular".
+    only the LP ever says "not regular".  With exhaustive (by default when
+    n <= 2), enumerate_triangulations lists every triangulation within
+    budget_steps, and each is looked up in the search or decided by
+    is_regular.
     """
     w = snake_polytope_word(n)
     circuits = all_circuits(w)
@@ -803,7 +788,7 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     exhaustive_report = None
     if exhaustive:
         cfg = word_context(w).config
-        found, complete = enumerate_triangulations(cfg, budget_steps=budget_steps)
+        found, complete = enumerate_triangulations(cfg, circuits, budget_steps)
         reachable = 0
         regular = 0
         for simplices in found:

@@ -742,27 +742,35 @@ def set_up_steps(cfg):
 
 
 def test_enumeration_matches_the_kernel_reference():
-    # budget_steps counts the set-up walk's steps before the search's, so the
-    # reference, which counts search steps only, gets what the walk leaves
-    words = list(v_words(3)) + [parse_word('LRRL')]
+    # budget_steps counts the set-up walk's steps (checked against rational
+    # ranks in test_enumeration_budget_bounds_the_set_up) before the search's;
+    # the cuts at 1, 50 and 1000 search steps land in the search, not only
+    # before it, and keep part of the full set, which is complete only when
+    # whole
+    words = list(v_words(3)) + [parse_word(word) for word in ('LLLL', 'LLLR', 'LLRR', 'LRRL')]
     truncated = 0
+    totals = {}
     for w in words:
         cfg = word_context(w).config
-        setup = set_up_steps(cfg)
-        for budget in (2_000_000, 1, 50, 1000):
-            found = enumerate_triangulations(cfg, budget_steps=setup + budget)
-            assert found == kernel_enumerate_triangulations(cfg, budget_steps=budget), (w, budget)
-            truncated += not found[1]
-    # the cuts at 1, 50 and 1000 search steps land in the search, not only before it
+        circuits = all_circuits(w)
+        full = enumerate_triangulations(cfg, circuits)
+        assert full == kernel_enumerate_triangulations(cfg), w
+        totals[str(w)] = len(full[0])
+        setup = regularity._independent_sets(cfg, 10 ** 6)[1]
+        for budget in (1, 50, 1000):
+            found, complete = enumerate_triangulations(cfg, circuits, setup + budget)
+            assert set(found) <= set(full[0]), (w, budget)
+            assert not complete or found == full[0], (w, budget)
+            truncated += not complete
     assert truncated > len(words)
-    assert len(enumerate_triangulations(word_context(parse_word('LRRL')).config)[0]) == 336
+    assert [totals[w] for w in ('LLLL', 'LLLR', 'LLRR', 'LRRL')] == [720, 480, 424, 336]
 
 
 def test_enumeration_matches_flip_search_on_small_configs():
     for word in ('', 'L', 'LL', 'LR'):
         w = parse_word(word)
         cfg = word_context(w).config
-        found, complete = enumerate_triangulations(cfg)
+        found, complete = enumerate_triangulations(cfg, all_circuits(w))
         assert complete
         graph = explore_flip_graph(canonical_of(w), all_circuits(w))
         assert set(found) == {t.simplices for t in graph.nodes}
@@ -771,8 +779,8 @@ def test_enumeration_matches_flip_search_on_small_configs():
 
 
 def test_enumeration_respects_budget():
-    cfg = word_context(parse_word('')).config
-    found, complete = enumerate_triangulations(cfg, budget_steps=1)
+    w = parse_word('')
+    found, complete = enumerate_triangulations(word_context(w).config, all_circuits(w), 1)
     assert not complete
 
 
@@ -790,13 +798,15 @@ def counted_simplex_normals(monkeypatch):
 
 def test_enumeration_budget_bounds_the_set_up(monkeypatch):
     # no adjugate is computed until the walk has finished within the budget
-    cfg = word_context(parse_word('LRRL')).config
+    w = parse_word('LRRL')
+    cfg = word_context(w).config
+    circuits = all_circuits(w)
     calls = counted_simplex_normals(monkeypatch)
     setup = set_up_steps(cfg)
     for budget in (1, setup - 1):
-        assert enumerate_triangulations(cfg, budget_steps=budget) == ((), False)
+        assert enumerate_triangulations(cfg, circuits, budget) == ((), False)
         assert calls == []
-    assert enumerate_triangulations(cfg, budget_steps=setup) == ((), False)
+    assert enumerate_triangulations(cfg, circuits, setup) == ((), False)
     assert len(calls) == 288
 
 
@@ -807,8 +817,9 @@ def test_enumeration_candidates_are_the_full_simplices(monkeypatch):
     calls = counted_simplex_normals(monkeypatch)
     sizes = []
     for cfg in configs:
+        circuits = circuits_brute(cfg)
         calls.clear()
-        found, complete = enumerate_triangulations(cfg)
+        found, complete = enumerate_triangulations(cfg, circuits)
         assert complete and found
         subsets = list(itertools.combinations(range(len(cfg.columns)), cfg.dim + 1))
         assert calls == [s for s in subsets if simplex_volume(cfg, s)]
@@ -826,12 +837,23 @@ def test_enumeration_falls_back_past_a_reference_point_on_a_wall():
                for s in itertools.combinations(range(len(homs)), cube.dim + 1)
                if det_int([homs[j] for j in s])
                for apex in s)
-    found, complete = enumerate_triangulations(cube)
+    found, complete = enumerate_triangulations(cube, circuits_brute(cube))
     assert complete and len(found) == 74
     natural = order_polytope_vertices(Poset(3, []))
     relabel = [natural.columns.index(col) for col in cube.columns]
     moved = {tuple(sorted(tuple(sorted(relabel[c] for c in s)) for s in t)) for t in found}
-    assert moved == set(enumerate_triangulations(natural)[0])
+    assert moved == set(enumerate_triangulations(natural, circuits_brute(natural))[0])
+
+
+def test_budgeted_enumeration_of_delta3_times_delta3():
+    # 4096 candidates and 204 circuits: far too many triangulations to list,
+    # so about 2000 search steps after the set-up walk find some, each valid
+    seed, circuits = delta3_times_delta3()
+    cfg = seed.config
+    setup = regularity._independent_sets(cfg, 10 ** 6)[1]
+    found, complete = enumerate_triangulations(cfg, circuits, setup + 2000)
+    assert not complete and found
+    assert all(is_triangulation(cfg, simplices) for simplices in found)
 
 
 def test_snake_polytope_words():
@@ -889,6 +911,14 @@ def test_regular_count_experiment_second():
     assert (r.nodes, r.regular_nodes, r.expected, r.matches) == (336, 336, 336, True)
     assert r.exhaustive.total == 336
     assert r.exhaustive.flip_reachable == 336
+
+
+def test_regular_count_exhaustive_at_n3():
+    # every triangulation at n=3 is flip-reachable and regular
+    r = count_regular_triangulations(3, exhaustive=True)
+    assert r.matches
+    assert r.exhaustive.total == r.exhaustive.flip_reachable == r.exhaustive.regular == 6864
+    assert r.exhaustive.complete
 
 
 def test_conjecture_suite_dispatch():

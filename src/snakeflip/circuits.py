@@ -110,7 +110,8 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
     greedy basis of its own span, so each hyperplane is reached once, at
     |S| = m - r - 1, where the columns with a nonzero residual form its
     circuit.  One budget step is one attempted addition of a column j to a
-    node S; BudgetError is raised past ``budget`` steps.
+    node S; BudgetError is raised past ``budget`` steps, the only bound on
+    the number of columns.
 
     Rank decisions run modulo the 61-bit exact.RANK_PRIME.  A Hadamard bound
     on the column entries (exact.modular_rank_is_exact) keeps every minor
@@ -122,8 +123,6 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
     with full support.
     """
     m = len(cfg.columns)
-    if m > 24:
-        raise CircuitError('brute circuit search is limited to 24 columns, got %d' % m)
     cols = [tuple(int(v) for v in cfg.homogeneous(j)) for j in range(m)]
     height = len(cols[0]) if cols else 0
     p = RANK_PRIME

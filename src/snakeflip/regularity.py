@@ -11,11 +11,10 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .circuits import all_circuits, word_context
-from .exact import RANK_PRIME, lp_maximize, modular_rank_is_exact
+from .exact import lp_maximize
 from .flips import (_Cells, _encode, _node, _search, _Search, canonical_of, dual_graph,
                     explore_flip_graph, graphs_isomorphic, triangulation_hash)
-from .polytope import (PointConfiguration, Triangulation, is_boundary_wall, simplex_normals,
-                       walls)
+from .polytope import PointConfiguration, Triangulation, simplex_normals, walls
 from .posets import build_snake_poset
 from .twists import Twist, all_twists
 from .volumes import catalan
@@ -364,86 +363,68 @@ def _twists_are_affine(w: SnakeWord, taus) -> bool:
     return True
 
 
-def _independent_sets(cfg: PointConfiguration, budget: int):
-    """The (d+1)-sets of columns with a nonzero volume, in lexicographic order.
-
-    A depth-first walk grows index-increasing column sets S and keeps every
-    later column's residual modulo span(S), in exact.RANK_PRIME arithmetic;
-    a column j whose residual is zero would make S + {j} dependent, so that
-    set and every set through it are dropped.  A column j is tried only while
-    enough columns after it remain to reach d+1.  One step is one attempted
-    addition of a column; returns (sets, steps), or (None, steps) past
-    budget steps.  The Hadamard guard of exact.modular_rank_is_exact makes
-    the rank mod the prime the rank over Q.
-    """
-    p = RANK_PRIME
-    ncols = len(cfg.columns)
-    size = cfg.dim + 1
-    cols = [cfg.homogeneous(c) for c in range(ncols)]
-    if not modular_rank_is_exact(cols):
-        raise RegularityError('column entries too large for exact modular rank decisions')
-    found: List[Tuple[int, ...]] = []
-    steps = 0
-
-    def extend(chosen, residual, first):
-        # residual[j - first] is column j modulo the span of chosen
-        nonlocal steps
-        last = ncols - size + len(chosen)
-        for j in range(first, last + 1):
-            steps += 1
-            if steps > budget:
-                return False
-            v = residual[j - first]
-            if not any(v):
-                continue
-            if len(chosen) + 1 == size:
-                found.append(chosen + (j,))
-                continue
-            piv = next(t for t, a in enumerate(v) if a)
-            inv = pow(v[piv], p - 2, p)
-            nxt = []
-            for g in residual[j + 1 - first:]:
-                f = g[piv] * inv % p
-                nxt.append([(a - f * b) % p for a, b in zip(g, v)] if f else g)
-            if not extend(chosen + (j,), nxt, j + 1):
-                return False
-        return True
-
-    complete = extend((), [[a % p for a in col] for col in cols], 0)
-    return (found if complete else None), steps
-
-
 def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: int = 2_000_000):
     """All triangulations, found as sets of pairwise compatible full simplices.
 
     circuits is the complete circuit list of cfg (as from all_circuits or
-    circuits_brute).  The candidates are the independent (d+1)-sets of
-    _independent_sets.  Two intersect properly exactly when no circuit Z has
-    Z+ in one and Z- in the other (De Loera, Rambau and Santos 2010, ch. 4),
-    which gives each candidate a bitset of the others it is compatible with.
-    The search keeps the AND of the chosen candidates' bitsets and the open
-    interior facets (not is_boundary_wall), those with one chosen coface:
-    compatibility caps a facet at two, so a placed candidate toggles its
-    facets.  It branches over the allowed cofaces of the open facet with the
-    fewest, and records a triangulation when none is open.  A triangulation
-    holding the chosen candidates has exactly one simplex across that facet,
-    so the branches are disjoint.  The roots are the candidates holding a
-    generic point q, where every barycentric coordinate normal . q from
-    simplex_normals is positive.  budget_steps bounds the walk's steps and
-    the search's calls together; past it, the triangulations found so far
-    are returned with complete False, and none when the walk itself ran out.
+    circuits_brute), and everything but the roots comes from it.  The
+    candidates are the (d+1)-sets of columns that hold no circuit's support,
+    found by a walk over index-increasing column sets that tests a new
+    column j only against the supports whose largest column is j; one step
+    is one attempted column.  Two candidates intersect properly exactly when
+    no circuit Z has Z+ in one and Z- in the other (De Loera, Rambau and
+    Santos 2010, ch. 4), which gives each candidate a bitset of the others it
+    is compatible with.  Two cofaces of a facet are compatible exactly when
+    they lie on opposite sides of it, so a facet is interior exactly when its
+    first coface is compatible with another.  The search keeps the AND of the
+    chosen candidates' bitsets and the open interior facets, those with one
+    chosen coface: compatibility caps a facet at two, so a placed candidate
+    toggles its facets.  It branches over the allowed cofaces of the open
+    facet with the fewest, and records a triangulation when none is open.  A
+    triangulation holding the chosen candidates has exactly one simplex
+    across that facet, so the branches are disjoint.  The roots are the
+    candidates holding a generic point q, where every barycentric coordinate
+    normal . q from simplex_normals is positive; a flat candidate means the
+    circuit list is incomplete.  budget_steps bounds the walk's steps and the
+    search's calls together; past it, the triangulations found so far are
+    returned with complete False, and none when the walk itself ran out.
     """
     d = cfg.dim
-    candidates, setup_steps = _independent_sets(cfg, budget_steps)
-    if candidates is None:
+    ncols = len(cfg.columns)
+    closing: List[List[int]] = [[] for _ in range(ncols)]
+    for z in circuits:
+        support = z.support()
+        closing[support[-1]].append(sum(1 << c for c in support))
+    candidates: List[Tuple[int, ...]] = []
+    holding = [0] * ncols
+    steps = 0
+
+    def walk(chosen, mask, first):
+        nonlocal steps
+        for j in range(first, ncols - d + len(chosen)):
+            steps += 1
+            if steps > budget_steps:
+                return False
+            grown = mask | 1 << j
+            if any(sup & grown == sup for sup in closing[j]):
+                continue
+            if len(chosen) == d:
+                for c in chosen + (j,):
+                    holding[c] |= 1 << len(candidates)
+                candidates.append(chosen + (j,))
+            elif not walk(chosen + (j,), grown, j + 1):
+                return False
+        return True
+
+    if not walk((), 0, 0):
         return (), False
     normals = []
     for s in candidates:
         volume, rows = simplex_normals(cfg, s)
         if not volume:
-            raise RegularityError('simplex %r is independent mod the prime but flat' % (s,))
+            raise RegularityError('simplex %r holds no listed circuit but is flat' % (s,))
         normals.append(rows)
-    homs = [cfg.homogeneous(c) for c in range(len(cfg.columns))]
+    homs = [cfg.homogeneous(c) for c in range(ncols)]
     for t in (2, 3, 5, 7, 11, 13, 17):
         q = tuple(sum(t ** c * hom[i] for c, hom in enumerate(homs)) for i in range(d + 1))
         coords = [[sum(a * b for a, b in zip(nu, q)) for nu in rows] for rows in normals]
@@ -451,11 +432,6 @@ def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: in
             break
     else:
         raise RegularityError('no generic interior reference point found')
-
-    holding = [0] * len(homs)
-    for ci, s in enumerate(candidates):
-        for c in s:
-            holding[c] |= 1 << ci
 
     def holding_all(cols):
         got = -1
@@ -479,10 +455,10 @@ def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: in
     for ci, mine in enumerate(facets):
         for f in mine:
             cofaces[f] = cofaces.get(f, 0) | 1 << ci
-    cofaces = {f: got for f, got in cofaces.items() if not is_boundary_wall(cfg, f)}
+    cofaces = {f: got for f, got in cofaces.items()
+               if got & compatible[(got & -got).bit_length() - 1]}
     facets_of = [frozenset(f for f in mine if f in cofaces) for mine in facets]
 
-    steps = setup_steps
     complete = True
     chosen: List[int] = []
     results: List[Tuple[Tuple[int, ...], ...]] = []

@@ -17,7 +17,7 @@ from snakeflip.circuits import (
 )
 from snakeflip.exact import BudgetError, integer_normal
 from snakeflip.polytope import PointConfiguration, order_polytope_vertices
-from snakeflip.posets import adjoin_bounds, build_snake_poset, meet_irreducibles
+from snakeflip.posets import Poset, adjoin_bounds, build_snake_poset, meet_irreducibles
 from snakeflip.words import (
     SnakeWord,
     WordError,
@@ -80,8 +80,6 @@ def reference_circuits_brute(cfg, budget=2_000_000):
     the whole set.  Kept as the reference that circuits_brute must match.
     """
     m = len(cfg.columns)
-    if m > 24:
-        raise CircuitError('brute circuit search is limited to 24 columns, got %d' % m)
     cols = [tuple(int(v) for v in cfg.homogeneous(j)) for j in range(m)]
     height = len(cols[0]) if cols else 0
     largest = max((abs(v) for col in cols for v in col), default=0)
@@ -189,13 +187,27 @@ def test_brute_oracle_on_plain_configurations():
 
 
 def test_brute_oracle_guards():
+    # no column cap: the step budget alone bounds the search, and 25 points
+    # on a line have comb(25, 3) circuits
     wide = PointConfiguration(
         dim=1, columns=tuple((i,) for i in range(25)),
         column_labels=tuple((i,) for i in range(25)))
-    with pytest.raises(CircuitError):
-        circuits_brute(wide)
+    with pytest.raises(BudgetError):
+        circuits_brute(wide, budget=10_000)
     with pytest.raises(BudgetError):
         circuits_brute(word_context(parse_word('LL')).config, budget=3)
+
+
+def test_brute_oracle_past_24_columns():
+    # a 24-element chain gives the 24-simplex, 25 independent columns;
+    # Delta1 x Delta12, the order polytope of a point beside a 12-chain, has
+    # 26 columns and one 4-element circuit per pair of columns of Delta12
+    chain = order_polytope_vertices(Poset(24, [(i, i + 1) for i in range(23)]))
+    assert len(chain.columns) == 25 and circuits_brute(chain) == ()
+    prism = order_polytope_vertices(Poset(13, [(i, i + 1) for i in range(1, 12)]))
+    circuits = circuits_brute(prism)
+    assert len(prism.columns) == 26 and len(circuits) == comb(13, 2) == 78
+    assert all(len(z.support()) == 4 and is_unit_dependence(prism, z) for z in circuits)
 
 
 def test_eight_element_circuit_with_sign_flips():

@@ -36,6 +36,7 @@ from snakeflip.regularity import (
 )
 from snakeflip.regularity import _checked_rows, _regularity_fold, _twists_are_affine
 from snakeflip.twists import Twist, all_twists, elementary_twist, twist_triangulation
+from snakeflip.volumes import catalan
 from snakeflip.words import WordError, parse_word, v_words
 
 
@@ -742,11 +743,10 @@ def set_up_steps(cfg):
 
 
 def test_enumeration_matches_the_kernel_reference():
-    # budget_steps counts the set-up walk's steps (checked against rational
-    # ranks in test_enumeration_budget_bounds_the_set_up) before the search's;
-    # the cuts at 1, 50 and 1000 search steps land in the search, not only
-    # before it, and keep part of the full set, which is complete only when
-    # whole
+    # budget_steps counts the set-up walk's steps (counted with rational
+    # ranks by set_up_steps) before the search's; the cuts at 1, 50 and 1000
+    # search steps land in the search, not only before it, and keep part of
+    # the full set, which is complete only when whole
     words = list(v_words(3)) + [parse_word(word) for word in ('LLLL', 'LLLR', 'LLRR', 'LRRL')]
     truncated = 0
     totals = {}
@@ -756,7 +756,7 @@ def test_enumeration_matches_the_kernel_reference():
         full = enumerate_triangulations(cfg, circuits)
         assert full == kernel_enumerate_triangulations(cfg), w
         totals[str(w)] = len(full[0])
-        setup = regularity._independent_sets(cfg, 10 ** 6)[1]
+        setup = set_up_steps(cfg)
         for budget in (1, 50, 1000):
             found, complete = enumerate_triangulations(cfg, circuits, setup + budget)
             assert set(found) <= set(full[0]), (w, budget)
@@ -850,10 +850,44 @@ def test_budgeted_enumeration_of_delta3_times_delta3():
     # so about 2000 search steps after the set-up walk find some, each valid
     seed, circuits = delta3_times_delta3()
     cfg = seed.config
-    setup = regularity._independent_sets(cfg, 10 ** 6)[1]
+    setup = set_up_steps(cfg)
     found, complete = enumerate_triangulations(cfg, circuits, setup + 2000)
     assert not complete and found
     assert all(is_triangulation(cfg, simplices) for simplices in found)
+
+
+def test_enumeration_raises_on_an_incomplete_circuit_list():
+    # without a 4-element circuit, a full-size column set through its support
+    # holds no listed circuit, so it becomes a candidate, and it is flat
+    w = parse_word('LR')
+    cfg = word_context(w).config
+    circuits = all_circuits(w)
+    dropped = [i for i, z in enumerate(circuits) if len(z.support()) == 4]
+    assert len(dropped) == 5
+    for i in dropped:
+        with pytest.raises(RegularityError, match='flat'):
+            enumerate_triangulations(cfg, circuits[:i] + circuits[i + 1:])
+
+
+def plane_configuration(points):
+    return PointConfiguration(dim=2, columns=tuple(points),
+                              column_labels=tuple((i,) for i in range(len(points))))
+
+
+def test_enumeration_beyond_order_polytopes():
+    # the enumeration needs only the circuit list: a convex hexagon has
+    # Catalan(4) triangulations, and a square with its centre has the star
+    # and the two diagonal splits that leave the centre unused
+    hexagon = plane_configuration([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+    found, complete = enumerate_triangulations(hexagon, circuits_brute(hexagon))
+    assert complete and len(found) == catalan(4) == 14
+    assert {sum(simplex_volume(hexagon, s) for s in t) for t in found} == {6}
+    centred = plane_configuration([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
+    assert enumerate_triangulations(centred, circuits_brute(centred)) == ((
+        ((0, 1, 2), (1, 2, 3)),
+        ((0, 1, 3), (0, 2, 3)),
+        ((0, 1, 4), (0, 2, 4), (1, 3, 4), (2, 3, 4)),
+    ), True)
 
 
 def test_snake_polytope_words():

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, FrozenSet, Tuple
 
 from .exact import RANK_PRIME, BudgetError, integer_normal, modular_rank_is_exact
 from .polytope import PointConfiguration, order_polytope_vertices
@@ -43,7 +43,10 @@ class Circuit:
 
 @dataclass(frozen=True)
 class WordContext:
-    """Lattice, labeling, and vertex configuration shared by circuit work."""
+    """Lattice, labeling, vertex configuration and circuits of one word.
+
+    The circuits are computed on first use and kept with the context.
+    """
 
     word: SnakeWord
     phat: Poset
@@ -53,6 +56,20 @@ class WordContext:
     column_of: Dict[int, int]
     element_of: Tuple[int, ...]
     squares: tuple
+
+    @cached_property
+    def circuits(self) -> Tuple[Circuit, ...]:
+        """Circuits of all connected induced subgraphs, in canonical order."""
+        out = [_gamma(self, _vertex_indices(mask))
+               for mask in connected_induced_subgraphs(word_graph(self.word))]
+        if len(set(out)) != len(out):
+            raise CircuitError('subgraphs map to duplicate circuits')
+        return tuple(sorted(out, key=lambda z: (z.plus, z.minus)))
+
+    @cached_property
+    def circuit_set(self) -> FrozenSet[Circuit]:
+        """The circuits as a set, for membership tests."""
+        return frozenset(self.circuits)
 
 
 @lru_cache(maxsize=None)
@@ -81,14 +98,7 @@ def circuit_from_subgraph(w: SnakeWord, subgraph) -> Circuit:
 
 def all_circuits(w: SnakeWord) -> Tuple[Circuit, ...]:
     """Circuits of all connected induced subgraphs, in canonical order."""
-    ctx = word_context(w)
-    g = word_graph(w)
-    out = []
-    for mask in connected_induced_subgraphs(g):
-        out.append(_gamma(ctx, _vertex_indices(mask)))
-    if len(set(out)) != len(out):
-        raise CircuitError('subgraphs map to duplicate circuits')
-    return tuple(sorted(out, key=lambda z: (z.plus, z.minus)))
+    return word_context(w).circuits
 
 
 def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Circuit, ...]:

@@ -1,4 +1,4 @@
-"""Bistellar flips, flip-graph search, GKZ vectors, dual graphs, Cayley check."""
+"""Bistellar flips, flip-graph search, dual graphs, Cayley check."""
 from __future__ import annotations
 
 import hashlib
@@ -529,16 +529,6 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     triangulations = tuple(Triangulation(seed.config, tuple(columns_of[mask] for mask in node))
                            for node in search.nodes)
     return FlipGraph(triangulations, tuple(ordered), tuple(search.depths), search.partial)
-
-
-def gkz_vector(tri: Triangulation) -> Tuple[int, ...]:
-    """Per-column sum of normalized volumes of the incident simplices."""
-    totals = [0] * len(tri.config.columns)
-    for s in tri.simplices:
-        vol = simplex_volume(tri.config, s)
-        for j in s:
-            totals[j] += vol
-    return tuple(totals)
 
 
 @dataclass(frozen=True)

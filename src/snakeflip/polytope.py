@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
 from .exact import adjugate, det_int
@@ -24,6 +24,31 @@ class PointConfiguration:
     def homogeneous(self, j: int) -> Tuple[int, ...]:
         """Column j with the all-ones row appended."""
         return self.columns[j] + (1,)
+
+    @cached_property
+    def facet_masks(self) -> Tuple[int, ...]:
+        """Per column, a bitmask of the facet inequalities of the configuration tight on it.
+
+        The inequalities are x_i >= 0, x_i <= 1, and x_i <= x_j wherever
+        every column with x_i = 1 has x_j = 1; an inequality tight on every
+        column is dropped.  The configuration must pass
+        expected_normalized_volume.  Computed on first use and kept with the
+        configuration.
+        """
+        expected_normalized_volume(self)
+        n = self.dim
+        cols = self.columns
+        tight = [[col[i] == 0 for col in cols] for i in range(n)]
+        tight += [[col[i] == 1 for col in cols] for i in range(n)]
+        tight += [[col[i] == col[j] for col in cols]
+                  for i in range(n) for j in range(n)
+                  if i != j and all(col[j] for col in cols if col[i])]
+        masks = [0] * len(cols)
+        for bit, row in enumerate(r for r in tight if not all(r)):
+            for c, on in enumerate(row):
+                if on:
+                    masks[c] |= 1 << bit
+        return tuple(masks)
 
 
 @dataclass(frozen=True)
@@ -64,14 +89,14 @@ def simplex_volume(cfg: PointConfiguration, simplex) -> int:
     idx = tuple(simplex)
     if len(idx) != cfg.dim + 1:
         raise PolytopeError('simplex needs %d vertices, got %d' % (cfg.dim + 1, len(idx)))
-    return _simplex_volume_cached(cfg, idx)
+    return abs(_simplex_volume_cached(cfg, idx))
 
 
 @lru_cache(maxsize=None)
 def _simplex_volume_cached(cfg: PointConfiguration, idx: Tuple[int, ...]) -> int:
-    cols = [cfg.homogeneous(j) for j in idx]
-    matrix = [[cols[k][i] for k in range(len(cols))] for i in range(cfg.dim + 1)]
-    return abs(det_int(matrix))
+    """Signed determinant of the homogenized columns idx, in the order given."""
+    # the columns as rows: the transpose has the same determinant
+    return det_int(map(cfg.homogeneous, idx))
 
 
 @lru_cache(maxsize=None)
@@ -126,31 +151,6 @@ def simplex_normals(cfg: PointConfiguration, simplex):
     return abs(det), adj
 
 
-@lru_cache(maxsize=1)
-def _facet_masks(cfg: PointConfiguration) -> Tuple[int, ...]:
-    """Per column, a bitmask of the facet inequalities of the configuration tight on it.
-
-    The inequalities are x_i >= 0, x_i <= 1, and x_i <= x_j wherever every
-    column with x_i = 1 has x_j = 1; an inequality tight on every column is
-    dropped.  The configuration must pass expected_normalized_volume.  The
-    table of the last configuration asked for is kept.
-    """
-    expected_normalized_volume(cfg)
-    n = cfg.dim
-    cols = cfg.columns
-    tight = [[col[i] == 0 for col in cols] for i in range(n)]
-    tight += [[col[i] == 1 for col in cols] for i in range(n)]
-    tight += [[col[i] == col[j] for col in cols]
-              for i in range(n) for j in range(n)
-              if i != j and all(col[j] for col in cols if col[i])]
-    masks = [0] * len(cols)
-    for bit, row in enumerate(r for r in tight if not all(r)):
-        for c, on in enumerate(row):
-            if on:
-                masks[c] |= 1 << bit
-    return tuple(masks)
-
-
 def is_boundary_wall(cfg: PointConfiguration, wall) -> bool:
     """Whether the columns of a wall lie on a common facet of the configuration.
 
@@ -161,9 +161,9 @@ def is_boundary_wall(cfg: PointConfiguration, wall) -> bool:
     simplex spans a hyperplane, and it lies on the boundary exactly when
     that hyperplane is a facet's, so exactly when one of these inequalities
     not tight on every column is tight on each of its columns: when the AND
-    of their _facet_masks is nonzero.
+    of their PointConfiguration.facet_masks is nonzero.
     """
-    masks = _facet_masks(cfg)
+    masks = cfg.facet_masks
     common = -1
     for c in wall:
         common &= masks[c]
@@ -173,9 +173,11 @@ def is_boundary_wall(cfg: PointConfiguration, wall) -> bool:
 def is_triangulation(cfg: PointConfiguration, simplices) -> bool:
     """Union property plus the wall certificate, from one signed determinant per simplex.
 
-    The union property compares the summed simplex volumes |det| with
-    expected_normalized_volume, so the configuration must be the 0/1 vertex
-    set of an order polytope; any other configuration raises PolytopeError.
+    The determinant of each sorted simplex comes from the cache that
+    simplex_volume reads too.  The union property compares the summed
+    simplex volumes |det| with expected_normalized_volume, so the
+    configuration must be the 0/1 vertex set of an order polytope; any other
+    configuration raises PolytopeError.
     An empty list covers nothing and is rejected.  A wall opposite position k
     of a sorted simplex s has the apex on the side sgn(det s) * (-1)^k, since
     moving the apex column to the front takes k transpositions.  An interior
@@ -193,8 +195,7 @@ def is_triangulation(cfg: PointConfiguration, simplices) -> bool:
     for s in canon:
         if len(s) != cfg.dim + 1 or len(set(s)) != len(s):
             return False
-        # the homogenized columns as rows: the transpose has the same determinant
-        det = det_int(map(cfg.homogeneous, s))
+        det = _simplex_volume_cached(cfg, s)
         if det == 0:
             return False
         signs.append(1 if det > 0 else -1)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
@@ -59,7 +58,6 @@ def compose_twists(a: Twist, b: Twist) -> Twist:
     return _twist_from_permutation(a.word, a.ladder_mask ^ b.ladder_mask, perm)
 
 
-@lru_cache(maxsize=None)
 def all_twists(w: SnakeWord) -> Tuple[Twist, ...]:
     """All 2^t twists, ordered by binary counting over the ladder indices."""
     out = [identity_twist(w)]
@@ -69,16 +67,11 @@ def all_twists(w: SnakeWord) -> Tuple[Twist, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _circuit_set(w: SnakeWord) -> FrozenSet[Circuit]:
-    return frozenset(all_circuits(w))
-
-
 def twist_circuit(tau: Twist, z: Circuit) -> Circuit:
     """Image circuit under the twist; the image must again be a circuit."""
     cols = tau.column_permutation
     image = Circuit.make([cols[c] for c in z.plus], [cols[c] for c in z.minus])
-    if image not in _circuit_set(tau.word):
+    if image not in word_context(tau.word).circuit_set:
         raise TwistError('twist image %r is not a circuit' % (image,))
     return image
 

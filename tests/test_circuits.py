@@ -293,9 +293,12 @@ def test_json_labels_use_filter_generators():
 
 def test_determinism():
     w = parse_word('LLR')
-    assert all_circuits(w) == all_circuits(w)
-    cfg = word_context(w).config
-    assert circuits_brute(cfg) == circuits_brute(cfg)
+    # the word's context builds its circuit list once; all_circuits hands it out
+    ctx = word_context(w)
+    assert all_circuits(w) is all_circuits(w) is ctx.circuits
+    assert ctx.circuit_set == frozenset(ctx.circuits)
+    cfg = ctx.config
+    assert circuits_brute(cfg) == circuits_brute(cfg) == all_circuits(w)
 
 
 def test_unit_dependence_holds_for_order_polytope_circuits_only():

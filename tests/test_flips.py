@@ -18,12 +18,12 @@ from snakeflip.flips import (
     dual_graph,
     explore_flip_graph,
     find_flips,
-    gkz_vector,
     graphs_isomorphic,
     triangulation_hash,
 )
 from snakeflip.flips import _search
-from snakeflip.polytope import PointConfiguration, Triangulation, is_triangulation, is_unimodular
+from snakeflip.polytope import (PointConfiguration, Triangulation, is_triangulation, is_unimodular,
+                                simplex_volume)
 from snakeflip.regularity import snake_polytope_word
 from snakeflip.twists import all_twists
 from snakeflip.words import parse_word, v_words
@@ -279,6 +279,16 @@ def test_explore_deterministic_and_worker_independent():
     second = explore_flip_graph(canonical_of(w), zs)
     assert first == second
     assert explore_flip_graph(canonical_of(w), zs, workers=4) == first
+
+
+def gkz_vector(tri):
+    """Per-column sum of normalized volumes of the incident simplices."""
+    totals = [0] * len(tri.config.columns)
+    for s in tri.simplices:
+        vol = simplex_volume(tri.config, s)
+        for j in s:
+            totals[j] += vol
+    return tuple(totals)
 
 
 def test_gkz_vector_of_the_diamond():

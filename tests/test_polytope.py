@@ -12,6 +12,7 @@ from snakeflip.polytope import (
     PointConfiguration,
     PolytopeError,
     Triangulation,
+    _simplex_volume_cached,
     canonical_triangulation,
     expected_normalized_volume,
     is_boundary_wall,
@@ -241,6 +242,59 @@ def test_is_triangulation_matches_the_normal_reference_on_broken_inputs():
     assert not check(square, [(0, 1, 2), (0, 1, 3)])
     cfg = canonical_triangulation(q_of(parse_word('L'))).config
     assert not check(cfg, [(0, 1, 2, 3, 5, 7), (0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7)])
+    assert verdicts == {True, False}
+
+
+def test_is_triangulation_alternating_between_configurations():
+    # each configuration keeps its own facet table, so calls that alternate
+    # between two configurations give the verdicts each gives alone
+    cases = []
+    for word in ('L', 'LR'):
+        tri = canonical_of(parse_word(word))
+        cfg = tri.config
+        tris = [tri] + [apply_flip(tri, m, validate=False)
+                        for m in find_flips(tri, all_circuits(parse_word(word)))]
+        cases.append([(cfg, t.simplices) for t in tris] + [(cfg, tri.simplices[1:])])
+    # a column beyond a boundary wall: only the facet table rejects it
+    cases[0].append((cases[0][0][0], [(0, 1, 2, 3, 5, 7), (0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7)]))
+    alternating = [case for pair in zip(*cases) for case in pair]
+    expected = [normal_is_triangulation(cfg, simplices) for cfg, simplices in alternating]
+    assert set(expected) == {True, False}
+    for _ in range(2):
+        assert [is_triangulation(cfg, simplices) for cfg, simplices in alternating] == expected
+    for cfg in {cfg for cfg, _ in alternating}:
+        assert cfg.facet_masks is cfg.facet_masks
+
+
+def test_is_triangulation_after_volumes_of_unsorted_columns():
+    # simplex_volume and is_triangulation share one signed determinant per
+    # column order; a sorted simplex must not take the sign of an odd
+    # permutation of its columns that simplex_volume was asked about first.
+    # Only every other simplex is asked about: flipping every sign at once
+    # would leave each wall's parity, and so the verdict, unchanged
+    _simplex_volume_cached.cache_clear()
+    verdicts = set()
+    for w in v_words(3):
+        tri = canonical_of(w)
+        cfg = tri.config
+        tris = [tri] + [apply_flip(tri, m, validate=False) for m in find_flips(tri, all_circuits(w))]
+        simplices = list(tri.simplices)
+        cases = [t.simplices for t in tris] + [simplices[1:]]
+        cases += [simplices[:k] + [extra] + simplices[k + 1:]
+                  for extra in sorted({s for t in tris for s in t.simplices} - set(simplices))
+                  for k in range(len(simplices))]
+        for simplices in cases:
+            for s in simplices:
+                swapped = (s[1], s[0]) + s[2:]
+                assert simplex_volume(cfg, swapped) == simplex_volume(cfg, s)
+                assert _simplex_volume_cached(cfg, swapped) == -_simplex_volume_cached(cfg, s)
+        for simplices in cases:
+            _simplex_volume_cached.cache_clear()
+            for s in simplices[::2]:
+                simplex_volume(cfg, (s[1], s[0]) + s[2:])
+            verdict = is_triangulation(cfg, simplices)
+            assert verdict == normal_is_triangulation(cfg, simplices), (str(w), simplices)
+            verdicts.add(verdict)
     assert verdicts == {True, False}
 
 

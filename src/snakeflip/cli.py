@@ -124,6 +124,8 @@ def build_parser() -> _Parser:
     p.add_argument('--n', type=int, default=None)
     p.add_argument('--budget-nodes', type=int, default=None)
     p.add_argument('--budget-steps', type=int, default=None)
+    p.add_argument('--time-budget', type=float, default=None,
+                   help='seconds; checked between flip-search levels')
     p.add_argument('--exhaustive', action=argparse.BooleanOptionalAction, default=None)
     add_threads(p)
     p = add('verify-all', 'run every theorem check and print a summary table')
@@ -516,7 +518,8 @@ def _cmd_conjectures(config: RunConfig) -> int:
                                   budget_nodes=config.budget_nodes,
                                   workers=config.threads,
                                   exhaustive=config.exhaustive,
-                                  budget_steps=config.budget_steps)
+                                  budget_steps=config.budget_steps,
+                                  deadline=_deadline(config))
     except RegularityError as exc:
         raise UsageError(str(exc))
     payload = asdict(report)

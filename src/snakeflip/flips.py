@@ -212,8 +212,8 @@ class _Cells:
 
 
 def _flip(node: Tuple[int, ...], present: FrozenSet[int], side: _Side,
-          link) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
-    """The node after the move, and the simplices the move created."""
+          link) -> Tuple[Tuple[int, ...], Set[int], FrozenSet[int]]:
+    """The node after the move, the simplices the move removed, and those it created."""
     old = {cell | face for cell in side.cells for face in link}
     new = frozenset(cell | face for cell in side.other_cells for face in link)
     if not old <= present:
@@ -221,7 +221,7 @@ def _flip(node: Tuple[int, ...], present: FrozenSet[int], side: _Side,
     result = (present - old) | new
     if len(result) != len(node):
         raise FlipError('flip changed the simplex count')
-    return tuple(sorted(result, reverse=True)), new
+    return tuple(sorted(result, reverse=True)), old, new
 
 
 def _node(tri: Triangulation) -> Tuple[int, Tuple[int, ...]]:
@@ -251,26 +251,43 @@ def apply_flip(tri: Triangulation, move: FlipMove, validate: bool = True) -> Tri
     plus, minus = _plan(n, (move.circuit,))
     side = plus if move.direction == 'plus' else minus
     link = {_encode(n, face) for face in move.link}
-    image, _ = _flip(node, frozenset(node), side, link)
+    image, _, _ = _flip(node, frozenset(node), side, link)
     result = Triangulation(tri.config, tuple(_decode(n, mask) for mask in image))
     if validate and not is_triangulation(tri.config, result.simplices):
         raise FlipError('flip produced a non-triangulation')
     return result
 
 
-_LEAST = itemgetter(0)
+_WORD = (1 << 64) - 1
+
+
+def _mix(least: int) -> int:
+    """A simplex's weight: the 64-bit SplitMix64 finalizer of its least image.
+
+    Equal least images give equal weights, so a node's weight sum is the
+    same for every node of its orbit.  The mix is not linear: with weights
+    k * least mod 2**64 the sum would be k times the sum of the least
+    images, up to wraps, so nodes whose least images sum alike would share
+    a key.
+    """
+    z = (least + 0x9E3779B97F4A7C15) & _WORD
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _WORD
+    return z ^ (z >> 31)
 
 
 class _Group:
     """Column permutations closed under composition, acting on nodes as masks.
 
     perms lists the elements, the identity first, and images maps each
-    simplex mask met so far to its least image followed by its images under
-    the elements in that order.
-    A node's invariant, the sorted least images of its simplices, is the
-    same for every node of its orbit.  Whether an element maps one node
-    onto another is one pass over the node's simplices that stops at the
-    first image outside the other's simplex set.
+    simplex mask met so far to its weight (_mix of its least image)
+    followed by its images under the elements in that order.
+    A node's invariant, the sum of its simplices' weights, is the same for
+    every node of its orbit, and a flip changes it by the weights of the
+    simplices it removes and creates (shift).  Nodes of different orbits
+    may share an invariant, so the lookup tests membership: whether an
+    element maps one node onto another is one pass over the node's
+    simplices that stops at the first image outside the other's simplex set.
     """
 
     def __init__(self, n: int, perms):
@@ -289,26 +306,48 @@ class _Group:
         self.n = n
         self.order = len(elements)
         self.perms = [identity] + sorted(elements - {identity})
-        # bits[k][c] is the mask bit of column c's image under perms[k + 1]
-        self.bits = [[1 << (n - 1 - c) for c in perm] for perm in self.perms[1:]]
+        # bits[c][k] is the mask bit of column c's image under perms[k + 1]
+        self.bits = [tuple(1 << (n - 1 - perm[c]) for perm in self.perms[1:])
+                     for c in range(n)]
         self.elements = [itemgetter(k) for k in range(1, self.order + 1)]
         self.images: Dict[int, Tuple[int, ...]] = {}
 
-    def invariant(self, node: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The sorted least images of the node's simplices."""
+    def image(self, e: int, mask: int) -> int:
+        """The image of a column mask under perms[e]."""
+        if e == 0:
+            return mask
+        return sum(self.bits[c][e - 1] for c in _decode(self.n, mask))
+
+    def invariant(self, masks) -> int:
+        """The sum of the weights of the simplex masks, each row filled once."""
         images = self.images
-        for mask in node:
-            if mask not in images:
-                columns = _decode(self.n, mask)
-                row = [mask] + [sum(map(bits.__getitem__, columns)) for bits in self.bits]
-                images[mask] = (min(row), *row)
-        return tuple(sorted(map(_LEAST, map(images.__getitem__, node))))
+        bits = self.bits
+        total = 0
+        for mask in masks:
+            row = images.get(mask)
+            if row is None:
+                moved = map(sum, zip(*map(bits.__getitem__, _decode(self.n, mask))))
+                row = (mask, *moved)
+                row = images[mask] = (_mix(min(row)), *row)
+            total += row[0]
+        return total
+
+    def shift(self, key, removed, created) -> Optional[int]:
+        """The invariant of a flip's image, from the flipped node's invariant.
+
+        removed and created are the simplices the flip removed and created.
+        None for the trivial group, whose key is the node itself.
+        """
+        if self.order == 1:
+            return None
+        return key - self.invariant(removed) + self.invariant(created)
 
     def onto(self, node: Tuple[int, ...], target: Set[int]):
         """Per element, whether it maps the node onto the simplex set target.
 
-        The node's invariant must have been taken, and target must have as
-        many simplices as the node.
+        Each simplex of the node must have its row in images, as it has once
+        the node's invariant is taken or carried (shift), and target must
+        have as many simplices as the node.
         """
         rows = list(map(self.images.__getitem__, node))
         return (target.issuperset(map(element, rows)) for element in self.elements)
@@ -319,26 +358,27 @@ class _Group:
             return 1
         return self.order // sum(self.onto(node, set(node)))
 
-    def locate(self, index: Dict, nodes: List[Tuple[int, ...]],
-               node: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Optional[int], int]:
+    def locate(self, index: Dict, nodes: List[Tuple[int, ...]], node: Tuple[int, ...],
+               key: Optional[int] = None) -> Tuple[object, Optional[int], int]:
         """The node's key in index, the stored node b of its orbit or None, and an element.
 
         The element is the position in perms of the first element that maps
         the node onto nodes[b], 0 when b is None.  With the trivial group the
         key is the node itself and index maps it to its position; otherwise
-        the key is the invariant and index maps it to the positions of the
-        stored nodes that have it.
+        the key is the invariant, taken here unless given (shift), and index
+        maps it to the positions of the stored nodes that have it.
         """
         if self.order == 1:
             return node, index.get(node), 0
-        key = self.invariant(node)
+        if key is None:
+            key = self.invariant(node)
         for b in index.get(key, ()):
             for e, onto in enumerate(self.onto(node, set(nodes[b]))):
                 if onto:
                     return key, b, e
         return key, None, 0
 
-    def store(self, index: Dict, key: Tuple[int, ...], b: int) -> None:
+    def store(self, index: Dict, key, b: int) -> None:
         """File the stored node b in index under its key from locate."""
         if self.order == 1:
             index[key] = b
@@ -405,7 +445,8 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     perms are column permutations that, with the identity, form a group G
     (FlipError otherwise).  The search then stores one node per G-orbit it
     meets: a flipped node is looked up among the stored nodes with its
-    invariant and joins the first one some element maps it onto.  A new
+    invariant, a weight sum carried along each flip (_Group.shift), and
+    joins the first one some element maps it onto.  A new
     orbit's size is |G| over the number of elements that fix the node
     (orbit-stabiliser); budget bounds the sum of the sizes, which is the
     number of triangulations found.  The union of the orbits is the
@@ -420,6 +461,14 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     expanded node and another is a move from the earlier of the two.  When
     edges is a set, every flip edge (a, b, circuit) with a < b is added to
     it from the parents and arrivals; that needs the trivial group.
+
+    Every flip is an edge, met from both of its ends, so expanding b skips
+    the moves known to lead back into the orbit of an earlier node: the reverse
+    of its parent's move, on the other side of the parent's circuit, and
+    the reverse of each arrival (a, s, e) so far, on the image under
+    perms[e] of the other side of sides[s].  A side's image is looked up by
+    its column and support masks and kept per (element, side); an image
+    that is not a listed side skips nothing.
 
     The seed's simplices must be unimodular.  A flip on Z trades the cells
     Z - i for the cells Z - j, each joined with the same link faces, and by
@@ -443,12 +492,25 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     index: Dict = {}
     key, _, _ = group.locate(index, [], root)
     group.store(index, key, 0)
-    nodes = [root]
-    depths = [0]
-    parents: List[Tuple[int, Optional[Circuit]]] = [(-1, None)]
-    sizes = [group.orbit_size(root)]
-    scans: List[Optional[Tuple[int, Tuple[int, ...]]]] = [None]
-    arrivals: List[List[int]] = [[]]
+    search = _Search(n, [root], index, [0], [(-1, None)], [group.orbit_size(root)], group,
+                     columns_of, False, cells, [None], [[]])
+    nodes, depths, parents, sizes = search.nodes, search.depths, search.parents, search.sizes
+    scans, arrivals = search.scans, search.arrivals
+    # keys[b] is nodes[b]'s key in index, which shift carries to its flips;
+    # parent_sides[b] is the side whose flip of nodes[parents[b][0]] gave nodes[b]
+    keys = [key]
+    parent_sides = [-1]
+    side_of = {(cells.columns[t], cells.supports[t]): t for t in range(len(sides))}
+    side_images: Dict[Tuple[int, int], Optional[int]] = {}
+
+    def side_image(e: int, t: int) -> Optional[int]:
+        if e == 0:
+            return t
+        if (e, t) not in side_images:
+            side_images[e, t] = side_of.get((group.image(e, cells.columns[t]),
+                                             group.image(e, cells.supports[t])))
+        return side_images[e, t]
+
     total = sizes[0]
     frontier = [0]
     partial = False
@@ -469,10 +531,16 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
             present = frozenset(node)
             moves, matched, walls = cells.scan(node)
             scans[a] = (matched, walls)
+            back = {side_image(e, s ^ 1) for _, s, e in search.arrived(a)}
+            if a:
+                back.add(parent_sides[a] ^ 1)
             for s, link in moves:
+                if s in back:
+                    continue
                 side = sides[s]
-                image, created = _flip(node, present, side, link)
-                key, b, e = group.locate(index, nodes, image)
+                image, removed, created = _flip(node, present, side, link)
+                key, b, e = group.locate(index, nodes, image,
+                                         group.shift(keys[a], removed, created))
                 if b is None:
                     size = group.orbit_size(image)
                     if total + size > budget:
@@ -486,8 +554,10 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
                     b = len(nodes)
                     group.store(index, key, b)
                     nodes.append(image)
+                    keys.append(key)
                     depths.append(depth + 1)
                     parents.append((a, side.circuit))
+                    parent_sides.append(s)
                     sizes.append(size)
                     scans.append(None)
                     arrivals.append([])
@@ -499,8 +569,7 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
         if truncated:
             partial = True
             break
-    search = _Search(n, nodes, index, depths, parents, sizes, group, columns_of, partial,
-                     cells, scans, arrivals)
+    search = search._replace(partial=partial)
     if edges is not None:
         for b in range(1, len(nodes)):
             a, z = parents[b]

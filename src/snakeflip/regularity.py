@@ -555,11 +555,11 @@ class RegularCountReport:
 
 
 def check_flip_degrees(w: SnakeWord, budget_nodes: int = 100000,
-                       workers: int = 1) -> DegreeReport:
+                       workers: int = 1, deadline: Optional[float] = None) -> DegreeReport:
     """Explore the flip graph and compare all degrees to the secondary dimension."""
     ctx = word_context(w)
     graph = explore_flip_graph(canonical_of(w), all_circuits(w),
-                               budget=budget_nodes, workers=workers)
+                               budget=budget_nodes, workers=workers, deadline=deadline)
     k = len(ctx.config.columns) - ctx.config.dim - 1
     hist = Counter(graph.degrees())
     degrees = tuple(sorted(hist.items()))
@@ -568,11 +568,11 @@ def check_flip_degrees(w: SnakeWord, budget_nodes: int = 100000,
 
 
 def find_new_dual_graph(w: SnakeWord, budget_nodes: int = 100000,
-                        workers: int = 1) -> DualGraphReport:
+                        workers: int = 1, deadline: Optional[float] = None) -> DualGraphReport:
     """Look for a regular triangulation whose dual graph differs from canonical."""
     circuits = all_circuits(w)
     graph = explore_flip_graph(canonical_of(w), circuits,
-                               budget=budget_nodes, workers=workers)
+                               budget=budget_nodes, workers=workers, deadline=deadline)
     base = dual_graph(graph.nodes[0])
     expected_found = any(w.letter(i) != w.letter(i + 1) for i in range(1, len(w)))
     for node in graph.nodes[1:]:
@@ -585,13 +585,14 @@ def find_new_dual_graph(w: SnakeWord, budget_nodes: int = 100000,
 
 
 def count_canonical_dual_graphs(n: int, budget_nodes: int = 100000,
-                                workers: int = 1) -> CanonicalDualCountReport:
+                                workers: int = 1,
+                                deadline: Optional[float] = None) -> CanonicalDualCountReport:
     """Count explored triangulations whose dual graph matches the canonical one."""
     if n < 3:
         raise RegularityError('the single-turn family needs n >= 3')
     w = SnakeWord(('L',) + ('R',) * (n - 2))
     graph = explore_flip_graph(canonical_of(w), all_circuits(w),
-                               budget=budget_nodes, workers=workers)
+                               budget=budget_nodes, workers=workers, deadline=deadline)
     base = dual_graph(graph.nodes[0])
     count = sum(1 for node in graph.nodes
                 if graphs_isomorphic(dual_graph(node), base))
@@ -653,7 +654,8 @@ class _Fold(NamedTuple):
     arrived: Dict[int, int]
 
 
-def _regularity_fold(seed: Triangulation, circuits, perms, budget: int) -> _Fold:
+def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
+                     deadline: Optional[float] = None) -> _Fold:
     """Search the seed's flip component and decide every stored node's regularity.
 
     perms are column permutations that must act on the configuration as
@@ -686,7 +688,7 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int) -> _Fold
     result = is_regular(seed, circuits)
     if perms and not result:
         raise RegularityError('an orbit search needs a regular seed')
-    search = _search(seed, circuits, budget, perms=perms)
+    search = _search(seed, circuits, budget, deadline=deadline, perms=perms)
     cells = search.cells
     rows_of = _RowIndex(cells)
     fold = _Fold(search, [None] * len(search.nodes), set(), {})
@@ -731,7 +733,8 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int) -> _Fold
 
 def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: int = 1,
                                  exhaustive: Optional[bool] = None,
-                                 budget_steps: int = 2_000_000) -> RegularCountReport:
+                                 budget_steps: int = 2_000_000,
+                                 deadline: Optional[float] = None) -> RegularCountReport:
     """Count regular triangulations in the explored component of the snake polytope.
 
     One fold over the flip search (_regularity_fold) runs over twist orbits
@@ -745,14 +748,15 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     only the LP ever says "not regular".  With exhaustive (by default when
     n <= 2), enumerate_triangulations lists every triangulation within
     budget_steps, and each is looked up in the search or decided by
-    is_regular.
+    is_regular.  A deadline (time.monotonic) stops the search between
+    levels and marks the report partial.
     """
     w = snake_polytope_word(n)
     circuits = all_circuits(w)
     taus = all_twists(w)
     affine = _twists_are_affine(w, taus[1:])
     perms = [tau.column_permutation for tau in taus[1:]] if affine else []
-    fold = _regularity_fold(canonical_of(w), circuits, perms, budget_nodes)
+    fold = _regularity_fold(canonical_of(w), circuits, perms, budget_nodes, deadline)
     search = fold.search
     nodes = sum(search.sizes)
     regular_nodes = sum(size for size, omega in zip(search.sizes, fold.witnesses)
@@ -784,23 +788,27 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
 def conjecture_suite(conjecture: str, word: Optional[SnakeWord] = None,
                      n: Optional[int] = None, budget_nodes: int = 100000,
                      workers: int = 1, exhaustive: Optional[bool] = None,
-                     budget_steps: int = 2_000_000):
-    """Run one numbered experiment: 6.1, 6.2, 6.3, or 6.4."""
+                     budget_steps: int = 2_000_000, deadline: Optional[float] = None):
+    """Run one numbered experiment: 6.1, 6.2, 6.3, or 6.4.
+
+    deadline, a time.monotonic value, stops each experiment's flip search
+    between levels; the report is then marked partial.
+    """
     if conjecture == '6.1':
         if word is None:
             raise RegularityError('experiment 6.1 needs a word')
-        return check_flip_degrees(word, budget_nodes, workers)
+        return check_flip_degrees(word, budget_nodes, workers, deadline)
     if conjecture == '6.2':
         if word is None:
             raise RegularityError('experiment 6.2 needs a word')
-        return find_new_dual_graph(word, budget_nodes, workers)
+        return find_new_dual_graph(word, budget_nodes, workers, deadline)
     if conjecture == '6.3':
         if n is None:
             raise RegularityError('experiment 6.3 needs n')
-        return count_canonical_dual_graphs(n, budget_nodes, workers)
+        return count_canonical_dual_graphs(n, budget_nodes, workers, deadline)
     if conjecture == '6.4':
         if n is None:
             raise RegularityError('experiment 6.4 needs n')
         return count_regular_triangulations(n, budget_nodes, workers,
-                                            exhaustive, budget_steps)
+                                            exhaustive, budget_steps, deadline)
     raise RegularityError('unknown experiment %r' % (conjecture,))

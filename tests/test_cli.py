@@ -205,6 +205,26 @@ def test_conjecture_budget_exhaustion(capsys):
     assert 'partial True' in out
 
 
+def test_conjecture_time_budget_marks_the_search_partial(capsys, tmp_path):
+    # a nanosecond has passed before the first level, so the search stores
+    # the seed's orbit alone; the enumeration still lists all 336
+    code, out, _ = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', '2',
+                                    '--time-budget', '1e-9', '--format', 'json'])
+    assert code == EXIT_BUDGET
+    payload = json.loads(out)
+    assert (payload['partial'], payload['matches'], payload['twist_orbits']) == (True, False, 1)
+    assert payload['exhaustive']['total'] == 336 and payload['exhaustive']['complete']
+    cfg = tmp_path / 'run.cfg'
+    cfg.write_text('id=6.1\nword=LRRL\ntime_budget=1e-9\n')
+    code, out, _ = run_cli(capsys, ['conjectures', '--config', str(cfg)])
+    assert code == EXIT_BUDGET
+    assert 'nodes 1' in out.splitlines() and 'partial True' in out
+    code, out, _ = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', '2',
+                                    '--time-budget', '600'])
+    assert code == EXIT_OK
+    assert 'partial False' in out
+
+
 def test_truncated_exhaustive_check_exits_with_budget(capsys):
     # the flip search completes; only the enumeration's step budget runs out
     code, out, _ = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', '1',
@@ -262,7 +282,7 @@ def test_config_file_id_key_selects_the_experiment(capsys, tmp_path):
 def test_config_file_takes_only_the_subcommands_flags(capsys, tmp_path):
     cfg = tmp_path / 'run.cfg'
     for command, text, key in (
-            ('conjectures', 'id=6.4\nn=1\ntime_budget=0.001\n', 'time_budget'),
+            ('conjectures', 'id=6.4\nn=1\nmax_depth=2\n', 'max_depth'),
             ('conjectures', 'conjecture=6.4\nn=1\n', 'conjecture'),
             ('conjectures', 'id=6.4\nconfig=other.cfg\n', 'config'),
             ('volume', 'word=L\nthreads=2\n', 'threads'),
@@ -272,7 +292,7 @@ def test_config_file_takes_only_the_subcommands_flags(capsys, tmp_path):
         assert code == EXIT_USAGE, text
         assert out == '' and 'unknown key %r' % key in err, text
     code, _, err = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', '1',
-                                    '--time-budget', '0.001'])
+                                    '--max-depth', '2'])
     assert code == EXIT_USAGE
 
 

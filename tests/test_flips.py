@@ -21,7 +21,8 @@ from snakeflip.flips import (
     graphs_isomorphic,
     triangulation_hash,
 )
-from snakeflip.flips import _search
+from snakeflip import flips
+from snakeflip.flips import _Cells, _decode, _encode, _flip, _search
 from snakeflip.polytope import (PointConfiguration, Triangulation, is_triangulation, is_unimodular,
                                 simplex_volume)
 from snakeflip.regularity import snake_polytope_word
@@ -163,6 +164,139 @@ def test_orbit_search_is_pinned():
         parents = [(a, None if z is None else (z.plus, z.minus)) for a, z in search.parents]
         text = repr((search.nodes, parents, search.sizes, search.depths))
         assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
+
+
+def reference_search(seed, circuits, budget, max_depth=None, perms=()):
+    # reference: the breadth-first loop before back-moves were skipped; it
+    # flips every move of every expanded node and finds a flip's orbit by its
+    # least sorted image under the elements, in _Group's element order
+    n = len(seed.config.columns)
+    cells = _Cells(seed.config, circuits)
+    identity = tuple(range(n))
+    elements = [identity] + sorted(set(map(tuple, perms)) - {identity})
+    row_of = {}
+
+    def rows(node):
+        for mask in node:
+            if mask not in row_of:
+                columns = _decode(n, mask)
+                row_of[mask] = tuple(sum(1 << (n - 1 - perm[c]) for c in columns)
+                                     for perm in elements)
+        return [row_of[mask] for mask in node]
+
+    def images(node):
+        return [frozenset(row[e] for row in rows(node)) for e in range(len(elements))]
+
+    def canon(node):
+        return min(tuple(sorted(image)) for image in images(node))
+
+    root = tuple(_encode(n, s) for s in seed.simplices)
+    index = {canon(root): 0}
+    nodes, depths, parents = [root], [0], [(-1, None)]
+    sizes = [len(elements) // images(root).count(frozenset(root))]
+    scans, arrivals, moves_seen = [None], [[]], set()
+    total, frontier, partial, depth = sizes[0], [0], False, 0
+    while frontier:
+        if max_depth is not None and depth >= max_depth:
+            partial = True
+            break
+        tasks = sorted(frontier, key=nodes.__getitem__, reverse=True)
+        frontier, truncated = [], False
+        for a in tasks:
+            node = nodes[a]
+            moves, matched, walls = cells.scan(node)
+            scans[a] = (matched, walls)
+            for s, link in moves:
+                image, _, _ = _flip(node, frozenset(node), cells.sides[s], link)
+                b = index.get(canon(image))
+                if b is None:
+                    size = len(elements) // images(image).count(frozenset(image))
+                    if total + size > budget:
+                        truncated = True
+                        continue
+                    b = index[canon(image)] = len(nodes)
+                    nodes.append(image)
+                    depths.append(depth + 1)
+                    parents.append((a, cells.sides[s].circuit))
+                    sizes.append(size)
+                    scans.append(None)
+                    arrivals.append([])
+                    total += size
+                    frontier.append(b)
+                elif a < b:
+                    e = images(image).index(frozenset(nodes[b]))
+                    arrivals[b].append((a, s, e))
+                moves_seen.add((min(a, b), max(a, b), cells.sides[s].circuit))
+        depth += 1
+        if truncated:
+            partial = True
+            break
+    return nodes, parents, depths, sizes, arrivals, scans, partial, moves_seen
+
+
+def assert_search_matches_reference(seed, circuits, budget, max_depth=None, perms=()):
+    edges = set() if not perms else None
+    search = _search(seed, circuits, budget, max_depth, edges=edges, perms=perms)
+    *expected, moves = reference_search(seed, circuits, budget, max_depth, perms)
+    got = (search.nodes, search.parents, search.depths, search.sizes,
+           [list(search.arrived(b)) for b in range(len(search.nodes))],
+           search.scans, search.partial)
+    assert got == tuple(expected)
+    if edges is not None:
+        # every move between two stored nodes, tried from both ends
+        assert edges == {(a, b, z) for a, b, z in moves if a != b}
+    return search
+
+
+def test_search_skipping_back_moves_matches_the_search_that_tries_every_move():
+    for n in (1, 2, 3):
+        w = snake_polytope_word(n)
+        seed, circuits = canonical_of(w), all_circuits(w)
+        perms = [tau.column_permutation for tau in all_twists(w)[1:]]
+        full = assert_search_matches_reference(seed, circuits, 100000, perms=perms)
+        assert not full.partial
+        total = sum(full.sizes)
+        assert assert_search_matches_reference(seed, circuits, total // 2, perms=perms).partial
+        assert assert_search_matches_reference(seed, circuits, 100000, 2, perms=perms).partial
+    for w in v_words(4):
+        seed, circuits = canonical_of(w), all_circuits(w)
+        full = assert_search_matches_reference(seed, circuits, 100000)
+        assert not full.partial
+        assert_search_matches_reference(seed, circuits, len(full.nodes) // 3 + 1)
+        assert_search_matches_reference(seed, circuits, 100000, 3)
+
+
+def test_search_tries_a_back_move_whose_side_image_is_not_listed():
+    # with one circuit left out, a twist can map a move's reverse side onto
+    # a side that is not listed; that move is then flipped and located like
+    # any other
+    unlisted = 0
+    for n in (1, 2):
+        w = snake_polytope_word(n)
+        seed, circuits = canonical_of(w), all_circuits(w)
+        perms = [tau.column_permutation for tau in all_twists(w)[1:]]
+        for k in range(len(circuits)):
+            search = assert_search_matches_reference(
+                seed, circuits[:k] + circuits[k + 1:], 100000, perms=perms)
+            cells, group = search.cells, search.group
+            listed = set(zip(cells.columns, cells.supports))
+            unlisted += sum((group.image(e, cells.columns[s ^ 1]),
+                             group.image(e, cells.supports[s ^ 1])) not in listed
+                            for b in range(len(search.nodes)) for a, s, e in search.arrived(b))
+    assert unlisted
+
+
+def test_search_flips_each_edge_from_one_end_where_it_can(monkeypatch):
+    flipped = []
+    monkeypatch.setattr(flips, '_flip', lambda *args: flipped.append(1) or _flip(*args))
+    w = snake_polytope_word(3)
+    perms = [tau.column_permutation for tau in all_twists(w)[1:]]
+    assert len(_search(canonical_of(w), all_circuits(w), 100000, perms=perms).nodes) == 429
+    assert len(flipped) == 1567
+    flipped.clear()
+    w = snake_polytope_word(2)
+    assert len(explore_flip_graph(canonical_of(w), all_circuits(w)).nodes) == 336
+    assert len(flipped) == 903
 
 
 def test_search_rejects_a_circuit_whose_coefficients_are_not_unit():

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from time import monotonic
 
 import pytest
 from test_exact import fraction_kernel, fraction_lp_maximize
@@ -965,6 +966,22 @@ def test_conjecture_suite_dispatch():
         conjecture_suite('6.4')
     with pytest.raises(RegularityError):
         conjecture_suite('7.1', n=1)
+
+
+def test_experiments_stop_their_flip_search_at_a_passed_deadline():
+    # the deadline is checked before each level, so only the seed is stored
+    past = monotonic() - 1
+    w = snake_polytope_word(2)
+    r = conjecture_suite('6.4', n=2, deadline=past)
+    assert (r.partial, r.matches, r.twist_orbits, r.nodes) == (True, False, 1, 8)
+    assert (r.exhaustive.total, r.exhaustive.flip_reachable) == (336, 8)
+    r = conjecture_suite('6.1', word=w, deadline=past)
+    assert (r.partial, r.k_regular, r.nodes) == (True, False, 1)
+    r = conjecture_suite('6.2', word=w, deadline=past)
+    assert (r.partial, r.found, r.searched) == (True, False, 1)
+    r = conjecture_suite('6.3', n=3, deadline=past)
+    assert (r.partial, r.matches, r.nodes) == (True, False, 1)
+    assert conjecture_suite('6.4', n=2, deadline=monotonic() + 600) == conjecture_suite('6.4', n=2)
 
 
 def test_regular_count_is_deterministic():

@@ -218,9 +218,6 @@ def parse(argv) -> RunConfig:
         raise UsageError(str(exc))
     mask_value = pick('twist')
     mask = _parse_mask(mask_value) if isinstance(mask_value, str) else mask_value
-    fmt = pick('format', 'text')
-    if fmt not in _FORMATS[ns.command]:
-        raise UsageError('format %r is not valid for %s' % (fmt, ns.command))
     config = RunConfig(
         command=ns.command,
         word=word,
@@ -234,7 +231,7 @@ def parse(argv) -> RunConfig:
         budget_steps=pick('budget_steps', 2_000_000),
         exhaustive=pick('exhaustive'),
         max_len=pick('max_len', 5),
-        format=fmt,
+        format=pick('format', 'text'),
         output=pick('output'),
         threads=threads,
     )
@@ -513,15 +510,12 @@ def _flatten(prefix: str, value, out):
 def _cmd_conjectures(config: RunConfig) -> int:
     if config.conjecture is None:
         raise UsageError('conjectures requires --id')
-    try:
-        report = conjecture_suite(config.conjecture, word=config.word, n=config.n,
-                                  budget_nodes=config.budget_nodes,
-                                  workers=config.threads,
-                                  exhaustive=config.exhaustive,
-                                  budget_steps=config.budget_steps,
-                                  deadline=_deadline(config))
-    except RegularityError as exc:
-        raise UsageError(str(exc))
+    report = conjecture_suite(config.conjecture, word=config.word, n=config.n,
+                              budget_nodes=config.budget_nodes,
+                              workers=config.threads,
+                              exhaustive=config.exhaustive,
+                              budget_steps=config.budget_steps,
+                              deadline=_deadline(config))
     payload = asdict(report)
     payload['id'] = config.conjecture
     if 'word' in payload:

@@ -399,8 +399,8 @@ class _Search(NamedTuple):
     arrived(b) unpacks; a move from b into the orbit of a < b is the image
     of one of a's moves, so it is not kept.  scans[a] is (matched walls,
     wall sides) of cells.scan(nodes[a]) once a is expanded, None before.
-    columns_of maps each simplex mask of the nodes to its sorted column
-    tuple.
+    It holds search state only: consumers decode the masks (_decode) and
+    derive edges from parents and arrived themselves.
     """
 
     n: int
@@ -410,7 +410,6 @@ class _Search(NamedTuple):
     parents: List[Tuple[int, Optional[Circuit]]]
     sizes: List[int]
     group: _Group
-    columns_of: Dict[int, Tuple[int, ...]]
     partial: bool
     cells: _Cells
     scans: List[Optional[Tuple[int, Tuple[int, ...]]]]
@@ -438,8 +437,7 @@ class _Search(NamedTuple):
 
 
 def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int] = None,
-            deadline: Optional[float] = None, edges: Optional[set] = None,
-            perms=()) -> _Search:
+            deadline: Optional[float] = None, perms=()) -> _Search:
     """Breadth-first closure of the seed under circuit flips, on simplex masks.
 
     perms are column permutations that, with the identity, form a group G
@@ -458,9 +456,9 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     moves and its walls; a move to a later stored orbit is kept as an
     arrival.  Nodes are discovered level by level, so every node left
     unexpanded comes after every expanded one, and an edge between an
-    expanded node and another is a move from the earlier of the two.  When
-    edges is a set, every flip edge (a, b, circuit) with a < b is added to
-    it from the parents and arrivals; that needs the trivial group.
+    expanded node and another is a move from the earlier of the two: with
+    the trivial group, the edges are the parents and the arrivals
+    (explore_flip_graph).
 
     Every flip is an edge, met from both of its ends, so expanding b skips
     the moves known to lead back into the orbit of an earlier node: the reverse
@@ -482,18 +480,13 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     cells = _Cells(cfg, circuits)
     sides = cells.sides
     group = _Group(n, perms)
-    if edges is not None and group.order != 1:
-        raise FlipError('flip edges need the trivial group')
-    # mask -> sorted column tuple of every simplex of the nodes; the decoded
-    # nodes share these tuples
-    columns_of = {mask: _decode(n, mask) for mask in root}
-    if any(simplex_volume(cfg, columns) != 1 for columns in columns_of.values()):
+    if any(simplex_volume(cfg, _decode(n, mask)) != 1 for mask in root):
         raise FlipError('seed triangulation is not unimodular')
     index: Dict = {}
     key, _, _ = group.locate(index, [], root)
     group.store(index, key, 0)
     search = _Search(n, [root], index, [0], [(-1, None)], [group.orbit_size(root)], group,
-                     columns_of, False, cells, [None], [[]])
+                     False, cells, [None], [[]])
     nodes, depths, parents, sizes = search.nodes, search.depths, search.parents, search.sizes
     scans, arrivals = search.scans, search.arrivals
     # keys[b] is nodes[b]'s key in index, which shift carries to its flips;
@@ -548,9 +541,6 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
                         continue
                     if not cells.is_unit(s >> 1):
                         raise FlipError('flip produced a non-unimodular triangulation')
-                    for mask in created:
-                        if mask not in columns_of:
-                            columns_of[mask] = _decode(n, mask)
                     b = len(nodes)
                     group.store(index, key, b)
                     nodes.append(image)
@@ -569,14 +559,7 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
         if truncated:
             partial = True
             break
-    search = search._replace(partial=partial)
-    if edges is not None:
-        for b in range(1, len(nodes)):
-            a, z = parents[b]
-            edges.add((a, b, z))
-            for a, s, _ in search.arrived(b):
-                edges.add((a, b, sides[s].circuit))
-    return search
+    return search._replace(partial=partial)
 
 
 def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
@@ -590,12 +573,23 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     of the columns, which is checked once per circuit (_search).  Validation
     is skipped on the search path; full validation is apply_flip's and is
     exercised by the tests.
+
+    The edges are read off the search after it ends: each node's first
+    move and its arrivals, every edge from its earlier end.  Each distinct
+    simplex mask is decoded once, so the nodes share one column tuple per
+    simplex.
     """
-    edges: set = set()
-    search = _search(seed, circuits, budget, max_depth, deadline, edges)
+    search = _search(seed, circuits, budget, max_depth, deadline)
+    sides = search.cells.sides
+    edges = set()
+    for b in range(1, len(search.nodes)):
+        a, z = search.parents[b]
+        edges.add((a, b, z))
+        for a, s, _ in search.arrived(b):
+            edges.add((a, b, sides[s].circuit))
     ordered = sorted(edges, key=lambda e: (e[0], e[1], e[2].plus, e[2].minus))
-    columns_of = search.columns_of
-    triangulations = tuple(Triangulation(seed.config, tuple(columns_of[mask] for mask in node))
+    columns_of = {mask: _decode(search.n, mask) for mask in set().union(*search.nodes)}
+    triangulations = tuple(Triangulation(seed.config, tuple(map(columns_of.__getitem__, node)))
                            for node in search.nodes)
     return FlipGraph(triangulations, tuple(ordered), tuple(search.depths), search.partial)
 

@@ -12,8 +12,8 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .circuits import all_circuits, word_context
 from .exact import lp_maximize
-from .flips import (_Cells, _encode, _node, _search, _Search, canonical_of, dual_graph,
-                    explore_flip_graph, graphs_isomorphic, triangulation_hash)
+from .flips import (_Cells, _decode, _encode, _node, _search, _Search, canonical_of,
+                    dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash)
 from .polytope import PointConfiguration, Triangulation, simplex_normals, walls
 from .posets import build_snake_poset
 from .twists import Twist, all_twists
@@ -663,16 +663,18 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
     stores one node per orbit (flips._search).  That counts the regular
     triangulations: the seed is regular, affine maps keep triangulations
     regular, and the regular ones are connected by flips, the edges of the
-    secondary polytope.  So perms are used only once the seed is found
-    regular, and a seed that is not raises RegularityError.
+    secondary polytope.  So with perms a seed that is not regular raises
+    RegularityError.  The seed is decided in the fold like every other node,
+    so that check runs after the search, which the budget bounds; the snake
+    seeds are regular.
 
-    A node's wall rows come from the search's scan of it.  is_regular checks
-    the walls the seed's scan matches against a facet pass.  Every node has
-    the seed's simplex count and only unimodular simplices, so each facet of
-    the polytope holds as many boundary facets of the node as its own
+    A node's wall rows come from the search's scan of it.  One facet pass
+    over the seed counts its interior walls.  Every node has the seed's
+    simplex count and only unimodular simplices, so each facet of the
+    polytope holds as many boundary facets of the node as its own
     normalized volume, and the node has as many interior walls as the seed.
-    A node whose scan matches another number of walls raises
-    RegularityError.
+    A node whose scan matches another number of walls, the seed included,
+    raises RegularityError, as is_regular does.
 
     A node reached by a flip on Z from a parent with heights w first tries
     the integer steps of _carry along Z's +-1 vector.  Then, for each
@@ -680,31 +682,24 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
     element that maps a's flip onto the node, and carried the same way.  A
     candidate is accepted only when every wall row of the node is strictly
     positive on it.  Otherwise is_regular's exact decision, _decide, runs on
-    the same wall rows, so "not regular" comes only from the LP.
+    the same wall rows, pinned on the node's first simplex, so "not regular"
+    comes only from the LP.  The seed, which has no neighbour before it,
+    always goes to the LP.
     """
-    circuits = tuple(circuits)
-    cfg = seed.config
-    ncols = len(cfg.columns)
-    result = is_regular(seed, circuits)
-    if perms and not result:
-        raise RegularityError('an orbit search needs a regular seed')
+    ncols = len(seed.config.columns)
+    interior = len(_walls(seed))
     search = _search(seed, circuits, budget, deadline=deadline, perms=perms)
     cells = search.cells
     rows_of = _RowIndex(cells)
     fold = _Fold(search, [None] * len(search.nodes), set(), {})
-    interior = None
     for i, node in enumerate(search.nodes):
         matched, sides = search.scans[i] or cells.scan(node)[1:]
-        if i == 0:
-            # is_regular checked the seed's against its facet pass
-            interior = matched
-        elif matched != interior:
+        if matched != interior:
             raise RegularityError('triangulation %d matches %d walls to circuits, the seed %d'
                                   % (i, matched, interior))
+        rows = rows_of.rows(sides)
         parent, z = search.parents[i]
-        # the seed, node 0, was decided before the search
         if parent >= 0:
-            rows = rows_of.rows(sides)
             omega = fold.witnesses[parent]
             witness = _carry(omega, z.plus, z.minus, rows) if omega is not None else None
             if witness is None:
@@ -726,8 +721,10 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
                 fold.witnesses[i] = witness
                 fold.propagated.add(i)
                 continue
-            result = _decide(rows, search.columns_of[node[0]], ncols)
+        result = _decide(rows, _decode(search.n, node[0]), ncols)
         fold.witnesses[i] = _primitive(result.heights.heights) if result else None
+    if perms and fold.witnesses[0] is None:
+        raise RegularityError('an orbit search needs a regular seed')
     return fold
 
 

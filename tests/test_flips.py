@@ -99,7 +99,7 @@ def test_search_records_the_first_move_to_each_node():
     circuits = all_circuits(w)
     g = explore_flip_graph(canonical_of(w), circuits)
     search = _search(canonical_of(w), circuits, budget=100000)
-    assert [tuple(search.columns_of[mask] for mask in node) for node in search.nodes] == [
+    assert [tuple(_decode(search.n, mask) for mask in node) for node in search.nodes] == [
         t.simplices for t in g.nodes]
     assert (search.depths, search.partial) == (list(g.depths), g.partial)
     up = {b: [] for b in range(len(g.nodes))}
@@ -125,17 +125,6 @@ def test_search_rejects_perms_that_are_not_a_group():
     # a cycle together with all its powers is a group
     powers = [tuple((c + k) % n for c in range(n)) for k in range(1, n)]
     assert _search(seed, circuits, budget=1, perms=powers).group.order == n
-
-
-def test_search_records_edges_only_for_the_trivial_group():
-    w = snake_polytope_word(1)
-    circuits = all_circuits(w)
-    twists = [tau.column_permutation for tau in all_twists(w)[1:]]
-    with pytest.raises(FlipError, match='trivial group'):
-        _search(canonical_of(w), circuits, budget=100, edges=set(), perms=twists)
-    edges = set()
-    _search(canonical_of(w), circuits, budget=100, edges=edges, perms=())
-    assert len(edges) == 30
 
 
 def _two_triangles_at_the_origin():
@@ -235,16 +224,16 @@ def reference_search(seed, circuits, budget, max_depth=None, perms=()):
 
 
 def assert_search_matches_reference(seed, circuits, budget, max_depth=None, perms=()):
-    edges = set() if not perms else None
-    search = _search(seed, circuits, budget, max_depth, edges=edges, perms=perms)
+    search = _search(seed, circuits, budget, max_depth, perms=perms)
     *expected, moves = reference_search(seed, circuits, budget, max_depth, perms)
     got = (search.nodes, search.parents, search.depths, search.sizes,
            [list(search.arrived(b)) for b in range(len(search.nodes))],
            search.scans, search.partial)
     assert got == tuple(expected)
-    if edges is not None:
+    if not perms:
         # every move between two stored nodes, tried from both ends
-        assert edges == {(a, b, z) for a, b, z in moves if a != b}
+        edges = explore_flip_graph(seed, circuits, budget, max_depth=max_depth).edges
+        assert set(edges) == {(a, b, z) for a, b, z in moves if a != b}
     return search
 
 

@@ -14,7 +14,7 @@ from test_polytope import CUBE_ORDER, cube_configuration
 import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
 from snakeflip.exact import det_int, integer_normal
-from snakeflip.flips import (_search, apply_flip, canonical_of, explore_flip_graph,
+from snakeflip.flips import (_decode, _search, apply_flip, canonical_of, explore_flip_graph,
                             find_flips)
 from snakeflip.polytope import (PointConfiguration, Triangulation, canonical_triangulation,
                                 expected_normalized_volume, is_triangulation,
@@ -35,7 +35,7 @@ from snakeflip.regularity import (
     snake_polytope_word,
     verify_local_folding,
 )
-from snakeflip.regularity import _checked_rows, _regularity_fold, _twists_are_affine
+from snakeflip.regularity import _checked_rows, _primitive, _regularity_fold, _twists_are_affine
 from snakeflip.twists import Twist, all_twists, elementary_twist, twist_triangulation
 from snakeflip.volumes import catalan
 from snakeflip.words import WordError, parse_word, v_words
@@ -391,7 +391,7 @@ def test_is_regular_results_pinned_at_n3():
 
 
 def search_node(search, i):
-    return tuple(search.columns_of[mask] for mask in search.nodes[i])
+    return tuple(_decode(search.n, mask) for mask in search.nodes[i])
 
 
 def test_fold_verdicts_match_is_regular():
@@ -546,6 +546,33 @@ def test_fold_finds_the_non_regular_triangulations_of_delta3_times_delta3():
     for i in sorted(fold.propagated)[::2]:
         tri = Triangulation(cfg, search_node(fold.search, i))
         assert verify_local_folding(tri, HeightFunction(tuple(fold.witnesses[i]))).verdict
+
+
+def test_fold_decides_its_seed_as_is_regular_does():
+    # the seed goes through the same rows and LP as every node the carried
+    # heights miss, pinned on its first simplex as is_regular pins it
+    cases = []
+    for n in (1, 2, 3):
+        w = snake_polytope_word(n)
+        perms = [tau.column_permutation for tau in all_twists(w)[1:]]
+        cases.append((canonical_of(w), all_circuits(w), perms))
+    cases.append(delta3_times_delta3() + ((),))
+    for seed, circuits, perms in cases:
+        fold = _regularity_fold(seed, circuits, perms, budget=1)
+        assert fold.witnesses[0] == _primitive(is_regular(seed, circuits).heights.heights)
+
+
+def test_fold_raises_at_the_seed_without_a_circuit_its_walls_use():
+    w = snake_polytope_word(2)
+    circuits = all_circuits(w)
+    seed = canonical_of(w)
+    search = _search(seed, circuits, budget=1)
+    used = search.cells.sides[search.scans[0][1][0]].circuit
+    short = tuple(z for z in circuits if z != used)
+    with pytest.raises(RegularityError, match='interior walls match'):
+        is_regular(seed, short)
+    with pytest.raises(RegularityError, match='triangulation 0 matches'):
+        _regularity_fold(seed, short, (), budget=100000)
 
 
 def test_gordan_certificates_of_the_non_regular_delta3_times_delta3_nodes():

@@ -11,7 +11,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .circuits import Circuit, all_circuits, is_unit_dependence, word_context
 from .polytope import Triangulation, is_triangulation, simplex_volume, walls
-from .posets import digraphs_isomorphic, maximal_chains
+from .posets import digraph_isomorphism, maximal_chains
 from .words import SnakeWord
 
 
@@ -617,10 +617,10 @@ def dual_graph(tri: Triangulation) -> Graph:
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism decision: posets.digraphs_isomorphic, each edge as two arcs."""
-    return g1.vertex_count == g2.vertex_count and digraphs_isomorphic(
+    """Exact isomorphism decision: posets.digraph_isomorphism, each edge as two arcs."""
+    return g1.vertex_count == g2.vertex_count and digraph_isomorphism(
         g1.vertex_count, g1.edges | {(b, a) for a, b in g1.edges},
-        g2.edges | {(b, a) for a, b in g2.edges})
+        g2.edges | {(b, a) for a, b in g2.edges}) is not None
 
 
 def cayley_check(n: int) -> bool:

@@ -119,13 +119,16 @@ class Poset:
 
     def isomorphic(self, other):
         """Order-isomorphism test: isomorphism of the cover digraphs."""
-        return self.size == other.size and digraphs_isomorphic(
-            self.size, self.covers, other.covers)
+        return self.size == other.size and digraph_isomorphism(
+            self.size, self.covers, other.covers) is not None
 
 
-def digraphs_isomorphic(n, arcs_a, arcs_b):
-    """Whether two digraphs on vertices 0..n-1, given as (tail, head) arcs, are isomorphic.
+def digraph_isomorphism(n, arcs_a, arcs_b):
+    """A vertex map carrying one digraph onto the other, or None when they are not isomorphic.
 
+    Both digraphs are on vertices 0..n-1, given as (tail, head) arcs; the map
+    is a dict from the first's vertices to the second's, with (a, b) an arc
+    of the first exactly when (map[a], map[b]) is an arc of the second.
     Colour refinement runs on both digraphs at once, by (colour, sorted
     out-colours, sorted in-colours), until the partition is stable; an
     isomorphism maps each vertex to one of the same colour.  Backtracking
@@ -150,7 +153,7 @@ def digraphs_isomorphic(n, arcs_a, arcs_b):
             break
         colours = refined
     if sorted(colours[:n]) != sorted(colours[n:]):
-        return False
+        return None
     images = {}
     for v in range(n, 2 * n):
         images.setdefault(colours[v], []).append(v)
@@ -175,10 +178,10 @@ def digraphs_isomorphic(n, arcs_a, arcs_b):
             tries.pop()
             continue
         if k + 1 == n:
-            return True
+            return {a: b - n for a, b in mapping.items()}
         used.add(b)
         tries.append(iter(images[colours[order[k + 1]]]))
-    return n == 0
+    return {} if n == 0 else None
 
 
 def build_snake_poset(w):

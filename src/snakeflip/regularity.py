@@ -15,7 +15,7 @@ from .exact import lp_maximize
 from .flips import (_Cells, _decode, _encode, _node, _search, _Search, canonical_of,
                     dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash)
 from .polytope import PointConfiguration, Triangulation, simplex_normals, walls
-from .posets import build_snake_poset
+from .posets import build_snake_poset, digraph_isomorphism
 from .twists import Twist, all_twists
 from .volumes import catalan
 from .words import SnakeWord
@@ -338,12 +338,12 @@ def snake_polytope_word(n: int) -> SnakeWord:
     return w
 
 
-def _twists_are_affine(w: SnakeWord, taus) -> bool:
-    """Whether every twist permutes columns by an affine map of the ambient space.
+def _perms_are_affine(w: SnakeWord, perms) -> bool:
+    """Whether every column permutation is an affine map of the ambient space.
 
     With vol and normals from one adjugate of a base simplex, every column is
-    vol·x_c = sum_k (normals_k·x_c) base_k; a twist is affine when those
-    coordinates carry the base's images to vol times the image of x_c.
+    vol·x_c = sum_k (normals_k·x_c) base_k; a permutation is affine when
+    those coordinates carry the base's images to vol times the image of x_c.
     """
     cfg = word_context(w).config
     base = canonical_of(w).simplices[0]
@@ -352,8 +352,7 @@ def _twists_are_affine(w: SnakeWord, taus) -> bool:
         raise RegularityError('base simplex does not span the configuration')
     coords = [[sum(a * b for a, b in zip(nu, cfg.homogeneous(c))) for nu in normals]
               for c in range(len(cfg.columns))]
-    for tau in taus:
-        perm = tau.column_permutation
+    for perm in perms:
         images = [cfg.homogeneous(perm[c]) for c in base]
         for c, lams in enumerate(coords):
             target = cfg.homogeneous(perm[c])
@@ -361,6 +360,21 @@ def _twists_are_affine(w: SnakeWord, taus) -> bool:
                    for i in range(cfg.dim + 1)):
                 return False
     return True
+
+
+def _reversal(w: SnakeWord) -> Optional[Tuple[int, ...]]:
+    """The columns permuted by an order-reversing automorphism of the bounded lattice.
+
+    The map carries the cover digraph of ctx.phat onto its reverse, so it
+    maps each element x to some x' with x <= y exactly when y' <= x'; None
+    when no such map exists.
+    """
+    ctx = word_context(w)
+    phat = ctx.phat
+    flip = digraph_isomorphism(phat.size, phat.covers, [(hi, lo) for lo, hi in phat.covers])
+    if flip is None:
+        return None
+    return tuple(ctx.column_of[flip[e]] for e in ctx.element_of)
 
 
 def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: int = 2_000_000):
@@ -540,7 +554,12 @@ class ExhaustiveReport:
 
 @dataclass(frozen=True)
 class RegularCountReport:
-    """Count of regular triangulations against the conjectured formula."""
+    """Count of regular triangulations against the conjectured formula.
+
+    twist_orbits counts the twist orbits among the triangulations found,
+    whichever group the search stored orbits of; affine_twists says whether
+    the twists alone are affine.
+    """
 
     n: int
     word: str
@@ -728,31 +747,76 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
     return fold
 
 
+def _orbit_group(w: SnakeWord, twists) -> List[Tuple[int, ...]]:
+    """The twists Tw and their products Tw·α with the reversal α, when those
+    form a group of affine maps; the twists alone otherwise.
+
+    Tw is a group, so Tw ∪ Tw·α is closed under composition when α·t lies in
+    it for every twist t, and α·α does too.
+    """
+    alpha = _reversal(w)
+    if alpha is None or not _perms_are_affine(w, (alpha,)):
+        return list(twists)
+    group = set(twists) | {tuple(t[c] for c in alpha) for t in twists}
+    if any(tuple(alpha[c] for c in t) not in group for t in (*twists, alpha)):
+        return list(twists)
+    return sorted(group)
+
+
+def _twist_orbits(search: _Search, twists) -> int:
+    """The twist orbits among the search's triangulations, when its group G holds the twists Tw.
+
+    A stored node T stands for |G·T| / |Tw·T| twist orbits, where |Tw·T| is
+    |Tw| over the number of twists that fix T (group.onto at the twists'
+    positions); when G is Tw, that is one per stored node.  A node whose
+    orbit has |G| members is fixed by the identity alone, so by one twist.
+    """
+    group = search.group
+    twists = set(twists)
+    at = [e for e, perm in enumerate(group.perms) if perm in twists]
+    if len(at) == group.order:
+        return len(search.nodes)
+    total = 0
+    for node, size in zip(search.nodes, search.sizes):
+        fixed = 1
+        if size < group.order:
+            fixes = list(group.onto(node, set(node)))
+            fixed = sum(fixes[e] for e in at)
+        total += size * fixed // len(at)
+    return total
+
+
 def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: int = 1,
                                  exhaustive: Optional[bool] = None,
                                  budget_steps: int = 2_000_000,
                                  deadline: Optional[float] = None) -> RegularCountReport:
     """Count regular triangulations in the explored component of the snake polytope.
 
-    One fold over the flip search (_regularity_fold) runs over twist orbits
-    when the twists are affine: it stores and decides one triangulation per
-    orbit, and nodes and regular_nodes sum the orbit sizes (orbit-stabiliser),
-    so budget_nodes bounds triangulations, not orbits; workers is accepted
-    and ignored.  Integer heights carried across the flipped circuit from
-    the node's search parent, and then from every earlier stored neighbour
-    whose flip lands in its orbit, prove "regular" when every wall row is
-    strictly positive on them; otherwise is_regular's exact LP decides, so
-    only the LP ever says "not regular".  With exhaustive (by default when
-    n <= 2), enumerate_triangulations lists every triangulation within
-    budget_steps, and each is looked up in the search or decided by
-    is_regular.  A deadline (time.monotonic) stops the search between
-    levels and marks the report partial.
+    One fold over the flip search (_regularity_fold) runs over the orbits of
+    a group of affine symmetries when the twists are affine: the twists and,
+    when it is affine and closes a group with them, their products with the
+    order reversal of the bounded lattice (_orbit_group), which about halves
+    the orbits.  It stores and decides one triangulation per orbit, and
+    nodes and regular_nodes sum the orbit sizes (orbit-stabiliser), so
+    budget_nodes bounds triangulations, not orbits; the search counts whole
+    orbits only, so where a truncated count stops depends on the group.
+    twist_orbits counts the twist orbits all the same
+    (_twist_orbits), and affine_twists reports the twists alone; workers is
+    accepted and ignored.  Integer heights carried across the flipped
+    circuit from the node's search parent, and then from every earlier
+    stored neighbour whose flip lands in its orbit, prove "regular" when
+    every wall row is strictly positive on them; otherwise is_regular's
+    exact LP decides, so only the LP ever says "not regular".  With
+    exhaustive (by default when n <= 2), enumerate_triangulations lists
+    every triangulation within budget_steps, and each is looked up in the
+    search or decided by is_regular.  A deadline (time.monotonic) stops the
+    search between levels and marks the report partial.
     """
     w = snake_polytope_word(n)
     circuits = all_circuits(w)
-    taus = all_twists(w)
-    affine = _twists_are_affine(w, taus[1:])
-    perms = [tau.column_permutation for tau in taus[1:]] if affine else []
+    twists = [tau.column_permutation for tau in all_twists(w)]
+    affine = _perms_are_affine(w, twists[1:])
+    perms = _orbit_group(w, twists) if affine else []
     fold = _regularity_fold(canonical_of(w), circuits, perms, budget_nodes, deadline)
     search = fold.search
     nodes = sum(search.sizes)
@@ -778,7 +842,7 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
                 regular += 1 if is_regular(tri, circuits) else 0
         exhaustive_report = ExhaustiveReport(len(found), reachable, regular, complete)
     return RegularCountReport(n, str(w), nodes, regular_nodes, expected,
-                              matches, search.partial, len(search.nodes), affine,
+                              matches, search.partial, _twist_orbits(search, twists), affine,
                               exhaustive_report)
 
 

@@ -9,7 +9,7 @@ from snakeflip.posets import (
     PosetError,
     adjoin_bounds,
     build_snake_poset,
-    digraphs_isomorphic,
+    digraph_isomorphism,
     filter_lattice,
     ladder_decomposition,
     maximal_chains,
@@ -355,23 +355,35 @@ def _random_digraph(rng, n, regular):
     return arcs
 
 
+def isomorphic(n, arcs_a, arcs_b):
+    """digraph_isomorphism's verdict, with a returned map checked arc by arc both ways."""
+    found = digraph_isomorphism(n, arcs_a, arcs_b)
+    if found is not None:
+        assert sorted(found) == sorted(found.values()) == list(range(n))
+        a, b = set(arcs_a), set(arcs_b)
+        assert {(found[t], found[h]) for t, h in a} == b
+        assert {(t, h) for t in range(n) for h in range(n) if (found[t], found[h]) in b} == a
+    return found is not None
+
+
 def test_digraphs_isomorphic_matches_brute_force():
     rng = random.Random(20261018)
     outcomes = {'moved': set(), 'other': set()}
+    assert digraph_isomorphism(0, [], []) == {}
     for trial in range(400):
         n = rng.randint(1, 6)
         pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
         arcs = _random_digraph(rng, n, trial % 2)
         copy, moved = relabel_and_reroute(rng, n, arcs, pairs)
-        assert digraphs_isomorphic(n, arcs, copy)
+        assert isomorphic(n, arcs, copy)
         if pairs:
             toggled = copy ^ {rng.choice(pairs)}
-            assert not digraphs_isomorphic(n, arcs, toggled)
+            assert not isomorphic(n, arcs, toggled)
         other = _random_digraph(rng, n, trial % 2)
         for key, arcs_b in (('moved', moved), ('other', other)):
             if arcs_b is not None and len(arcs_b) == len(arcs):
                 expected = brute_isomorphic(n, arcs, arcs_b)
-                assert digraphs_isomorphic(n, arcs, arcs_b) == expected, (n, arcs, arcs_b)
+                assert isomorphic(n, arcs, arcs_b) == expected, (n, arcs, arcs_b)
                 outcomes[key].add(expected)
     assert outcomes == {'moved': {False, True}, 'other': {False, True}}
 
@@ -379,14 +391,14 @@ def test_digraphs_isomorphic_matches_brute_force():
 def test_digraphs_isomorphic_needs_arcs_in_both_directions():
     six_cycle = [(v, (v + 1) % 6) for v in range(6)]
     two_triangles = [(v, v // 3 * 3 + (v + 1) % 3) for v in range(6)]
-    assert not digraphs_isomorphic(6, six_cycle, two_triangles)
-    assert digraphs_isomorphic(6, six_cycle, [(h, t) for t, h in six_cycle])
-    assert not digraphs_isomorphic(2, [(0, 1)], [(0, 1), (1, 0)])
+    assert not isomorphic(6, six_cycle, two_triangles)
+    assert isomorphic(6, six_cycle, [(h, t) for t, h in six_cycle])
+    assert not isomorphic(2, [(0, 1)], [(0, 1), (1, 0)])
     # one colour class after refinement, and a bijection keeps every arc
     # towards an earlier mapped vertex; only the arcs the other way differ
     two_and_three = [(0, 3), (3, 0), (1, 2), (2, 4), (4, 1)]
     five_cycle = [(0, 1), (1, 3), (3, 2), (2, 4), (4, 0)]
-    assert not digraphs_isomorphic(5, two_and_three, five_cycle)
+    assert not isomorphic(5, two_and_three, five_cycle)
 
 
 def test_poset_isomorphic_matches_brute_force_on_random_dags():

@@ -35,7 +35,8 @@ from snakeflip.regularity import (
     snake_polytope_word,
     verify_local_folding,
 )
-from snakeflip.regularity import _checked_rows, _primitive, _regularity_fold, _twists_are_affine
+from snakeflip.regularity import (_checked_rows, _orbit_group, _perms_are_affine, _primitive,
+                                  _regularity_fold, _reversal)
 from snakeflip.twists import Twist, all_twists, elementary_twist, twist_triangulation
 from snakeflip.volumes import catalan
 from snakeflip.words import WordError, parse_word, v_words
@@ -620,7 +621,7 @@ def kernel_twist_is_affine(w, tau):
 
 
 def twist_is_affine(w, tau):
-    return _twists_are_affine(w, (tau,))
+    return _perms_are_affine(w, (tau.column_permutation,))
 
 
 def test_twist_is_affine_matches_the_per_column_kernels():
@@ -641,13 +642,13 @@ def test_twist_is_affine_matches_the_per_column_kernels():
 
 def test_twists_are_affine_takes_every_twist_of_the_word():
     w = parse_word('LRRL')
-    taus = all_twists(w)
-    assert _twists_are_affine(w, taus)
+    perms = [tau.column_permutation for tau in all_twists(w)]
+    assert _perms_are_affine(w, perms)
     columns = list(range(len(word_context(w).config.columns)))
     random.Random(3).shuffle(columns)
     shuffled = Twist(w, frozenset(), (), tuple(columns))
     assert not twist_is_affine(w, shuffled)
-    assert not _twists_are_affine(w, taus + (shuffled,))
+    assert not _perms_are_affine(w, perms + [shuffled.column_permutation])
 
 
 def kernel_enumerate_triangulations(cfg, budget_steps=2_000_000):
@@ -1015,3 +1016,49 @@ def test_regular_count_is_deterministic():
     first = count_regular_triangulations(1)
     second = count_regular_triangulations(1)
     assert first == second
+
+
+def test_reversal_is_an_affine_anti_automorphism_that_closes_the_twists():
+    for n in range(1, 5):
+        w = snake_polytope_word(n)
+        ctx = word_context(w)
+        alpha = _reversal(w)
+        flip = {e: ctx.element_of[alpha[ctx.column_of[e]]] for e in range(ctx.phat.size)}
+        assert {(flip[hi], flip[lo]) for lo, hi in ctx.phat.covers} == set(ctx.phat.covers)
+        assert _perms_are_affine(w, (alpha,))
+        seed = canonical_of(w).simplices
+        assert tuple(sorted(tuple(sorted(alpha[c] for c in s)) for s in seed)) == seed
+        twists = [tau.column_permutation for tau in all_twists(w)]
+        group = set(_orbit_group(w, twists))
+        assert len(group) == 2 * len(twists) and set(twists) < group
+        assert all(tuple(p[c] for c in q) in group for p in group for q in group)
+
+
+def test_regular_count_stores_the_orbits_of_the_twists_and_the_reversal(monkeypatch):
+    stored = []
+
+    def fold(*args, **kwargs):
+        result = _regularity_fold(*args, **kwargs)
+        stored.append(len(result.search.nodes))
+        return result
+
+    monkeypatch.setattr(regularity, '_regularity_fold', fold)
+    reports = [count_regular_triangulations(n) for n in (1, 2, 3)]
+    assert stored == [4, 25, 229]
+    assert [(r.nodes, r.regular_nodes, r.twist_orbits) for r in reports] == [
+        (20, 20, 5), (336, 336, 42), (6864, 6864, 429)]
+    monkeypatch.setattr(regularity, '_reversal', lambda w: None)
+    assert [count_regular_triangulations(n) for n in (1, 2, 3)] == reports
+    assert stored[3:] == [5, 42, 429]
+
+
+def test_truncated_regular_count_stays_within_its_node_budget():
+    # whole orbits of the twists and the reversal: at n=2 a budget of 120
+    # stops at 112 triangulations, where whole twist orbits reach 120
+    reports = {(n, budget): count_regular_triangulations(n, budget_nodes=budget, exhaustive=False)
+               for n, budget in ((2, 120), (2, 290), (3, 1000), (3, 5000))}
+    for (n, budget), r in reports.items():
+        assert r.partial and not r.matches
+        assert r.regular_nodes == r.nodes <= budget
+        assert r.twist_orbits * len(all_twists(snake_polytope_word(n))) >= r.nodes
+    assert reports[2, 120].nodes == 112

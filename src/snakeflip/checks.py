@@ -7,16 +7,14 @@ that a test or a tracer that rebinds a module attribute sees every call.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from . import circuits, flips, polytope, regularity, twists, volumes, words
 from .words import SnakeWord
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check over its scope: the cases it ran and the ones that failed."""
 
     name: str

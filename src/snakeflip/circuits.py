@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Tuple
 
 from .exact import RANK_PRIME, BudgetError, integer_normal, modular_rank_is_exact
 from .polytope import PointConfiguration, order_polytope_vertices
@@ -18,8 +18,7 @@ class CircuitError(ValueError):
     """Raised for invalid circuit constructions."""
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """Oriented partition of a minimal affinely dependent column set."""
 
     plus: Tuple[int, ...]

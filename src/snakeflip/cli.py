@@ -5,9 +5,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from time import monotonic
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import checks
 from .circuits import CircuitError, all_circuits
@@ -36,8 +35,7 @@ class UsageError(ValueError):
     """Raised for bad flags, config-file keys, or argument values."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved invocation: command, inputs, budgets, output, threads."""
 
     command: str
@@ -516,7 +514,10 @@ def _cmd_conjectures(config: RunConfig) -> int:
                               exhaustive=config.exhaustive,
                               budget_steps=config.budget_steps,
                               deadline=_deadline(config))
-    payload = asdict(report)
+    payload = report._asdict()
+    exhaustive = payload.get('exhaustive')
+    if exhaustive is not None:
+        payload['exhaustive'] = exhaustive._asdict()
     payload['id'] = config.conjecture
     if 'word' in payload:
         payload['word'] = str(payload['word'])
@@ -526,7 +527,7 @@ def _cmd_conjectures(config: RunConfig) -> int:
         lines = []
         _flatten('', payload, lines)
         _emit(config, '\n'.join(sorted(lines)))
-    truncated = getattr(report, 'exhaustive', None) and not report.exhaustive.complete
+    truncated = exhaustive is not None and not exhaustive.complete
     return EXIT_BUDGET if getattr(report, 'partial', False) or truncated else EXIT_OK
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 from operator import itemgetter
@@ -19,8 +18,7 @@ class FlipError(ValueError):
     """Raised when a flip application breaks a triangulation invariant."""
 
 
-@dataclass(frozen=True)
-class FlipMove:
+class FlipMove(NamedTuple):
     """A circuit, the side whose cells the triangulation contains, and their link."""
 
     circuit: Circuit
@@ -28,8 +26,7 @@ class FlipMove:
     link: Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class FlipGraph:
+class FlipGraph(NamedTuple):
     """Breadth-first closure of a triangulation under circuit flips."""
 
     nodes: Tuple[Triangulation, ...]
@@ -298,11 +295,30 @@ class _Group:
             if sorted(perm) != list(identity):
                 raise FlipError('%r is not a permutation of the %d columns' % (perm, n))
             elements.add(perm)
-        for p in elements:
-            for q in elements:
-                if tuple(p[c] for c in q) not in elements:
-                    raise FlipError('the permutations and the identity are not closed '
-                                    'under composition')
+        # elements is closed exactly when it is the group of the generators
+        # picked greedily from it: grow that group, composing each member once
+        # with each generator, and refuse a product outside elements
+        grown = [identity]
+        members = {identity}
+        gens: List[Tuple[int, ...]] = []
+        for perm in sorted(elements):
+            if perm in members:
+                continue
+            gens.append(perm)
+            old = len(grown)
+            k = 0
+            while k < len(grown):
+                p = grown[k]
+                for q in (gens if k >= old else (perm,)):
+                    pq = tuple(map(p.__getitem__, q))
+                    if pq in members:
+                        continue
+                    if pq not in elements:
+                        raise FlipError('the permutations and the identity are not closed '
+                                        'under composition')
+                    members.add(pq)
+                    grown.append(pq)
+                k += 1
         self.n = n
         self.order = len(elements)
         self.perms = [identity] + sorted(elements - {identity})
@@ -594,8 +610,7 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     return FlipGraph(triangulations, tuple(ordered), tuple(search.depths), search.partial)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph on vertices 0..vertex_count-1."""
 
     vertex_count: int

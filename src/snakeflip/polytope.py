@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .exact import adjugate, det_int
 from .posets import Poset, filter_lattice, maximal_chains
@@ -51,8 +51,7 @@ class PointConfiguration:
         return tuple(masks)
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(NamedTuple):
     """A set of full-dimensional simplices in canonical sorted form."""
 
     config: PointConfiguration

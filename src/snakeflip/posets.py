@@ -1,7 +1,7 @@
 """Finite posets, snake posets, filter lattices, meet-irreducibles, squares, ladders."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import WordError, is_in_V
 
@@ -216,8 +216,7 @@ def adjoin_bounds(p):
     return Poset(p.size + 2, covers, labels)
 
 
-@dataclass(frozen=True)
-class FilterLattice:
+class FilterLattice(NamedTuple):
     """All filters of a poset, as bit masks in ascending order."""
 
     poset: Poset
@@ -313,8 +312,7 @@ def maximal_chains(lat):
     yield from rec(full)
 
 
-@dataclass(frozen=True)
-class Square:
+class Square(NamedTuple):
     """One bounded 4-cycle of the lattice: bottom < left, right < top."""
 
     top: int
@@ -395,8 +393,7 @@ def strip_embedding(w):
     return pos
 
 
-@dataclass(frozen=True)
-class LadderDecomposition:
+class LadderDecomposition(NamedTuple):
     """Ladders of the lattice with ordered rungs per ladder."""
 
     ladders: tuple  # frozensets of lattice elements
@@ -461,8 +458,7 @@ def _opposite_edge(square, edge):
     raise PosetError('square %s has no edge opposite %s' % (square, edge))
 
 
-@dataclass(frozen=True)
-class RegularityLabeling:
+class RegularityLabeling(NamedTuple):
     """Relabeled meet-irreducible poset and the rung labeling of the lattice."""
 
     q: Poset  # element index k carries the name k+1

@@ -16,7 +16,7 @@ from .flips import (_Cells, _decode, _encode, _node, _search, _Search, canonical
                     dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash)
 from .polytope import PointConfiguration, Triangulation, simplex_normals, walls
 from .posets import build_snake_poset, digraph_isomorphism
-from .twists import Twist, all_twists
+from .twists import Twist, all_twists, elementary_twist
 from .volumes import catalan
 from .words import SnakeWord
 
@@ -25,8 +25,7 @@ class RegularityError(ValueError):
     """Raised for invalid regularity inputs or broken internal certificates."""
 
 
-@dataclass(frozen=True)
-class CanonicalOrder:
+class CanonicalOrder(NamedTuple):
     """Interleaved height order of the rung labels and its position table."""
 
     word: SnakeWord
@@ -120,8 +119,7 @@ def _walls(tri: Triangulation):
     return out
 
 
-@dataclass(frozen=True)
-class WallCheck:
+class WallCheck(NamedTuple):
     """Folding forms across one interior wall."""
 
     facet: Tuple[int, ...]
@@ -130,8 +128,7 @@ class WallCheck:
     forms: Tuple
 
 
-@dataclass(frozen=True)
-class FoldingReport:
+class FoldingReport(NamedTuple):
     """All wall checks for one height function."""
 
     walls: Tuple[WallCheck, ...]
@@ -225,8 +222,7 @@ def _checked_rows(tri: Triangulation, circuits) -> List[Dict[int, int]]:
     return _RowIndex(cells).rows(sides)
 
 
-@dataclass(frozen=True)
-class RegularityResult:
+class RegularityResult(NamedTuple):
     """Feasibility verdict with witness heights when regular, a Gordan certificate when not.
 
     certificate holds one nonnegative primitive integer multiplier per wall
@@ -504,8 +500,7 @@ def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: in
     return tuple(sorted(results)), complete
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     """Flip-graph degrees against the expected constant."""
 
     word: str
@@ -516,8 +511,7 @@ class DegreeReport:
     partial: bool
 
 
-@dataclass(frozen=True)
-class DualGraphReport:
+class DualGraphReport(NamedTuple):
     """Search for a regular triangulation with a new dual graph shape."""
 
     word: str
@@ -529,8 +523,7 @@ class DualGraphReport:
     partial: bool
 
 
-@dataclass(frozen=True)
-class CanonicalDualCountReport:
+class CanonicalDualCountReport(NamedTuple):
     """Count of triangulations sharing the canonical dual graph shape."""
 
     n: int
@@ -542,8 +535,7 @@ class CanonicalDualCountReport:
     partial: bool
 
 
-@dataclass(frozen=True)
-class ExhaustiveReport:
+class ExhaustiveReport(NamedTuple):
     """Cross-check of flip search against full enumeration."""
 
     total: int
@@ -552,8 +544,7 @@ class ExhaustiveReport:
     complete: bool
 
 
-@dataclass(frozen=True)
-class RegularCountReport:
+class RegularCountReport(NamedTuple):
     """Count of regular triangulations against the conjectured formula.
 
     twist_orbits counts the twist orbits among the triangulations found,
@@ -815,7 +806,10 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     w = snake_polytope_word(n)
     circuits = all_circuits(w)
     twists = [tau.column_permutation for tau in all_twists(w)]
-    affine = _perms_are_affine(w, twists[1:])
+    # every twist is a product of elementary twists, and affine maps compose
+    ladders = len(word_context(w).labeling.ladders.rungs)
+    affine = _perms_are_affine(w, [elementary_twist(w, i).column_permutation
+                                   for i in range(1, ladders + 1)])
     perms = _orbit_group(w, twists) if affine else []
     fold = _regularity_fold(canonical_of(w), circuits, perms, budget_nodes, deadline)
     search = fold.search

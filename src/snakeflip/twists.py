@@ -1,8 +1,7 @@
 """The twist group of a snake word acting on circuits and triangulations."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 from .circuits import Circuit, all_circuits, word_context
 from .flips import canonical_of, explore_flip_graph, triangulation_hash
@@ -14,8 +13,7 @@ class TwistError(ValueError):
     """Raised when twist inputs are inconsistent or a twist law fails."""
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(NamedTuple):
     """An involution of the bounded lattice built from ladder reflections."""
 
     word: SnakeWord
@@ -82,8 +80,7 @@ def twist_simplices(tau: Twist, simplices) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(tuple(sorted(cols[c] for c in s)) for s in simplices))
 
 
-@dataclass(frozen=True)
-class TwistImage:
+class TwistImage(NamedTuple):
     """Twisted simplex set together with its validation verdict."""
 
     triangulation: Triangulation
@@ -96,8 +93,7 @@ def twist_triangulation(tau: Twist, tri: Triangulation) -> TwistImage:
     return TwistImage(image, is_triangulation(tri.config, image.simplices))
 
 
-@dataclass(frozen=True)
-class CommutingSquareReport:
+class CommutingSquareReport(NamedTuple):
     """Outcome of checking flip-then-twist against twist-then-flip."""
 
     word: SnakeWord

@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .exact import BudgetError, det_int
 from .posets import Poset, build_snake_poset, strip_embedding
@@ -174,8 +173,7 @@ def maximal_chain_count(w: SnakeWord) -> int:
     return paths_up(bottom)
 
 
-@dataclass(frozen=True)
-class MinmaxReport:
+class MinmaxReport(NamedTuple):
     """Volume extremes over all words of a fixed length."""
     length: int
     min_volume: int

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 
 class WordError(ValueError):
@@ -89,8 +90,7 @@ def swap(w, i):
     return SnakeWord(w.letters[:i - 1] + tuple(flip[c] for c in w.letters[i - 1:]))
 
 
-@dataclass(frozen=True)
-class WordGraph:
+class WordGraph(NamedTuple):
     """Path 0-1-...-n plus a chord (i, i+2) at every turn of the word."""
 
     vertex_count: int

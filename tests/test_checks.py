@@ -1,5 +1,4 @@
 """The shared theorem checks report a broken primitive, and so does verify-all."""
-from dataclasses import replace
 
 import pytest
 
@@ -19,7 +18,7 @@ def drop_last(fn):
 def drop_last_edge(fn):
     def explore(*args, **kwargs):
         graph = fn(*args, **kwargs)
-        return replace(graph, edges=graph.edges[:-1])
+        return graph._replace(edges=graph.edges[:-1])
     return explore
 
 
@@ -37,7 +36,7 @@ BREAKS = {
                          'explore_flip_graph', drop_last_edge),
     'folding-certificates': (checks.folding_certificates, 2, regularity,
                              'verify_local_folding',
-                             lambda fn: lambda *args: replace(fn(*args), verdict=False)),
+                             lambda fn: lambda *args: fn(*args)._replace(verdict=False)),
 }
 
 

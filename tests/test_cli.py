@@ -197,6 +197,20 @@ def test_regular_count_json_is_pinned(capsys, n, digest):
     assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == digest
 
 
+@pytest.mark.parametrize('argv, digest', [
+    (['--id', '6.4', '--n', '2', '--format', 'text'], '6cb833c59a3151c98eb5cf8f7940ee45'),
+    (['--id', '6.2', '--word', 'LRRL', '--format', 'text'], 'bdf2b719fcd1e6b36867095215ff65c5'),
+    (['--id', '6.3', '--n', '4', '--format', 'text'], '722956d992b54d15bb5207e526b9792f'),
+    (['--id', '6.1', '--word', 'LRRL', '--format', 'json'], '5adbd0601e15df3b4ac922bf13a059c3'),
+])
+def test_conjecture_reports_are_pinned(capsys, argv, digest):
+    # each report type becomes a payload dict, its nested records included,
+    # before the JSON or the sorted key-value text is written
+    code, out, _ = run_cli(capsys, ['conjectures', *argv])
+    assert code == EXIT_OK
+    assert hashlib.blake2b(out.encode(), digest_size=16).hexdigest() == digest
+
+
 def test_conjecture_budget_exhaustion(capsys):
     code, out, _ = run_cli(capsys,
                            ['conjectures', '--id', '6.1', '--word', 'LR',

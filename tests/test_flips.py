@@ -127,6 +127,19 @@ def test_search_rejects_perms_that_are_not_a_group():
     assert _search(seed, circuits, budget=1, perms=powers).group.order == n
 
 
+def test_search_rejects_commuting_involutions_without_their_product():
+    w = snake_polytope_word(2)
+    circuits = all_circuits(w)
+    seed = canonical_of(w)
+    rest = tuple(range(4, len(seed.config.columns)))
+    a = (1, 0, 2, 3) + rest
+    b = (0, 1, 3, 2) + rest
+    with pytest.raises(FlipError, match='not closed under composition'):
+        _search(seed, circuits, budget=100, perms=[a, b])
+    group = _search(seed, circuits, budget=1, perms=[b, a, (1, 0, 3, 2) + rest]).group
+    assert group.perms == [tuple(range(len(seed.config.columns))), b, a, (1, 0, 3, 2) + rest]
+
+
 def _two_triangles_at_the_origin():
     # (-1, -1), (1, 0) and (0, 1) span a triangle of normalized volume 3
     cfg = PointConfiguration(2, ((0, 0), (1, 0), (0, 1), (-1, -1)), ((0,), (1,), (2,), (3,)))

@@ -651,6 +651,22 @@ def test_twists_are_affine_takes_every_twist_of_the_word():
     assert not _perms_are_affine(w, perms + [shuffled.column_permutation])
 
 
+def test_elementary_twists_decide_the_affinity_of_every_twist():
+    # every twist is a product of elementary twists and affine maps compose,
+    # so count_regular_triangulations tests the elementary twists alone
+    for n in range(1, 5):
+        w = snake_polytope_word(n)
+        ctx = word_context(w)
+        ladders = len(ctx.labeling.ladders.rungs)
+        gens = [elementary_twist(w, i).column_permutation for i in range(1, ladders + 1)]
+        perms = [tau.column_permutation for tau in all_twists(w)]
+        assert set(gens) < set(perms) and len(perms) == 2 ** ladders
+        assert _perms_are_affine(w, gens) is _perms_are_affine(w, perms[1:]) is True
+        swap = list(range(len(ctx.config.columns)))
+        swap[0], swap[1] = swap[1], swap[0]
+        assert not _perms_are_affine(w, gens + [tuple(swap)])
+
+
 def kernel_enumerate_triangulations(cfg, budget_steps=2_000_000):
     """The enumeration with one integer_normal kernel per wall, kept as a reference."""
     def sign(x):

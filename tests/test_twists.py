@@ -1,5 +1,4 @@
 """Tests for the twist group and its action on circuits and triangulations."""
-from dataclasses import replace
 
 import pytest
 
@@ -172,7 +171,7 @@ def test_commuting_square_fails_on_a_truncated_component(monkeypatch):
     assert r.counterexamples[0][2] == 'flip component is partial'
     # the same nodes claimed complete still fail: some twist image lies outside
     monkeypatch.setattr(twists, 'explore_flip_graph',
-                        lambda seed, circuits: replace(truncated(seed, circuits), partial=False))
+                        lambda seed, circuits: truncated(seed, circuits)._replace(partial=False))
     r = commuting_square_check(parse_word('LR'))
     reasons = {reason for _, _, reason in r.counterexamples}
     assert 'flip component is partial' not in reasons

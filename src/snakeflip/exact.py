@@ -161,29 +161,32 @@ def integer_normal(rows):
     return [x // g for x in nu]
 
 
-def lp_maximize(A, b, c):
-    """Maximize c.x subject to A x = b, x >= 0, for integer A, b and c.
+def lp_feasible(A, b, n):
+    """A basic point x >= 0 with A x = b, as Fractions, or None when there is none.
 
-    Two-phase simplex with Bland's rule. Returns (status, value, x) where
-    status is 'optimal', 'infeasible', or 'unbounded'; value and x are set
-    only when optimal, as Fractions.
+    A and b are integer, and n is the column count, which A with no rows does
+    not give.  Phase 1 of the simplex with Bland's rule: one artificial per
+    row starts as the basis, and pivots lower the sum of the artificials
+    until no column has a positive reduced cost.  A x = b is feasible exactly
+    when the sum ends at 0, and x is the basic point where phase 1 ends.
 
     The simplex is fraction-free: it keeps an integer tableau T and one
-    common denominator D > 0, so the rational tableau is T / D.  D starts at
-    1 and is the absolute value of the previous pivot.  Pivoting on entry p
-    replaces every other row by (p * T[i][j] - T[i][c] * T[r][j]) // D,
-    an exact division by Sylvester's identity (Bareiss 1968), since every
-    entry is D times an entry of the rational tableau and so, up to sign, a
-    minor of [A | I | b].  The tableau is negated when p < 0 and D becomes
-    |p|.  A reduced cost is negative exactly when sum(lam_i * T[i][j]) <
-    c_j * D, and the ratio test compares T[i][-1] / T[i][j] by cross
-    multiplication, with the same Bland tie-break; so every pivot is the one
-    the rational simplex makes, and the result is the same.
+    common denominator D, so the rational tableau is T / D.  D starts at 1
+    and is then the previous pivot, positive since the ratio test pivots
+    only on positive entries.  Pivoting on entry p replaces every other row
+    by (p * T[i][j] - T[i][c] * T[r][j]) // D, an exact division by
+    Sylvester's identity (Bareiss 1968), since every entry is D times an
+    entry of the rational tableau and so, up to sign, a minor of [A | I | b].
+    With cost -1 on each artificial, column j has a positive reduced cost
+    exactly when the T[i][j] of the rows with an artificial in the basis sum
+    to more than 0, or to more than D for an artificial column; the ratio
+    test compares T[i][-1] / T[i][j] by cross multiplication, with Bland's
+    tie-break.  So every pivot is the one the rational simplex makes.  The
+    sum is bounded below by 0, so every entering column has a leaving row.
     """
     m = len(A)
-    n = len(c)
     if any(len(row) != n for row in A):
-        raise ValueError('constraint rows must match the objective length')
+        raise ValueError('constraint rows need n entries')
     if len(b) != m:
         raise ValueError('right-hand side needs one entry per constraint row')
     tableau = []
@@ -192,78 +195,44 @@ def lp_maximize(A, b, c):
         if row[-1] < 0:
             row = [-v if k < n or k == n + m else v for k, v in enumerate(row)]
         tableau.append(row)
-    objective = [_as_int(v) for v in c]
     basis = list(range(n, n + m))
-    in_basis = set(basis)
     denom = 1
-
-    def pivot(row, col):
-        nonlocal denom
-        prow = tableau[row]
-        p = prow[col]
+    while True:
+        artificial = [t for i, t in enumerate(tableau) if basis[i] >= n]
+        entering = next((j for j in range(n + m) if j not in basis
+                         and sum(t[j] for t in artificial) > (denom if j >= n else 0)), None)
+        if entering is None:
+            break
+        leaving = None
+        for i, t in enumerate(tableau):
+            a = t[entering]
+            if a > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                best = tableau[leaving]
+                lhs, rhs = t[-1] * best[entering], best[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
+        prow = tableau[leaving]
+        p = prow[entering]
         for r, other in enumerate(tableau):
-            if r == row:
+            if r == leaving:
                 continue
-            f = other[col]
+            f = other[entering]
             if f:
                 tableau[r] = [(p * a - f * q) // denom for a, q in zip(other, prow)]
             elif p != denom:
                 tableau[r] = [p * a // denom for a in other]
-        if p < 0:
-            tableau[:] = [[-v for v in t] for t in tableau]
-            p = -p
         denom = p
-        in_basis.discard(basis[row])
-        basis[row] = col
-        in_basis.add(col)
-
-    def run_phase(costs, allowed):
-        while True:
-            weighted = [(costs[basis[i]], t) for i, t in enumerate(tableau) if costs[basis[i]]]
-            entering = -1
-            for j in range(allowed):
-                if j not in in_basis and sum(w * t[j] for w, t in weighted) < costs[j] * denom:
-                    entering = j
-                    break
-            if entering < 0:
-                return True
-            leaving = -1
-            for i, t in enumerate(tableau):
-                a = t[entering]
-                if a > 0:
-                    if leaving < 0:
-                        leaving = i
-                        continue
-                    best = tableau[leaving]
-                    lhs, rhs = t[-1] * best[entering], best[-1] * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                        leaving = i
-            if leaving < 0:
-                return False
-            pivot(leaving, entering)
-
-    run_phase([0] * n + [-1] * m, n + m)
-    if any(tableau[i][-1] for i in range(m) if basis[i] >= n):
-        return 'infeasible', None, None
-    for i in range(m):  # drive leftover zero-level artificials out of the basis
-        if basis[i] >= n:
-            for j in range(n):
-                if tableau[i][j] != 0:
-                    pivot(i, j)
-                    break
-    live = [i for i in range(m) if basis[i] < n or any(tableau[i][j] for j in range(n))]
-    if len(live) < m:
-        tableau[:] = [tableau[i] for i in live]
-        basis[:] = [basis[i] for i in live]
-        in_basis.intersection_update(basis)
-    if not run_phase(objective + [0] * m, n):
-        return 'unbounded', None, None
+        basis[leaving] = entering
+    if any(t[-1] for i, t in enumerate(tableau) if basis[i] >= n):
+        return None
     x = [Fraction(0)] * n
     for i, t in enumerate(tableau):
         if basis[i] < n:
             x[basis[i]] = Fraction(t[-1], denom)
-    value = sum(ci * xi for ci, xi in zip(objective, x))
-    return 'optimal', value, x
+    return x
 
 
 def _as_int(v):

@@ -11,7 +11,7 @@ from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .circuits import all_circuits, word_context
-from .exact import lp_maximize
+from .exact import lp_feasible
 from .flips import (_Cells, _decode, _encode, _node, _search, _Search, canonical_of,
                     dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash)
 from .polytope import PointConfiguration, Triangulation, simplex_normals, walls
@@ -276,10 +276,10 @@ def _decide(rows: List[Dict[int, int]], pinned, ncols: int) -> RegularityResult:
     1, x >= 0 over the free heights and one surplus per row, with no
     objective.  Its solution is a vertex, where some row is tight: the least
     row value, slack, is exactly 1.  When it is infeasible, Gordan's
-    alternative gives y >= 0, y != 0 with sum y_i row_i = 0; the program
-    sum y_i row_i = 0 on every column, sum y_i = 1 is already in the form
-    lp_maximize takes, and its y, as primitive integers, is checked against
-    the rows before it is returned.  If neither program is feasible,
+    alternative gives y >= 0, y != 0 with sum y_i row_i = 0; the second
+    program is sum y_i row_i = 0 on every column and sum y_i = 1, and its y,
+    as primitive integers, is checked against the rows before it is
+    returned.  Both programs go to lp_feasible.  If neither is feasible,
     RegularityError is raised.
     """
     pinned = set(pinned)
@@ -295,8 +295,8 @@ def _decide(rows: List[Dict[int, int]], pinned, ncols: int) -> RegularityResult:
                 row[pos[c]] = x
         row[m + r] = -1
         A.append(row)
-    status, _, x = lp_maximize(A, [1] * nrows, [0] * (m + nrows))
-    if status == 'optimal':
+    x = lp_feasible(A, [1] * nrows, m + nrows)
+    if x is not None:
         heights = [Fraction(0)] * ncols
         for c in free:
             heights[c] = x[pos[c]]
@@ -304,8 +304,8 @@ def _decide(rows: List[Dict[int, int]], pinned, ncols: int) -> RegularityResult:
         slack = 1 + min(x[m:], default=Fraction(0))
         return RegularityResult(True, HeightFunction(tuple(heights)), slack, nrows)
     A = [[row.get(c, 0) for row in rows] for c in range(ncols)] + [[1] * nrows]
-    status, _, y = lp_maximize(A, [0] * ncols + [1], [0] * nrows)
-    if status != 'optimal':
+    y = lp_feasible(A, [0] * ncols + [1], nrows)
+    if y is None:
         raise RegularityError('neither heights nor a Gordan certificate exist')
     certificate = tuple(_primitive(y))
     if any(sum(k * row.get(c, 0) for k, row in zip(certificate, rows)) for c in range(ncols)):

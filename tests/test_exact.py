@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from snakeflip.exact import adjugate, det_int, integer_normal, lp_maximize
+from snakeflip.exact import adjugate, det_int, integer_normal, lp_feasible
 
 
 def test_det_small_values():
@@ -208,63 +208,65 @@ def test_adjugate_matches_the_fraction_inverse():
     assert 500 < singular < 4500
 
 
-def test_lp_optimal():
-    # max x + y with x + y + s = 1
-    status, value, x = lp_maximize([[1, 1, 1]], [1], [1, 1, 0])
-    assert status == 'optimal'
-    assert value == 1
+def test_lp_feasible_points():
+    # x + y + s = 1: phase 1 brings in the first column
+    x = lp_feasible([[1, 1, 1]], [1], 3)
+    assert x == [1, 0, 0]
     assert sum(x[:2]) == 1
-    # max 3x + 2y with x + s1 = 2, y + s2 = 3
-    status, value, x = lp_maximize(
-        [[1, 0, 1, 0], [0, 1, 0, 1]], [2, 3], [3, 2, 0, 0])
-    assert status == 'optimal'
-    assert value == 12
+    # x + s1 = 2, y + s2 = 3
+    x = lp_feasible([[1, 0, 1, 0], [0, 1, 0, 1]], [2, 3], 4)
     assert x[0] == 2 and x[1] == 3
 
 
-def test_lp_infeasible_and_unbounded():
-    status, _, _ = lp_maximize([[1, 1], [1, 1]], [1, 2], [1, 0])
-    assert status == 'infeasible'
-    status, _, _ = lp_maximize([[1, -1]], [0], [1, 0])
-    assert status == 'unbounded'
+def test_lp_infeasible():
+    assert lp_feasible([[1, 1], [1, 1]], [1, 2], 2) is None
+    assert lp_feasible([[1, 1]], [-1], 2) is None
+    assert lp_feasible([[1, -1]], [0], 2) == [0, 0]
 
 
 def test_lp_exact_fractions():
-    # max y with 3y + s = 1 gives exactly 1/3
-    status, value, x = lp_maximize([[3, 1]], [1], [1, 0])
-    assert status == 'optimal'
-    assert value == Fraction(1, 3)
+    # 3y + s = 1 gives exactly y = 1/3
+    x = lp_feasible([[3, 1]], [1], 2)
+    assert x == [Fraction(1, 3), 0]
+    assert all(isinstance(v, Fraction) for v in x)
 
 
 def test_lp_redundant_rows():
-    status, value, _ = lp_maximize([[1, 1], [1, 1]], [1, 1], [1, 0])
-    assert status == 'optimal'
-    assert value == 1
+    x = lp_feasible([[1, 1], [1, 1]], [1, 1], 2)
+    assert x == [1, 0]
 
 
 def test_lp_determinism():
-    problem = ([[1, 2, 1, 0], [3, 1, 0, 1]], [4, 5], [2, 3, 0, 0])
-    assert lp_maximize(*problem) == lp_maximize(*problem)
+    problem = ([[1, 2, 1, 0], [3, 1, 0, 1]], [4, 5], 4)
+    assert lp_feasible(*problem) == lp_feasible(*problem)
 
 
 def test_lp_all_rows_dead():
-    assert lp_maximize([[0, 0]], [0], [1, 0]) == ('unbounded', None, None)
-    assert lp_maximize([[0]], [0], [0]) == ('optimal', 0, [0])
-    assert lp_maximize([], [], [0, 0]) == ('optimal', 0, [0, 0])
+    assert lp_feasible([[0, 0]], [0], 2) == [0, 0]
+    assert lp_feasible([[0, 0]], [1], 2) is None
+    assert lp_feasible([[0]], [0], 1) == [0]
+    assert lp_feasible([], [], 3) == [0, 0, 0]
 
 
 def test_lp_rejects_fractional_data():
     with pytest.raises(ValueError):
-        lp_maximize([[Fraction(1, 2), 1]], [1], [1, 0])
+        lp_feasible([[Fraction(1, 2), 1]], [1], 2)
     with pytest.raises(ValueError):
-        lp_maximize([[1, 1]], [1], [0.5, 0])
+        lp_feasible([[1, 1]], [0.5], 2)
+
+
+def test_lp_rejects_a_row_of_another_width():
+    with pytest.raises(ValueError):
+        lp_feasible([[1, 1]], [1], 3)
+    with pytest.raises(ValueError):
+        lp_feasible([[1, 1], [1, 0, 1]], [1, 1], 2)
 
 
 def test_lp_rejects_a_right_hand_side_of_another_length():
     with pytest.raises(ValueError):
-        lp_maximize([[1, 1]], [1, 5], [1, 0])
+        lp_feasible([[1, 1]], [1, 5], 2)
     with pytest.raises(ValueError):
-        lp_maximize([[1, 1], [1, 0]], [1], [1, 0])
+        lp_feasible([[1, 1], [1, 0]], [1], 2)
 
 
 def fraction_lp_maximize(A, b, c):
@@ -364,12 +366,17 @@ def _random_lp(rng):
 
 
 def test_lp_matches_the_fraction_simplex():
+    # _random_lp also draws an objective, which a feasibility program ignores
     rng = random.Random(20260418)
     seen = set()
     for _ in range(3000):
         A, b, c = _random_lp(rng)
-        got = lp_maximize(A, b, c)
-        assert got == fraction_lp_maximize(A, b, c), (A, b, c)
-        assert all(isinstance(v, Fraction) for v in got[2] or ())
-        seen.add(got[0])
-    assert seen == {'optimal', 'infeasible', 'unbounded'}
+        n = len(c)
+        got = lp_feasible(A, b, n)
+        status, _, want = fraction_lp_maximize(A, b, [0] * n)
+        assert got == want and (got is None) == (status == 'infeasible'), (A, b)
+        if got is not None:
+            assert all(isinstance(v, Fraction) for v in got)
+            assert all(sum(a * v for a, v in zip(row, got)) == bi for row, bi in zip(A, b))
+        seen.add(got is None)
+    assert seen == {True, False}

@@ -3,10 +3,11 @@ import itertools
 import random
 
 import pytest
+from test_exact import fraction_lp_maximize
 from test_posets import linear_extensions
 
 from snakeflip.circuits import all_circuits, word_context
-from snakeflip.exact import adjugate, det_int, integer_normal, lp_maximize
+from snakeflip.exact import adjugate, det_int, integer_normal
 from snakeflip.flips import apply_flip, canonical_of, find_flips
 from snakeflip.polytope import (
     PointConfiguration,
@@ -48,7 +49,7 @@ def meet_in_common_faces(cfg, simplices):
                 for i in range(cfg.dim)]
         rows += [[1] * len(s1) + [0] * len(s2), [0] * len(s1) + [1] * len(s2)]
         objective = [0 if j in shared else 1 for j in s1 + s2]
-        status, value, _ = lp_maximize(rows, [0] * cfg.dim + [1, 1], objective)
+        status, value, _ = fraction_lp_maximize(rows, [0] * cfg.dim + [1, 1], objective)
         if not (status == 'infeasible' or status == 'optimal' and value == 0):
             return False
     return True

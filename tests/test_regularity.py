@@ -357,7 +357,12 @@ def test_is_regular_matches_the_fraction_simplex(monkeypatch):
         circuits = all_circuits(w)
         components.append((circuits, explore_flip_graph(canonical_of(w), circuits).nodes))
     integer = results(components)
-    monkeypatch.setattr(regularity, 'lp_maximize', fraction_lp_maximize)
+
+    def fraction_lp_feasible(A, b, n):
+        status, _, x = fraction_lp_maximize(A, b, [0] * n)
+        return x if status == 'optimal' else None
+
+    monkeypatch.setattr(regularity, 'lp_feasible', fraction_lp_feasible)
     assert results(components) == integer
 
 
@@ -598,9 +603,16 @@ def test_gordan_certificates_of_the_non_regular_delta3_times_delta3_nodes():
     assert is_regular(seed, circuits).certificate is None
 
 
+def test_is_regular_without_interior_walls():
+    # one simplex: no wall row, so the program has no rows to give its width
+    cfg = PointConfiguration(1, ((0,), (1,)), ((0,), (1,)))
+    r = is_regular(Triangulation.make(cfg, [(0, 1)]), (), verify=True)
+    assert r == (True, HeightFunction((Fraction(0), Fraction(0))), 1, 0, None)
+
+
 def test_is_regular_raises_without_heights_or_certificate(monkeypatch):
     w = parse_word('')
-    monkeypatch.setattr(regularity, 'lp_maximize', lambda A, b, c: ('infeasible', None, None))
+    monkeypatch.setattr(regularity, 'lp_feasible', lambda A, b, n: None)
     with pytest.raises(RegularityError, match='Gordan'):
         is_regular(canonical_of(w), all_circuits(w))
 

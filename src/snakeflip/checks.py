@@ -79,8 +79,9 @@ def flip_counts(max_len: int) -> CheckResult:
     ws = list(words.v_words(max_len))
     for w in ws:
         tri = flips.canonical_of(w)
-        moves = flips.find_flips(tri, circuits.all_circuits(w))
-        images = [flips.apply_flip(tri, move) for move in moves]
+        gamma = circuits.all_circuits(w)
+        moves = flips.find_flips(tri, gamma)
+        images = [flips.apply_flip(tri, move, gamma) for move in moves]
         if len(moves) != len(w) + 1 or not all(map(polytope.is_unimodular, images)):
             failures.append(_case(w))
     return CheckResult('flip-count', 'V words len <= %d' % max_len,

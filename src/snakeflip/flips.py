@@ -242,15 +242,19 @@ def find_flips(tri: Triangulation, circuits) -> List[FlipMove]:
             for s, link in moves]
 
 
-def apply_flip(tri: Triangulation, move: FlipMove, validate: bool = True) -> Triangulation:
-    """Replace the contained side of the circuit, joined with its link, by the other."""
+def apply_flip(tri: Triangulation, move: FlipMove, circuits=None) -> Triangulation:
+    """Replace the contained side of the circuit, joined with its link, by the other.
+
+    Given the configuration's circuit list, the result is validated with
+    is_triangulation, and FlipError is raised when it fails.
+    """
     n, node = _node(tri)
     plus, minus = _plan(n, (move.circuit,))
     side = plus if move.direction == 'plus' else minus
     link = {_encode(n, face) for face in move.link}
     image, _, _ = _flip(node, frozenset(node), side, link)
     result = Triangulation(tri.config, tuple(_decode(n, mask) for mask in image))
-    if validate and not is_triangulation(tri.config, result.simplices):
+    if circuits is not None and not is_triangulation(tri.config, result.simplices, circuits):
         raise FlipError('flip produced a non-triangulation')
     return result
 
@@ -586,9 +590,9 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     The search runs in one thread on simplex masks; workers is accepted and
     ignored.  The seed's simplices are checked unimodular; a later simplex is
     unimodular because the circuit whose flip created it is a +-1 dependence
-    of the columns, which is checked once per circuit (_search).  Validation
-    is skipped on the search path; full validation is apply_flip's and is
-    exercised by the tests.
+    of the columns, which is checked once per circuit (_search).  Nothing
+    on the search path calls is_triangulation; apply_flip validates when it
+    is given the circuits, and commuting_square_check validates every node.
 
     The edges are read off the search after it ends: each node's first
     move and its arrivals, every edge from its earlier end.  Each distinct

@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Dict, List, NamedTuple, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import adjugate, det_int
 from .posets import Poset, filter_lattice, maximal_chains
@@ -24,31 +24,6 @@ class PointConfiguration:
     def homogeneous(self, j: int) -> Tuple[int, ...]:
         """Column j with the all-ones row appended."""
         return self.columns[j] + (1,)
-
-    @cached_property
-    def facet_masks(self) -> Tuple[int, ...]:
-        """Per column, a bitmask of the facet inequalities of the configuration tight on it.
-
-        The inequalities are x_i >= 0, x_i <= 1, and x_i <= x_j wherever
-        every column with x_i = 1 has x_j = 1; an inequality tight on every
-        column is dropped.  The configuration must pass
-        expected_normalized_volume.  Computed on first use and kept with the
-        configuration.
-        """
-        expected_normalized_volume(self)
-        n = self.dim
-        cols = self.columns
-        tight = [[col[i] == 0 for col in cols] for i in range(n)]
-        tight += [[col[i] == 1 for col in cols] for i in range(n)]
-        tight += [[col[i] == col[j] for col in cols]
-                  for i in range(n) for j in range(n)
-                  if i != j and all(col[j] for col in cols if col[i])]
-        masks = [0] * len(cols)
-        for bit, row in enumerate(r for r in tight if not all(r)):
-            for c, on in enumerate(row):
-                if on:
-                    masks[c] |= 1 << bit
-        return tuple(masks)
 
 
 class Triangulation(NamedTuple):
@@ -150,67 +125,83 @@ def simplex_normals(cfg: PointConfiguration, simplex):
     return abs(det), adj
 
 
-def is_boundary_wall(cfg: PointConfiguration, wall) -> bool:
-    """Whether the columns of a wall lie on a common facet of the configuration.
+def _crossed_walls(ncols: int, simplices, circuits) -> Optional[List[int]]:
+    """Per sorted simplex, a column mask of the apexes whose opposite wall a column lies beyond.
 
-    The wall is a set of column indices.  On the 0/1 columns closed under
-    componentwise min and max that expected_normalized_volume accepts, the
-    convex hull is an order polytope, whose facets are x_i >= 0, x_i <= 1 and
-    x_i <= x_j for a cover i < j (Stanley 1986).  The wall of a full
-    simplex spans a hyperplane, and it lies on the boundary exactly when
-    that hyperplane is a facet's, so exactly when one of these inequalities
-    not tight on every column is tight on each of its columns: when the AND
-    of their PointConfiguration.facet_masks is nonzero.
+    A simplex S holds the cell Z - j of a circuit Z when j is the only
+    support column of Z outside S.  The barycentric coordinate of j on a
+    column a of Z - j is then -lambda_a / lambda_j, so j lies beyond the
+    wall opposite each a on j's side of Z.  Conversely, a column j beyond
+    the wall opposite a forms a circuit with the columns of S on which its
+    coordinates are nonzero, and a lies on j's side of it; so with every
+    circuit listed the masks are exact.  None when some circuit has Z+ in
+    one simplex and Z- in one: two such simplices do not meet properly (De
+    Loera, Rambau and Santos 2010, ch. 4), and one holding both is flat.
     """
-    masks = cfg.facet_masks
-    common = -1
-    for c in wall:
-        common &= masks[c]
-    return common != 0
+    holding = [0] * ncols
+    for pos, s in enumerate(simplices):
+        for c in s:
+            holding[c] |= 1 << pos
+
+    def held(cols):
+        got = -1
+        for c in cols:
+            got &= holding[c]
+        return got
+
+    crossed = [0] * len(simplices)
+    for z in circuits:
+        plus, minus = held(z.plus), held(z.minus)
+        if plus and minus:
+            return None
+        for side, other in ((z.plus, minus), (z.minus, plus)):
+            if not other:
+                continue
+            columns = sum(1 << c for c in side)
+            for j in side:
+                cell = other & held(c for c in side if c != j) & ~holding[j]
+                while cell:
+                    low = cell & -cell
+                    crossed[low.bit_length() - 1] |= columns ^ 1 << j
+                    cell ^= low
+    return crossed
 
 
-def is_triangulation(cfg: PointConfiguration, simplices) -> bool:
-    """Union property plus the wall certificate, from one signed determinant per simplex.
+def is_triangulation(cfg: PointConfiguration, simplices, circuits) -> bool:
+    """Whether the simplices triangulate the configuration, read off its circuits alone.
 
-    The determinant of each sorted simplex comes from the cache that
-    simplex_volume reads too.  The union property compares the summed
-    simplex volumes |det| with expected_normalized_volume, so the
-    configuration must be the 0/1 vertex set of an order polytope; any other
-    configuration raises PolytopeError.
-    An empty list covers nothing and is rejected.  A wall opposite position k
-    of a sorted simplex s has the apex on the side sgn(det s) * (-1)^k, since
-    moving the apex column to the front takes k transpositions.  An interior
-    wall is certified when its two cofaces put their apexes on opposite
-    sides, a boundary wall when is_boundary_wall finds a facet of the
-    polytope holding it; each wall of a full simplex spans a hyperplane, and
-    the facets of an order polytope are among the inequalities that
-    predicate tests.
+    circuits is the complete circuit list of cfg (as from all_circuits or
+    circuits_brute), and the verdict is only as complete as that list; no
+    determinant is taken.  The list must be non-empty, of distinct
+    simplices of dim + 1 distinct columns, and:
+
+    - no simplex holds a circuit's support, so each is full-dimensional;
+    - no circuit has Z+ in one simplex and Z- in another, so any two meet
+      properly (_crossed_walls);
+    - no facet has more than two cofaces, and no column lies beyond the
+      wall of a facet with one (_crossed_walls), so that wall lies on the
+      boundary.
+
+    Full simplices that meet properly and leave no interior wall unmatched
+    cover the convex hull, since a point where their union ends inside it
+    lies on such a wall (De Loera, Rambau and Santos 2010, ch. 4).
     """
+    ncols = len(cfg.columns)
     canon = [tuple(sorted(s)) for s in simplices]
-    if len(set(canon)) != len(canon):
+    if not canon or len(set(canon)) != len(canon) or any(
+            len(s) != cfg.dim + 1 or len(set(s)) != len(s) or s[0] < 0 or s[-1] >= ncols
+            for s in canon):
         return False
-    signs = []
-    total = 0
-    for s in canon:
-        if len(s) != cfg.dim + 1 or len(set(s)) != len(s):
-            return False
-        det = _simplex_volume_cached(cfg, s)
-        if det == 0:
-            return False
-        signs.append(1 if det > 0 else -1)
-        total += abs(det)
-    if total == 0 or total != expected_normalized_volume(cfg):
+    crossed = _crossed_walls(ncols, canon, circuits)
+    if crossed is None:
         return False
-    for wall, cofaces in walls(canon).items():
+    for cofaces in walls(canon).values():
         if len(cofaces) > 2:
             return False
-        if len(cofaces) == 2:
-            (p1, a1), (p2, a2) = cofaces
-            k1, k2 = canon[p1].index(a1), canon[p2].index(a2)
-            if signs[p1] * (-1) ** k1 == signs[p2] * (-1) ** k2:
+        if len(cofaces) == 1:
+            pos, apex = cofaces[0]
+            if crossed[pos] >> apex & 1:
                 return False
-        elif not is_boundary_wall(cfg, wall):
-            return False
     return True
 
 

@@ -675,8 +675,8 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
     regular, and the regular ones are connected by flips, the edges of the
     secondary polytope.  So with perms a seed that is not regular raises
     RegularityError.  The seed is decided in the fold like every other node,
-    so that check runs after the search, which the budget bounds; the snake
-    seeds are regular.
+    so that check runs after the search, which the budget bounds, but
+    before any other node is decided; the snake seeds are regular.
 
     A node's wall rows come from the search's scan of it.  One facet pass
     over the seed counts its interior walls.  Every node has the seed's
@@ -732,9 +732,9 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
                 fold.propagated.add(i)
                 continue
         result = _decide(rows, _decode(search.n, node[0]), ncols)
+        if perms and not i and not result:
+            raise RegularityError('an orbit search needs a regular seed')
         fold.witnesses[i] = _primitive(result.heights.heights) if result else None
-    if perms and fold.witnesses[0] is None:
-        raise RegularityError('an orbit search needs a regular seed')
     return fold
 
 

@@ -88,9 +88,9 @@ class TwistImage(NamedTuple):
 
 
 def twist_triangulation(tau: Twist, tri: Triangulation) -> TwistImage:
-    """Apply the twist to every simplex and validate the result."""
+    """Apply the twist to every simplex and validate the result on the word's circuits."""
     image = Triangulation.make(tri.config, twist_simplices(tau, tri.simplices))
-    return TwistImage(image, is_triangulation(tri.config, image.simplices))
+    return TwistImage(image, is_triangulation(tri.config, image.simplices, all_circuits(tau.word)))
 
 
 class CommutingSquareReport(NamedTuple):
@@ -125,7 +125,7 @@ def commuting_square_check(w: SnakeWord) -> CommutingSquareReport:
     if graph.partial:
         bad.append((triangulation_hash(nodes[0]), (), 'flip component is partial'))
     bad += [(triangulation_hash(t), (), 'node is not a triangulation')
-            for t in nodes if not is_triangulation(t.config, t.simplices)]
+            for t in nodes if not is_triangulation(t.config, t.simplices, circuits)]
     twists = all_twists(w)
     moves_checked = 0
     for tau in twists:

@@ -79,7 +79,7 @@ def test_find_flips_matches_the_set_based_reference():
         moves = find_flips(tri, zs)
         assert moves == reference_find_flips(tri, zs)
         for m in moves:
-            assert apply_flip(tri, m, validate=False) == reference_apply_flip(tri, m)
+            assert apply_flip(tri, m) == reference_apply_flip(tri, m)
 
 
 def test_snake_search_at_n2_is_pinned():
@@ -325,7 +325,7 @@ def test_flip_rejects_a_move_that_changes_the_simplex_count():
     seed = _two_triangles_at_the_origin()
     move = FlipMove(Circuit.make([1], [2]), 'minus', ((0, 3),))
     with pytest.raises(FlipError, match='simplex count'):
-        apply_flip(seed, move, validate=False)
+        apply_flip(seed, move)
 
 
 def test_single_move_of_the_diamond():
@@ -342,21 +342,32 @@ def test_flip_of_the_diamond_and_involution():
     w = parse_word('')
     t = canonical_of(w)
     zs = all_circuits(w)
-    t2 = apply_flip(t, find_flips(t, zs)[0])
+    t2 = apply_flip(t, find_flips(t, zs)[0], zs)
     assert t2.simplices == ((0, 1, 2, 3, 5), (0, 2, 3, 4, 5))
-    assert is_triangulation(t.config, t2.simplices)
+    assert is_triangulation(t.config, t2.simplices, zs)
     assert is_unimodular(t2)
-    back = apply_flip(t2, find_flips(t2, zs)[0])
+    back = apply_flip(t2, find_flips(t2, zs)[0], zs)
     assert back.simplices == t.simplices
+
+
+def test_apply_flip_validates_only_when_given_the_circuits(monkeypatch):
+    w = parse_word('')
+    t = canonical_of(w)
+    zs = all_circuits(w)
+    move = find_flips(t, zs)[0]
+    monkeypatch.setattr(flips, 'is_triangulation', lambda cfg, simplices, circuits: False)
+    assert apply_flip(t, move) == apply_flip(t, move, None)
+    with pytest.raises(FlipError, match='non-triangulation'):
+        apply_flip(t, move, zs)
 
 
 def test_flip_rejects_foreign_move():
     w = parse_word('')
     t = canonical_of(w)
     zs = all_circuits(w)
-    partner = apply_flip(t, find_flips(t, zs)[0])
+    partner = apply_flip(t, find_flips(t, zs)[0], zs)
     with pytest.raises(FlipError):
-        apply_flip(t, find_flips(partner, zs)[0])
+        apply_flip(t, find_flips(partner, zs)[0], zs)
 
 
 def test_canonical_admits_length_plus_one_moves():
@@ -368,9 +379,10 @@ def test_canonical_admits_length_plus_one_moves():
 def test_applied_flips_stay_unimodular_triangulations():
     w = parse_word('LL')
     t = canonical_of(w)
-    for m in find_flips(t, all_circuits(w)):
-        image = apply_flip(t, m)
-        assert is_triangulation(t.config, image.simplices)
+    zs = all_circuits(w)
+    for m in find_flips(t, zs):
+        image = apply_flip(t, m, zs)
+        assert is_triangulation(t.config, image.simplices, zs)
         assert is_unimodular(image)
 
 

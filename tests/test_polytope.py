@@ -6,17 +6,17 @@ import pytest
 from test_exact import fraction_lp_maximize
 from test_posets import linear_extensions
 
-from snakeflip.circuits import all_circuits, word_context
+from snakeflip.circuits import all_circuits, circuits_brute, word_context
 from snakeflip.exact import adjugate, det_int, integer_normal
 from snakeflip.flips import apply_flip, canonical_of, find_flips
 from snakeflip.polytope import (
     PointConfiguration,
     PolytopeError,
     Triangulation,
+    _crossed_walls,
     _simplex_volume_cached,
     canonical_triangulation,
     expected_normalized_volume,
-    is_boundary_wall,
     is_triangulation,
     is_unimodular,
     order_polytope_vertices,
@@ -152,17 +152,18 @@ def test_simplex_volume_unit_columns():
 def test_is_triangulation_canonical_and_deficit():
     for w in v_words(4):
         tri = canonical_triangulation(q_of(w))
-        assert is_triangulation(tri.config, tri.simplices)
-    tri = canonical_triangulation(q_of(parse_word('')))
-    assert not is_triangulation(tri.config, tri.simplices[:1])
+        assert is_triangulation(tri.config, tri.simplices, all_circuits(w))
+    w = parse_word('')
+    tri = canonical_triangulation(q_of(w))
+    assert not is_triangulation(tri.config, tri.simplices[:1], all_circuits(w))
 
 
 def test_is_triangulation_lp_cross_check():
     tri = canonical_triangulation(q_of(parse_word('')))
-    assert is_triangulation(tri.config, tri.simplices)
+    assert is_triangulation(tri.config, tri.simplices, all_circuits(parse_word('')))
     assert meet_in_common_faces(tri.config, tri.simplices)
     tri_l = canonical_triangulation(q_of(parse_word('L')))
-    assert is_triangulation(tri_l.config, tri_l.simplices)
+    assert is_triangulation(tri_l.config, tri_l.simplices, all_circuits(parse_word('L')))
     assert meet_in_common_faces(tri_l.config, tri_l.simplices)
 
 
@@ -172,8 +173,9 @@ def test_is_triangulation_rejects_overlap():
         columns=((0, 0), (1, 0), (0, 1), (1, 1)),
         column_labels=((), (1,), (2,), (1, 2)),
     )
-    assert is_triangulation(cfg, [(0, 1, 3), (0, 2, 3)])
-    assert not is_triangulation(cfg, [(0, 1, 2), (0, 1, 3)])
+    circuits = circuits_brute(cfg)
+    assert is_triangulation(cfg, [(0, 1, 3), (0, 2, 3)], circuits)
+    assert not is_triangulation(cfg, [(0, 1, 2), (0, 1, 3)], circuits)
     assert not meet_in_common_faces(cfg, [(0, 1, 2), (0, 1, 3)])
 
 
@@ -189,7 +191,7 @@ def test_is_triangulation_rejects_column_beyond_boundary_wall():
         nu = integer_normal([cfg.homogeneous(j) for j in wall])
         a, b = (sum(x * y for x, y in zip(nu, cfg.homogeneous(j))) for _, j in cofaces)
         assert a * b < 0
-    assert not is_triangulation(cfg, simplices)
+    assert not is_triangulation(cfg, simplices, all_circuits(parse_word('L')))
 
 
 def test_is_triangulation_matches_the_normal_reference_on_flips_and_twists():
@@ -197,10 +199,10 @@ def test_is_triangulation_matches_the_normal_reference_on_flips_and_twists():
     for w in v_words(5):
         tri = canonical_of(w)
         cfg = tri.config
-        images = [apply_flip(tri, m, validate=False) for m in find_flips(tri, all_circuits(w))]
+        images = [apply_flip(tri, m) for m in find_flips(tri, all_circuits(w))]
         images += [twist_triangulation(tau, tri).triangulation for tau in all_twists(w)]
         for image in [tri] + images:
-            assert is_triangulation(cfg, image.simplices), str(w)
+            assert is_triangulation(cfg, image.simplices, all_circuits(w)), str(w)
             assert normal_is_triangulation(cfg, image.simplices), str(w)
             cases += 1
     assert cases == 392
@@ -209,8 +211,8 @@ def test_is_triangulation_matches_the_normal_reference_on_flips_and_twists():
 def test_is_triangulation_matches_the_normal_reference_on_broken_inputs():
     verdicts = set()
 
-    def check(cfg, simplices):
-        verdict = is_triangulation(cfg, simplices)
+    def check(cfg, simplices, circuits):
+        verdict = is_triangulation(cfg, simplices, circuits)
         assert verdict == normal_is_triangulation(cfg, simplices), simplices
         verdicts.add(verdict)
         return verdict
@@ -219,66 +221,67 @@ def test_is_triangulation_matches_the_normal_reference_on_broken_inputs():
         tri = canonical_of(w)
         cfg = tri.config
         ncols = len(cfg.columns)
-        tris = [tri] + [apply_flip(tri, m) for m in find_flips(tri, all_circuits(w))]
+        gamma = all_circuits(w)
+        tris = [tri] + [apply_flip(tri, m, gamma) for m in find_flips(tri, gamma)]
         for t in tris:
             simplices = list(t.simplices)
             for k, s in enumerate(simplices):
                 # one simplex dropped
-                assert not check(cfg, simplices[:k] + simplices[k + 1:])
+                assert not check(cfg, simplices[:k] + simplices[k + 1:], gamma)
                 # one column replaced, in every position and by every other column
                 for drop in range(len(s)):
                     for c in range(ncols):
                         if c not in s:
                             broken = tuple(sorted(s[:drop] + s[drop + 1:] + (c,)))
-                            check(cfg, simplices[:k] + [broken] + simplices[k + 1:])
+                            check(cfg, simplices[:k] + [broken] + simplices[k + 1:], gamma)
         # an overlapping pair: one canonical simplex swapped for a flip
         # image's, the volume sum unchanged, so only the walls reject it
         simplices = list(tri.simplices)
         for extra in {s for t in tris for s in t.simplices} - set(simplices):
             for k in range(len(simplices)):
-                assert not check(cfg, simplices[:k] + [extra] + simplices[k + 1:])
+                assert not check(cfg, simplices[:k] + [extra] + simplices[k + 1:], gamma)
     square = PointConfiguration(dim=2, columns=((0, 0), (1, 0), (0, 1), (1, 1)),
                                 column_labels=((), (1,), (2,), (1, 2)))
-    assert check(square, [(0, 1, 3), (0, 2, 3)])
-    assert not check(square, [(0, 1, 2), (0, 1, 3)])
+    assert check(square, [(0, 1, 3), (0, 2, 3)], circuits_brute(square))
+    assert not check(square, [(0, 1, 2), (0, 1, 3)], circuits_brute(square))
     cfg = canonical_triangulation(q_of(parse_word('L'))).config
-    assert not check(cfg, [(0, 1, 2, 3, 5, 7), (0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7)])
+    assert not check(cfg, [(0, 1, 2, 3, 5, 7), (0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7)],
+                     all_circuits(parse_word('L')))
     assert verdicts == {True, False}
 
 
 def test_is_triangulation_alternating_between_configurations():
-    # each configuration keeps its own facet table, so calls that alternate
+    # is_triangulation keeps no state between calls, so calls that alternate
     # between two configurations give the verdicts each gives alone
     cases = []
     for word in ('L', 'LR'):
         tri = canonical_of(parse_word(word))
         cfg = tri.config
-        tris = [tri] + [apply_flip(tri, m, validate=False)
-                        for m in find_flips(tri, all_circuits(parse_word(word)))]
-        cases.append([(cfg, t.simplices) for t in tris] + [(cfg, tri.simplices[1:])])
-    # a column beyond a boundary wall: only the facet table rejects it
-    cases[0].append((cases[0][0][0], [(0, 1, 2, 3, 5, 7), (0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7)]))
+        gamma = all_circuits(parse_word(word))
+        tris = [tri] + [apply_flip(tri, m) for m in find_flips(tri, gamma)]
+        cases.append([(cfg, t.simplices, gamma) for t in tris]
+                     + [(cfg, tri.simplices[1:], gamma)])
+    # a column beyond a boundary wall: only the boundary test rejects it
+    cfg, _, gamma = cases[0][0]
+    cases[0].append((cfg, [(0, 1, 2, 3, 5, 7), (0, 1, 2, 4, 6, 7), (0, 1, 3, 4, 6, 7)], gamma))
     alternating = [case for pair in zip(*cases) for case in pair]
-    expected = [normal_is_triangulation(cfg, simplices) for cfg, simplices in alternating]
+    expected = [normal_is_triangulation(cfg, simplices) for cfg, simplices, _ in alternating]
     assert set(expected) == {True, False}
     for _ in range(2):
-        assert [is_triangulation(cfg, simplices) for cfg, simplices in alternating] == expected
-    for cfg in {cfg for cfg, _ in alternating}:
-        assert cfg.facet_masks is cfg.facet_masks
+        assert [is_triangulation(*case) for case in alternating] == expected
 
 
 def test_is_triangulation_after_volumes_of_unsorted_columns():
-    # simplex_volume and is_triangulation share one signed determinant per
-    # column order; a sorted simplex must not take the sign of an odd
-    # permutation of its columns that simplex_volume was asked about first.
-    # Only every other simplex is asked about: flipping every sign at once
-    # would leave each wall's parity, and so the verdict, unchanged
+    # simplex_volume caches one signed determinant per column order, and
+    # is_triangulation reads none, so volumes asked about first, of odd
+    # permutations of every other simplex's columns, leave its verdict as
+    # the reference gives it
     _simplex_volume_cached.cache_clear()
     verdicts = set()
     for w in v_words(3):
         tri = canonical_of(w)
         cfg = tri.config
-        tris = [tri] + [apply_flip(tri, m, validate=False) for m in find_flips(tri, all_circuits(w))]
+        tris = [tri] + [apply_flip(tri, m) for m in find_flips(tri, all_circuits(w))]
         simplices = list(tri.simplices)
         cases = [t.simplices for t in tris] + [simplices[1:]]
         cases += [simplices[:k] + [extra] + simplices[k + 1:]
@@ -293,19 +296,20 @@ def test_is_triangulation_after_volumes_of_unsorted_columns():
             _simplex_volume_cached.cache_clear()
             for s in simplices[::2]:
                 simplex_volume(cfg, (s[1], s[0]) + s[2:])
-            verdict = is_triangulation(cfg, simplices)
+            verdict = is_triangulation(cfg, simplices, all_circuits(w))
             assert verdict == normal_is_triangulation(cfg, simplices), (str(w), simplices)
             verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
 def test_integer_normal_agrees_with_wall_determinants():
-    # the side test of is_triangulation against the determinant it replaced
+    # the side test of the normal reference against the determinant it replaced
     for w in v_words(4):
         tri = canonical_of(w)
         cfg = tri.config
         hom = [cfg.homogeneous(j) for j in range(len(cfg.columns))]
-        tris = [tri] + [apply_flip(tri, m) for m in find_flips(tri, all_circuits(w))]
+        gamma = all_circuits(w)
+        tris = [tri] + [apply_flip(tri, m, gamma) for m in find_flips(tri, gamma)]
         walls = {tuple(j for j in s if j != apex) for t in tris for s in t.simplices for apex in s}
         for wall in walls:
             nu = integer_normal([hom[j] for j in wall])
@@ -351,7 +355,8 @@ def test_walls_lists_cofaces_by_position():
 
 
 def test_chain_count_volume_rejects_other_configurations():
-    # a valid fan of a non-0/1 square: 3 maximal chains, but volume 8
+    # a valid fan of a non-0/1 square: 3 maximal chains, but volume 8; the
+    # circuits alone validate the fan and reject a fan missing a triangle
     square = PointConfiguration(
         dim=2,
         columns=((0, 0), (2, 0), (2, 2), (0, 2), (1, 1)),
@@ -361,8 +366,8 @@ def test_chain_count_volume_rejects_other_configurations():
     assert sum(simplex_volume(square, s) for s in fan) == 8
     with pytest.raises(PolytopeError):
         expected_normalized_volume(square)
-    with pytest.raises(PolytopeError):
-        is_triangulation(square, fan)
+    assert is_triangulation(square, fan, circuits_brute(square))
+    assert not is_triangulation(square, fan[1:], circuits_brute(square))
     # 0/1 columns that are not closed under componentwise max
     corner = PointConfiguration(
         dim=2,
@@ -432,17 +437,25 @@ def test_chain_count_of_a_lower_dimensional_segment_is_zero():
     assert cover_walk_volume(segment) == 1
 
 
+def crossed(cfg, simplex, circuits, apex):
+    # whether a column lies beyond the wall of simplex opposite apex, by the
+    # circuit cell rule of is_triangulation
+    return bool(_crossed_walls(len(cfg.columns), [simplex], circuits)[0] >> apex & 1)
+
+
 def test_boundary_walls_are_the_walls_with_one_coface():
     for w in v_words(3):
         tri = canonical_of(w)
         cfg = tri.config
-        for wall, cofaces in walls(tri.simplices).items():
-            assert is_boundary_wall(cfg, wall) == (len(cofaces) == 1)
+        for cofaces in walls(tri.simplices).values():
+            for pos, apex in cofaces:
+                assert crossed(cfg, tri.simplices[pos], all_circuits(w), apex) == (
+                    len(cofaces) == 2)
 
 
 def scan_is_boundary_wall(cfg, normal):
-    # reference: the column scan is_boundary_wall made before the facet table,
-    # no column strictly on the negative side of an apex-positive normal
+    # reference: the column scan of boundary walls, no column strictly on
+    # the negative side of an apex-positive normal
     return all(normal[-1] + sum(a * b for a, b in zip(normal, col)) >= 0 for col in cfg.columns)
 
 
@@ -459,10 +472,12 @@ CUBE_ORDER = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
 
 
 def test_boundary_walls_match_the_column_scan_on_every_full_simplex():
-    configs = [word_context(w).config for w in list(v_words(3)) + [parse_word('LRRL')]]
-    configs.append(cube_configuration(CUBE_ORDER))
+    configs = [(word_context(w).config, all_circuits(w))
+               for w in list(v_words(3)) + [parse_word('LRRL')]]
+    cube = cube_configuration(CUBE_ORDER)
+    configs.append((cube, circuits_brute(cube)))
     verdicts = []
-    for cfg in configs:
+    for cfg, circuits in configs:
         seen = {}
         for s in itertools.combinations(range(len(cfg.columns)), cfg.dim + 1):
             vol, normals = simplex_normals(cfg, s)
@@ -472,21 +487,19 @@ def test_boundary_walls_match_the_column_scan_on_every_full_simplex():
                 wall = s[:k] + s[k + 1:]
                 verdict = scan_is_boundary_wall(cfg, normals[k])
                 assert seen.setdefault(wall, verdict) == verdict
-                assert is_boundary_wall(cfg, wall) == verdict, (cfg.columns, wall)
+                assert crossed(cfg, s, circuits, s[k]) != verdict, (cfg.columns, wall)
                 verdicts.append(verdict)
     assert len(verdicts) == 8292
     assert set(verdicts) == {True, False}
 
 
 def test_a_segment_that_is_not_full_dimensional():
-    # closed under min and max, but no full simplex: nothing triangulates it,
-    # and an inequality tight on both columns holds no boundary wall
+    # closed under min and max, but no full simplex: nothing triangulates it
     segment = PointConfiguration(dim=2, columns=((0, 0), (1, 1)), column_labels=((), (1,)))
-    assert not is_triangulation(segment, [])
-    assert not is_triangulation(segment, [(0, 1)])
-    assert not is_triangulation(segment, [(0, 1, 1)])
-    assert is_boundary_wall(segment, (0,)) and is_boundary_wall(segment, (1,))
-    assert not is_boundary_wall(segment, (0, 1))
+    circuits = circuits_brute(segment)
+    assert not is_triangulation(segment, [], circuits)
+    assert not is_triangulation(segment, [(0, 1)], circuits)
+    assert not is_triangulation(segment, [(0, 1, 1)], circuits)
 
 
 def test_volume_union_matches_poset_volume():

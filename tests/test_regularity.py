@@ -9,7 +9,7 @@ from time import monotonic
 
 import pytest
 from test_exact import fraction_kernel, fraction_lp_maximize
-from test_polytope import CUBE_ORDER, cube_configuration
+from test_polytope import CUBE_ORDER, cube_configuration, meet_in_common_faces
 
 import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
@@ -488,7 +488,7 @@ def test_orbit_search_covers_the_plain_search():
         for b, (a, z) in enumerate(orbit.parents[1:], 1):
             parent = Triangulation(cfg, search_node(orbit, a))
             (move,) = find_flips(parent, [z])
-            assert apply_flip(parent, move, validate=False).simplices == search_node(orbit, b)
+            assert apply_flip(parent, move).simplices == search_node(orbit, b)
         assert orbit.group.order == len(all_twists(w))
 
 
@@ -545,7 +545,7 @@ def test_fold_finds_the_non_regular_triangulations_of_delta3_times_delta3():
     assert [i for i in range(len(nodes)) if fold.witnesses[i] is None] == [2159, 2454]
     assert 0 < len(fold.propagated) < len(nodes) - 2
     for i in (2159, 2454):
-        assert is_triangulation(cfg, search_node(fold.search, i))
+        assert is_triangulation(cfg, search_node(fold.search, i), circuits)
     # the LP's heights are checked by is_regular(..., verify=True) elsewhere;
     # the carried ones are this fold's own, and every second one in search
     # order is checked here to keep the test near 10 s
@@ -832,7 +832,7 @@ def test_enumeration_matches_flip_search_on_small_configs():
         graph = explore_flip_graph(canonical_of(w), all_circuits(w))
         assert set(found) == {t.simplices for t in graph.nodes}
         for simplices in found:
-            assert is_triangulation(cfg, simplices)
+            assert is_triangulation(cfg, simplices, all_circuits(w))
 
 
 def test_enumeration_respects_budget():
@@ -910,7 +910,7 @@ def test_budgeted_enumeration_of_delta3_times_delta3():
     setup = set_up_steps(cfg)
     found, complete = enumerate_triangulations(cfg, circuits, setup + 2000)
     assert not complete and found
-    assert all(is_triangulation(cfg, simplices) for simplices in found)
+    assert all(is_triangulation(cfg, simplices, circuits) for simplices in found)
 
 
 def test_enumeration_raises_on_an_incomplete_circuit_list():
@@ -945,6 +945,33 @@ def test_enumeration_beyond_order_polytopes():
         ((0, 1, 3), (0, 2, 3)),
         ((0, 1, 4), (0, 2, 4), (1, 3, 4), (2, 3, 4)),
     ), True)
+
+
+def test_is_triangulation_beyond_order_polytopes():
+    # the circuits alone validate what the enumeration lists: every one of
+    # the hexagon's 14 triangulations, but none after a swap of one simplex
+    # for another candidate, some of which overlap a kept simplex by the LP
+    # reference; and every triangulation of Delta2 x Delta2 and of the cube
+    # with its columns reordered
+    hexagon = plane_configuration([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+    circuits = circuits_brute(hexagon)
+    found, complete = enumerate_triangulations(hexagon, circuits)
+    assert complete and len(found) == 14
+    candidates = list(itertools.combinations(range(6), 3))
+    for t in found:
+        assert is_triangulation(hexagon, t, circuits)
+        swaps = [t[:k] + (c,) + t[k + 1:] for k in range(len(t)) for c in candidates if c not in t]
+        assert not any(is_triangulation(hexagon, s, circuits) for s in swaps)
+        assert any(not meet_in_common_faces(hexagon, s) for s in swaps)
+    sizes = []
+    for cfg in (order_polytope_vertices(Poset(4, [(0, 1), (2, 3)])),
+                cube_configuration(CUBE_ORDER)):
+        circuits = circuits_brute(cfg)
+        found, complete = enumerate_triangulations(cfg, circuits)
+        assert complete
+        assert all(is_triangulation(cfg, t, circuits) for t in found)
+        sizes.append(len(found))
+    assert sizes == [108, 74]
 
 
 def test_snake_polytope_words():

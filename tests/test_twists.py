@@ -179,6 +179,6 @@ def test_commuting_square_fails_on_a_truncated_component(monkeypatch):
 
 
 def test_commuting_square_validates_every_node(monkeypatch):
-    monkeypatch.setattr(twists, 'is_triangulation', lambda cfg, simplices: False)
+    monkeypatch.setattr(twists, 'is_triangulation', lambda cfg, simplices, circuits: False)
     r = commuting_square_check(parse_word(''))
     assert [reason for _, _, reason in r.counterexamples] == ['node is not a triangulation'] * 2

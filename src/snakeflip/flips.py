@@ -281,8 +281,11 @@ class _Group:
     """Column permutations closed under composition, acting on nodes as masks.
 
     perms lists the elements, the identity first, and images maps each
-    simplex mask met so far to its weight (_mix of its least image)
-    followed by its images under the elements in that order.
+    simplex mask met so far, and every image of it, to its weight (_mix of
+    its least image) followed by its images under the elements in that
+    order; one row per orbit of simplices is computed, and the others are
+    reorderings of it through the composition table, which also checks
+    closure (FlipError when a product falls outside the elements).
     A node's invariant, the sum of its simplices' weights, is the same for
     every node of its orbit, and a flip changes it by the weights of the
     simplices it removes and creates (shift).  Nodes of different orbits
@@ -299,33 +302,25 @@ class _Group:
             if sorted(perm) != list(identity):
                 raise FlipError('%r is not a permutation of the %d columns' % (perm, n))
             elements.add(perm)
-        # elements is closed exactly when it is the group of the generators
-        # picked greedily from it: grow that group, composing each member once
-        # with each generator, and refuse a product outside elements
-        grown = [identity]
-        members = {identity}
-        gens: List[Tuple[int, ...]] = []
-        for perm in sorted(elements):
-            if perm in members:
-                continue
-            gens.append(perm)
-            old = len(grown)
-            k = 0
-            while k < len(grown):
-                p = grown[k]
-                for q in (gens if k >= old else (perm,)):
-                    pq = tuple(map(p.__getitem__, q))
-                    if pq in members:
-                        continue
-                    if pq not in elements:
-                        raise FlipError('the permutations and the identity are not closed '
-                                        'under composition')
-                    members.add(pq)
-                    grown.append(pq)
-                k += 1
         self.n = n
         self.order = len(elements)
         self.perms = [identity] + sorted(elements - {identity})
+        position = {perm: e for e, perm in enumerate(self.perms)}
+        # movers[g] reorders a row into the row of its simplex's image under
+        # perms[g + 1]: that image's image under perms[e] is the simplex's
+        # image under perms[e] after perms[g + 1], at row position 1 + the
+        # product's position; the weight, at 0, keeps any group's getter a tuple
+        self.movers = []
+        for g in self.perms[1:]:
+            after_g = itemgetter(*g)
+            at = [0]
+            for p in self.perms:
+                pg = position.get(after_g(p))
+                if pg is None:
+                    raise FlipError('the permutations and the identity are not closed '
+                                    'under composition')
+                at.append(1 + pg)
+            self.movers.append(itemgetter(*at))
         # bits[c][k] is the mask bit of column c's image under perms[k + 1]
         self.bits = [tuple(1 << (n - 1 - perm[c]) for perm in self.perms[1:])
                      for c in range(n)]
@@ -339,7 +334,11 @@ class _Group:
         return sum(self.bits[c][e - 1] for c in _decode(self.n, mask))
 
     def invariant(self, masks) -> int:
-        """The sum of the weights of the simplex masks, each row filled once."""
+        """The sum of the weights of the simplex masks, each orbit's rows filled once.
+
+        A mask without a row gets its row computed, and every image of the
+        mask gets its row by reordering that one (movers), sharing its ints.
+        """
         images = self.images
         bits = self.bits
         total = 0
@@ -349,6 +348,9 @@ class _Group:
                 moved = map(sum, zip(*map(bits.__getitem__, _decode(self.n, mask))))
                 row = (mask, *moved)
                 row = images[mask] = (_mix(min(row)), *row)
+                for mover in self.movers:
+                    image = mover(row)
+                    images[image[1]] = image
             total += row[0]
         return total
 

@@ -373,11 +373,49 @@ def _reversal(w: SnakeWord) -> Optional[Tuple[int, ...]]:
     return tuple(ctx.column_of[flip[e]] for e in ctx.element_of)
 
 
+def _is_root(simplex, shapes, ncols: int) -> bool:
+    """Whether a full simplex holds q = v_{N-1} + e v_{N-2} + ... + e^{N-1} v_0, e > 0 small.
+
+    shapes are (support, plus) column masks, bit 1 << c for column c, of
+    the complete circuit list.  For each column c outside the simplex S,
+    the one circuit Z_c inside S + c holds c, and it gives the signs of c's
+    barycentric coordinates on S: + on Z_c's other side, - on c's own, 0 off
+    its support (the cell rule of polytope._crossed_walls).  Column a's
+    coordinate of q takes the sign of its first nonzero term for c = N-1
+    down to 0, where the term c = a counts +, so S holds q when no Z_c puts
+    on c's own side a column a < c that no larger c' outside S decided.
+    This uses signs only, and q lies on no wall of any full simplex
+    (Edelsbrunner and Mücke 1990, "Simulation of Simplicity").  A column
+    with no Z_c, or two, raises RegularityError: S is flat, or the list
+    misses or repeats a circuit.
+    """
+    mask = sum(1 << c for c in simplex)
+    fundamental = {}
+    for support, plus in shapes:
+        outside = support & ~mask
+        if outside and not outside & (outside - 1):
+            if outside in fundamental:
+                raise RegularityError('simplex %r is flat, or the circuit list repeats the '
+                                      'circuit of column %d with it'
+                                      % (simplex, outside.bit_length() - 1))
+            fundamental[outside] = (support, plus if outside & plus else support ^ plus)
+    if len(fundamental) != ncols - len(simplex):
+        raise RegularityError('simplex %r holds no listed circuit but is flat, or the '
+                              'circuit list is incomplete' % (simplex,))
+    decided = 0
+    for outside in sorted(fundamental, reverse=True):
+        support, own = fundamental[outside]
+        if own & mask & ~decided & (outside - 1):
+            return False
+        decided |= support
+    return True
+
+
 def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: int = 2_000_000):
     """All triangulations, found as sets of pairwise compatible full simplices.
 
     circuits is the complete circuit list of cfg (as from all_circuits or
-    circuits_brute), and everything but the roots comes from it.  The
+    circuits_brute), and everything comes from it.  The
     candidates are the (d+1)-sets of columns that hold no circuit's support,
     found by a walk over index-increasing column sets that tests a new
     column j only against the supports whose largest column is j; one step
@@ -392,19 +430,22 @@ def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: in
     toggles its facets.  It branches over the allowed cofaces of the open
     facet with the fewest, and records a triangulation when none is open.  A
     triangulation holding the chosen candidates has exactly one simplex
-    across that facet, so the branches are disjoint.  The roots are the
-    candidates holding a generic point q, where every barycentric coordinate
-    normal . q from simplex_normals is positive; a flat candidate means the
-    circuit list is incomplete.  budget_steps bounds the walk's steps and the
-    search's calls together; past it, the triangulations found so far are
-    returned with complete False, and none when the walk itself ran out.
+    across that facet, so the branches are disjoint.  The search starts from
+    each root, a candidate holding a symbolic generic point q; each
+    triangulation has exactly one.  The roots are read off the circuits'
+    signs (_is_root), so no determinant is taken, and a candidate that is
+    flat, or lacks the one circuit it forms with some column, raises
+    RegularityError: the list is incomplete or repeats a circuit.
+    budget_steps bounds the walk's steps and the search's calls together;
+    past it, the triangulations found so far are returned with complete
+    False, and none when the walk itself ran out.
     """
     d = cfg.dim
     ncols = len(cfg.columns)
+    shapes = [(sum(1 << c for c in z.support()), sum(1 << c for c in z.plus)) for z in circuits]
     closing: List[List[int]] = [[] for _ in range(ncols)]
-    for z in circuits:
-        support = z.support()
-        closing[support[-1]].append(sum(1 << c for c in support))
+    for support, _ in shapes:
+        closing[support.bit_length() - 1].append(support)
     candidates: List[Tuple[int, ...]] = []
     holding = [0] * ncols
     steps = 0
@@ -428,20 +469,7 @@ def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: in
 
     if not walk((), 0, 0):
         return (), False
-    normals = []
-    for s in candidates:
-        volume, rows = simplex_normals(cfg, s)
-        if not volume:
-            raise RegularityError('simplex %r holds no listed circuit but is flat' % (s,))
-        normals.append(rows)
-    homs = [cfg.homogeneous(c) for c in range(ncols)]
-    for t in (2, 3, 5, 7, 11, 13, 17):
-        q = tuple(sum(t ** c * hom[i] for c, hom in enumerate(homs)) for i in range(d + 1))
-        coords = [[sum(a * b for a, b in zip(nu, q)) for nu in rows] for rows in normals]
-        if all(all(row) for row in coords):
-            break
-    else:
-        raise RegularityError('no generic interior reference point found')
+    roots = [_is_root(s, shapes, ncols) for s in candidates]
 
     def holding_all(cols):
         got = -1
@@ -492,8 +520,8 @@ def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: in
             search(allowed & compatible[ci], open_facets ^ facets_of[ci])
             chosen.pop()
 
-    for ci, row in enumerate(coords):
-        if all(x > 0 for x in row) and complete:
+    for ci, root in enumerate(roots):
+        if root and complete:
             chosen.append(ci)
             search(compatible[ci], facets_of[ci])
             chosen.pop()
@@ -799,9 +827,12 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     every wall row is strictly positive on them; otherwise is_regular's
     exact LP decides, so only the LP ever says "not regular".  With
     exhaustive (by default when n <= 2), enumerate_triangulations lists
-    every triangulation within budget_steps, and each is looked up in the
-    search or decided by is_regular.  A deadline (time.monotonic) stops the
-    search between levels and marks the report partial.
+    every triangulation within budget_steps, its roots read off the
+    circuits, and each is looked up in the search or decided by is_regular;
+    each distinct simplex is encoded once, and the search's group already
+    holds the rows of every simplex in an orbit it met.  A deadline
+    (time.monotonic) stops the search between levels and marks the report
+    partial.
     """
     w = snake_polytope_word(n)
     circuits = all_circuits(w)
@@ -824,10 +855,11 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     if exhaustive:
         cfg = word_context(w).config
         found, complete = enumerate_triangulations(cfg, circuits, budget_steps)
+        mask_of = {s: _encode(search.n, s) for s in set().union(*found)}
         reachable = 0
         regular = 0
         for simplices in found:
-            i = search.find(tuple(_encode(search.n, s) for s in simplices))
+            i = search.find(tuple(map(mask_of.__getitem__, simplices)))
             if i is not None:
                 reachable += 1
                 regular += fold.witnesses[i] is not None

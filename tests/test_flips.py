@@ -22,10 +22,10 @@ from snakeflip.flips import (
     triangulation_hash,
 )
 from snakeflip import flips
-from snakeflip.flips import _Cells, _decode, _encode, _flip, _search
+from snakeflip.flips import _Cells, _decode, _encode, _flip, _Group, _mix, _search
 from snakeflip.polytope import (PointConfiguration, Triangulation, is_triangulation, is_unimodular,
                                 simplex_volume)
-from snakeflip.regularity import snake_polytope_word
+from snakeflip.regularity import _orbit_group, snake_polytope_word
 from snakeflip.twists import all_twists
 from snakeflip.words import parse_word, v_words
 
@@ -138,6 +138,35 @@ def test_search_rejects_commuting_involutions_without_their_product():
         _search(seed, circuits, budget=100, perms=[a, b])
     group = _search(seed, circuits, budget=1, perms=[b, a, (1, 0, 3, 2) + rest]).group
     assert group.perms == [tuple(range(len(seed.config.columns))), b, a, (1, 0, 3, 2) + rest]
+
+
+def test_group_fills_each_orbit_of_rows_from_one(monkeypatch):
+    # one row per orbit of simplices is computed, the rest are reordered
+    # from it, and every row is the weight and the images taken directly
+    mixed = []
+    monkeypatch.setattr(flips, '_mix', lambda least: mixed.append(least) or _mix(least))
+    for n in (1, 2, 3):
+        w = snake_polytope_word(n)
+        twists = [tau.column_permutation for tau in all_twists(w)]
+        for perms in (twists, _orbit_group(w, twists)):
+            mixed.clear()
+            group = _search(canonical_of(w), all_circuits(w), budget=100000, perms=perms).group
+            assert group.order == len(set(perms))
+            for mask, row in group.images.items():
+                assert row[1:] == tuple(group.image(e, mask) for e in range(group.order))
+                assert row[0] == _mix(min(row[1:]))
+            assert sorted(mixed) == sorted({min(row[1:]) for row in group.images.values()})
+    # a group that does not commute: S4 on four columns
+    full = _Group(4, itertools.permutations(range(4)))
+    mixed.clear()
+    full.invariant([0b0011, 0b0111])
+    assert len(full.images) == 10 and len(mixed) == 2
+    for mask, row in full.images.items():
+        assert row[1:] == tuple(full.image(e, mask) for e in range(24))
+    # the one-element group's rows are tuples too
+    trivial = _Group(3, [])
+    assert trivial.invariant([0b101]) == _mix(0b101)
+    assert trivial.images == {0b101: (_mix(0b101), 0b101)}
 
 
 def _two_triangles_at_the_origin():

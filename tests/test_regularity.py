@@ -18,7 +18,7 @@ from snakeflip.flips import (_decode, _search, apply_flip, canonical_of, explore
                             find_flips)
 from snakeflip.polytope import (PointConfiguration, Triangulation, canonical_triangulation,
                                 expected_normalized_volume, is_triangulation,
-                                order_polytope_vertices, simplex_volume, walls)
+                                order_polytope_vertices, simplex_normals, simplex_volume, walls)
 from snakeflip.posets import Poset
 from snakeflip.regularity import (
     HeightFunction,
@@ -323,7 +323,7 @@ def test_scan_matches_every_interior_wall_once():
     # the scan's matched walls are the facets with two cofaces, at every
     # node of the plain searches of the snakes n <= 3 and the V-words to
     # length 4
-    words = [snake_polytope_word(n) for n in (1, 2, 3)] + list(v_words(4))
+    words = list(v_words(4)) + [snake_polytope_word(3)]
     for w in words:
         search = _search(canonical_of(w), all_circuits(w), budget=100000)
         assert not search.partial
@@ -841,37 +841,43 @@ def test_enumeration_respects_budget():
     assert not complete
 
 
-def counted_simplex_normals(monkeypatch):
+def counted(monkeypatch, name, at):
+    """The argument at position at of every call of regularity's name, as a tuple, in call order."""
     calls = []
-    real = regularity.simplex_normals
+    real = getattr(regularity, name)
 
-    def counted(cfg, simplex):
-        calls.append(tuple(simplex))
-        return real(cfg, simplex)
+    def wrapper(*args):
+        calls.append(tuple(args[at]))
+        return real(*args)
 
-    monkeypatch.setattr(regularity, 'simplex_normals', counted)
+    monkeypatch.setattr(regularity, name, wrapper)
     return calls
 
 
 def test_enumeration_budget_bounds_the_set_up(monkeypatch):
-    # no adjugate is computed until the walk has finished within the budget
+    # no root is tested until the walk has finished within the budget, and
+    # no adjugate is taken at all
     w = parse_word('LRRL')
     cfg = word_context(w).config
     circuits = all_circuits(w)
-    calls = counted_simplex_normals(monkeypatch)
+    calls = counted(monkeypatch, '_is_root', 0)
+    normals = counted(monkeypatch, 'simplex_normals', 1)
     setup = set_up_steps(cfg)
     for budget in (1, setup - 1):
         assert enumerate_triangulations(cfg, circuits, budget) == ((), False)
         assert calls == []
     assert enumerate_triangulations(cfg, circuits, setup) == ((), False)
     assert len(calls) == 288
+    assert normals == []
 
 
 def test_enumeration_candidates_are_the_full_simplices(monkeypatch):
-    # only the (d+1)-sets of nonzero volume get an adjugate, in lexicographic order
+    # only the (d+1)-sets of nonzero volume get a root test, in
+    # lexicographic order, and none an adjugate
     configs = [word_context(parse_word(word)).config for word in ('LR', 'LRRL')]
     configs.append(order_polytope_vertices(Poset(4, [(0, 1), (2, 3)])))
-    calls = counted_simplex_normals(monkeypatch)
+    calls = counted(monkeypatch, '_is_root', 0)
+    normals = counted(monkeypatch, 'simplex_normals', 1)
     sizes = []
     for cfg in configs:
         circuits = circuits_brute(cfg)
@@ -882,11 +888,94 @@ def test_enumeration_candidates_are_the_full_simplices(monkeypatch):
         assert calls == [s for s in subsets if simplex_volume(cfg, s)]
         sizes.append((len(calls), len(subsets)))
     assert sizes[1] == (288, 2002)
+    assert normals == []
 
 
-def test_enumeration_falls_back_past_a_reference_point_on_a_wall():
+def root_verdicts(monkeypatch, cfg, circuits):
+    """Candidate -> whether _is_root holds, from an enumeration cut short after the root tests."""
+    verdicts = {}
+    real = regularity._is_root
+
+    def recorded(simplex, *args):
+        verdicts[tuple(simplex)] = real(simplex, *args)
+        return False
+
+    monkeypatch.setattr(regularity, '_is_root', recorded)
+    assert enumerate_triangulations(cfg, circuits) == ((), True)
+    monkeypatch.setattr(regularity, '_is_root', real)
+    return verdicts
+
+
+def holds_point_at_t_2(cfg, simplex):
+    """Oracle: whether the simplex holds sum 2^c (v_c, 1), by its adjugate; None on a wall."""
+    homs = [cfg.homogeneous(c) for c in range(len(cfg.columns))]
+    q = [sum(2 ** c * hom[i] for c, hom in enumerate(homs)) for i in range(cfg.dim + 1)]
+    volume, normals = simplex_normals(cfg, simplex)
+    assert volume
+    coords = [sum(a * b for a, b in zip(nu, q)) for nu in normals]
+    return None if 0 in coords else all(x > 0 for x in coords)
+
+
+def test_roots_match_the_reference_point_at_t_2(monkeypatch):
+    # where sum 2^c (v_c, 1) lies on no wall, the circuits' signs pick the
+    # same roots as its barycentric coordinates from the adjugates
+    words = list(v_words(4)) + [snake_polytope_word(3)]
+    counts = {}
+    for w in words:
+        cfg = word_context(w).config
+        verdicts = root_verdicts(monkeypatch, cfg, all_circuits(w))
+        assert verdicts == {s: holds_point_at_t_2(cfg, s) for s in verdicts}, w
+        counts[str(w)] = sum(verdicts.values())
+    assert [counts[str(snake_polytope_word(n))] for n in (1, 2, 3)] == [8, 32, 128]
+
+
+def test_every_triangulation_holds_exactly_one_root(monkeypatch):
+    hexagon = plane_configuration([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+    centred = plane_configuration([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
+    cases = [(cfg, circuits_brute(cfg))
+             for cfg in (hexagon, centred, order_polytope_vertices(Poset(4, [(0, 1), (2, 3)])),
+                         order_polytope_vertices(Poset(3, [])), cube_configuration(CUBE_ORDER))]
+    cases += [(word_context(w).config, all_circuits(w)) for w in map(snake_polytope_word, (1, 2))]
+    sizes = []
+    for cfg, circuits in cases:
+        found, complete = enumerate_triangulations(cfg, circuits)
+        roots = {s for s, root in root_verdicts(monkeypatch, cfg, circuits).items() if root}
+        assert complete
+        assert all(len(roots.intersection(t)) == 1 for t in found)
+        sizes.append(len(found))
+    assert sizes == [14, 3, 108, 74, 74, 20, 336]
+
+
+def closed_form_root(n, code):
+    """ROADMAP's representative of the root orbit of binary code b_1..b_n."""
+    top = 4 * n + 6
+    columns = {0, 1, 2, top - 3, top - 2, top - 1}
+    columns |= {4 * k + 2 * b for k, b in enumerate(code, 1)}
+    columns |= {4 * k + 3 for k in range(1, n)}
+    return tuple(sorted(columns))
+
+
+def test_twists_act_freely_on_the_roots(monkeypatch):
+    # 2^(2n+1) roots in 2^n free twist orbits, one closed-form representative each
+    for n in (1, 2, 3):
+        w = snake_polytope_word(n)
+        verdicts = root_verdicts(monkeypatch, word_context(w).config, all_circuits(w))
+        roots = {s for s, root in verdicts.items() if root}
+        twists = [tau.column_permutation for tau in all_twists(w)]
+        orbits = set()
+        for r in roots:
+            images = frozenset(tuple(sorted(perm[c] for c in r)) for perm in twists)
+            assert images <= roots and len(images) == len(twists)
+            orbits.add(images)
+        codes = list(itertools.product((0, 1), repeat=n))
+        assert len(roots) == 2 ** (2 * n + 1) and len(orbits) == len(codes) == 2 ** n
+        assert {orbit for orbit in orbits for code in codes
+                if closed_form_root(n, code) in orbit} == orbits
+
+
+def test_enumeration_is_generic_where_the_t_2_point_lies_on_a_wall():
     # with these columns the point sum 2^c (x_c, 1) lies on the hyperplane of a
-    # wall of a full simplex, so the search takes its reference point at t = 3
+    # wall of a full simplex, which the symbolic reference point never does
     cube = cube_configuration(CUBE_ORDER)
     homs = [cube.homogeneous(c) for c in range(len(cube.columns))]
     q = [sum(2 ** c * hom[i] for c, hom in enumerate(homs)) for i in range(cube.dim + 1)]
@@ -924,6 +1013,23 @@ def test_enumeration_raises_on_an_incomplete_circuit_list():
     for i in dropped:
         with pytest.raises(RegularityError, match='flat'):
             enumerate_triangulations(cfg, circuits[:i] + circuits[i + 1:])
+
+
+def test_enumeration_raises_on_a_short_or_repeated_circuit_list():
+    # each circuit Z is the one circuit that a column j of Z forms with a
+    # candidate through Z - j, so no circuit can go unmissed, nor be listed twice
+    hexagon = plane_configuration([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+    cases = [(word_context(parse_word(word)).config, all_circuits(parse_word(word)))
+             for word in ('LR', 'LL', 'LRRL')]
+    cases.append((hexagon, circuits_brute(hexagon)))
+    for cfg, circuits in cases:
+        assert enumerate_triangulations(cfg, circuits)[1]
+        for i in range(len(circuits)):
+            with pytest.raises(RegularityError, match='flat'):
+                enumerate_triangulations(cfg, circuits[:i] + circuits[i + 1:])
+        with pytest.raises(RegularityError, match='repeats'):
+            enumerate_triangulations(cfg, circuits + circuits[-1:])
+    assert [len(circuits) for _, circuits in cases] == [7, 6, 22, 15]
 
 
 def plane_configuration(points):

@@ -26,33 +26,6 @@ def modular_rank_is_exact(columns) -> bool:
     return not s or (s * max(largest, 1) ** 2) ** s < RANK_PRIME * RANK_PRIME
 
 
-def det_int(matrix):
-    """Determinant of an integer matrix by fraction-free elimination."""
-    m = [[int(x) for x in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError('determinant needs a square matrix')
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def adjugate(matrix):
     """(det, adj) of a square integer matrix, with adj . matrix = det * I.
 
@@ -111,7 +84,7 @@ def integer_normal(rows):
     proportional to the cofactor vector: det([rows..., x]) = c * (normal . x)
     for one nonzero integer c.  Returns None when the kernel is not
     one-dimensional.  Its only caller is circuits, for the kernel of a
-    support's columns; wall normals come from polytope.simplex_normals.
+    support's columns; determinants and wall normals come from adjugate.
     """
     m = [[int(x) for x in row] for row in rows]
     k = len(m)

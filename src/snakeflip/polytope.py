@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exact import adjugate, det_int
+from .exact import adjugate
 from .posets import Poset, filter_lattice, maximal_chains
 
 
@@ -70,7 +70,7 @@ def simplex_volume(cfg: PointConfiguration, simplex) -> int:
 def _simplex_volume_cached(cfg: PointConfiguration, idx: Tuple[int, ...]) -> int:
     """Signed determinant of the homogenized columns idx, in the order given."""
     # the columns as rows: the transpose has the same determinant
-    return det_int(map(cfg.homogeneous, idx))
+    return adjugate([cfg.homogeneous(j) for j in idx])[0]
 
 
 @lru_cache(maxsize=None)
@@ -108,21 +108,6 @@ def walls(simplices) -> Dict[Tuple[int, ...], List[Tuple[int, int]]]:
         for drop in range(len(s)):
             out.setdefault(s[:drop] + s[drop + 1:], []).append((pos, s[drop]))
     return out
-
-
-def simplex_normals(cfg: PointConfiguration, simplex):
-    """Normalized volume and apex-signed wall normals of a simplex, by one adjugate.
-
-    Row k of the adjugate of the simplex's homogenized columns vanishes on
-    every column but simplex[k], where it equals the determinant.  Signed by
-    the determinant, it is the normal of the wall opposite simplex[k],
-    positive on that apex, with normals[k] . simplex[k] the volume.  Returns
-    (0, None) for a degenerate simplex.
-    """
-    det, adj = adjugate(list(zip(*map(cfg.homogeneous, simplex))))
-    if det < 0:
-        adj = [[-x for x in row] for row in adj]
-    return abs(det), adj
 
 
 def _crossed_walls(ncols: int, simplices, circuits) -> Optional[List[int]]:

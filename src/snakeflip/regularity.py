@@ -10,11 +10,11 @@ from math import factorial, gcd, lcm
 from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .circuits import all_circuits, word_context
-from .exact import lp_feasible
+from .circuits import Circuit, all_circuits, is_unit_dependence, word_context
+from .exact import adjugate, lp_feasible
 from .flips import (_Cells, _decode, _encode, _node, _search, _Search, canonical_of,
                     dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash)
-from .polytope import PointConfiguration, Triangulation, simplex_normals, walls
+from .polytope import PointConfiguration, Triangulation, walls
 from .posets import build_snake_poset, digraph_isomorphism
 from .twists import Twist, all_twists, elementary_twist
 from .volumes import catalan
@@ -72,22 +72,29 @@ def height_function(w: SnakeWord, tau: Optional[Twist] = None) -> HeightFunction
     return HeightFunction(tuple(heights))
 
 
-def _folding_base(cfg: PointConfiguration, idx):
-    base = simplex_normals(cfg, idx)
-    if base[0] == 0:
-        raise RegularityError('folding base is degenerate')
-    return base
+def _folding_base(cfg: PointConfiguration, idx, heights):
+    """|det M| and lift = sgn(det M) * sum_k h_k adj(M)_k for the base columns M.
 
-
-def _fold(cfg: PointConfiguration, idx, base, p: int, heights):
-    """Schur complement |det M| * h_p - h_M . sgn(det M) adj(M) . x_p.
-
-    base is simplex_normals(cfg, idx): |det M| and the rows of sgn(det M) adj(M).
+    Row k of adj(M) vanishes on every column of M but the k-th, where it is
+    det M, so lift . x = |det M| * l(x) for the affine function l that
+    equals the heights on M.
     """
-    vol, normals = base
-    x = cfg.homogeneous(p)
-    value = vol * heights[p] - sum(heights[j] * sum(a * b for a, b in zip(nu, x))
-                                   for j, nu in zip(idx, normals))
+    det, adj = adjugate(list(zip(*map(cfg.homogeneous, idx))))
+    if det == 0:
+        raise RegularityError('folding base is degenerate')
+    sign = 1 if det > 0 else -1
+    hs = [sign * heights[j] for j in idx]
+    return abs(det), [sum(map(mul, hs, column)) for column in zip(*adj)]
+
+
+def _fold(cfg: PointConfiguration, base, p: int, heights):
+    """|det M| * h_p - lift . x_p, for base = (|det M|, lift) from _folding_base.
+
+    That is |det M| times the height of x_p above the affine function l of
+    the base's heights, an int when it is integral and a Fraction otherwise.
+    """
+    vol, lift = base
+    value = vol * heights[p] - sum(map(mul, lift, cfg.homogeneous(p)))
     return int(value) if value.denominator == 1 else value
 
 
@@ -99,13 +106,15 @@ def folding_form(cfg: PointConfiguration, simplex, p: int, omega: HeightFunction
     """Signed cofactor of the lifted column against an affinely independent base.
 
     This is det([[M, x_p], [h_M, h_p]]) times the sign of det M, for the base
-    columns M, the column x_p and their heights, taken as the Schur
-    complement over M's adjugate.
+    columns M, the column x_p and their heights: |det M| times how far the
+    lifted x_p lies above the hyperplane through the lifted base, read off
+    one lifting vector from M's adjugate (_folding_base).
     """
     idx = tuple(sorted(simplex))
     if len(idx) != cfg.dim + 1:
         raise RegularityError('folding base needs %d columns, got %d' % (cfg.dim + 1, len(idx)))
-    return _fold(cfg, idx, _folding_base(cfg, idx), p, _exact_heights(omega))
+    heights = _exact_heights(omega)
+    return _fold(cfg, _folding_base(cfg, idx, heights), p, heights)
 
 
 def _walls(tri: Triangulation):
@@ -142,18 +151,17 @@ class FoldingReport(NamedTuple):
 def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingReport:
     """Certify that the heights select this triangulation across every wall.
 
-    Each simplex's adjugate is computed at most once per call and serves as
-    the base of every folding form across its walls.
+    Each simplex's adjugate is taken at most once per call, for the lifting
+    vector of its heights that every folding form across its walls reads.
     """
     cfg = tri.config
     heights = _exact_heights(omega)
     bases: Dict[int, Tuple] = {}
 
     def form(i, p):
-        idx = tri.simplices[i]
         if i not in bases:
-            bases[i] = _folding_base(cfg, idx)
-        return _fold(cfg, idx, bases[i], p, heights)
+            bases[i] = _folding_base(cfg, tri.simplices[i], heights)
+        return _fold(cfg, bases[i], p, heights)
 
     checks = []
     verdict = True
@@ -337,25 +345,18 @@ def snake_polytope_word(n: int) -> SnakeWord:
 def _perms_are_affine(w: SnakeWord, perms) -> bool:
     """Whether every column permutation is an affine map of the ambient space.
 
-    With vol and normals from one adjugate of a base simplex, every column is
-    vol·x_c = sum_k (normals_k·x_c) base_k; a permutation is affine when
-    those coordinates carry the base's images to vol times the image of x_c.
+    It is when each circuit, its columns permuted, is still a +-1
+    dependence.  The circuits span the affine dependences, so such a
+    permutation keeps the kernel of the homogenized column matrix, hence its
+    row space, all-ones row included: it is induced by an affine map of the
+    full-dimensional configuration.  Conversely an affine map keeps every
+    dependence, and every circuit of an order polytope is a +-1 one.
     """
     cfg = word_context(w).config
-    base = canonical_of(w).simplices[0]
-    vol, normals = simplex_normals(cfg, base)
-    if vol == 0:
-        raise RegularityError('base simplex does not span the configuration')
-    coords = [[sum(a * b for a, b in zip(nu, cfg.homogeneous(c))) for nu in normals]
-              for c in range(len(cfg.columns))]
-    for perm in perms:
-        images = [cfg.homogeneous(perm[c]) for c in base]
-        for c, lams in enumerate(coords):
-            target = cfg.homogeneous(perm[c])
-            if any(sum(lam * y[i] for lam, y in zip(lams, images)) != vol * target[i]
-                   for i in range(cfg.dim + 1)):
-                return False
-    return True
+    circuits = all_circuits(w)
+    return all(is_unit_dependence(cfg, Circuit(tuple(perm[c] for c in z.plus),
+                                               tuple(perm[c] for c in z.minus)))
+               for perm in perms for z in circuits)
 
 
 def _reversal(w: SnakeWord) -> Optional[Tuple[int, ...]]:

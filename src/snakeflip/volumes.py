@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from typing import Dict, NamedTuple, Tuple
 
-from .exact import BudgetError, det_int
+from .exact import BudgetError, adjugate
 from .posets import Poset, build_snake_poset, strip_embedding
 from .words import SnakeWord, parse_word
 
@@ -124,7 +124,7 @@ def skew_chain_count(lam: Tuple[int, ...], mu: Tuple[int, ...] = ()) -> int:
 
     matrix = [[binom(lam[j] - padded[i] + 1, j - i + 1) for j in range(k)]
               for i in range(k)]
-    return det_int(matrix)
+    return adjugate(matrix)[0]
 
 
 def volume_skew(w: SnakeWord) -> int:

@@ -5,42 +5,55 @@ from fractions import Fraction
 
 import pytest
 
-from snakeflip.exact import adjugate, det_int, integer_normal, lp_feasible
+from snakeflip.exact import adjugate, integer_normal, lp_feasible
+
+
+def det(matrix):
+    return adjugate(matrix)[0]
+
+
+def fraction_det(matrix):
+    # reference: the determinant by Gaussian elimination over the rationals
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    n = len(rows)
+    value = Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            value = -value
+        value *= rows[k][k]
+        for r in range(k + 1, n):
+            factor = rows[r][k] / rows[k][k]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[k])]
+    return value
 
 
 def test_det_small_values():
-    assert det_int([]) == 1
-    assert det_int([[7]]) == 7
-    assert det_int([[2, 1], [1, 3]]) == 5
-    assert det_int([[3, 1, 0], [1, 2, 1], [0, 1, 3]]) == 12
-    assert det_int([[1, 2], [2, 4]]) == 0
+    assert det([]) == 1
+    assert det([[7]]) == 7
+    assert det([[2, 1], [1, 3]]) == 5
+    assert det([[3, 1, 0], [1, 2, 1], [0, 1, 3]]) == 12
+    assert det([[1, 2], [2, 4]]) == 0
 
 
 def test_det_sign_and_pivoting():
-    assert det_int([[0, 1], [1, 0]]) == -1
-    assert det_int([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
-    assert det_int([[0, 2], [3, 5]]) == -6
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert det([[0, 2], [3, 5]]) == -6
 
 
 def test_det_matches_fraction_elimination():
     matrix = [[3, -2, 5, 1], [7, 0, -1, 4], [2, 2, 2, 2], [-5, 3, 0, 6]]
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(4):
-        pivot = next(r for r in range(k, 4) if rows[r][k] != 0)
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for r in range(k + 1, 4):
-            factor = rows[r][k] / rows[k][k]
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[k])]
-    assert det_int(matrix) == det
+    assert det(matrix) == fraction_det(matrix) == 826
 
 
 def test_det_rejects_ragged():
-    with pytest.raises(ValueError):
-        det_int([[1, 2], [3]])
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5, 6], [7, 8]]):
+        with pytest.raises(ValueError):
+            adjugate(ragged)
 
 
 def test_integer_normal_small_cases():
@@ -66,7 +79,7 @@ def test_integer_normal_is_the_primitive_cofactor_vector():
     for trial in range(300):
         k = trial % 7
         rows = [[rng.choice((-2, -1, 0, 0, 1, 1, 3)) for _ in range(k + 1)] for _ in range(k)]
-        cofactors = [det_int(rows + [[int(i == j) for j in range(k + 1)]]) for i in range(k + 1)]
+        cofactors = [det(rows + [[int(i == j) for j in range(k + 1)]]) for i in range(k + 1)]
         nu = integer_normal(rows)
         if not any(cofactors):
             assert nu is None
@@ -195,7 +208,7 @@ def test_adjugate_matches_the_fraction_inverse():
             else:
                 rows.append([rng.choice((-2, -1, 0, 0, 1, 1, 3)) for _ in range(n)])
         det, adj = adjugate(rows)
-        assert det == det_int(rows), rows
+        assert det == fraction_det(rows), rows
         inverse = fraction_inverse(rows)
         if det == 0:
             singular += 1

@@ -7,7 +7,7 @@ from test_exact import fraction_lp_maximize
 from test_posets import linear_extensions
 
 from snakeflip.circuits import all_circuits, circuits_brute, word_context
-from snakeflip.exact import adjugate, det_int, integer_normal
+from snakeflip.exact import adjugate, integer_normal
 from snakeflip.flips import apply_flip, canonical_of, find_flips
 from snakeflip.polytope import (
     PointConfiguration,
@@ -20,7 +20,6 @@ from snakeflip.polytope import (
     is_triangulation,
     is_unimodular,
     order_polytope_vertices,
-    simplex_normals,
     simplex_volume,
     walls,
 )
@@ -316,7 +315,7 @@ def test_integer_normal_agrees_with_wall_determinants():
             assert any(nu)
             dots = [sum(a * b for a, b in zip(nu, col)) for col in hom]
             assert all(dots[j] == 0 for j in wall)
-            dets = [det_int([hom[j] for j in wall] + [col]) for col in hom]
+            dets = [adjugate([hom[j] for j in wall] + [col])[0] for col in hom]
             signs = [(_sign(x), _sign(d)) for x, d in zip(dots, dets)]
             fixed = next(s * t for s, t in signs if t)
             assert fixed != 0
@@ -480,12 +479,14 @@ def test_boundary_walls_match_the_column_scan_on_every_full_simplex():
     for cfg, circuits in configs:
         seen = {}
         for s in itertools.combinations(range(len(cfg.columns)), cfg.dim + 1):
-            vol, normals = simplex_normals(cfg, s)
-            if vol == 0:
+            # row k of the adjugate, signed by the determinant, is the normal
+            # of the wall opposite s[k], positive on s[k]
+            det, adj = adjugate(list(zip(*map(cfg.homogeneous, s))))
+            if det == 0:
                 continue
             for k in range(len(s)):
                 wall = s[:k] + s[k + 1:]
-                verdict = scan_is_boundary_wall(cfg, normals[k])
+                verdict = scan_is_boundary_wall(cfg, [x if det > 0 else -x for x in adj[k]])
                 assert seen.setdefault(wall, verdict) == verdict
                 assert crossed(cfg, s, circuits, s[k]) != verdict, (cfg.columns, wall)
                 verdicts.append(verdict)

@@ -13,12 +13,12 @@ from test_polytope import CUBE_ORDER, cube_configuration, meet_in_common_faces
 
 import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
-from snakeflip.exact import det_int, integer_normal
+from snakeflip.exact import adjugate, integer_normal
 from snakeflip.flips import (_decode, _search, apply_flip, canonical_of, explore_flip_graph,
                             find_flips)
 from snakeflip.polytope import (PointConfiguration, Triangulation, canonical_triangulation,
                                 expected_normalized_volume, is_triangulation,
-                                order_polytope_vertices, simplex_normals, simplex_volume, walls)
+                                order_polytope_vertices, simplex_volume, walls)
 from snakeflip.posets import Poset
 from snakeflip.regularity import (
     HeightFunction,
@@ -93,7 +93,7 @@ def test_folding_form_rejects_bad_bases():
     omega = height_function(w)
     with pytest.raises(RegularityError):
         folding_form(t.config, (0, 1, 2), 3, omega)
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match='degenerate'):
         folding_form(t.config, (0, 1, 2, 3, 4), 5, omega)
 
 
@@ -101,13 +101,13 @@ def determinant_folding_form(cfg, simplex, p, omega):
     # reference: sgn(det M) * det([[M, x_p], [h_M, h_p]]) by two determinants,
     # the heights scaled to integers by the lcm of their denominators
     idx = tuple(sorted(simplex))
-    base_det = det_int([[cfg.homogeneous(j)[i] for j in idx] for i in range(cfg.dim + 1)])
+    base_det = adjugate([[cfg.homogeneous(j)[i] for j in idx] for i in range(cfg.dim + 1)])[0]
     ext = idx + (p,)
     matrix = [[cfg.homogeneous(j)[i] for j in ext] for i in range(cfg.dim + 1)]
     hrow = [Fraction(omega.heights[j]) for j in ext]
     scale = lcm(*(h.denominator for h in hrow))
     matrix.append([int(h * scale) for h in hrow])
-    value = Fraction((1 if base_det > 0 else -1) * det_int(matrix), scale)
+    value = Fraction((1 if base_det > 0 else -1) * adjugate(matrix)[0], scale)
     return int(value) if value.denominator == 1 else value
 
 
@@ -152,6 +152,41 @@ def test_folding_forms_match_the_determinants_on_witness_heights():
         assert report.verdict
         fractional += any(isinstance(x, Fraction) for c in report.walls for x in c.forms)
     assert fractional
+
+
+def test_folding_forms_match_the_determinants_beyond_unimodular_configurations():
+    # every simplex of an order polytope has |det M| = 1; the hexagon's and
+    # the line's simplices do not, and the heights c^3 / 3 are not integers
+    hexagon = plane_configuration([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+    line = PointConfiguration(dim=1, columns=((0,), (1,), (3,), (6,)),
+                              column_labels=((0,), (1,), (2,), (3,)))
+    reports = fractional = 0
+    volumes = set()
+    for cfg in (hexagon, line):
+        found, complete = enumerate_triangulations(cfg, circuits_brute(cfg))
+        assert complete
+        ncols = len(cfg.columns)
+        for heights in ([c * c for c in range(ncols)], [Fraction(c ** 3, 3) for c in range(ncols)],
+                        [7 * c % 5 for c in range(ncols)]):
+            omega = HeightFunction(tuple(heights))
+            for simplices in found:
+                tri = Triangulation.make(cfg, simplices)
+                report = verify_local_folding(tri, omega)
+                for check in report.walls:
+                    (i1, i2), (v1, v2) = check.simplices, check.opposite
+                    expected = (determinant_folding_form(cfg, tri.simplices[i2], v1, omega),
+                                determinant_folding_form(cfg, tri.simplices[i1], v2, omega))
+                    assert [(type(x), x) for x in check.forms] == [(type(x), x) for x in expected]
+                for s in tri.simplices:
+                    volumes.add(simplex_volume(cfg, s))
+                    for p in range(ncols):
+                        form = folding_form(cfg, s, p, omega)
+                        expected = determinant_folding_form(cfg, s, p, omega)
+                        assert (type(form), form) == (type(expected), expected)
+                reports += 1
+                fractional += any(isinstance(x, Fraction) for c in report.walls for x in c.forms)
+    assert (reports, fractional) == (54, 13)
+    assert volumes > {1}
 
 
 def test_canonical_heights_certify_canonical_triangulations():
@@ -639,9 +674,16 @@ def twist_is_affine(w, tau):
 def test_twist_is_affine_matches_the_per_column_kernels():
     rng = random.Random(12)
     rejected = 0
-    for w in v_words(5):
+    reversals = []
+    for w in list(v_words(5)) + [snake_polytope_word(n) for n in range(1, 5)]:
         for tau in all_twists(w):
             assert twist_is_affine(w, tau) and kernel_twist_is_affine(w, tau)
+        alpha = _reversal(w)
+        if alpha is not None:
+            tau = Twist(w, frozenset(), (), alpha)
+            verdict = kernel_twist_is_affine(w, tau)
+            assert twist_is_affine(w, tau) == verdict
+            reversals.append(verdict)
         columns = list(range(len(word_context(w).config.columns)))
         for _ in range(4):
             rng.shuffle(columns)
@@ -650,6 +692,7 @@ def test_twist_is_affine_matches_the_per_column_kernels():
             assert twist_is_affine(w, tau) == verdict
             rejected += not verdict
     assert rejected > 100
+    assert reversals and all(reversals)
 
 
 def test_twists_are_affine_takes_every_twist_of_the_word():
@@ -861,14 +904,14 @@ def test_enumeration_budget_bounds_the_set_up(monkeypatch):
     cfg = word_context(w).config
     circuits = all_circuits(w)
     calls = counted(monkeypatch, '_is_root', 0)
-    normals = counted(monkeypatch, 'simplex_normals', 1)
+    adjugates = counted(monkeypatch, 'adjugate', 0)
     setup = set_up_steps(cfg)
     for budget in (1, setup - 1):
         assert enumerate_triangulations(cfg, circuits, budget) == ((), False)
         assert calls == []
     assert enumerate_triangulations(cfg, circuits, setup) == ((), False)
     assert len(calls) == 288
-    assert normals == []
+    assert adjugates == []
 
 
 def test_enumeration_candidates_are_the_full_simplices(monkeypatch):
@@ -877,7 +920,7 @@ def test_enumeration_candidates_are_the_full_simplices(monkeypatch):
     configs = [word_context(parse_word(word)).config for word in ('LR', 'LRRL')]
     configs.append(order_polytope_vertices(Poset(4, [(0, 1), (2, 3)])))
     calls = counted(monkeypatch, '_is_root', 0)
-    normals = counted(monkeypatch, 'simplex_normals', 1)
+    adjugates = counted(monkeypatch, 'adjugate', 0)
     sizes = []
     for cfg in configs:
         circuits = circuits_brute(cfg)
@@ -888,7 +931,7 @@ def test_enumeration_candidates_are_the_full_simplices(monkeypatch):
         assert calls == [s for s in subsets if simplex_volume(cfg, s)]
         sizes.append((len(calls), len(subsets)))
     assert sizes[1] == (288, 2002)
-    assert normals == []
+    assert adjugates == []
 
 
 def root_verdicts(monkeypatch, cfg, circuits):
@@ -910,9 +953,9 @@ def holds_point_at_t_2(cfg, simplex):
     """Oracle: whether the simplex holds sum 2^c (v_c, 1), by its adjugate; None on a wall."""
     homs = [cfg.homogeneous(c) for c in range(len(cfg.columns))]
     q = [sum(2 ** c * hom[i] for c, hom in enumerate(homs)) for i in range(cfg.dim + 1)]
-    volume, normals = simplex_normals(cfg, simplex)
-    assert volume
-    coords = [sum(a * b for a, b in zip(nu, q)) for nu in normals]
+    det, adj = adjugate(list(zip(*map(cfg.homogeneous, simplex))))
+    assert det
+    coords = [det * sum(a * b for a, b in zip(row, q)) for row in adj]
     return None if 0 in coords else all(x > 0 for x in coords)
 
 
@@ -979,9 +1022,9 @@ def test_enumeration_is_generic_where_the_t_2_point_lies_on_a_wall():
     cube = cube_configuration(CUBE_ORDER)
     homs = [cube.homogeneous(c) for c in range(len(cube.columns))]
     q = [sum(2 ** c * hom[i] for c, hom in enumerate(homs)) for i in range(cube.dim + 1)]
-    assert any(det_int([homs[j] for j in s if j != apex] + [q]) == 0
+    assert any(adjugate([homs[j] for j in s if j != apex] + [q])[0] == 0
                for s in itertools.combinations(range(len(homs)), cube.dim + 1)
-               if det_int([homs[j] for j in s])
+               if adjugate([homs[j] for j in s])[0]
                for apex in s)
     found, complete = enumerate_triangulations(cube, circuits_brute(cube))
     assert complete and len(found) == 74

@@ -66,7 +66,7 @@ def circuit_bijection(max_len: int) -> CheckResult:
         gamma = circuits.all_circuits(w)
         brute = circuits.circuits_brute(circuits.word_context(w).config)
         subgraphs = words.connected_induced_subgraphs(words.word_graph(w))
-        if set(gamma) != set(brute) or not (
+        if gamma != brute or not (
                 len(gamma) == len(subgraphs) == words.count_subgraphs_recursive(w)):
             failures.append(_case(w))
     return CheckResult('circuit-bijection', 'V words len <= %d' % max_len,

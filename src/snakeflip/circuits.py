@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, NamedTuple, Tuple
 
-from .exact import RANK_PRIME, BudgetError, integer_normal, modular_rank_is_exact
+from .exact import BudgetError, integer_kernel, integer_normal
 from .polytope import PointConfiguration, order_polytope_vertices
 from .posets import (FilterLattice, Poset, RegularityLabeling, adjoin_bounds,
                      build_snake_poset, filter_lattice, regularity_labeling,
@@ -103,12 +103,12 @@ def all_circuits(w: SnakeWord) -> Tuple[Circuit, ...]:
 def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Circuit, ...]:
     """Every minimal affinely dependent column set, oriented by its dependence.
 
-    The search runs on the Gale dual.  Row-reducing the homogenized columns
-    gives their rank r; the m - r kernel vectors give each column j a dual
-    vector g_j.  The circuits of the columns are exactly the complements of
-    the hyperplanes (flats of rank m - r - 1) of the dual vectors, so the
-    search visits flats of a rank-(m - r) matroid instead of every
-    independent set of the columns.
+    The search runs on the Gale dual.  exact.integer_kernel gives the m - r
+    kernel vectors of the homogenized columns, of rank r, and column j's
+    dual vector g_j lists its entry in each.  The circuits of the columns
+    are exactly the complements of the hyperplanes (flats of rank m - r - 1)
+    of the dual vectors, so the search visits flats of a rank-(m - r)
+    matroid instead of every independent set of the columns.
 
     A depth-first search grows index-increasing sets S of dual vectors and
     keeps the residual of every g_i modulo span(S); it adds j > max(S) only
@@ -120,57 +120,35 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
     |S| = m - r - 1, where the columns with a nonzero residual form its
     circuit.  One budget step is one attempted addition of a column j to a
     node S; BudgetError is raised past ``budget`` steps, the only bound on
-    the number of columns.
+    the search: the entries may be any integers.
 
-    Rank decisions run modulo the 61-bit exact.RANK_PRIME.  A Hadamard bound
-    on the column entries (exact.modular_rank_is_exact) keeps every minor
-    below the prime in absolute value, so a column set is independent mod p
-    exactly when it is over the rationals;
-    the two matroids, and so their duals, agree.  Each discovered support is
-    re-solved exactly for its signs by exact.integer_normal on the support's
-    columns, which raises CircuitError unless the kernel is one-dimensional
-    with full support.
+    The residuals are exact integers, reduced fraction-free along the path
+    (Bareiss 1968): adding j pivots on the first nonzero coordinate of its
+    residual v, made positive by negating v, and every residual g becomes
+    (p * g - g[piv] * v) // prev, where p is the pivot and prev the previous
+    pivot on the path (1 at the root).  At the last level each live residual
+    has one nonzero coordinate, the same one for all, and these values are
+    one common multiple of the circuit's dependence, so their signs orient
+    it without solving the support again.
     """
     m = len(cfg.columns)
-    cols = [tuple(int(v) for v in cfg.homogeneous(j)) for j in range(m)]
-    height = len(cols[0]) if cols else 0
-    p = RANK_PRIME
-    if not modular_rank_is_exact(cols):
-        raise CircuitError('column entries too large for exact modular rank decisions')
-    rows = [[v % p for v in row] for row in zip(*cols)]
-    pivots = []
-    for c in range(m):
-        r = next((i for i in range(len(pivots), height) if rows[i][c]), None)
-        if r is None:
-            continue
-        k = len(pivots)
-        rows[k], rows[r] = rows[r], rows[k]
-        inv = pow(rows[k][c], p - 2, p)
-        rows[k] = [v * inv % p for v in rows[k]]
-        for i in range(height):
-            f = rows[i][c]
-            if i != k and f:
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[k])]
-        pivots.append(c)
-    # rows[:r] is now in reduced echelon form: free column f has the kernel
-    # vector e_f - sum_k rows[k][f] e_pivots[k]; g_j lists column j's entries
-    free = [c for c in range(m) if c not in pivots]
-    d = len(free)
+    if not m:
+        return ()
+    kernel = integer_kernel(list(zip(*map(cfg.homogeneous, range(m)))))
+    d = len(kernel)
     if not d:
         return ()
-    dual = [[0] * d for _ in range(m)]
-    for t, f in enumerate(free):
-        dual[f][t] = 1
-        for k, c in enumerate(pivots):
-            dual[c][t] = -rows[k][f] % p
+    dual = list(zip(*kernel))
     steps = 0
     found = []
 
-    def extend(residual, live, last, depth):
+    def extend(residual, live, last, prev, depth):
         # live: bit i set when the residual of g_i is nonzero
         nonlocal steps
         if depth == d - 1:
-            found.append(_orient(cols, [i for i in range(m) if live >> i & 1]))
+            signs = [(i, next(a for a in residual[i] if a)) for i in range(m) if live >> i & 1]
+            found.append(Circuit.make([i for i, a in signs if a > 0],
+                                      [i for i, a in signs if a < 0]))
             return
         for j in range(last + 1, m):
             steps += 1
@@ -180,22 +158,26 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
                 continue
             v = residual[j]
             piv = next(t for t, a in enumerate(v) if a)
-            inv = pow(v[piv], p - 2, p)
-            v = [a * inv % p for a in v]
+            if v[piv] < 0:
+                v = [-a for a in v]
+            p = v[piv]
             nxt = []
             nlive = 0
             for i, g in enumerate(residual):
-                f = g[piv]
-                if f:
-                    g = [(a - f * b) % p for a, b in zip(g, v)]
+                if live >> i & 1:
+                    f = g[piv]
+                    if f:
+                        g = [(p * a - f * b) // prev for a, b in zip(g, v)]
+                    elif p != prev:
+                        g = [p * a // prev for a in g]
+                    if any(g):
+                        nlive |= 1 << i
                 nxt.append(g)
-                if any(g):
-                    nlive |= 1 << i
             if (live & ~nlive) & ((1 << j) - 1):
                 continue
-            extend(nxt, nlive, j, depth + 1)
+            extend(nxt, nlive, j, p, depth + 1)
 
-    extend(dual, sum(1 << i for i, g in enumerate(dual) if any(g)), -1, 0)
+    extend(dual, sum(1 << i for i, g in enumerate(dual) if any(g)), -1, 1, 0)
     return tuple(sorted(found, key=lambda z: (z.plus, z.minus)))
 
 
@@ -263,10 +245,3 @@ def _gamma(ctx: WordContext, idxs) -> Circuit:
     return Circuit.make([c for c, v in support.items() if v > 0],
                         [c for c, v in support.items() if v < 0])
 
-
-def _orient(cols, support) -> Circuit:
-    coeffs = integer_normal(list(zip(*(cols[k] for k in support))))
-    if coeffs is None or any(c == 0 for c in coeffs):
-        raise CircuitError('modular dependence not confirmed over the rationals')
-    return Circuit.make([k for k, c in zip(support, coeffs) if c > 0],
-                        [k for k, c in zip(support, coeffs) if c < 0])

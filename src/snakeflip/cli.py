@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from time import monotonic
 from typing import NamedTuple, Optional, Tuple
@@ -181,7 +180,7 @@ def _parse_mask(text: str) -> Tuple[int, ...]:
 
 
 def parse(argv) -> RunConfig:
-    """Resolve argv, an optional config file, and the environment."""
+    """Resolve argv and an optional config file."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command is None:
@@ -196,16 +195,7 @@ def parse(argv) -> RunConfig:
             return file_values[key]
         return default
 
-    threads = pick('threads')
-    if threads is None:
-        env = os.environ.get('SNAKEFLIP_THREADS')
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise UsageError('SNAKEFLIP_THREADS must be an integer, got %r' % env)
-        else:
-            threads = 1
+    threads = pick('threads', 1)
     if threads < 1:
         raise UsageError('threads must be positive')
 

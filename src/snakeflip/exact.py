@@ -9,126 +9,116 @@ class BudgetError(RuntimeError):
     """Raised when an enumeration exceeds its state budget."""
 
 
-RANK_PRIME = (1 << 61) - 1
+def _gauss_jordan(m):
+    """Reduce the integer rows m in place; return (pivot columns, D, swap sign).
 
-
-def modular_rank_is_exact(columns) -> bool:
-    """Whether every column subset is independent mod RANK_PRIME exactly when it is over Q.
-
-    The columns are integer vectors of one height.  By Hadamard's bound an
-    s x s minor with entries at most B in absolute value is at most
-    (s B^2)^(s/2), so when (s B^2)^s < RANK_PRIME^2 for s = min(height,
-    number of columns) no nonzero minor vanishes mod the prime.
+    Fraction-free Gauss-Jordan (Bareiss 1968) elimination: column by column,
+    until every row holds a pivot, the first row at or below the current
+    rank with a nonzero entry becomes the pivot row, and every other row
+    becomes (p * row - f * pivot_row) // prev, where p is the pivot, f the
+    row's entry in its column and prev the previous pivot (1 at the start).
+    The division is exact, since every entry is a minor of the original
+    rows.  At the end the rows are D times the reduced row echelon form,
+    with D the last pivot: the pivot columns read D * I and the rows below
+    the rank are zero.  The swap sign is the sign of the row permutation.
     """
-    height = len(columns[0]) if columns else 0
-    largest = max((abs(v) for col in columns for v in col), default=0)
-    s = min(height, len(columns))
-    return not s or (s * max(largest, 1) ** 2) ** s < RANK_PRIME * RANK_PRIME
+    width = len(m[0]) if m else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(m):
+            break
+        for pivot in range(r, len(m)):
+            if m[pivot][c]:
+                break
+        else:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        pivot_row = m[r]
+        p = pivot_row[c]
+        for i, row in enumerate(m):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in row]
+        prev = p
+        pivots.append(c)
+    return pivots, prev, sign
 
 
 def adjugate(matrix):
     """(det, adj) of a square integer matrix, with adj . matrix = det * I.
 
-    Fraction-free Gauss-Jordan (Bareiss) elimination of [matrix | I]: each
-    step replaces every row but the pivot row by (p * row - f * pivot_row)
-    // prev, an exact division since every entry is a minor of the augmented
-    matrix.  At the end the left block is d * I and the right block is
-    d * matrix^-1, where d is the determinant of the row-swapped matrix; the
-    swap sign turns d into det and the right block into adj.  Row k of adj
-    vanishes on every column of the matrix but column k, so it is a normal
-    of the facet opposite column k, and adj[k] . column_k = det.  adj is
-    None when det is 0.
+    _gauss_jordan reduces [matrix | I].  The matrix is invertible exactly
+    when the first n pivots are its n columns; then the left block ends as
+    d * I and the right block as d * matrix^-1, where d is the determinant
+    of the row-swapped matrix, and the swap sign turns d into det and the
+    right block into adj.  Row k of adj vanishes on every column of the
+    matrix but column k, so it is a normal of the facet opposite column k,
+    and adj[k] . column_k = det.  Returns (0, None) when det is 0.
     """
     n = len(matrix)
     m = [[int(x) for x in row] + [int(i == j) for j in range(n)]
          for i, row in enumerate(matrix)]
     if any(len(row) != 2 * n for row in m):
         raise ValueError('adjugate needs a square matrix')
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            r = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if r is None:
-                return 0, None
-            m[k], m[r] = m[r], m[k]
-            sign = -sign
-        pivot_row = m[k]
-        p = pivot_row[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row = m[i]
-            f = row[k]
-            if f:
-                m[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
-            elif p != prev:
-                m[i] = [p * a // prev for a in row]
-        prev = p
+    pivots, d, sign = _gauss_jordan(m)
+    if pivots[:n] != list(range(n)):
+        return 0, None
     if sign < 0:
-        return -prev, [[-x for x in row[n:]] for row in m]
-    return prev, [row[n:] for row in m]
+        return -d, [[-x for x in row[n:]] for row in m]
+    return d, [row[n:] for row in m]
+
+
+def integer_kernel(rows):
+    """Integer basis of the kernel of integer rows of one length n.
+
+    Ragged rows raise ValueError, and [] counts as no rows of length 1.
+    After _gauss_jordan the rows are D times the reduced row echelon form,
+    so each column f without a pivot gives one kernel vector: D at f,
+    -row_k[f] at the k-th pivot column and 0 elsewhere.  The vectors are
+    independent, n - rank of them, and D times the rational basis that
+    sets each free column to one in turn.
+    """
+    m = [[int(x) for x in row] for row in rows]
+    n = len(m[0]) if m else 1
+    if any(len(row) != n for row in m):
+        raise ValueError('kernel needs rows of one length')
+    pivots, d, _ = _gauss_jordan(m)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = d
+        for row, c in zip(m, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def integer_normal(rows):
     """Primitive integer vector spanning the kernel of integer rows of one length.
 
-    The rows may be any number of integer vectors of a common length n;
-    ragged rows raise ValueError, and [] counts as no rows of length 1.
-    Fraction-free (Bareiss) elimination to echelon form, whose divisions are
-    exact, leaves the columns without a pivot; when exactly one is left, the
-    kernel is one-dimensional and integer back-substitution solves for it
-    with that column's entry set to one, scaling the vector whenever a pivot
-    does not divide.  The result is divided by its content and its first
-    nonzero entry is positive.  For k independent rows of length k + 1 it is
-    proportional to the cofactor vector: det([rows..., x]) = c * (normal . x)
-    for one nonzero integer c.  Returns None when the kernel is not
-    one-dimensional.  Its only caller is circuits, for the kernel of a
+    The vector of integer_kernel when the kernel is one-dimensional, divided
+    by its content and with its first nonzero entry positive; None
+    otherwise.  For k independent rows of length k + 1 it is proportional
+    to the cofactor vector: det([rows..., x]) = c * (normal . x) for one
+    nonzero integer c.  Its only caller is circuits, for the kernel of a
     support's columns; determinants and wall normals come from adjugate.
     """
-    m = [[int(x) for x in row] for row in rows]
-    k = len(m)
-    n = len(m[0]) if m else 1
-    if any(len(row) != n for row in m):
-        raise ValueError('normal needs rows of one length')
-    prev = 1
-    pivot_cols = []
-    free = None
-    for c in range(n):
-        r = len(pivot_cols)
-        pivot = next((i for i in range(r, k) if m[i][c] != 0), None)
-        if pivot is None:
-            if free is not None:
-                return None
-            free = c
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        tail = m[r][c + 1:]
-        # entries left of column c are zero below row r and are never read again
-        for i in range(r + 1, k):
-            row = m[i]
-            f = row[c]
-            if f == 0 and p == prev:
-                continue
-            row[c + 1:] = [(p * a - f * b) // prev for a, b in zip(row[c + 1:], tail)]
-        prev = p
-        pivot_cols.append(c)
-    if free is None:
+    basis = integer_kernel(rows)
+    if len(basis) != 1:
         return None
-    nu = [0] * n
-    nu[free] = 1
-    for r in range(len(pivot_cols) - 1, -1, -1):
-        c = pivot_cols[r]
-        row = m[r]
-        s = sum(a * b for a, b in zip(row[c + 1:], nu[c + 1:]))
-        g = gcd(s, row[c])
-        if row[c] != g:
-            nu = [x * (row[c] // g) for x in nu]
-        nu[c] = -(s // g)
-    g = 0
-    for x in nu:
-        g = gcd(g, x)
+    (nu,) = basis
+    g = gcd(*nu)
     if next(x for x in nu if x) < 0:
         g = -g
     return [x // g for x in nu]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from snakeflip import checks, flips, regularity, twists, volumes, words
+from snakeflip import checks, circuits, flips, regularity, twists, volumes, words
 from snakeflip.cli import EXIT_VERIFICATION, main
 from snakeflip.words import parse_word
 
@@ -51,3 +51,14 @@ def test_a_broken_primitive_fails_its_check(monkeypatch, capsys, row):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines if line.endswith('FAIL')] == [row]
     assert lines[-1] == 'FAILED'
+
+
+def test_a_repeated_brute_circuit_fails_the_bijection(monkeypatch, capsys):
+    # the same set of circuits, one of them listed twice
+    brute = circuits.circuits_brute
+    monkeypatch.setattr(circuits, 'circuits_brute', lambda cfg: brute(cfg) + brute(cfg)[:1])
+    result = checks.circuit_bijection(2)
+    assert result.failures and not result.ok
+    assert main(['verify-all', '--max-len', '2']) == EXIT_VERIFICATION
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines if line.endswith('FAIL')] == ['circuit-bijection']

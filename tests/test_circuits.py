@@ -1,5 +1,6 @@
 """Tests for circuits of order polytope vertex configurations."""
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -15,7 +16,7 @@ from snakeflip.circuits import (
     is_unit_dependence,
     word_context,
 )
-from snakeflip.exact import BudgetError, integer_normal
+from snakeflip.exact import BudgetError
 from snakeflip.polytope import PointConfiguration, order_polytope_vertices
 from snakeflip.posets import Poset, adjoin_bounds, build_snake_poset, meet_irreducibles
 from snakeflip.words import (
@@ -75,27 +76,15 @@ def test_circuit_count_matches_subgraph_count():
 def reference_circuits_brute(cfg, budget=2_000_000):
     """Independent-set DFS over the columns: the oracle before the Gale dual.
 
-    Every index-increasing independent set is extended by each later column;
-    a column that reduces to zero closes a circuit when its dependence uses
-    the whole set.  Kept as the reference that circuits_brute must match.
+    Every index-increasing independent set is extended by each later column,
+    reduced over the rationals; a column that reduces to zero closes a
+    circuit when its dependence uses the whole set, and that dependence
+    orients it.  Kept as the reference that circuits_brute must match.
     """
     m = len(cfg.columns)
-    cols = [tuple(int(v) for v in cfg.homogeneous(j)) for j in range(m)]
-    height = len(cols[0]) if cols else 0
-    largest = max((abs(v) for col in cols for v in col), default=0)
-    s = min(height, m)
-    p = (1 << 61) - 1
-    if s and (s * max(largest, 1) ** 2) ** s >= p * p:
-        raise CircuitError('column entries too large for exact modular rank decisions')
+    cols = [tuple(Fraction(v) for v in cfg.homogeneous(j)) for j in range(m)]
     steps = 0
     found = []
-
-    def orient(support):
-        coeffs = integer_normal(list(zip(*(cols[k] for k in support))))
-        if coeffs is None or any(c == 0 for c in coeffs):
-            raise CircuitError('modular dependence not confirmed over the rationals')
-        return Circuit.make([k for k, c in zip(support, coeffs) if c > 0],
-                            [k for k, c in zip(support, coeffs) if c < 0])
 
     def extend(stack, basis):
         nonlocal steps
@@ -104,23 +93,24 @@ def reference_circuits_brute(cfg, budget=2_000_000):
             steps += 1
             if steps > budget:
                 raise BudgetError('brute circuit search exceeded %d steps' % budget)
-            vec = [v % p for v in cols[j]]
-            combo = {j: 1}
+            vec = list(cols[j])
+            combo = {j: Fraction(1)}
             for piv, bvec, bcombo in basis:
                 f = vec[piv]
                 if f:
-                    vec = [(a - f * b) % p for a, b in zip(vec, bvec)]
+                    vec = [a - f * b for a, b in zip(vec, bvec)]
                     for k, v in bcombo.items():
-                        combo[k] = (combo.get(k, 0) - f * v) % p
+                        combo[k] = combo.get(k, 0) - f * v
             piv = next((r for r, a in enumerate(vec) if a), None)
             if piv is None:
                 support = sorted(k for k, v in combo.items() if v)
                 if support == stack + [j]:
-                    found.append(orient(support))
+                    found.append(Circuit.make([k for k in support if combo[k] > 0],
+                                              [k for k in support if combo[k] < 0]))
             else:
-                inv = pow(vec[piv], p - 2, p)
-                nvec = [a * inv % p for a in vec]
-                ncombo = {k: v * inv % p for k, v in combo.items() if v}
+                inv = 1 / vec[piv]
+                nvec = [a * inv for a in vec]
+                ncombo = {k: v * inv for k, v in combo.items() if v}
                 extend(stack + [j], basis + [(piv, nvec, ncombo)])
 
     extend([], [])
@@ -147,10 +137,12 @@ def test_brute_oracle_matches_independent_set_reference():
         dim = rng.randint(1, 4)
         configs.append(_plain([[rng.randint(-2, 2) for _ in range(dim)]
                                for _ in range(rng.randint(1, 9))]))
+    large = []
     for _ in range(20):
         dim = rng.randint(1, 4)
-        configs.append(_plain([[rng.randint(-10 ** 9, 10 ** 9) for _ in range(dim)]
-                               for _ in range(rng.randint(2, 6))]))
+        large.append(_plain([[rng.randint(-10 ** 9, 10 ** 9) for _ in range(dim)]
+                             for _ in range(rng.randint(2, 6))]))
+    configs += large
     for text in ('LRL', 'RLRL', 'LRLR', 'RLR'):
         q = meet_irreducibles(adjoin_bounds(build_snake_poset(parse_word(text))))
         configs.append(order_polytope_vertices(q))
@@ -159,8 +151,21 @@ def test_brute_oracle_matches_independent_set_reference():
         expected = _outcome(reference_circuits_brute, cfg)
         assert _outcome(circuits_brute, cfg) == expected, cfg
         outcomes.append(expected)
-    assert outcomes.count(CircuitError) >= 1
+    # entries up to 10^9 bound nothing: each of those configurations has its circuits
+    for cfg in large:
+        assert circuits_brute(cfg) == reference_circuits_brute(cfg), cfg
     assert sum(isinstance(o, tuple) and len(o) > 1 for o in outcomes) >= 100
+
+
+def test_brute_oracle_on_a_scaled_and_shifted_hexagon():
+    # an affine image has the same circuits; its entries grow past any
+    # fixed word size
+    hexagon = ((0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1))
+    circuits = circuits_brute(_plain(hexagon))
+    assert len(circuits) == 15
+    for scale in (10 ** 6, 10 ** 30, 3 ** 200):
+        image = _plain([(scale * x + 7, scale * y - 5) for x, y in hexagon])
+        assert circuits_brute(image) == circuits, scale
 
 
 def test_brute_oracle_equals_subgraph_construction():

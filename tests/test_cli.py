@@ -323,13 +323,13 @@ def test_config_file_values_are_parsed_by_the_flags(capsys, tmp_path):
     assert (str(config.word), config.budget_nodes, config.max_depth) == ('LR', 4, 2)
 
 
-def test_threads_from_environment(capsys, monkeypatch):
+def test_the_environment_sets_no_threads(capsys, monkeypatch):
     monkeypatch.setenv('SNAKEFLIP_THREADS', '4')
-    assert parse(['flipgraph', '--word', 'L']).threads == 4
-    monkeypatch.setenv('SNAKEFLIP_THREADS', 'x')
-    code, _, err = run_cli(capsys, ['volume', '--word', 'L'])
-    assert code == EXIT_USAGE
-    assert 'SNAKEFLIP_THREADS' in err
+    assert parse(['flipgraph', '--word', 'L']).threads == 1
+    for value, argv in (('x', ['volume', '--word', 'L']), ('0', ['poset', '--word', 'L'])):
+        monkeypatch.setenv('SNAKEFLIP_THREADS', value)
+        assert run_cli(capsys, argv)[0] == EXIT_OK, value
+    assert run_cli(capsys, ['flipgraph', '--word', 'L', '--threads', '0'])[0] == EXIT_USAGE
 
 
 def test_output_goes_to_file(capsys, tmp_path):

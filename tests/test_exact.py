@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from snakeflip.exact import adjugate, integer_normal, lp_feasible
+from snakeflip.exact import adjugate, integer_kernel, integer_normal, lp_feasible
 
 
 def det(matrix):
@@ -146,9 +146,16 @@ def _random_matrix(rng):
 def test_integer_normal_matches_the_fraction_kernel():
     rng = random.Random(20261018)
     nullities = set()
+    zero_rows = 0
     for _ in range(5000):
         rows = _random_matrix(rng)
+        zero_rows += any(not any(row) for row in rows)
         basis = fraction_kernel(rows)
+        kernel = integer_kernel(rows)
+        assert all(sum(a * b for a, b in zip(v, row)) == 0 for v in kernel for row in rows), rows
+        assert len(kernel) == len(basis), rows
+        # independent: as rows, the vectors have rank len(kernel)
+        assert not kernel or len(fraction_kernel(kernel)) == len(rows[0]) - len(kernel), rows
         nu = integer_normal(rows)
         nullities.add(min(len(basis), 2))
         if len(basis) != 1:
@@ -158,7 +165,10 @@ def test_integer_normal_matches_the_fraction_kernel():
         lead = next(i for i, x in enumerate(nu) if x)
         assert nu[lead] > 0 and math.gcd(*nu) == 1, rows
         assert [lam[lead] / nu[lead] * x for x in nu] == lam, rows
-    assert nullities == {0, 1, 2}
+    assert nullities == {0, 1, 2} and zero_rows
+    assert integer_kernel([]) == [[1]]
+    with pytest.raises(ValueError):
+        integer_kernel([[1, 2, 3], [4, 5]])
 
 
 def fraction_inverse(matrix):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, NamedTuple, Tuple
 
-from .exact import BudgetError, integer_kernel, integer_normal
+from .exact import BudgetError, integer_kernel
 from .polytope import PointConfiguration, order_polytope_vertices
 from .posets import (FilterLattice, Poset, RegularityLabeling, adjoin_bounds,
                      build_snake_poset, filter_lattice, regularity_labeling,
@@ -240,7 +240,7 @@ def _gamma(ctx: WordContext, idxs) -> Circuit:
     for r in range(height):
         if sum(s * col[r] for s, col in zip(signs, cols)) != 0:
             raise CircuitError('signed columns are not an exact dependence')
-    if integer_normal(list(zip(*cols))) is None:
+    if len(integer_kernel(list(zip(*cols)))) != 1:
         raise CircuitError('circuit support is not minimally dependent')
     return Circuit.make([c for c, v in support.items() if v > 0],
                         [c for c, v in support.items() if v < 0])

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 class BudgetError(RuntimeError):
@@ -102,26 +101,6 @@ def integer_kernel(rows):
             v[c] = -row[f]
         basis.append(v)
     return basis
-
-
-def integer_normal(rows):
-    """Primitive integer vector spanning the kernel of integer rows of one length.
-
-    The vector of integer_kernel when the kernel is one-dimensional, divided
-    by its content and with its first nonzero entry positive; None
-    otherwise.  For k independent rows of length k + 1 it is proportional
-    to the cofactor vector: det([rows..., x]) = c * (normal . x) for one
-    nonzero integer c.  Its only caller is circuits, for the kernel of a
-    support's columns; determinants and wall normals come from adjugate.
-    """
-    basis = integer_kernel(rows)
-    if len(basis) != 1:
-        return None
-    (nu,) = basis
-    g = gcd(*nu)
-    if next(x for x in nu if x) < 0:
-        g = -g
-    return [x // g for x in nu]
 
 
 def lp_feasible(A, b, n):

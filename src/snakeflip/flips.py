@@ -245,10 +245,16 @@ def find_flips(tri: Triangulation, circuits) -> List[FlipMove]:
 def apply_flip(tri: Triangulation, move: FlipMove, circuits=None) -> Triangulation:
     """Replace the contained side of the circuit, joined with its link, by the other.
 
-    Given the configuration's circuit list, the result is validated with
-    is_triangulation, and FlipError is raised when it fails.
+    A direction other than plus or minus, or a circuit or link column
+    outside the configuration, raises FlipError.  Given the configuration's
+    circuit list, the result is validated with is_triangulation, and
+    FlipError is raised when it fails.
     """
     n, node = _node(tri)
+    if move.direction not in ('plus', 'minus'):
+        raise FlipError('flip direction must be plus or minus, got %r' % (move.direction,))
+    if not all(0 <= c < n for face in (move.circuit.support(), *move.link) for c in face):
+        raise FlipError('flip move names a column outside 0..%d' % (n - 1))
     plus, minus = _plan(n, (move.circuit,))
     side = plus if move.direction == 'plus' else minus
     link = {_encode(n, face) for face in move.link}

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .exact import adjugate
 from .posets import Poset, filter_lattice, maximal_chains
@@ -110,18 +110,26 @@ def walls(simplices) -> Dict[Tuple[int, ...], List[Tuple[int, int]]]:
     return out
 
 
-def _crossed_walls(ncols: int, simplices, circuits) -> Optional[List[int]]:
-    """Per sorted simplex, a column mask of the apexes whose opposite wall a column lies beyond.
+def _circuit_cells(ncols: int, simplices, circuits):
+    """Per simplex, its clash bitset, circuit cells and crossed walls, from one circuit pass.
 
-    A simplex S holds the cell Z - j of a circuit Z when j is the only
-    support column of Z outside S.  The barycentric coordinate of j on a
-    column a of Z - j is then -lambda_a / lambda_j, so j lies beyond the
-    wall opposite each a on j's side of Z.  Conversely, a column j beyond
-    the wall opposite a forms a circuit with the columns of S on which its
-    coordinates are nonzero, and a lies on j's side of it; so with every
-    circuit listed the masks are exact.  None when some circuit has Z+ in
-    one simplex and Z- in one: two such simplices do not meet properly (De
-    Loera, Rambau and Santos 2010, ch. 4), and one holding both is flat.
+    Returns (clash, cells, crossed).  Bit p of clash[pos] is set when
+    simplices pos and p do not meet properly: some circuit has Z+ in one
+    and Z- in the other (De Loera, Rambau and Santos 2010, ch. 4); a
+    simplex holding a whole support clashes with itself.  cells[pos] lists,
+    flat and in circuit order, the triple j, support, side for each circuit
+    Z whose only column outside the simplex is j, with Z's support and j's
+    side of Z as column masks.  j's barycentric coordinate on a column a of
+    Z - j is -lambda_a / lambda_j, so j lies beyond the wall opposite each
+    a on j's side; conversely a column beyond that wall forms such a
+    circuit.  With every circuit listed once, each column outside a full
+    simplex has exactly one cell; a missing or repeated circuit leaves it
+    none or two.  crossed[pos] is the OR of the simplex's cells' sides: for
+    a column a of the simplex, bit a is set when some column lies beyond
+    the wall opposite a.
+    flips._Cells fills the same cells lazily, one simplex mask at a time
+    inside the flip search, where its scan is the hot layer; it is not
+    folded into this pass.
     """
     holding = [0] * ncols
     for pos, s in enumerate(simplices):
@@ -134,22 +142,30 @@ def _crossed_walls(ncols: int, simplices, circuits) -> Optional[List[int]]:
             got &= holding[c]
         return got
 
+    clash = [0] * len(simplices)
     crossed = [0] * len(simplices)
+    cells: List[List[int]] = [[] for _ in simplices]
     for z in circuits:
         plus, minus = held(z.plus), held(z.minus)
-        if plus and minus:
-            return None
-        for side, other in ((z.plus, minus), (z.minus, plus)):
+        for side, mine, other in ((z.plus, plus, minus), (z.minus, minus, plus)):
             if not other:
                 continue
+            found = mine
+            while found:
+                low = found & -found
+                clash[low.bit_length() - 1] |= other
+                found ^= low
             columns = sum(1 << c for c in side)
+            support = sum(1 << c for c in z.plus + z.minus)
             for j in side:
-                cell = other & held(c for c in side if c != j) & ~holding[j]
-                while cell:
-                    low = cell & -cell
-                    crossed[low.bit_length() - 1] |= columns ^ 1 << j
-                    cell ^= low
-    return crossed
+                found = other & held(c for c in side if c != j) & ~holding[j]
+                while found:
+                    low = found & -found
+                    pos = low.bit_length() - 1
+                    cells[pos] += (j, support, columns)
+                    crossed[pos] |= columns
+                    found ^= low
+    return clash, cells, crossed
 
 
 def is_triangulation(cfg: PointConfiguration, simplices, circuits) -> bool:
@@ -162,10 +178,10 @@ def is_triangulation(cfg: PointConfiguration, simplices, circuits) -> bool:
 
     - no simplex holds a circuit's support, so each is full-dimensional;
     - no circuit has Z+ in one simplex and Z- in another, so any two meet
-      properly (_crossed_walls);
+      properly (no clash in _circuit_cells);
     - no facet has more than two cofaces, and no column lies beyond the
-      wall of a facet with one (_crossed_walls), so that wall lies on the
-      boundary.
+      wall of a facet with one (the crossed masks of _circuit_cells), so
+      that wall lies on the boundary.
 
     Full simplices that meet properly and leave no interior wall unmatched
     cover the convex hull, since a point where their union ends inside it
@@ -177,8 +193,8 @@ def is_triangulation(cfg: PointConfiguration, simplices, circuits) -> bool:
             len(s) != cfg.dim + 1 or len(set(s)) != len(s) or s[0] < 0 or s[-1] >= ncols
             for s in canon):
         return False
-    crossed = _crossed_walls(ncols, canon, circuits)
-    if crossed is None:
+    clash, _, crossed = _circuit_cells(ncols, canon, circuits)
+    if any(clash):
         return False
     for cofaces in walls(canon).values():
         if len(cofaces) > 2:

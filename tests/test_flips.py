@@ -399,6 +399,39 @@ def test_flip_rejects_foreign_move():
         apply_flip(t, find_flips(partner, zs)[0], zs)
 
 
+def lr_move():
+    w = parse_word('LR')
+    t = canonical_of(w)
+    return t, find_flips(t, all_circuits(w))[0]
+
+
+def test_apply_flip_rejects_an_unknown_direction():
+    # 'up' was read as 'minus' and flipped that side
+    t, move = lr_move()
+    assert move.direction == 'minus'
+    for direction in ('up', 'Plus', ''):
+        with pytest.raises(FlipError, match='direction'):
+            apply_flip(t, move._replace(direction=direction))
+
+
+def test_apply_flip_rejects_a_circuit_column_outside_the_configuration():
+    # column N + 3 raised a bare ValueError from the shift in _encode
+    t, move = lr_move()
+    n = len(t.config.columns)
+    for extra in (n + 3, n, -1):
+        z = Circuit.make(move.circuit.plus, move.circuit.minus + (extra,))
+        with pytest.raises(FlipError, match='outside'):
+            apply_flip(t, move._replace(circuit=z))
+
+
+def test_apply_flip_rejects_a_link_column_outside_the_configuration():
+    t, move = lr_move()
+    n = len(t.config.columns)
+    for face in ((0, 6, 8, n), (-1, 6, 8, 9), (0, 7, 8, n + 3)):
+        with pytest.raises(FlipError, match='outside'):
+            apply_flip(t, move._replace(link=move.link[:1] + (face,)))
+
+
 def test_canonical_admits_length_plus_one_moves():
     for w in v_words(5):
         moves = find_flips(canonical_of(w), all_circuits(w))

@@ -1,19 +1,21 @@
 """Tests for order polytope vertices, canonical triangulations, and validity."""
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
-from test_exact import fraction_lp_maximize
+from test_exact import fraction_lp_maximize, integer_normal
 from test_posets import linear_extensions
 
 from snakeflip.circuits import all_circuits, circuits_brute, word_context
-from snakeflip.exact import adjugate, integer_normal
+from snakeflip.exact import adjugate
 from snakeflip.flips import apply_flip, canonical_of, find_flips
 from snakeflip.polytope import (
     PointConfiguration,
     PolytopeError,
     Triangulation,
-    _crossed_walls,
+    _circuit_cells,
     _simplex_volume_cached,
     canonical_triangulation,
     expected_normalized_volume,
@@ -438,8 +440,69 @@ def test_chain_count_of_a_lower_dimensional_segment_is_zero():
 
 def crossed(cfg, simplex, circuits, apex):
     # whether a column lies beyond the wall of simplex opposite apex, by the
-    # circuit cell rule of is_triangulation
-    return bool(_crossed_walls(len(cfg.columns), [simplex], circuits)[0] >> apex & 1)
+    # circuit cell rule of is_triangulation: apex lies on some cell's side
+    _, _, (mask,) = _circuit_cells(len(cfg.columns), [simplex], circuits)
+    return bool(mask >> apex & 1)
+
+
+def reference_cells(simplex, circuits):
+    # the per-simplex loop over (support, plus) shapes that the enumeration's
+    # root test ran: j, support and j's side, flat, for each circuit whose
+    # only column outside the simplex is j, in circuit order
+    mask = sum(1 << c for c in simplex)
+    out = []
+    for z in circuits:
+        support = sum(1 << c for c in z.support())
+        plus = sum(1 << c for c in z.plus)
+        outside = support & ~mask
+        if outside and not outside & (outside - 1):
+            out += (outside.bit_length() - 1, support, plus if outside & plus else support ^ plus)
+    return out
+
+
+def reference_clash(simplices, circuits):
+    # pairwise: a and b clash when some circuit has Z+ in one and Z- in the other
+    held = []
+    for s in simplices:
+        cols = set(s)
+        held.append((sum(1 << k for k, z in enumerate(circuits) if cols.issuperset(z.plus)),
+                     sum(1 << k for k, z in enumerate(circuits) if cols.issuperset(z.minus))))
+    return [sum(1 << b for b, (pb, mb) in enumerate(held) if pa & mb or ma & pb)
+            for pa, ma in held]
+
+
+def test_circuit_cells_match_the_per_simplex_reference():
+    # every full simplex of the V words to length 4, and every (d+1)-set of
+    # the hexagon and of Delta2 x Delta2, under the complete circuit list,
+    # the list one circuit short and the list with one circuit repeated
+    hexagon = PointConfiguration(dim=2, columns=((0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)),
+                                 column_labels=tuple((i,) for i in range(6)))
+    cases = [(word_context(w).config, all_circuits(w), True) for w in v_words(4)]
+    cases += [(cfg, circuits_brute(cfg), False)
+              for cfg in (hexagon, order_polytope_vertices(Poset(4, [(0, 1), (2, 3)])))]
+    rng = random.Random(41)
+    seen = {'self clash': 0, 'no cell': 0, 'two cells': 0, 'simplices': 0}
+    for cfg, circuits, full_only in cases:
+        ncols = len(cfg.columns)
+        simplices = [s for s in itertools.combinations(range(ncols), cfg.dim + 1)
+                     if not full_only or simplex_volume(cfg, s)]
+        i = rng.randrange(len(circuits))
+        for listed in (circuits, circuits[:i] + circuits[i + 1:], circuits[:i + 1] + circuits[i:]):
+            clash, cells, masks = _circuit_cells(ncols, simplices, listed)
+            expected = [reference_cells(s, listed) for s in simplices]
+            assert cells == expected, cfg.columns
+            assert masks == [reduce(or_, mine[2::3], 0) for mine in expected], cfg.columns
+            assert clash == reference_clash(simplices, listed), cfg.columns
+            for pos, mine in enumerate(cells):
+                columns = mine[::3]
+                seen['self clash'] += clash[pos] >> pos & 1
+                seen['no cell'] += len(set(columns)) < ncols - cfg.dim - 1
+                seen['two cells'] += len(set(columns)) < len(columns)
+            seen['simplices'] += len(simplices)
+            if listed is circuits and full_only:
+                assert all(sorted(mine[::3]) == [j for j in range(ncols) if j not in s]
+                           for s, mine in zip(simplices, cells))
+    assert all(seen.values()), seen
 
 
 def test_boundary_walls_are_the_walls_with_one_coface():

@@ -8,12 +8,12 @@ from math import gcd, lcm
 from time import monotonic
 
 import pytest
-from test_exact import fraction_kernel, fraction_lp_maximize
+from test_exact import fraction_kernel, fraction_lp_maximize, integer_normal
 from test_polytope import CUBE_ORDER, cube_configuration, meet_in_common_faces
 
 import snakeflip.regularity as regularity
 from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
-from snakeflip.exact import adjugate, integer_normal
+from snakeflip.exact import adjugate
 from snakeflip.flips import (_decode, _search, apply_flip, canonical_of, explore_flip_graph,
                             find_flips)
 from snakeflip.polytope import (PointConfiguration, Triangulation, canonical_triangulation,
@@ -238,10 +238,10 @@ def test_is_regular_on_explored_components(monkeypatch):
         raise AssertionError('is_regular eliminated a kernel')
 
     bindings = [module for name, module in sorted(sys.modules.items())
-                if name.startswith('snakeflip') and hasattr(module, 'integer_normal')]
+                if name.startswith('snakeflip') and hasattr(module, 'integer_kernel')]
     assert {m.__name__ for m in bindings} >= {'snakeflip.exact', 'snakeflip.circuits'}
     for module in bindings:
-        monkeypatch.setattr(module, 'integer_normal', no_kernel)
+        monkeypatch.setattr(module, 'integer_kernel', no_kernel)
     for circuits, nodes in components:
         for node in nodes:
             assert is_regular(node, circuits, verify=True)

@@ -6,10 +6,9 @@ from functools import cached_property, lru_cache
 from typing import Dict, FrozenSet, NamedTuple, Tuple
 
 from .exact import BudgetError, integer_kernel
-from .polytope import PointConfiguration, order_polytope_vertices
+from .polytope import PointConfiguration, _lattice_vertices
 from .posets import (FilterLattice, Poset, RegularityLabeling, adjoin_bounds,
-                     build_snake_poset, filter_lattice, regularity_labeling,
-                     squares_of)
+                     build_snake_poset, filter_lattice, regularity_labeling)
 from .words import (SnakeWord, WordError, connected_induced_subgraphs, is_in_V,
                     word_graph)
 
@@ -54,7 +53,6 @@ class WordContext:
     config: PointConfiguration
     column_of: Dict[int, int]
     element_of: Tuple[int, ...]
-    squares: tuple
 
     @cached_property
     def circuits(self) -> Tuple[Circuit, ...]:
@@ -79,14 +77,12 @@ def word_context(w: SnakeWord) -> WordContext:
     phat = adjoin_bounds(build_snake_poset(w))
     labeling = regularity_labeling(phat, w)
     lattice = filter_lattice(labeling.q)
-    config = order_polytope_vertices(labeling.q)
+    config = _lattice_vertices(labeling.q, lattice)
     column_of = {e: lattice.index(mask) for e, mask in labeling.phi_mask.items()}
     element_of = [0] * phat.size
     for e, j in column_of.items():
         element_of[j] = e
-    squares = tuple(squares_of(phat, w))
-    return WordContext(w, phat, labeling, lattice, config, column_of,
-                       tuple(element_of), squares)
+    return WordContext(w, phat, labeling, lattice, config, column_of, tuple(element_of))
 
 
 def circuit_from_subgraph(w: SnakeWord, subgraph) -> Circuit:
@@ -220,7 +216,7 @@ def _gamma(ctx: WordContext, idxs) -> Circuit:
                 sign = -sign
             elif i - prev != 1:
                 raise CircuitError('subgraph is not connected')
-        sq = ctx.squares[i]
+        sq = ctx.labeling.ladders.squares[i]
         for e, s in ((sq.top, sign), (sq.bottom, sign),
                      (sq.left, -sign), (sq.right, -sign)):
             c = ctx.column_of[e]
@@ -234,14 +230,12 @@ def _gamma(ctx: WordContext, idxs) -> Circuit:
         raise CircuitError('circuit coefficients must be +1 or -1')
     if 0 in support or len(ctx.config.columns) - 1 in support:
         raise CircuitError('circuit touches the empty or the full filter')
+    z = Circuit.make([c for c, v in support.items() if v > 0],
+                     [c for c, v in support.items() if v < 0])
+    if not is_unit_dependence(ctx.config, z):
+        raise CircuitError('signed columns are not an exact dependence')
     cols = [ctx.config.homogeneous(c) for c in support]
-    height = len(cols[0])
-    signs = list(support.values())
-    for r in range(height):
-        if sum(s * col[r] for s, col in zip(signs, cols)) != 0:
-            raise CircuitError('signed columns are not an exact dependence')
     if len(integer_kernel(list(zip(*cols)))) != 1:
         raise CircuitError('circuit support is not minimally dependent')
-    return Circuit.make([c for c, v in support.items() if v > 0],
-                        [c for c, v in support.items() if v < 0])
+    return z
 

@@ -35,7 +35,7 @@ class UsageError(ValueError):
 
 
 class RunConfig(NamedTuple):
-    """One resolved invocation: command, inputs, budgets, output, threads."""
+    """One resolved invocation: command, inputs, budgets, output."""
 
     command: str
     word: Optional[SnakeWord] = None
@@ -51,7 +51,6 @@ class RunConfig(NamedTuple):
     max_len: int = 5
     format: str = 'text'
     output: Optional[str] = None
-    threads: int = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,9 +93,6 @@ def build_parser() -> _Parser:
         p.add_argument('--time-budget', type=float, default=None,
                        help='seconds; checked between search levels')
 
-    def add_threads(p):
-        p.add_argument('--threads', type=int, default=None)
-
     add_word(add('poset', 'poset, meet-irreducibles, ladder count'))
     add_word(add('volume', 'normalized volume of the order polytope'))
     add_word(add('circuits', 'oriented circuits of the vertex configuration'))
@@ -104,7 +100,6 @@ def build_parser() -> _Parser:
     p = add('flipgraph', 'breadth-first flip-graph exploration')
     add_word(p)
     add_budgets(p)
-    add_threads(p)
     p = add('twist', 'twist group, or one twist applied to the canonical')
     add_word(p)
     p.add_argument('--twist', default=None, help='ladder indices, e.g. 1,3')
@@ -113,7 +108,6 @@ def build_parser() -> _Parser:
     p.add_argument('--twist', default=None, help='ladder indices, e.g. 1,3')
     p.add_argument('--node', default=None, help='hash prefix within the component')
     add_budgets(p)
-    add_threads(p)
     p = add('conjectures', 'experiment runner')
     add_word(p)
     p.add_argument('--id', dest='conjecture', default=None,
@@ -124,10 +118,10 @@ def build_parser() -> _Parser:
     p.add_argument('--time-budget', type=float, default=None,
                    help='seconds; checked between flip-search levels')
     p.add_argument('--exhaustive', action=argparse.BooleanOptionalAction, default=None)
-    add_threads(p)
     p = add('verify-all', 'run every theorem check and print a summary table')
     p.add_argument('--max-len', type=int, default=None)
-    add_threads(p)
+    # ignored; kept only because perfbench/workloads.py passes it (ROADMAP item 1 deletes it)
+    p.add_argument('--threads', type=int, default=None)
     return parser
 
 
@@ -195,8 +189,7 @@ def parse(argv) -> RunConfig:
             return file_values[key]
         return default
 
-    threads = pick('threads', 1)
-    if threads < 1:
+    if pick('threads', 1) < 1:
         raise UsageError('threads must be positive')
 
     word_text = pick('word')
@@ -221,7 +214,6 @@ def parse(argv) -> RunConfig:
         max_len=pick('max_len', 5),
         format=pick('format', 'text'),
         output=pick('output'),
-        threads=threads,
     )
     for name in ('budget_nodes', 'budget_steps', 'max_len'):
         if getattr(config, name) < 0:
@@ -360,8 +352,8 @@ def _node_names(hashes):
 def _cmd_flipgraph(config: RunConfig) -> int:
     w = _require_word(config)
     graph = explore_flip_graph(canonical_of(w), all_circuits(w),
-                               budget=config.budget_nodes, workers=config.threads,
-                               max_depth=config.max_depth, deadline=_deadline(config))
+                               budget=config.budget_nodes, max_depth=config.max_depth,
+                               deadline=_deadline(config))
     hashes = [triangulation_hash(t) for t in graph.nodes]
     if config.format == 'json':
         _emit_json(config, {
@@ -436,8 +428,7 @@ def _cmd_regularity(config: RunConfig) -> int:
     circuits = all_circuits(w)
     if config.node is not None:
         graph = explore_flip_graph(canonical_of(w), circuits,
-                                   budget=config.budget_nodes, workers=config.threads,
-                                   max_depth=config.max_depth,
+                                   budget=config.budget_nodes, max_depth=config.max_depth,
                                    deadline=_deadline(config))
         matches = [t for t in graph.nodes
                    if triangulation_hash(t).startswith(config.node)]
@@ -499,11 +490,8 @@ def _cmd_conjectures(config: RunConfig) -> int:
     if config.conjecture is None:
         raise UsageError('conjectures requires --id')
     report = conjecture_suite(config.conjecture, word=config.word, n=config.n,
-                              budget_nodes=config.budget_nodes,
-                              workers=config.threads,
-                              exhaustive=config.exhaustive,
-                              budget_steps=config.budget_steps,
-                              deadline=_deadline(config))
+                              budget_nodes=config.budget_nodes, exhaustive=config.exhaustive,
+                              budget_steps=config.budget_steps, deadline=_deadline(config))
     payload = report._asdict()
     exhaustive = payload.get('exhaustive')
     if exhaustive is not None:

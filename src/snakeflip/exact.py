@@ -8,18 +8,37 @@ class BudgetError(RuntimeError):
     """Raised when an enumeration exceeds its state budget."""
 
 
+def _pivot(rows, r, c, prev):
+    """Pivot the integer rows in place on rows[r][c]; return the pivot p.
+
+    Every other row becomes (p * row - f * rows[r]) // prev, where f is the
+    row's entry in column c and prev the previous pivot, a division that is
+    exact by Sylvester's identity (Bareiss 1968).
+    """
+    pivot_row = rows[r]
+    p = pivot_row[c]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[c]
+        if f:
+            rows[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
+        elif p != prev:
+            rows[i] = [p * a // prev for a in row]
+    return p
+
+
 def _gauss_jordan(m):
     """Reduce the integer rows m in place; return (pivot columns, D, swap sign).
 
     Fraction-free Gauss-Jordan (Bareiss 1968) elimination: column by column,
     until every row holds a pivot, the first row at or below the current
-    rank with a nonzero entry becomes the pivot row, and every other row
-    becomes (p * row - f * pivot_row) // prev, where p is the pivot, f the
-    row's entry in its column and prev the previous pivot (1 at the start).
-    The division is exact, since every entry is a minor of the original
-    rows.  At the end the rows are D times the reduced row echelon form,
-    with D the last pivot: the pivot columns read D * I and the rows below
-    the rank are zero.  The swap sign is the sign of the row permutation.
+    rank with a nonzero entry becomes the pivot row, and _pivot clears its
+    column in every other row, dividing by the previous pivot (1 at the
+    start); every entry stays a minor of the original rows.  At the end the
+    rows are D times the reduced row echelon form, with D the last pivot:
+    the pivot columns read D * I and the rows below the rank are zero.  The
+    swap sign is the sign of the row permutation.
     """
     width = len(m[0]) if m else 0
     pivots = []
@@ -37,17 +56,7 @@ def _gauss_jordan(m):
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
-        pivot_row = m[r]
-        p = pivot_row[c]
-        for i, row in enumerate(m):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                m[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
-            elif p != prev:
-                m[i] = [p * a // prev for a in row]
-        prev = p
+        prev = _pivot(m, r, c, prev)
         pivots.append(c)
     return pivots, prev, sign
 
@@ -115,9 +124,9 @@ def lp_feasible(A, b, n):
     The simplex is fraction-free: it keeps an integer tableau T and one
     common denominator D, so the rational tableau is T / D.  D starts at 1
     and is then the previous pivot, positive since the ratio test pivots
-    only on positive entries.  Pivoting on entry p replaces every other row
-    by (p * T[i][j] - T[i][c] * T[r][j]) // D, an exact division by
-    Sylvester's identity (Bareiss 1968), since every entry is D times an
+    only on positive entries.  Pivoting (_pivot) on entry p replaces every
+    other row by (p * T[i][j] - T[i][c] * T[r][j]) // D, an exact division
+    by Sylvester's identity (Bareiss 1968), since every entry is D times an
     entry of the rational tableau and so, up to sign, a minor of [A | I | b].
     With cost -1 on each artificial, column j has a positive reduced cost
     exactly when the T[i][j] of the rows with an artificial in the basis sum
@@ -156,17 +165,7 @@ def lp_feasible(A, b, n):
                 lhs, rhs = t[-1] * best[entering], best[-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
-        prow = tableau[leaving]
-        p = prow[entering]
-        for r, other in enumerate(tableau):
-            if r == leaving:
-                continue
-            f = other[entering]
-            if f:
-                tableau[r] = [(p * a - f * q) // denom for a, q in zip(other, prow)]
-            elif p != denom:
-                tableau[r] = [p * a // denom for a in other]
-        denom = p
+        denom = _pivot(tableau, leaving, entering, denom)
         basis[leaving] = entering
     if any(t[-1] for i, t in enumerate(tableau) if basis[i] >= n):
         return None

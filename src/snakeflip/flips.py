@@ -595,8 +595,9 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
                        deadline: Optional[float] = None) -> FlipGraph:
     """Deterministic breadth-first closure of the seed under circuit flips.
 
-    The search runs in one thread on simplex masks; workers is accepted and
-    ignored.  The seed's simplices are checked unimodular; a later simplex is
+    The search runs in one thread on simplex masks; workers is ignored, kept
+    only because perfbench/workloads.py passes it (ROADMAP item 1 deletes
+    it).  The seed's simplices are checked unimodular; a later simplex is
     unimodular because the circuit whose flip created it is a +-1 dependence
     of the columns, which is checked once per circuit (_search).  Nothing
     on the search path calls is_triangulation; apply_flip validates when it

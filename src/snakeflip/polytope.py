@@ -42,7 +42,11 @@ class Triangulation(NamedTuple):
 
 def order_polytope_vertices(q: Poset) -> PointConfiguration:
     """Vertices of O(q): characteristic vectors of filters, in canonical order."""
-    lat = filter_lattice(q)
+    return _lattice_vertices(q, filter_lattice(q))
+
+
+def _lattice_vertices(q: Poset, lat) -> PointConfiguration:
+    """order_polytope_vertices read off lat, the filter lattice of q."""
     columns = tuple(tuple(mask >> e & 1 for e in range(q.size)) for mask in lat.filters)
     names = q.labels if q.labels else tuple(range(q.size))
     labels = tuple(tuple(sorted(names[x] for x in gens)) for gens in lat.generator_sets)
@@ -54,8 +58,7 @@ def order_polytope_vertices(q: Poset) -> PointConfiguration:
 def canonical_triangulation(q: Poset) -> Triangulation:
     """Stanley's triangulation: one simplex per maximal chain of the filter lattice."""
     lat = filter_lattice(q)
-    config = order_polytope_vertices(q)
-    return Triangulation.make(config, maximal_chains(lat))
+    return Triangulation.make(_lattice_vertices(q, lat), maximal_chains(lat))
 
 
 def simplex_volume(cfg: PointConfiguration, simplex) -> int:

@@ -581,11 +581,11 @@ class RegularCountReport(NamedTuple):
 
 
 def check_flip_degrees(w: SnakeWord, budget_nodes: int = 100000,
-                       workers: int = 1, deadline: Optional[float] = None) -> DegreeReport:
+                       deadline: Optional[float] = None) -> DegreeReport:
     """Explore the flip graph and compare all degrees to the secondary dimension."""
     ctx = word_context(w)
     graph = explore_flip_graph(canonical_of(w), all_circuits(w),
-                               budget=budget_nodes, workers=workers, deadline=deadline)
+                               budget=budget_nodes, deadline=deadline)
     k = len(ctx.config.columns) - ctx.config.dim - 1
     hist = Counter(graph.degrees())
     degrees = tuple(sorted(hist.items()))
@@ -594,11 +594,11 @@ def check_flip_degrees(w: SnakeWord, budget_nodes: int = 100000,
 
 
 def find_new_dual_graph(w: SnakeWord, budget_nodes: int = 100000,
-                        workers: int = 1, deadline: Optional[float] = None) -> DualGraphReport:
+                        deadline: Optional[float] = None) -> DualGraphReport:
     """Look for a regular triangulation whose dual graph differs from canonical."""
     circuits = all_circuits(w)
     graph = explore_flip_graph(canonical_of(w), circuits,
-                               budget=budget_nodes, workers=workers, deadline=deadline)
+                               budget=budget_nodes, deadline=deadline)
     base = dual_graph(graph.nodes[0])
     expected_found = any(w.letter(i) != w.letter(i + 1) for i in range(1, len(w)))
     for node in graph.nodes[1:]:
@@ -611,14 +611,13 @@ def find_new_dual_graph(w: SnakeWord, budget_nodes: int = 100000,
 
 
 def count_canonical_dual_graphs(n: int, budget_nodes: int = 100000,
-                                workers: int = 1,
                                 deadline: Optional[float] = None) -> CanonicalDualCountReport:
     """Count explored triangulations whose dual graph matches the canonical one."""
     if n < 3:
         raise RegularityError('the single-turn family needs n >= 3')
     w = SnakeWord(('L',) + ('R',) * (n - 2))
     graph = explore_flip_graph(canonical_of(w), all_circuits(w),
-                               budget=budget_nodes, workers=workers, deadline=deadline)
+                               budget=budget_nodes, deadline=deadline)
     base = dual_graph(graph.nodes[0])
     count = sum(1 for node in graph.nodes
                 if graphs_isomorphic(dual_graph(node), base))
@@ -809,7 +808,8 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     orbits only, so where a truncated count stops depends on the group.
     twist_orbits counts the twist orbits all the same
     (_twist_orbits), and affine_twists reports the twists alone; workers is
-    accepted and ignored.  Integer heights carried across the flipped
+    ignored, kept only because perfbench/workloads.py passes it (ROADMAP
+    item 1 deletes it).  Integer heights carried across the flipped
     circuit from the node's search parent, and then from every earlier
     stored neighbour whose flip lands in its orbit, prove "regular" when
     every wall row is strictly positive on them; otherwise is_regular's
@@ -862,7 +862,7 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
 
 def conjecture_suite(conjecture: str, word: Optional[SnakeWord] = None,
                      n: Optional[int] = None, budget_nodes: int = 100000,
-                     workers: int = 1, exhaustive: Optional[bool] = None,
+                     exhaustive: Optional[bool] = None,
                      budget_steps: int = 2_000_000, deadline: Optional[float] = None):
     """Run one numbered experiment: 6.1, 6.2, 6.3, or 6.4.
 
@@ -872,18 +872,18 @@ def conjecture_suite(conjecture: str, word: Optional[SnakeWord] = None,
     if conjecture == '6.1':
         if word is None:
             raise RegularityError('experiment 6.1 needs a word')
-        return check_flip_degrees(word, budget_nodes, workers, deadline)
+        return check_flip_degrees(word, budget_nodes, deadline)
     if conjecture == '6.2':
         if word is None:
             raise RegularityError('experiment 6.2 needs a word')
-        return find_new_dual_graph(word, budget_nodes, workers, deadline)
+        return find_new_dual_graph(word, budget_nodes, deadline)
     if conjecture == '6.3':
         if n is None:
             raise RegularityError('experiment 6.3 needs n')
-        return count_canonical_dual_graphs(n, budget_nodes, workers, deadline)
+        return count_canonical_dual_graphs(n, budget_nodes, deadline)
     if conjecture == '6.4':
         if n is None:
             raise RegularityError('experiment 6.4 needs n')
-        return count_regular_triangulations(n, budget_nodes, workers,
-                                            exhaustive, budget_steps, deadline)
+        return count_regular_triangulations(n, budget_nodes, exhaustive=exhaustive,
+                                            budget_steps=budget_steps, deadline=deadline)
     raise RegularityError('unknown experiment %r' % (conjecture,))

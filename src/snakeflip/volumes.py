@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Dict, NamedTuple, Tuple
 
 from .exact import BudgetError, adjugate
 from .posets import Poset, build_snake_poset, strip_embedding
-from .words import SnakeWord, parse_word
+from .words import SnakeWord
 
 
 class VolumeError(ValueError):
@@ -185,11 +186,8 @@ class MinmaxReport(NamedTuple):
 
 def all_words_of_length(n: int):
     """All 2^n words of length n, lexicographically."""
-    if n == 0:
-        yield SnakeWord(())
-        return
-    for mask in range(1 << n):
-        yield parse_word(''.join('LR'[(mask >> (n - 1 - i)) & 1] for i in range(n)))
+    for letters in product('LR', repeat=n):
+        yield SnakeWord(letters)
 
 
 def verify_minmax(n: int) -> MinmaxReport:

@@ -300,6 +300,9 @@ def test_config_file_takes_only_the_subcommands_flags(capsys, tmp_path):
             ('conjectures', 'conjecture=6.4\nn=1\n', 'conjecture'),
             ('conjectures', 'id=6.4\nconfig=other.cfg\n', 'config'),
             ('volume', 'word=L\nthreads=2\n', 'threads'),
+            ('flipgraph', 'word=L\nthreads=2\n', 'threads'),
+            ('regularity', 'word=L\nthreads=2\n', 'threads'),
+            ('conjectures', 'id=6.4\nn=1\nthreads=2\n', 'threads'),
             ('flipgraph', 'word=L\nbudget=5\n', 'budget')):
         cfg.write_text(text)
         code, out, err = run_cli(capsys, [command, '--config', str(cfg)])
@@ -324,12 +327,22 @@ def test_config_file_values_are_parsed_by_the_flags(capsys, tmp_path):
 
 
 def test_the_environment_sets_no_threads(capsys, monkeypatch):
-    monkeypatch.setenv('SNAKEFLIP_THREADS', '4')
-    assert parse(['flipgraph', '--word', 'L']).threads == 1
-    for value, argv in (('x', ['volume', '--word', 'L']), ('0', ['poset', '--word', 'L'])):
+    argv = ['verify-all', '--max-len', '1']
+    plain = run_cli(capsys, argv)
+    assert plain[0] == EXIT_OK
+    for value in ('4', 'x', '0'):
         monkeypatch.setenv('SNAKEFLIP_THREADS', value)
-        assert run_cli(capsys, argv)[0] == EXIT_OK, value
-    assert run_cli(capsys, ['flipgraph', '--word', 'L', '--threads', '0'])[0] == EXIT_USAGE
+        assert run_cli(capsys, argv) == plain, value
+    assert run_cli(capsys, argv + ['--threads', '0'])[0] == EXIT_USAGE
+
+
+def test_only_verify_all_takes_threads(capsys):
+    for argv in (['flipgraph', '--word', 'L'], ['regularity', '--word', 'L'],
+                 ['conjectures', '--id', '6.4', '--n', '1']):
+        code, out, err = run_cli(capsys, argv + ['--threads', '2'])
+        assert code == EXIT_USAGE and out == '' and '--threads' in err, argv
+    config = parse(['verify-all', '--threads', '2'])
+    assert 'threads' not in config._fields
 
 
 def test_output_goes_to_file(capsys, tmp_path):
@@ -370,10 +383,6 @@ def test_verify_all_small(capsys):
 
 
 def test_outputs_do_not_depend_on_thread_count(capsys):
-    first = run_cli(capsys, ['flipgraph', '--word', 'LR', '--format', 'json'])
-    second = run_cli(capsys, ['flipgraph', '--word', 'LR', '--format', 'json',
-                              '--threads', '4'])
-    assert first == second
     one = run_cli(capsys, ['verify-all', '--max-len', '3'])
     four = run_cli(capsys, ['verify-all', '--max-len', '3', '--threads', '4'])
     assert one == four

@@ -7,7 +7,6 @@ that a test or a tracer that rebinds a module attribute sees every call.
 """
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 from . import circuits, flips, polytope, regularity, twists, volumes, words
@@ -41,8 +40,7 @@ def volume_agreement(max_len: int) -> CheckResult:
     while len(pell) <= max_len:
         pell.append(2 * pell[-1] + pell[-2])
     for n in range(max_len + 1):
-        for letters in product('LR', repeat=n):
-            w = SnakeWord(letters)
+        for w in volumes.all_words_of_length(n):
             cases += 1
             if not (volumes.volume_recursive(w) == volumes.volume_brute(w)
                     == volumes.volume_skew(w)):

@@ -113,7 +113,7 @@ class _Cells:
     shared object of bits[j].  columns[s] and supports[s] are side s's
     columns and its circuit's support as masks.  unit[k] caches whether
     circuit k's +-1 vector is a dependence of the columns
-    (circuits.is_unit_dependence).
+    (circuits.is_unit_dependence), and rows[s] side s's wall row (row).
     """
 
     def __init__(self, cfg, circuits):
@@ -131,12 +131,32 @@ class _Cells:
             self.supports += (_encode(n, z.support()),) * 2
         self.entries: Dict[int, Tuple[int, ...]] = {}
         self.unit: Dict[int, bool] = {}
+        self.rows: Dict[int, Optional[Dict[int, int]]] = {}
 
     def is_unit(self, k: int) -> bool:
         """Whether circuit k's +-1 vector is a dependence of the columns, tested once."""
         if k not in self.unit:
             self.unit[k] = is_unit_dependence(self.cfg, self.circuits[k])
         return self.unit[k]
+
+    def row(self, s: int) -> Optional[Dict[int, int]]:
+        """Side s's wall row: its circuit's +-1 vector, positive on side s.
+
+        Two simplices that meet in a wall have both apexes on one side of
+        their circuit, and the row is positive on them.  A Circuit carries
+        its support and signs only, so the row takes every coefficient to be
+        +-1, as on order polytopes; it is None when that vector is not a
+        dependence of the columns (is_unit), as for a circuit listed for
+        another configuration.  The row is the table's own dict and must not
+        be changed.
+        """
+        if s not in self.rows:
+            k = s >> 1
+            z = self.circuits[k]
+            positive = z.minus if s & 1 else z.plus
+            self.rows[s] = ({c: 1 if c in positive else -1 for c in z.support()}
+                            if self.is_unit(k) else None)
+        return self.rows[s]
 
     def _entries(self, mask: int) -> Tuple[int, ...]:
         n = self.n
@@ -420,22 +440,20 @@ class _Search(NamedTuple):
     Node i stands for its orbit under group, the first member the search
     reached; index holds the nodes under their keys (group.locate), and
     sizes[i] is the orbit's size.  With the trivial group every node is its
-    own orbit.  parents[b] is (a, circuit) for the node a whose move
-    first reached b and the circuit it flipped, so nodes[b] is the flip of
-    nodes[a] on it; the seed's entry is (-1, None).  arrivals[b] packs every
-    other move of a node a < b that landed in b's orbit as one int, which
-    arrived(b) unpacks; a move from b into the orbit of a < b is the image
-    of one of a's moves, so it is not kept.  scans[a] is (matched walls,
-    wall sides) of cells.scan(nodes[a]) once a is expanded, None before.
-    It holds search state only: consumers decode the masks (_decode) and
-    derive edges from parents and arrived themselves.
+    own orbit.  arrivals[b] packs every move of a node a < b that landed in
+    b's orbit as one int, which arrived(b) unpacks.  The first is the move
+    that found b, with element 0, so nodes[b] is that flip of nodes[a]; the
+    seed has none.  A move from b into the orbit of a < b is the image of
+    one of a's moves, so it is not kept.  scans[a] is (matched walls, wall
+    sides) of cells.scan(nodes[a]) once a is expanded, None before.  It
+    holds search state only: consumers decode the masks (_decode) and
+    derive edges from arrived themselves.
     """
 
     n: int
     nodes: List[Tuple[int, ...]]
     index: Dict
     depths: List[int]
-    parents: List[Tuple[int, Optional[Circuit]]]
     sizes: List[int]
     group: _Group
     partial: bool
@@ -482,17 +500,16 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     order, which is the order of their simplex tuples.  Expanding a node is
     one scan of its cells in a per-search _Cells table, which gives its
     moves and its walls; a move to a later stored orbit is kept as an
-    arrival.  Nodes are discovered level by level, so every node left
-    unexpanded comes after every expanded one, and an edge between an
-    expanded node and another is a move from the earlier of the two: with
-    the trivial group, the edges are the parents and the arrivals
-    (explore_flip_graph).
+    arrival, and so is the move that finds a new one.  Nodes are discovered
+    level by level, so every node left unexpanded comes after every expanded
+    one, and an edge between an expanded node and another is a move from
+    the earlier of the two: with the trivial group, the edges are the
+    arrivals (explore_flip_graph).
 
     Every flip is an edge, met from both of its ends, so expanding b skips
-    the moves known to lead back into the orbit of an earlier node: the reverse
-    of its parent's move, on the other side of the parent's circuit, and
-    the reverse of each arrival (a, s, e) so far, on the image under
-    perms[e] of the other side of sides[s].  A side's image is looked up by
+    the moves known to lead back into the orbit of an earlier node: the
+    reverse of each arrival (a, s, e) so far, on the image under perms[e]
+    of the other side of sides[s].  A side's image is looked up by
     its column and support masks and kept per (element, side); an image
     that is not a listed side skips nothing.
 
@@ -513,14 +530,12 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     index: Dict = {}
     key, _, _ = group.locate(index, [], root)
     group.store(index, key, 0)
-    search = _Search(n, [root], index, [0], [(-1, None)], [group.orbit_size(root)], group,
+    search = _Search(n, [root], index, [0], [group.orbit_size(root)], group,
                      False, cells, [None], [[]])
-    nodes, depths, parents, sizes = search.nodes, search.depths, search.parents, search.sizes
+    nodes, depths, sizes = search.nodes, search.depths, search.sizes
     scans, arrivals = search.scans, search.arrivals
-    # keys[b] is nodes[b]'s key in index, which shift carries to its flips;
-    # parent_sides[b] is the side whose flip of nodes[parents[b][0]] gave nodes[b]
+    # keys[b] is nodes[b]'s key in index, which shift carries to its flips
     keys = [key]
-    parent_sides = [-1]
     side_of = {(cells.columns[t], cells.supports[t]): t for t in range(len(sides))}
     side_images: Dict[Tuple[int, int], Optional[int]] = {}
 
@@ -553,13 +568,10 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
             moves, matched, walls = cells.scan(node)
             scans[a] = (matched, walls)
             back = {side_image(e, s ^ 1) for _, s, e in search.arrived(a)}
-            if a:
-                back.add(parent_sides[a] ^ 1)
             for s, link in moves:
                 if s in back:
                     continue
-                side = sides[s]
-                image, removed, created = _flip(node, present, side, link)
+                image, removed, created = _flip(node, present, sides[s], link)
                 key, b, e = group.locate(index, nodes, image,
                                          group.shift(keys[a], removed, created))
                 if b is None:
@@ -574,14 +586,12 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
                     nodes.append(image)
                     keys.append(key)
                     depths.append(depth + 1)
-                    parents.append((a, side.circuit))
-                    parent_sides.append(s)
                     sizes.append(size)
                     scans.append(None)
                     arrivals.append([])
                     total += size
                     frontier.append(b)
-                elif a < b:
+                if a < b:
                     arrivals[b].append((a * len(sides) + s) * group.order + e)
         depth += 1
         if truncated:
@@ -603,19 +613,14 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     on the search path calls is_triangulation; apply_flip validates when it
     is given the circuits, and commuting_square_check validates every node.
 
-    The edges are read off the search after it ends: each node's first
-    move and its arrivals, every edge from its earlier end.  Each distinct
-    simplex mask is decoded once, so the nodes share one column tuple per
-    simplex.
+    The edges are read off the search after it ends: each node's arrivals,
+    every edge from its earlier end.  Each distinct simplex mask is decoded
+    once, so the nodes share one column tuple per simplex.
     """
     search = _search(seed, circuits, budget, max_depth, deadline)
     sides = search.cells.sides
-    edges = set()
-    for b in range(1, len(search.nodes)):
-        a, z = search.parents[b]
-        edges.add((a, b, z))
-        for a, s, _ in search.arrived(b):
-            edges.add((a, b, sides[s].circuit))
+    edges = {(a, b, sides[s].circuit)
+             for b in range(len(search.nodes)) for a, s, _ in search.arrived(b)}
     ordered = sorted(edges, key=lambda e: (e[0], e[1], e[2].plus, e[2].minus))
     columns_of = {mask: _decode(search.n, mask) for mask in set().union(*search.nodes)}
     triangulations = tuple(Triangulation(seed.config, tuple(map(columns_of.__getitem__, node)))

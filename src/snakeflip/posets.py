@@ -190,13 +190,7 @@ def build_snake_poset(w):
     for n in range(1, len(w) + 1):
         covers.append((2 * n + 3, 2 * n + 1))
         covers.append((2 * n + 3, 2 * n + 2))
-        if n == 1:
-            c = 1 if w.letter(1) == 'L' else 2
-        elif w.letter(n) != w.letter(n - 1):
-            c = 2 * n - 1
-        else:
-            c = 2 * n
-        covers.append((2 * n + 2, c))
+        covers.append((2 * n + 2, _square_top(w, n)))
     return Poset(2 * len(w) + 4, covers)
 
 

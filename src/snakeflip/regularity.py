@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import repeat
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .circuits import Circuit, all_circuits, is_unit_dependence, word_context
 from .exact import adjugate, lp_feasible
@@ -98,8 +98,8 @@ def _fold(cfg: PointConfiguration, base, p: int, heights):
     return int(value) if value.denominator == 1 else value
 
 
-def _exact_heights(omega: HeightFunction):
-    return [h if isinstance(h, int) else Fraction(h) for h in omega.heights]
+def _exact(values) -> List:
+    return [h if isinstance(h, int) else Fraction(h) for h in values]
 
 
 def folding_form(cfg: PointConfiguration, simplex, p: int, omega: HeightFunction):
@@ -113,7 +113,7 @@ def folding_form(cfg: PointConfiguration, simplex, p: int, omega: HeightFunction
     idx = tuple(sorted(simplex))
     if len(idx) != cfg.dim + 1:
         raise RegularityError('folding base needs %d columns, got %d' % (cfg.dim + 1, len(idx)))
-    heights = _exact_heights(omega)
+    heights = _exact(omega.heights)
     return _fold(cfg, _folding_base(cfg, idx, heights), p, heights)
 
 
@@ -155,7 +155,7 @@ def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingRe
     vector of its heights that every folding form across its walls reads.
     """
     cfg = tri.config
-    heights = _exact_heights(omega)
+    heights = _exact(omega.heights)
     bases: Dict[int, Tuple] = {}
 
     def form(i, p):
@@ -176,38 +176,20 @@ def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingRe
     return FoldingReport(tuple(checks), verdict, first)
 
 
-class _RowIndex:
-    """The +-1 wall rows of the circuit sides of one flips._Cells table.
+def _wall_rows(cells: _Cells, sides) -> List[Dict[int, int]]:
+    """The +-1 wall rows of the sides, in their order (flips._Cells.row).
 
-    Side s's row is its circuit's +-1 vector with side s positive: the
-    circuit of two simplices that meet in a wall has both apexes on one side,
-    and the row is positive on them.  A Circuit carries its support and
-    signs only, so the row assumes every coefficient is +-1, as it is for
-    order polytopes: each circuit must satisfy sum(plus columns) ==
-    sum(minus columns), which the table tests once per circuit.  A circuit
-    with other coefficients raises RegularityError ('not a dependence')
-    instead of giving a wrong row.  The rows are the index's own dicts and
-    must not be changed.
+    A side whose circuit's +-1 vector is not a dependence of the columns
+    raises RegularityError instead of giving a wrong row.
     """
-
-    def __init__(self, cells: _Cells):
-        self.cells = cells
-        self.signed: Dict[int, Dict[int, int]] = {}
-
-    def rows(self, sides) -> List[Dict[int, int]]:
-        """The rows of the sides, in their order."""
-        out = []
-        for s in sides:
-            if s not in self.signed:
-                k = s >> 1
-                z = self.cells.circuits[k]
-                # a circuit listed for another configuration must not pass as a wall's row
-                if not self.cells.is_unit(k):
-                    raise RegularityError('circuit %r is not a dependence of the columns' % (z,))
-                positive = z.minus if s & 1 else z.plus
-                self.signed[s] = {c: 1 if c in positive else -1 for c in z.support()}
-            out.append(self.signed[s])
-        return out
+    rows = []
+    for s in sides:
+        row = cells.row(s)
+        if row is None:
+            raise RegularityError('circuit %r is not a dependence of the columns'
+                                  % (cells.sides[s].circuit,))
+        rows.append(row)
+    return rows
 
 
 def _checked_rows(tri: Triangulation, circuits) -> List[Dict[int, int]]:
@@ -227,7 +209,7 @@ def _checked_rows(tri: Triangulation, circuits) -> List[Dict[int, int]]:
     _, matched, sides = cells.scan(_node(tri)[1])
     if matched != interior:
         raise RegularityError('%d interior walls match circuits %d times' % (interior, matched))
-    return _RowIndex(cells).rows(sides)
+    return _wall_rows(cells, sides)
 
 
 class RegularityResult(NamedTuple):
@@ -629,14 +611,14 @@ def count_canonical_dual_graphs(n: int, budget_nodes: int = 100000,
 
 def _primitive(values) -> List[int]:
     """Heights on a common denominator, divided by their content."""
-    exact = [h if isinstance(h, int) else Fraction(h) for h in values]
+    exact = _exact(values)
     scale = lcm(*(h.denominator for h in exact))
     ints = [int(h * scale) for h in exact]
     g = gcd(*ints) or 1
     return [h // g for h in ints]
 
 
-# (num, den): a flip on Z moves the parent's heights w to
+# (num, den): a flip on Z moves a neighbour's heights w to
 # den*|Z|*w - num*<l_Z, w>*l_Z, so <l_Z, w> becomes -(num/den - 1) times itself:
 # (2, 1) reflects it, (3, 2) goes half as far past zero.  Of the 429 orbits at
 # n=3, (2, 1) first certifies 277 and (3, 2) 77 more; (3, 2) alone certifies
@@ -667,16 +649,14 @@ class _Fold(NamedTuple):
     """Regularity of every node of a breadth-first flip search.
 
     witnesses[i] holds primitive integer heights that select node i, or None
-    when the LP found none.  propagated holds the nodes certified by heights
-    carried from a neighbour; arrived maps those whose heights came from an
-    arrival rather than the search parent to the arrival's node.  The others
-    were decided by the LP.
+    when the LP found none.  carried maps each node certified by heights
+    carried from a neighbour to the node of the arrival they came from.  The
+    others were decided by the LP.
     """
 
     search: _Search
     witnesses: List[Optional[List[int]]]
-    propagated: Set[int]
-    arrived: Dict[int, int]
+    carried: Dict[int, int]
 
 
 def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
@@ -701,10 +681,10 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
     A node whose scan matches another number of walls, the seed included,
     raises RegularityError, as is_regular does.
 
-    A node reached by a flip on Z from a parent with heights w first tries
-    the integer steps of _carry along Z's +-1 vector.  Then, for each
-    arrival from an earlier node a, a's heights and circuit are moved by the
-    element that maps a's flip onto the node, and carried the same way.  A
+    A node tries its arrivals in order, starting with the move that found
+    it: for each arrival from an earlier node a with heights w on a circuit
+    Z, w and Z are moved by the element that maps a's flip onto the node,
+    and w is carried by the integer steps of _carry along Z's +-1 vector.  A
     candidate is accepted only when every wall row of the node is strictly
     positive on it.  Otherwise is_regular's exact decision, _decide, runs on
     the same wall rows, pinned on the node's first simplex, so "not regular"
@@ -715,37 +695,29 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
     interior = len(_walls(seed))
     search = _search(seed, circuits, budget, deadline=deadline, perms=perms)
     cells = search.cells
-    rows_of = _RowIndex(cells)
-    fold = _Fold(search, [None] * len(search.nodes), set(), {})
+    fold = _Fold(search, [None] * len(search.nodes), {})
     for i, node in enumerate(search.nodes):
         matched, sides = search.scans[i] or cells.scan(node)[1:]
         if matched != interior:
             raise RegularityError('triangulation %d matches %d walls to circuits, the seed %d'
                                   % (i, matched, interior))
-        rows = rows_of.rows(sides)
-        parent, z = search.parents[i]
-        if parent >= 0:
-            omega = fold.witnesses[parent]
-            witness = _carry(omega, z.plus, z.minus, rows) if omega is not None else None
-            if witness is None:
-                for a, s, e in search.arrived(i):
-                    omega = fold.witnesses[a]
-                    if omega is None:
-                        continue
-                    perm = search.group.perms[e]
-                    moved = [0] * ncols
-                    for c, h in enumerate(omega):
-                        moved[perm[c]] = h
-                    z = cells.sides[s].circuit
-                    witness = _carry(moved, [perm[c] for c in z.plus],
-                                     [perm[c] for c in z.minus], rows)
-                    if witness is not None:
-                        fold.arrived[i] = a
-                        break
+        rows = _wall_rows(cells, sides)
+        for a, s, e in search.arrived(i):
+            omega = fold.witnesses[a]
+            if omega is None:
+                continue
+            perm = search.group.perms[e]
+            moved = [0] * ncols
+            for c, h in enumerate(omega):
+                moved[perm[c]] = h
+            z = cells.sides[s].circuit
+            witness = _carry(moved, [perm[c] for c in z.plus], [perm[c] for c in z.minus], rows)
             if witness is not None:
                 fold.witnesses[i] = witness
-                fold.propagated.add(i)
-                continue
+                fold.carried[i] = a
+                break
+        if i in fold.carried:
+            continue
         result = _decide(rows, _decode(search.n, node[0]), ncols)
         if perms and not i and not result:
             raise RegularityError('an orbit search needs a regular seed')
@@ -810,8 +782,8 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     (_twist_orbits), and affine_twists reports the twists alone; workers is
     ignored, kept only because perfbench/workloads.py passes it (ROADMAP
     item 1 deletes it).  Integer heights carried across the flipped
-    circuit from the node's search parent, and then from every earlier
-    stored neighbour whose flip lands in its orbit, prove "regular" when
+    circuit from each earlier stored neighbour whose flip lands in the
+    node's orbit, starting with the one that found it, prove "regular" when
     every wall row is strictly positive on them; otherwise is_regular's
     exact LP decides, so only the LP ever says "not regular".  With
     exhaustive (by default when n <= 2), enumerate_triangulations lists

@@ -93,8 +93,9 @@ def test_snake_search_at_n2_is_pinned():
 
 
 def test_search_records_the_first_move_to_each_node():
-    # a level is expanded in the order of its nodes' simplex tuples, so a
-    # node's parent is its first neighbour one level up in that order
+    # a level is expanded in the order of its nodes' simplex tuples, so the
+    # move that found a node, its first arrival, comes from its first
+    # neighbour one level up in that order
     w = snake_polytope_word(2)
     circuits = all_circuits(w)
     g = explore_flip_graph(canonical_of(w), circuits)
@@ -106,10 +107,36 @@ def test_search_records_the_first_move_to_each_node():
     for a, b, z in g.edges:
         if g.depths[a] + 1 == g.depths[b]:
             up[b].append((g.nodes[a].simplices, a, z))
-    assert search.parents[0] == (-1, None)
+    assert list(search.arrived(0)) == []
     for b in range(1, len(g.nodes)):
         _, a, z = min(up[b])
-        assert search.parents[b] == (a, z)
+        first, s, e = next(search.arrived(b))
+        assert (first, search.cells.sides[s].circuit, e) == (a, z, 0)
+
+
+def test_first_arrival_is_the_flip_that_found_each_node():
+    # the seed has no arrival; every other node's first arrival (a, s, 0)
+    # flips nodes[a] on side s into nodes[b] exactly, one level down, and
+    # with the trivial group the flip graph's edges are the arrivals
+    for n in (1, 2, 3):
+        w = snake_polytope_word(n)
+        seed, circuits = canonical_of(w), all_circuits(w)
+        perms = [tau.column_permutation for tau in all_twists(w)[1:]]
+        for symmetries in ((), perms):
+            search = _search(seed, circuits, budget=100000, perms=symmetries)
+            cells = search.cells
+            assert list(search.arrived(0)) == []
+            for b in range(1, len(search.nodes)):
+                a, s, e = next(search.arrived(b))
+                assert e == 0 and search.depths[b] == search.depths[a] + 1
+                node = search.nodes[a]
+                link = dict(cells.scan(node)[0])[s]
+                assert _flip(node, frozenset(node), cells.sides[s], link)[0] == search.nodes[b]
+            if not symmetries and n <= 2:
+                arrivals = [(a, b, cells.sides[s].circuit)
+                            for b in range(len(search.nodes)) for a, s, _ in search.arrived(b)]
+                edges = explore_flip_graph(seed, circuits).edges
+                assert sorted(edges, key=repr) == sorted(arrivals, key=repr)
 
 
 def test_search_rejects_perms_that_are_not_a_group():
@@ -186,13 +213,18 @@ def test_search_rejects_a_flip_to_a_non_unimodular_simplex():
 
 
 def test_orbit_search_is_pinned():
-    # nodes, first parents, orbit sizes and depths of the twist-orbit search
+    # nodes, the move that found each node, orbit sizes and depths of the
+    # twist-orbit search; the seed's entry is (-1, None)
     pinned = {2: '5747f6837ad2a253b06fda2d43d8405b', 3: '14d3da5f84b947d910ce0cac9133772c'}
     for n, digest in pinned.items():
         w = snake_polytope_word(n)
         perms = [tau.column_permutation for tau in all_twists(w)[1:]]
         search = _search(canonical_of(w), all_circuits(w), budget=100000, perms=perms)
-        parents = [(a, None if z is None else (z.plus, z.minus)) for a, z in search.parents]
+        parents = [(-1, None)]
+        for b in range(1, len(search.nodes)):
+            a, s, _ = next(search.arrived(b))
+            z = search.cells.sides[s].circuit
+            parents.append((a, (z.plus, z.minus)))
         text = repr((search.nodes, parents, search.sizes, search.depths))
         assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
 
@@ -200,7 +232,8 @@ def test_orbit_search_is_pinned():
 def reference_search(seed, circuits, budget, max_depth=None, perms=()):
     # reference: the breadth-first loop before back-moves were skipped; it
     # flips every move of every expanded node and finds a flip's orbit by its
-    # least sorted image under the elements, in _Group's element order
+    # least sorted image under the elements, in _Group's element order.  The
+    # move that creates a node is its first arrival, (a, s, 0).
     n = len(seed.config.columns)
     cells = _Cells(seed.config, circuits)
     identity = tuple(range(n))
@@ -223,7 +256,7 @@ def reference_search(seed, circuits, budget, max_depth=None, perms=()):
 
     root = tuple(_encode(n, s) for s in seed.simplices)
     index = {canon(root): 0}
-    nodes, depths, parents = [root], [0], [(-1, None)]
+    nodes, depths = [root], [0]
     sizes = [len(elements) // images(root).count(frozenset(root))]
     scans, arrivals, moves_seen = [None], [[]], set()
     total, frontier, partial, depth = sizes[0], [0], False, 0
@@ -248,10 +281,9 @@ def reference_search(seed, circuits, budget, max_depth=None, perms=()):
                     b = index[canon(image)] = len(nodes)
                     nodes.append(image)
                     depths.append(depth + 1)
-                    parents.append((a, cells.sides[s].circuit))
                     sizes.append(size)
                     scans.append(None)
-                    arrivals.append([])
+                    arrivals.append([(a, s, 0)])
                     total += size
                     frontier.append(b)
                 elif a < b:
@@ -262,13 +294,13 @@ def reference_search(seed, circuits, budget, max_depth=None, perms=()):
         if truncated:
             partial = True
             break
-    return nodes, parents, depths, sizes, arrivals, scans, partial, moves_seen
+    return nodes, depths, sizes, arrivals, scans, partial, moves_seen
 
 
 def assert_search_matches_reference(seed, circuits, budget, max_depth=None, perms=()):
     search = _search(seed, circuits, budget, max_depth, perms=perms)
     *expected, moves = reference_search(seed, circuits, budget, max_depth, perms)
-    got = (search.nodes, search.parents, search.depths, search.sizes,
+    got = (search.nodes, search.depths, search.sizes,
            [list(search.arrived(b)) for b in range(len(search.nodes))],
            search.scans, search.partial)
     assert got == tuple(expected)

@@ -448,7 +448,7 @@ def test_fold_verdicts_match_is_regular():
         perms = [tau.column_permutation for tau in all_twists(w)[1:]]
         fold = _regularity_fold(canonical_of(w), circuits, perms, budget=100000)
         assert not fold.search.partial
-        decided[n] = (len(fold.witnesses), len(fold.propagated))
+        decided[n] = (len(fold.witnesses), len(fold.carried))
         if n <= 2:
             fold = _regularity_fold(canonical_of(w), circuits, (), budget=100000)
             assert len(fold.search.nodes) == sum(fold.search.sizes)
@@ -465,17 +465,17 @@ def test_fold_verdicts_match_is_regular():
 
 def test_fold_carries_heights_from_arrivals():
     # at n = 3 some orbit is certified by heights carried from an earlier
-    # neighbour other than its search parent, and some still need the LP
+    # neighbour other than the one that found it, and some still need the LP
     w = snake_polytope_word(3)
     cfg = word_context(w).config
     circuits = all_circuits(w)
     perms = [tau.column_permutation for tau in all_twists(w)[1:]]
     fold = _regularity_fold(canonical_of(w), circuits, perms, budget=100000)
     search = fold.search
-    assert any(a != search.parents[i][0] for i, a in fold.arrived.items())
-    assert set(fold.arrived) <= fold.propagated
-    assert len(fold.propagated) < len(search.nodes) - 1
-    for i, a in fold.arrived.items():
+    later = {i: a for i, a in fold.carried.items() if a != next(search.arrived(i))[0]}
+    assert later
+    assert len(fold.carried) < len(search.nodes) - 1
+    for i, a in fold.carried.items():
         assert a < i and a in {x for x, _, _ in search.arrived(i)}
         tri = Triangulation(cfg, search_node(search, i))
         assert verify_local_folding(tri, HeightFunction(tuple(fold.witnesses[i]))).verdict
@@ -492,7 +492,8 @@ def test_fold_raises_when_a_later_node_matches_fewer_walls():
     seed_circuits = {sides[s].circuit for s in search.scans[0][1]}
     missing = None
     for b in range(1, len(search.nodes)):
-        a, y = search.parents[b]
+        a, s, _ = next(search.arrived(b))
+        y = sides[s].circuit
         if a == 0:
             later = [sides[s].circuit for s in search.scans[b][1]]
             missing = next((z for z in later if z not in seed_circuits and z != y), None)
@@ -518,9 +519,12 @@ def test_orbit_search_covers_the_plain_search():
         assert len(plain.nodes) == total
         assert (sum(orbit.sizes), len(orbit.nodes)) == (total, orbits)
         assert all(orbit.find(node) is not None for node in plain.nodes)
-        # each stored node is the flip of its stored parent on the recorded circuit
+        # each stored node is the flip, on the recorded circuit, of the stored
+        # node whose move found it, its first arrival
         cfg = word_context(w).config
-        for b, (a, z) in enumerate(orbit.parents[1:], 1):
+        for b in range(1, len(orbit.nodes)):
+            a, s, _ = next(orbit.arrived(b))
+            z = orbit.cells.sides[s].circuit
             parent = Triangulation(cfg, search_node(orbit, a))
             (move,) = find_flips(parent, [z])
             assert apply_flip(parent, move).simplices == search_node(orbit, b)
@@ -578,13 +582,13 @@ def test_fold_finds_the_non_regular_triangulations_of_delta3_times_delta3():
     assert (len(nodes), max(fold.search.depths), fold.search.partial) == (3252, 5, True)
     assert len(fold.witnesses) == len(nodes)
     assert [i for i in range(len(nodes)) if fold.witnesses[i] is None] == [2159, 2454]
-    assert 0 < len(fold.propagated) < len(nodes) - 2
+    assert 0 < len(fold.carried) < len(nodes) - 2
     for i in (2159, 2454):
         assert is_triangulation(cfg, search_node(fold.search, i), circuits)
     # the LP's heights are checked by is_regular(..., verify=True) elsewhere;
     # the carried ones are this fold's own, and every second one in search
     # order is checked here to keep the test near 10 s
-    for i in sorted(fold.propagated)[::2]:
+    for i in sorted(fold.carried)[::2]:
         tri = Triangulation(cfg, search_node(fold.search, i))
         assert verify_local_folding(tri, HeightFunction(tuple(fold.witnesses[i]))).verdict
 

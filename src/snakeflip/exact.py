@@ -61,6 +61,23 @@ def _gauss_jordan(m):
     return pivots, prev, sign
 
 
+def determinant(matrix):
+    """The determinant of a square integer matrix; 1 for the empty one.
+
+    _gauss_jordan reduces the matrix alone: it is singular when some column
+    holds no pivot, and otherwise its last pivot is the determinant of the
+    row-swapped matrix, which the swap sign turns into det.
+    """
+    m = [[int(x) for x in row] for row in matrix]
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError('determinant needs a square matrix')
+    pivots, d, sign = _gauss_jordan(m)
+    if len(pivots) < n:
+        return 0
+    return sign * d
+
+
 def adjugate(matrix):
     """(det, adj) of a square integer matrix, with adj . matrix = det * I.
 

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import hashlib
-from itertools import permutations
+from collections import Counter
+from itertools import chain, compress, permutations
 from math import factorial
 from operator import itemgetter
 from time import monotonic
@@ -108,10 +109,10 @@ class _Cells:
     a side of circuits[s >> 1], the plus side for even s.  A simplex holds
     the cell Z - j when j is the only support column of Z outside it; the
     cell's link face is the simplex without Z's support.  entries[mask]
-    lists, flat, one key and one column bit per cell the simplex holds: the
-    key packs j's side s and the face as (s << n) | face, and the bit is the
-    shared object of bits[j].  columns[s] and supports[s] are side s's
-    columns and its circuit's support as masks.  unit[k] caches whether
+    lists one key per cell the simplex holds, which packs j's side s and
+    the face as (s << n) | face.  columns[s] and supports[s] are side s's
+    columns and its circuit's support as masks, and side_bits[s] the
+    column bits of side s, lowest last.  unit[k] caches whether
     circuit k's +-1 vector is a dependence of the columns
     (circuits.is_unit_dependence), and rows[s] side s's wall row (row).
     """
@@ -122,13 +123,15 @@ class _Cells:
         self.n = n
         self.circuits = tuple(z for z in circuits if max(z.support()) < n)
         self.sides = _plan(n, self.circuits)
-        self.bits = [1 << (n - 1 - c) for c in range(n)]
         self.face_bits = (1 << n) - 1
         self.columns: List[int] = []
         self.supports: List[int] = []
         for z in self.circuits:
             self.columns += (_encode(n, z.plus), _encode(n, z.minus))
             self.supports += (_encode(n, z.support()),) * 2
+        self.side_bits = [[1 << (n - 1 - c) for c in _decode(n, side)] for side in self.columns]
+        self.sizes = list(map(len, self.side_bits))
+        self.lowest = [sum(bits[-2:]) for bits in self.side_bits]
         self.entries: Dict[int, Tuple[int, ...]] = {}
         self.unit: Dict[int, bool] = {}
         self.rows: Dict[int, Optional[Dict[int, int]]] = {}
@@ -160,69 +163,76 @@ class _Cells:
 
     def _entries(self, mask: int) -> Tuple[int, ...]:
         n = self.n
-        bits = self.bits
         columns = self.columns
-        flat = []
+        keys = []
         for s in range(0, len(columns), 2):
             support = self.supports[s]
             outside = support & ~mask
             if outside and not outside & (outside - 1):
                 side = s if outside & columns[s] else s + 1
-                flat += ((side << n) | (mask & ~support), bits[n - outside.bit_length()])
-        entries = self.entries[mask] = tuple(flat)
+                keys.append((side << n) | (mask & ~support))
+        entries = self.entries[mask] = tuple(keys)
         return entries
 
     def scan(self, node: Tuple[int, ...]):
-        """(moves, matched walls, wall sides) of a node, from one pass over its cells.
+        """(moves, matched walls, wall sides) of a node, from one count of its cells.
 
-        The pass ORs the column bits of the node's cells into one value per
-        (side, face).  A side is a move when every face it meets carries all
-        the side's columns; the move is (s, link faces), in plan order.  A
-        face carrying m >= 2 columns of one side is C(m, 2) walls: the
-        simplices (Z - j) + face and (Z - j') + face share the facet
-        (Z - j - j') + face, and Z is the circuit of their union, with both
-        apexes on side s.  matched counts these walls, and the wall sides
-        are the distinct sides that match one, by their greatest facet mask
-        in reverse, which is the order of the first wall each matches when
-        the walls are taken in the order of their column tuples.
+        The node's simplices are distinct, so a (side, face) key counted m
+        times is m distinct cells, the face joined with the support less
+        each of m columns of the side.  A side is a move when every face it
+        meets carries all the side's columns; the move is (s, link faces),
+        in plan order.  A face carrying m >= 2 columns of one side is C(m,
+        2) walls: the simplices (Z - j) + face and (Z - j') + face share the
+        facet (Z - j - j') + face, and Z is the circuit of their union, with
+        both apexes on side s.  matched counts these walls, and the wall
+        sides are the distinct sides that match one, by their greatest
+        facet mask in reverse, which is the order of the first wall each
+        matches when the walls are taken in the order of their column
+        tuples.  That facet drops the two lowest column bits the face
+        carries, which are read off the node's simplices only for a face
+        that carries some but not all of the side's columns.
         """
         entries = self.entries
-        acc: Dict[int, int] = {}
-        get = acc.get
-        for mask in node:
-            flat = entries.get(mask)
-            if flat is None:
-                flat = self._entries(mask)
-            pairs = iter(flat)
-            for key, bit in zip(pairs, pairs):
-                acc[key] = get(key, 0) | bit
+        counts = Counter(chain.from_iterable([entries.get(mask) or self._entries(mask)
+                                              for mask in node]))
         n = self.n
-        columns = self.columns
+        face_bits = self.face_bits
+        sizes = self.sizes
         supports = self.supports
+        lowest = self.lowest
         links: Dict[int, List[int]] = {}
         broken = set()
         top: Dict[int, int] = {}
+        present = None
         matched = 0
-        for key, got in acc.items():
+        for key, m in counts.items():
             s = key >> n
-            if got == columns[s]:
+            if m == sizes[s]:
                 if s in links:
                     links[s].append(key)
                 else:
                     links[s] = [key]
+                if m == 1:
+                    continue
+                drop = lowest[s]
             else:
                 broken.add(s)
-            if got & (got - 1):
-                m = got.bit_count()
-                matched += m * (m - 1) // 2
+                if m == 1:
+                    continue
+                if present is None:
+                    present = set(node)
+                # the face with the whole support; a cell's simplex lacks one side column
+                whole = (key | supports[s]) & face_bits
+                got = sum(bit for bit in self.side_bits[s] if whole ^ bit in present)
                 low = got & -got
                 rest = got ^ low
-                # the greatest facet drops the side's two lowest column bits;
-                # it keeps the key's side tag, which orders one side's facets
-                facet = (key | supports[s]) ^ low ^ (rest & -rest)
-                if facet > top.get(s, 0):
-                    top[s] = facet
-        face_bits = self.face_bits
+                drop = low | (rest & -rest)
+            matched += m * (m - 1) // 2
+            # the greatest facet keeps the key's side tag, which orders one
+            # side's facets
+            facet = (key | supports[s]) ^ drop
+            if facet > top.get(s, 0):
+                top[s] = facet
         moves = [(s, frozenset(key & face_bits for key in links[s]))
                  for s in sorted(links) if s not in broken]
         return moves, matched, tuple(sorted(top, key=lambda s: top[s] & face_bits, reverse=True))
@@ -315,9 +325,10 @@ class _Group:
     A node's invariant, the sum of its simplices' weights, is the same for
     every node of its orbit, and a flip changes it by the weights of the
     simplices it removes and creates (shift).  Nodes of different orbits
-    may share an invariant, so the lookup tests membership: whether an
-    element maps one node onto another is one pass over the node's
-    simplices that stops at the first image outside the other's simplex set.
+    may share an invariant, so the lookup tests membership: the elements
+    that map the node's first simplex into the other's simplex set are the
+    candidates, and each is checked by one pass over the node's simplices
+    that stops at the first image outside that set.
     """
 
     def __init__(self, n: int, perms):
@@ -391,20 +402,25 @@ class _Group:
         return key - self.invariant(removed) + self.invariant(created)
 
     def onto(self, node: Tuple[int, ...], target: Set[int]):
-        """Per element, whether it maps the node onto the simplex set target.
+        """The positions in perms of the elements that map the node onto target, in order.
 
-        Each simplex of the node must have its row in images, as it has once
-        the node's invariant is taken or carried (shift), and target must
-        have as many simplices as the node.
+        Only the elements that map the node's first simplex into target are
+        candidates (compress over its image row), and only they are checked
+        on every simplex.  Each simplex of the node must have its row in
+        images, as it has once the node's invariant is taken or carried
+        (shift), and target must have as many simplices as the node.
         """
         rows = list(map(self.images.__getitem__, node))
-        return (target.issuperset(map(element, rows)) for element in self.elements)
+        elements = self.elements
+        for e in compress(range(self.order), map(target.__contains__, rows[0][1:])):
+            if target.issuperset(map(elements[e], rows)):
+                yield e
 
     def orbit_size(self, node: Tuple[int, ...]) -> int:
         """|G| over the number of elements that fix the node, once located."""
         if self.order == 1:
             return 1
-        return self.order // sum(self.onto(node, set(node)))
+        return self.order // sum(1 for _ in self.onto(node, set(node)))
 
     def locate(self, index: Dict, nodes: List[Tuple[int, ...]], node: Tuple[int, ...],
                key: Optional[int] = None) -> Tuple[object, Optional[int], int]:
@@ -421,9 +437,9 @@ class _Group:
         if key is None:
             key = self.invariant(node)
         for b in index.get(key, ()):
-            for e, onto in enumerate(self.onto(node, set(nodes[b]))):
-                if onto:
-                    return key, b, e
+            e = next(self.onto(node, set(nodes[b])), None)
+            if e is not None:
+                return key, b, e
         return key, None, 0
 
     def store(self, index: Dict, key, b: int) -> None:

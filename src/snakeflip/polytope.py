@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Tuple
 
-from .exact import adjugate
+from .exact import determinant
 from .posets import Poset, filter_lattice, maximal_chains
 
 
@@ -73,7 +73,7 @@ def simplex_volume(cfg: PointConfiguration, simplex) -> int:
 def _simplex_volume_cached(cfg: PointConfiguration, idx: Tuple[int, ...]) -> int:
     """Signed determinant of the homogenized columns idx, in the order given."""
     # the columns as rows: the transpose has the same determinant
-    return adjugate([cfg.homogeneous(j) for j in idx])[0]
+    return determinant([cfg.homogeneous(j) for j in idx])
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .circuits import Circuit, all_circuits, is_unit_dependence, word_context
@@ -327,18 +326,29 @@ def snake_polytope_word(n: int) -> SnakeWord:
 def _perms_are_affine(w: SnakeWord, perms) -> bool:
     """Whether every column permutation is an affine map of the ambient space.
 
-    It is when each circuit, its columns permuted, is still a +-1
-    dependence.  The circuits span the affine dependences, so such a
-    permutation keeps the kernel of the homogenized column matrix, hence its
-    row space, all-ones row included: it is induced by an affine map of the
+    It is when each fundamental circuit of one basis, its columns permuted,
+    is still a +-1 dependence.  The basis B is grown greedily in column
+    order, a column joining when B and it hold no circuit's support; each
+    column c outside B then forms one circuit with B, the only circuit with
+    c alone outside B.  These circuits are independent, one per column
+    outside B, so they span the affine dependences.  Such a permutation
+    keeps the kernel of the homogenized column matrix, hence its row space,
+    all-ones row included: it is induced by an affine map of the
     full-dimensional configuration.  Conversely an affine map keeps every
     dependence, and every circuit of an order polytope is a +-1 one.
     """
     cfg = word_context(w).config
     circuits = all_circuits(w)
+    supports = [sum(1 << c for c in z.support()) for z in circuits]
+    basis = 0
+    for c in range(len(cfg.columns)):
+        grown = basis | 1 << c
+        if not any(sup & grown == sup for sup in supports):
+            basis = grown
+    fundamental = [z for z, sup in zip(circuits, supports) if (sup & ~basis).bit_count() == 1]
     return all(is_unit_dependence(cfg, Circuit(tuple(perm[c] for c in z.plus),
                                                tuple(perm[c] for c in z.minus)))
-               for perm in perms for z in circuits)
+               for perm in perms for z in fundamental)
 
 
 def _reversal(w: SnakeWord) -> Optional[Tuple[int, ...]]:
@@ -392,35 +402,94 @@ def _is_root(simplex, cells, ncols: int) -> bool:
     return True
 
 
-def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: int = 2_000_000):
-    """All triangulations, found as sets of pairwise compatible full simplices.
+def _root_orbits(ncols: int, candidates, roots: List[int], perms,
+                 circuits) -> Tuple[List[int], int]:
+    """Representatives of the roots' orbits under perms and the identity, and the orbit size.
+
+    roots are candidate positions, and a root's orbit is its images under
+    the listed elements G, the identity and perms, which need not be closed
+    under composition.  The representatives, the first root of each orbit,
+    stand for every root when each element maps the circuits onto the
+    circuits, a sign flip allowed, and so triangulations onto
+    triangulations; every image of a root is a root; and the orbits split
+    the roots into blocks of |G| distinct members.  Then an element g maps
+    the root r of a triangulation T to a root of gT, its only one, so g is a
+    bijection from the triangulations holding r to those holding g(r).
+    When any of this fails, every root is its own representative and the
+    orbit size is 1.  A perm that is not a permutation of the columns
+    raises RegularityError.
+    """
+    identity = tuple(range(ncols))
+    elements = {identity}
+    for perm in perms:
+        perm = tuple(perm)
+        if sorted(perm) != list(identity):
+            raise RegularityError('%r is not a permutation of the %d columns' % (perm, ncols))
+        elements.add(perm)
+    if len(elements) == 1:
+        return roots, 1
+
+    def signed(z, perm):
+        return frozenset((frozenset(map(perm.__getitem__, z.plus)),
+                          frozenset(map(perm.__getitem__, z.minus))))
+
+    listed = {signed(z, identity) for z in circuits}
+    if any(signed(z, perm) not in listed for perm in elements for z in circuits):
+        return roots, 1
+    root_at = {candidates[ci]: ci for ci in roots}
+    reps = []
+    seen = set()
+    for ci in roots:
+        if ci in seen:
+            continue
+        orbit = {root_at.get(tuple(sorted(map(perm.__getitem__, candidates[ci]))))
+                 for perm in elements}
+        if None in orbit or len(orbit) < len(elements) or orbit & seen:
+            return roots, 1
+        seen |= orbit
+        reps.append(ci)
+    return reps, len(elements)
+
+
+def count_triangulations(cfg: PointConfiguration, circuits, perms,
+                         budget_steps: int = 2_000_000):
+    """The triangulations under one root per orbit of perms: (leaves, orbit_size, complete).
 
     circuits is the complete circuit list of cfg (as from all_circuits or
-    circuits_brute), and everything comes from it.  The
-    candidates are the (d+1)-sets of columns that hold no circuit's support,
-    found by a walk over index-increasing column sets that tests a new
-    column j only against the supports whose largest column is j; one step
-    is one attempted column.  Two candidates intersect properly exactly when
-    no circuit Z has Z+ in one and Z- in the other (De Loera, Rambau and
-    Santos 2010, ch. 4), which gives each candidate a bitset of the others it
-    is compatible with (polytope._circuit_cells).  A facet is interior
-    exactly when some column lies beyond it, which any one coface's cells
-    show: the facet opposite a is interior when a lies on the side of one of
-    its coface's cells.  The search keeps the AND of the
-    chosen candidates' bitsets and the open interior facets, those with one
-    chosen coface: compatibility caps a facet at two, so a placed candidate
-    toggles its facets.  It branches over the allowed cofaces of the open
-    facet with the fewest, and records a triangulation when none is open.  A
-    triangulation holding the chosen candidates has exactly one simplex
-    across that facet, so the branches are disjoint.  The search starts from
-    each root, a candidate holding a symbolic generic point q; each
-    triangulation has exactly one.  The roots are read off the circuits'
-    signs (_is_root), so no determinant is taken, and a candidate that is
-    flat, or lacks the one circuit it forms with some column, raises
-    RegularityError: the list is incomplete or repeats a circuit.
-    budget_steps bounds the walk's steps and the search's calls together;
-    past it, the triangulations found so far are returned with complete
-    False, and none when the walk itself ran out.
+    circuits_brute), and everything comes from it.  The candidates are the
+    (d+1)-sets of columns that hold no circuit's support, found by a walk
+    over index-increasing column sets that tests a new column j only
+    against the supports whose largest column is j; one step is one
+    attempted column.  Two candidates intersect properly exactly when no
+    circuit Z has Z+ in one and Z- in the other (De Loera, Rambau and Santos
+    2010, ch. 4), which gives each candidate a bitset of the others it is
+    compatible with (polytope._circuit_cells).  A facet is interior exactly
+    when some column lies beyond it, which any one coface's cells show: the
+    facet opposite a is interior when a lies on the side of one of its
+    coface's cells.
+
+    Each triangulation holds exactly one root, a candidate holding a
+    symbolic generic point q.  The roots are read off the circuits' signs
+    (_is_root), so no determinant is taken, and a candidate that is flat,
+    or lacks the one circuit it forms with some column, raises
+    RegularityError: the list is incomplete or repeats a circuit.  The
+    roots fall into orbits of perms and the identity (_root_orbits), all of
+    orbit_size members, and the leaves are the triangulations that hold the
+    first root of an orbit.  The triangulations number orbit_size times the
+    leaves, and every one is the image of a leaf under one element.  With
+    no perms, or when the orbits fail their check, orbit_size is 1 and the
+    leaves are every triangulation.
+
+    The search under a root keeps the AND of the chosen candidates' bitsets
+    and the open interior facets, those with one chosen coface:
+    compatibility caps a facet at two, so a placed candidate toggles its
+    facets.  It branches over the allowed cofaces of the open facet with the
+    fewest, and records a triangulation when none is open.  A triangulation
+    holding the chosen candidates has exactly one simplex across that facet,
+    so the branches are disjoint.  budget_steps bounds the walk's steps and
+    the searches' calls together; past it, the leaves found so far are
+    returned, sorted, with complete False, and none when the walk itself
+    ran out.
     """
     d = cfg.dim
     ncols = len(cfg.columns)
@@ -438,34 +507,42 @@ def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: in
             if steps > budget_steps:
                 return False
             grown = mask | 1 << j
-            if any(sup & grown == sup for sup in closing[j]):
-                continue
-            if len(chosen) == d:
-                candidates.append(chosen + (j,))
-            elif not walk(chosen + (j,), grown, j + 1):
-                return False
+            for sup in closing[j]:
+                if sup & grown == sup:
+                    break
+            else:
+                if len(chosen) == d:
+                    candidates.append(chosen + (j,))
+                elif not walk(chosen + (j,), grown, j + 1):
+                    return False
         return True
 
     if not walk((), 0, 0):
-        return (), False
+        return (), 1, False
     clash, cells, crossed = _circuit_cells(ncols, candidates, circuits)
-    roots = [_is_root(s, mine, ncols) for s, mine in zip(candidates, cells)]
+    roots = [ci for ci, (s, mine) in enumerate(zip(candidates, cells)) if _is_root(s, mine, ncols)]
     del cells
+    reps, orbit_size = _root_orbits(ncols, candidates, roots, perms, circuits)
     everything = (1 << len(candidates)) - 1
     compatible = [everything & ~(bad | 1 << ci) for ci, bad in enumerate(clash)]
+    del clash
 
     # popping frees each coface list as its bitset is made; iterating the
     # whole index instead left the regular-count benchmark's peak RSS
     # 0.1-0.25 MiB higher on Python 3.11
     cofaces: Dict[Tuple[int, ...], int] = {}
+    interior: List[List[Tuple[int, ...]]] = [[] for _ in candidates]
     index = walls(candidates)
     while index:
         f, incident = index.popitem()
         pos, apex = incident[0]
         if crossed[pos] >> apex & 1:
             cofaces[f] = sum(1 << ci for ci, _ in incident)
-    facets_of = [frozenset(f for f in (s[:k] + s[k + 1:] for k in range(d + 1)) if f in cofaces)
-                 for s in candidates]
+            for ci, _ in incident:
+                interior[ci].append(f)
+    del crossed
+    facets_of = list(map(frozenset, interior))
+    del interior
 
     complete = True
     chosen: List[int] = []
@@ -490,12 +567,26 @@ def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: in
             search(allowed & compatible[ci], open_facets ^ facets_of[ci])
             chosen.pop()
 
-    for ci, root in enumerate(roots):
-        if root and complete:
-            chosen.append(ci)
-            search(compatible[ci], facets_of[ci])
-            chosen.pop()
-    return tuple(sorted(results)), complete
+    for ci in reps:
+        if not complete:
+            break
+        chosen.append(ci)
+        search(compatible[ci], facets_of[ci])
+        chosen.pop()
+    return tuple(sorted(results)), orbit_size, complete
+
+
+def enumerate_triangulations(cfg: PointConfiguration, circuits, budget_steps: int = 2_000_000):
+    """All triangulations, sorted, and whether the list is complete.
+
+    This is count_triangulations without perms: the search runs under every
+    root, and each triangulation holds exactly one.  budget_steps bounds the
+    walk's steps and the searches' calls together; past it, the
+    triangulations found so far are returned with complete False, and none
+    when the walk itself ran out.
+    """
+    found, _, complete = count_triangulations(cfg, circuits, (), budget_steps)
+    return found, complete
 
 
 class DegreeReport(NamedTuple):
@@ -620,29 +711,83 @@ def _primitive(values) -> List[int]:
 
 # (num, den): a flip on Z moves a neighbour's heights w to
 # den*|Z|*w - num*<l_Z, w>*l_Z, so <l_Z, w> becomes -(num/den - 1) times itself:
-# (2, 1) reflects it, (3, 2) goes half as far past zero.  Of the 429 orbits at
-# n=3, (2, 1) first certifies 277 and (3, 2) 77 more; (3, 2) alone certifies
-# 334, and a step (3, 1) after these two certified none at n=3 or n=4.
+# (2, 1) reflects it, (3, 2) goes half as far past zero.  Of the 229 orbits of
+# the twists and the reversal at n=3, carrying by (2, 1) alone certifies 199,
+# by both steps 217, and by both and then _carry's exact step 225, which leaves
+# 4 to the LP (2275, 2395 and 2433 of 2479, and 46 LPs, at n=4).
 _STEPS = ((2, 1), (3, 2))
 
 
-def _carry(omega: List[int], plus, minus, rows) -> Optional[List[int]]:
-    """The first step of a neighbour's heights across the circuit plus - minus
-    on which every row is positive, as primitive integers, or None."""
-    lam = dict.fromkeys(plus, 1)
-    lam.update(dict.fromkeys(minus, -1))
-    dot = sum(map(omega.__getitem__, plus)) - sum(map(omega.__getitem__, minus))
-    values = [sum(map(mul, map(omega.__getitem__, row), row.values())) for row in rows]
-    shifts = [sum(map(mul, map(lam.get, row, repeat(0)), row.values())) for row in rows]
-    size = len(lam)
+def _reader(n: int, plus: int, minus: int):
+    """(plus, minus, plus getter, minus getter) of a +-1 vector on the column masks.
+
+    The masks are flips' (column c is bit 1 << (n - 1 - c)), and each getter
+    reads the heights of its columns as a tuple.
+    """
+    getters = []
+    for mask in (plus, minus):
+        columns = _decode(n, mask)
+        getters.append(itemgetter(*columns) if len(columns) > 1
+                       else lambda heights, c=columns[0]: (heights[c],))
+    return (plus, minus, *getters)
+
+
+def _carry(omega, lam, rows) -> Optional[List[int]]:
+    """Heights omega carried across the circuit lam on which every row is positive, or None.
+
+    lam and every row are readers (_reader) of +-1 vectors, and the carried
+    heights are omega - t lam for one rational t, as primitive integers.
+    <row, lam> is four popcounts of the masks.  The steps of _STEPS are
+    tried first; when none is positive on every row, the rows are positive
+    exactly on an open interval of t, the one bounded by <row, omega> /
+    <row, lam> over the rows with <row, lam> nonzero.  When it is not empty,
+    its midpoint, a point one past its one finite end, or 0 when it has
+    none, is the step; the heights it gives are accepted only once every
+    row is positive on them.
+    """
+    plus, minus, get_plus, get_minus = lam
+    values = [sum(p(omega)) - sum(m(omega)) for _, _, p, m in rows]
+    shifts = [(rp & plus).bit_count() + (rm & minus).bit_count()
+              - (rp & minus).bit_count() - (rm & plus).bit_count() for rp, rm, _, _ in rows]
+    dot = sum(get_plus(omega)) - sum(get_minus(omega))
+    size = plus.bit_count() + minus.bit_count()
     for num, den in _STEPS:
         scale, step = den * size, num * dot
         if all(scale * v > step * t for v, t in zip(values, shifts)):
-            heights = [scale * h for h in omega]
-            for c, x in lam.items():
-                heights[c] -= step * x
-            return _primitive(heights)
-    return None
+            break
+    else:
+        low = high = None
+        for v, t in zip(values, shifts):
+            if t > 0:
+                if high is None or v * high[1] < high[0] * t:
+                    high = v, t
+            elif t < 0:
+                if low is None or v * low[1] > low[0] * t:
+                    low = v, t
+            elif v <= 0:
+                return None
+        if low is None and high is None:
+            step, scale = 0, 1
+        elif high is None:
+            step, scale = low[0] + low[1], low[1]
+        elif low is None:
+            step, scale = high[0] - high[1], high[1]
+        elif low[0] * high[1] > high[0] * low[1]:
+            # low[0] / low[1] < high[0] / high[1], with low[1] < 0 < high[1]
+            step, scale = low[0] * high[1] + high[0] * low[1], 2 * low[1] * high[1]
+        else:
+            return None
+        if scale < 0:
+            step, scale = -step, -scale
+        if not all(scale * v > step * t for v, t in zip(values, shifts)):
+            return None
+    heights = [scale * h for h in omega]
+    for c in _decode(len(heights), plus):
+        heights[c] -= step
+    for c in _decode(len(heights), minus):
+        heights[c] += step
+    g = gcd(*heights) or 1
+    return [h // g for h in heights]
 
 
 class _Fold(NamedTuple):
@@ -684,34 +829,43 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
     A node tries its arrivals in order, starting with the move that found
     it: for each arrival from an earlier node a with heights w on a circuit
     Z, w and Z are moved by the element that maps a's flip onto the node,
-    and w is carried by the integer steps of _carry along Z's +-1 vector.  A
-    candidate is accepted only when every wall row of the node is strictly
-    positive on it.  Otherwise is_regular's exact decision, _decide, runs on
-    the same wall rows, pinned on the node's first simplex, so "not regular"
-    comes only from the LP.  The seed, which has no neighbour before it,
-    always goes to the LP.
+    and w is carried along Z's +-1 vector by _carry: its fixed steps, then
+    its exact step.  A candidate is accepted only when every wall row of the
+    node is strictly positive on it.  Otherwise is_regular's exact decision,
+    _decide, runs on the same wall rows, pinned on the node's first simplex,
+    so "not regular" comes only from the LP.  The seed, which has no
+    neighbour before it, always goes to the LP.
     """
     ncols = len(seed.config.columns)
     interior = len(_walls(seed))
     search = _search(seed, circuits, budget, deadline=deadline, perms=perms)
     cells = search.cells
+    group = search.group
     fold = _Fold(search, [None] * len(search.nodes), {})
+    readers: Dict[int, Tuple] = {}
+    # pulls[e] reads heights w into the heights that perms[e] moves them to
+    pulls: Dict[int, itemgetter] = {}
     for i, node in enumerate(search.nodes):
         matched, sides = search.scans[i] or cells.scan(node)[1:]
         if matched != interior:
             raise RegularityError('triangulation %d matches %d walls to circuits, the seed %d'
                                   % (i, matched, interior))
         rows = _wall_rows(cells, sides)
+        wall_readers = []
+        for s in sides:
+            if s not in readers:
+                readers[s] = _reader(cells.n, cells.columns[s], cells.columns[s ^ 1])
+            wall_readers.append(readers[s])
         for a, s, e in search.arrived(i):
             omega = fold.witnesses[a]
             if omega is None:
                 continue
-            perm = search.group.perms[e]
-            moved = [0] * ncols
-            for c, h in enumerate(omega):
-                moved[perm[c]] = h
-            z = cells.sides[s].circuit
-            witness = _carry(moved, [perm[c] for c in z.plus], [perm[c] for c in z.minus], rows)
+            if e not in pulls:
+                perm = group.perms[e]
+                pulls[e] = itemgetter(*sorted(range(ncols), key=perm.__getitem__))
+            lam = _reader(cells.n, group.image(e, cells.columns[s]),
+                          group.image(e, cells.columns[s ^ 1]))
+            witness = _carry(pulls[e](omega), lam, wall_readers)
             if witness is not None:
                 fold.witnesses[i] = witness
                 fold.carried[i] = a
@@ -751,15 +905,14 @@ def _twist_orbits(search: _Search, twists) -> int:
     """
     group = search.group
     twists = set(twists)
-    at = [e for e, perm in enumerate(group.perms) if perm in twists]
+    at = {e for e, perm in enumerate(group.perms) if perm in twists}
     if len(at) == group.order:
         return len(search.nodes)
     total = 0
     for node, size in zip(search.nodes, search.sizes):
         fixed = 1
         if size < group.order:
-            fixes = list(group.onto(node, set(node)))
-            fixed = sum(fixes[e] for e in at)
+            fixed = sum(1 for e in group.onto(node, set(node)) if e in at)
         total += size * fixed // len(at)
     return total
 
@@ -784,13 +937,21 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     item 1 deletes it).  Integer heights carried across the flipped
     circuit from each earlier stored neighbour whose flip lands in the
     node's orbit, starting with the one that found it, prove "regular" when
-    every wall row is strictly positive on them; otherwise is_regular's
-    exact LP decides, so only the LP ever says "not regular".  With
-    exhaustive (by default when n <= 2), enumerate_triangulations lists
-    every triangulation within budget_steps, its roots read off the
-    circuits, and each is looked up in the search or decided by is_regular;
-    each distinct simplex is encoded once, and the search's group already
-    holds the rows of every simplex in an orbit it met.  A deadline
+    every wall row is strictly positive on them (_carry tries fixed steps
+    along the circuit, then a step inside the exact interval where every
+    row is positive); otherwise is_regular's exact LP decides, so only the
+    LP ever says "not regular".  With
+    exhaustive (by default when n <= 2), count_triangulations lists the
+    leaves within budget_steps: the triangulations under one root per twist
+    orbit of the roots when the twists are affine, every triangulation
+    otherwise.  Each triangulation is the image of one leaf under one of
+    orbit_size elements, affine maps keep regularity, and the search's
+    component is closed under the twists, so each leaf adds orbit_size to
+    total, to flip_reachable when the search holds it, and to regular when
+    its stored orbit's verdict, or is_regular once for a leaf outside the
+    search, says regular; each distinct simplex of the leaves is encoded
+    once, and the search's group already holds the rows of every simplex in
+    an orbit it met.  A deadline
     (time.monotonic) stops the search between levels and marks the report
     partial.
     """
@@ -814,19 +975,20 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     exhaustive_report = None
     if exhaustive:
         cfg = word_context(w).config
-        found, complete = enumerate_triangulations(cfg, circuits, budget_steps)
-        mask_of = {s: _encode(search.n, s) for s in set().union(*found)}
+        leaves, size, complete = count_triangulations(cfg, circuits, twists if affine else (),
+                                                      budget_steps)
+        mask_of = {s: _encode(search.n, s) for s in set().union(*leaves)}
         reachable = 0
         regular = 0
-        for simplices in found:
+        for simplices in leaves:
             i = search.find(tuple(map(mask_of.__getitem__, simplices)))
             if i is not None:
-                reachable += 1
-                regular += fold.witnesses[i] is not None
+                reachable += size
+                regular += size if fold.witnesses[i] is not None else 0
             else:
                 tri = Triangulation.make(cfg, simplices)
-                regular += 1 if is_regular(tri, circuits) else 0
-        exhaustive_report = ExhaustiveReport(len(found), reachable, regular, complete)
+                regular += size if is_regular(tri, circuits) else 0
+        exhaustive_report = ExhaustiveReport(size * len(leaves), reachable, regular, complete)
     return RegularCountReport(n, str(w), nodes, regular_nodes, expected,
                               matches, search.partial, _twist_orbits(search, twists), affine,
                               exhaustive_report)

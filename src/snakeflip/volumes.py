@@ -5,7 +5,7 @@ import math
 from itertools import product
 from typing import Dict, NamedTuple, Tuple
 
-from .exact import BudgetError, adjugate
+from .exact import BudgetError, determinant
 from .posets import Poset, build_snake_poset, strip_embedding
 from .words import SnakeWord
 
@@ -125,7 +125,7 @@ def skew_chain_count(lam: Tuple[int, ...], mu: Tuple[int, ...] = ()) -> int:
 
     matrix = [[binom(lam[j] - padded[i] + 1, j - i + 1) for j in range(k)]
               for i in range(k)]
-    return adjugate(matrix)[0]
+    return determinant(matrix)
 
 
 def volume_skew(w: SnakeWord) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from snakeflip.exact import adjugate, integer_kernel, lp_feasible
+from snakeflip.exact import adjugate, determinant, integer_kernel, lp_feasible
 
 
 def det(matrix):
@@ -216,6 +216,34 @@ def test_adjugate_edge_cases():
         adjugate([[1, 2], [3]])
     with pytest.raises(ValueError):
         adjugate([[1, 2]])
+
+
+def test_determinant_matches_the_adjugate():
+    # the elimination of the matrix alone reads the determinant that the
+    # elimination of [matrix | I] does, on random, singular and empty matrices
+    rng = random.Random(20261021)
+    assert determinant([]) == adjugate([])[0] == 1
+    for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 0, 2], [0, 0, 0], [3, 1, 4]],
+                 [[0, 1, 1], [0, 2, 5], [0, 7, -3]]):
+        assert determinant(rows) == adjugate(rows)[0] == 0
+    singular = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        scale = rng.choice((1, 1, 10 ** 30))
+        rows = []
+        for i in range(n):
+            if i and rng.random() < 0.1:  # multiple of an earlier row
+                f = rng.choice((-2, -1, 1, 3))
+                rows.append([f * v for v in rows[rng.randrange(i)]])
+            else:
+                rows.append([scale * rng.choice((-2, -1, 0, 0, 1, 1, 3)) for _ in range(n)])
+        value = determinant(rows)
+        assert value == adjugate(rows)[0], rows
+        singular += value == 0
+    assert 300 < singular < 2700
+    for ragged in ([[1, 2], [3]], [[1, 2]], [[1], [2]]):
+        with pytest.raises(ValueError):
+            determinant(ragged)
 
 
 def test_adjugate_matches_the_fraction_inverse():

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from test_posets import brute_isomorphic, relabel_and_reroute
 
-from snakeflip.circuits import Circuit, all_circuits
+from snakeflip.circuits import Circuit, all_circuits, circuits_brute
 from snakeflip.flips import (
     FlipError,
     FlipMove,
@@ -25,7 +25,7 @@ from snakeflip import flips
 from snakeflip.flips import _Cells, _decode, _encode, _flip, _Group, _mix, _search
 from snakeflip.polytope import (PointConfiguration, Triangulation, is_triangulation, is_unimodular,
                                 simplex_volume)
-from snakeflip.regularity import _orbit_group, snake_polytope_word
+from snakeflip.regularity import _orbit_group, enumerate_triangulations, snake_polytope_word
 from snakeflip.twists import all_twists
 from snakeflip.words import parse_word, v_words
 
@@ -227,6 +227,100 @@ def test_orbit_search_is_pinned():
             parents.append((a, (z.plus, z.minus)))
         text = repr((search.nodes, parents, search.sizes, search.depths))
         assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
+
+
+def reference_locate(group, index, nodes, node):
+    # reference: every element tried on every simplex, in perms order
+    rows = [group.images[mask] for mask in node]
+    for b in index.get(group.invariant(node), ()):
+        target = set(nodes[b])
+        for e, element in enumerate(group.elements):
+            if target.issuperset(map(element, rows)):
+                return b, e
+    return None, 0
+
+
+def test_candidate_lookup_matches_every_element_tried():
+    # the lookup tries only the elements that map the first simplex into the
+    # target; on every flip of every stored node of the orbit searches to
+    # n = 3, it finds the stored node and element that trying all of them
+    # finds, and the orbit sizes those give
+    flips_seen = 0
+    for n in (1, 2, 3):
+        w = snake_polytope_word(n)
+        twists = [tau.column_permutation for tau in all_twists(w)]
+        for perms in (twists, _orbit_group(w, twists)):
+            search = _search(canonical_of(w), all_circuits(w), budget=100000, perms=perms)
+            group, cells = search.group, search.cells
+            for node, size in zip(search.nodes, search.sizes):
+                assert group.orbit_size(node) == size
+                assert size * sum(all(map(set(node).__contains__, (group.image(e, mask)
+                                                                   for mask in node)))
+                                  for e in range(group.order)) == group.order
+                for s, link in cells.scan(node)[0]:
+                    image, _, _ = _flip(node, frozenset(node), cells.sides[s], link)
+                    _, b, e = group.locate(search.index, search.nodes, image)
+                    assert b is not None
+                    assert (b, e) == reference_locate(group, search.index, search.nodes, image)
+                    flips_seen += 1
+    assert flips_seen > 2000
+
+
+def reference_scan(cells, node):
+    # reference: the scan that ORs every cell's column bit into its
+    # (side, face) key, before the cells were counted
+    n = cells.n
+    acc = {}
+    for mask in node:
+        for key in cells.entries.get(mask) or cells._entries(mask):
+            # the cell's column is the one support column outside the simplex
+            acc[key] = acc.get(key, 0) | cells.supports[key >> n] & ~mask
+    links, broken, top, matched = {}, set(), {}, 0
+    for key, got in acc.items():
+        s = key >> n
+        if got == cells.columns[s]:
+            links.setdefault(s, []).append(key)
+        else:
+            broken.add(s)
+        if got & (got - 1):
+            m = got.bit_count()
+            matched += m * (m - 1) // 2
+            low = got & -got
+            rest = got ^ low
+            facet = (key | cells.supports[s]) ^ low ^ (rest & -rest)
+            top[s] = max(top.get(s, 0), facet)
+    moves = [(s, frozenset(key & cells.face_bits for key in links[s]))
+             for s in sorted(links) if s not in broken]
+    return moves, matched, tuple(sorted(top, key=lambda s: top[s] & cells.face_bits,
+                                        reverse=True))
+
+
+def test_scan_by_counts_matches_the_bit_scan():
+    # moves, matched walls and wall sides of every node of the n <= 3 orbit
+    # searches, and of the triangulations of the hexagon and of the square
+    # with its centre, whose circuits include sides of one column
+    cases = []
+    for n in (1, 2, 3):
+        w = snake_polytope_word(n)
+        twists = [tau.column_permutation for tau in all_twists(w)]
+        search = _search(canonical_of(w), all_circuits(w), budget=100000,
+                         perms=_orbit_group(w, twists))
+        cases.append((search.cells, search.nodes))
+    for points in (((0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)),
+                   ((0, 0), (2, 0), (0, 2), (2, 2), (1, 1))):
+        cfg = PointConfiguration(2, points, tuple((i,) for i in range(len(points))))
+        circuits = circuits_brute(cfg)
+        found, _ = enumerate_triangulations(cfg, circuits)
+        cases.append((_Cells(cfg, circuits),
+                      [tuple(sorted((_encode(len(points), s) for s in t), reverse=True))
+                       for t in found]))
+    assert min(cases[-1][0].sizes) == 1
+    scanned = 0
+    for cells, nodes in cases:
+        for node in nodes:
+            assert cells.scan(node) == reference_scan(cells, node)
+            scanned += 1
+    assert scanned == 4 + 25 + 229 + 14 + 3
 
 
 def reference_search(seed, circuits, budget, max_depth=None, perms=()):

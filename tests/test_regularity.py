@@ -12,7 +12,8 @@ from test_exact import fraction_kernel, fraction_lp_maximize, integer_normal
 from test_polytope import CUBE_ORDER, cube_configuration, meet_in_common_faces
 
 import snakeflip.regularity as regularity
-from snakeflip.circuits import Circuit, all_circuits, circuits_brute, word_context
+from snakeflip.circuits import (Circuit, all_circuits, circuits_brute, is_unit_dependence,
+                                word_context)
 from snakeflip.exact import adjugate
 from snakeflip.flips import (_decode, _search, apply_flip, canonical_of, explore_flip_graph,
                             find_flips)
@@ -28,6 +29,7 @@ from snakeflip.regularity import (
     conjecture_suite,
     count_canonical_dual_graphs,
     count_regular_triangulations,
+    count_triangulations,
     enumerate_triangulations,
     folding_form,
     height_function,
@@ -459,8 +461,109 @@ def test_fold_verdicts_match_is_regular():
             if n <= 2 and heights is not None:
                 assert all(isinstance(h, int) for h in heights)
                 assert verify_local_folding(tri, HeightFunction(tuple(heights))).verdict
-    # (orbits, orbits certified by carried heights); the rest ran the LP
-    assert decided == {1: (5, 4), 2: (42, 41), 3: (429, 408)}
+    # (orbits, orbits certified by carried heights); the rest ran the LP,
+    # which still decides some orbits besides the seed at n = 3
+    assert decided == {1: (5, 4), 2: (42, 41), 3: (429, 421)}
+
+
+def read(n, reader, heights):
+    """<row, heights> for a +-1 row given as a reader, from its column masks alone."""
+    plus, minus = reader[:2]
+    return (sum(heights[c] for c in _decode(n, plus))
+            - sum(heights[c] for c in _decode(n, minus)))
+
+
+def fixed_step_carries(n, omega, lam, rows):
+    """Whether some step of _STEPS is positive on every row, by Fractions."""
+    dot = read(n, lam, omega)
+    size = lam[0].bit_count() + lam[1].bit_count()
+    unit = [1 if c in _decode(n, lam[0]) else -1 if c in _decode(n, lam[1]) else 0
+            for c in range(n)]
+    return any(all(read(n, row, [h - Fraction(num * dot, den * size) * x
+                                 for h, x in zip(omega, unit)]) > 0 for row in rows)
+               for num, den in regularity._STEPS)
+
+
+def test_exact_step_certifies_nodes_the_fixed_steps_miss(monkeypatch):
+    # at n = 3 over the twists and the reversal, some node is certified only
+    # by the exact step: no step of _STEPS is positive on all its rows; the
+    # heights every carry returns are positive on every row and select
+    # their node, and a carry returns None only where no step works
+    w = snake_polytope_word(3)
+    cfg = word_context(w).config
+    n = len(cfg.columns)
+    twists = [tau.column_permutation for tau in all_twists(w)]
+    calls = []
+    carry = regularity._carry
+
+    def recording(omega, lam, rows):
+        heights = carry(omega, lam, rows)
+        calls.append((omega, lam, rows, heights))
+        return heights
+
+    monkeypatch.setattr(regularity, '_carry', recording)
+    fold = _regularity_fold(canonical_of(w), all_circuits(w), _orbit_group(w, twists),
+                            budget=100000)
+    exact = []
+    for omega, lam, rows, heights in calls:
+        fixed = fixed_step_carries(n, omega, lam, rows)
+        if heights is None:
+            assert not fixed
+            continue
+        assert all(isinstance(h, int) for h in heights) and gcd(*heights) == 1
+        assert all(read(n, row, heights) > 0 for row in rows)
+        if not fixed:
+            exact.append(heights)
+    assert (len(exact), len(calls)) == (29, 291)
+    certified = [i for i in fold.carried if any(fold.witnesses[i] is h for h in exact)]
+    assert len(certified) == len(exact)
+    for i in certified:
+        tri = Triangulation(cfg, search_node(fold.search, i))
+        assert verify_local_folding(tri, HeightFunction(tuple(fold.witnesses[i]))).verdict
+
+
+def test_carry_finds_a_step_exactly_when_one_exists():
+    # random +-1 rows and circuits on six columns: the carried heights are
+    # positive on every row, and None comes exactly when the rows bound no
+    # open interval of t where omega - t lam is, found here by Fractions; the
+    # exact step is met with one and with two finite ends (with none, every
+    # row ignores t and the fixed steps hold)
+    rng = random.Random(20261021)
+    n = 6
+    outcomes = set()
+    for _ in range(3000):
+        def vector():
+            signs = [rng.choice((-1, 0, 0, 1)) for _ in range(n)]
+            plus = sum(1 << (n - 1 - c) for c in range(n) if signs[c] > 0)
+            minus = sum(1 << (n - 1 - c) for c in range(n) if signs[c] < 0)
+            return regularity._reader(n, plus, minus) if plus and minus else None
+        lam = vector()
+        rows = [r for r in (vector() for _ in range(rng.randint(1, 5))) if r]
+        if lam is None or not rows:
+            continue
+        omega = [rng.randint(-4, 6) for _ in range(n)]
+        unit = [read(n, lam, [int(c == k) for k in range(n)]) for c in range(n)]
+        low, high, open_interval = None, None, True
+        for row in rows:
+            v = read(n, row, omega)
+            t = read(n, row, unit)
+            if t > 0:
+                high = Fraction(v, t) if high is None else min(high, Fraction(v, t))
+            elif t < 0:
+                low = Fraction(v, t) if low is None else max(low, Fraction(v, t))
+            elif v <= 0:
+                open_interval = False
+        if low is not None and high is not None and low >= high:
+            open_interval = False
+        heights = regularity._carry(omega, lam, rows)
+        assert (heights is not None) == open_interval, (omega, lam, rows)
+        if heights is None:
+            outcomes.add('none')
+            continue
+        assert all(read(n, row, heights) > 0 for row in rows)
+        ends = (low is not None) + (high is not None)
+        outcomes.add('fixed' if fixed_step_carries(n, omega, lam, rows) else 'exact %d' % ends)
+    assert outcomes == {'none', 'fixed', 'exact 1', 'exact 2'}
 
 
 def test_fold_carries_heights_from_arrivals():
@@ -724,6 +827,35 @@ def test_elementary_twists_decide_the_affinity_of_every_twist():
         swap = list(range(len(ctx.config.columns)))
         swap[0], swap[1] = swap[1], swap[0]
         assert not _perms_are_affine(w, gens + [tuple(swap)])
+
+
+def every_circuit_is_affine(w, perms):
+    """The affinity check on every circuit of the word, kept as a reference."""
+    cfg = word_context(w).config
+    return all(is_unit_dependence(cfg, Circuit(tuple(perm[c] for c in z.plus),
+                                               tuple(perm[c] for c in z.minus)))
+               for perm in perms for z in all_circuits(w))
+
+
+def test_affinity_on_the_fundamental_circuits_matches_every_circuit():
+    # the fundamental circuits of one basis span the dependences, so checking
+    # them alone gives the verdict of all circuits: every twist and reversal
+    # of the words to length 4, and the transposition of columns 0 and 1
+    verdicts = []
+    for w in v_words(4):
+        ncols = len(word_context(w).config.columns)
+        swap = list(range(ncols))
+        swap[0], swap[1] = swap[1], swap[0]
+        cases = [(tau.column_permutation,) for tau in all_twists(w)] + [(tuple(swap),)]
+        alpha = _reversal(w)
+        if alpha is not None:
+            cases.append((alpha,))
+        for perms in cases:
+            verdict = _perms_are_affine(w, perms)
+            assert verdict == every_circuit_is_affine(w, perms), (w, perms)
+            verdicts.append(verdict)
+        assert not _perms_are_affine(w, (tuple(swap),))
+    assert verdicts.count(False) == 23 and verdicts.count(True) > 60
 
 
 def kernel_enumerate_triangulations(cfg, budget_steps=2_000_000):
@@ -1018,6 +1150,102 @@ def test_twists_act_freely_on_the_roots(monkeypatch):
         assert len(roots) == 2 ** (2 * n + 1) and len(orbits) == len(codes) == 2 ** n
         assert {orbit for orbit in orbits for code in codes
                 if closed_form_root(n, code) in orbit} == orbits
+
+
+def twist_perms(w):
+    return [tau.column_permutation for tau in all_twists(w)]
+
+
+def test_twist_orbits_of_roots_count_every_triangulation():
+    # the leaves, one root per twist orbit, times the orbit size are every
+    # triangulation: on the snakes to n = 3 and on every word to length 4
+    words = {str(w): w for w in [*v_words(4), *map(snake_polytope_word, (1, 2, 3))]}
+    sizes = {}
+    for name, w in words.items():
+        cfg = word_context(w).config
+        circuits = all_circuits(w)
+        found, complete = enumerate_triangulations(cfg, circuits)
+        leaves, size, counted_all = count_triangulations(cfg, circuits, twist_perms(w))
+        assert complete and counted_all
+        assert size * len(leaves) == len(found), name
+        assert size == len(twist_perms(w)), name
+        sizes[name] = (size, len(leaves))
+    assert [sizes[str(snake_polytope_word(n))] for n in (1, 2, 3)] == [(4, 5), (8, 42), (16, 429)]
+
+
+def test_leaves_hold_the_first_root_of_each_twist_orbit(monkeypatch):
+    # the leaves are exactly the triangulations that hold a representative,
+    # the least root of its orbit in the candidates' lexicographic order
+    for w in [*v_words(3), snake_polytope_word(3)]:
+        cfg = word_context(w).config
+        circuits = all_circuits(w)
+        twists = twist_perms(w)
+        roots = {s for s, root in root_verdicts(monkeypatch, cfg, circuits).items() if root}
+        orbits = {frozenset(tuple(sorted(perm[c] for c in r)) for perm in twists) for r in roots}
+        representatives = {min(orbit) for orbit in orbits}
+        assert len(representatives) * len(twists) == len(roots)
+        found, _ = enumerate_triangulations(cfg, circuits)
+        leaves, size, complete = count_triangulations(cfg, circuits, twists)
+        assert complete and size == len(twists)
+        assert leaves == tuple(t for t in found if representatives.intersection(t)), w
+
+
+def test_root_orbits_fall_back_to_single_roots():
+    # every root is its own orbit, and the leaves are every triangulation,
+    # when the reversal maps no root of the n=2 snake onto a root, alone or
+    # in its group with the twists; when a transposition maps a circuit off
+    # the circuits; and when two elementary twists without their product
+    # give overlapping orbits
+    w = snake_polytope_word(2)
+    cfg = word_context(w).config
+    circuits = all_circuits(w)
+    found, _ = enumerate_triangulations(cfg, circuits)
+    group = _orbit_group(w, twist_perms(w))
+    swap = list(range(len(cfg.columns)))
+    swap[0], swap[1] = swap[1], swap[0]
+    pair = [elementary_twist(w, i).column_permutation for i in (1, 2)]
+    assert len(group) == 16
+    for perms in ([_reversal(w)], group, [tuple(swap)], pair, ()):
+        assert count_triangulations(cfg, circuits, perms) == (found, 1, True)
+    assert len(found) == 336
+    with pytest.raises(RegularityError, match='not a permutation'):
+        count_triangulations(cfg, circuits, [tuple(range(len(cfg.columns) - 1))])
+
+
+def test_root_orbits_need_a_map_of_the_circuits_and_a_free_action():
+    # this involution of the hexagon's columns maps its 4 roots onto roots
+    # without a fixed one, but maps a circuit off the circuits, so it is no
+    # symmetry of the triangulations; this one of the L word's columns keeps
+    # the circuits and the roots but fixes two roots, whose orbits are short:
+    # neither groups any roots
+    hexagon = plane_configuration([(0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1)])
+    w = parse_word('L')
+    cases = [(hexagon, circuits_brute(hexagon), (1, 0, 3, 2, 4, 5)),
+             (word_context(w).config, all_circuits(w), (0, 2, 1, 4, 3, 5, 6, 7))]
+    kept = []
+    for cfg, circuits, perm in cases:
+        found, _ = enumerate_triangulations(cfg, circuits)
+        kept.append({Circuit.make([perm[c] for c in z.plus], [perm[c] for c in z.minus])
+                     for z in circuits} == set(circuits))
+        assert count_triangulations(cfg, circuits, [perm]) == (found, 1, True)
+    assert kept == [False, True]
+
+
+def test_root_orbit_count_respects_the_step_budget():
+    # the budget counts the set-up walk and then the searches under the
+    # representatives; a spent budget keeps part of the leaves, complete False
+    w = snake_polytope_word(2)
+    cfg = word_context(w).config
+    circuits = all_circuits(w)
+    twists = twist_perms(w)
+    leaves, size, complete = count_triangulations(cfg, circuits, twists)
+    assert complete and len(leaves) == 42
+    setup = set_up_steps(cfg)
+    assert count_triangulations(cfg, circuits, twists, 1) == ((), 1, False)
+    assert count_triangulations(cfg, circuits, twists, setup) == ((), size, False)
+    part, part_size, part_complete = count_triangulations(cfg, circuits, twists, setup + 200)
+    assert not part_complete and part_size == size
+    assert part and set(part) < set(leaves)
 
 
 def test_enumeration_is_generic_where_the_t_2_point_lies_on_a_wall():

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import Dict, FrozenSet, NamedTuple, Tuple
 
-from .exact import BudgetError, integer_kernel
+from .exact import BudgetError, _pivot, integer_kernel
 from .polytope import PointConfiguration, _lattice_vertices
 from .posets import (FilterLattice, Poset, RegularityLabeling, adjoin_bounds,
                      build_snake_poset, filter_lattice, regularity_labeling)
@@ -119,10 +120,11 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
     the search: the entries may be any integers.
 
     The residuals are exact integers, reduced fraction-free along the path
-    (Bareiss 1968): adding j pivots on the first nonzero coordinate of its
-    residual v, made positive by negating v, and every residual g becomes
-    (p * g - g[piv] * v) // prev, where p is the pivot and prev the previous
-    pivot on the path (1 at the root).  At the last level each live residual
+    (Bareiss 1968): adding j pivots a copy of the residuals with
+    exact._pivot on the first nonzero coordinate of g_j's residual, made
+    positive by negating it.  Every other residual takes _pivot's update,
+    divided by the previous pivot on the path (1 at the root), and g_j's
+    residual is then set to zero.  At the last level each live residual
     has one nonzero coordinate, the same one for all, and these values are
     one common multiple of the circuit's dependence, so their signs orient
     it without solving the support again.
@@ -135,6 +137,8 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
     if not d:
         return ()
     dual = list(zip(*kernel))
+    zero = (0,) * d
+    bits = [1 << i for i in range(m)]
     steps = 0
     found = []
 
@@ -154,26 +158,17 @@ def circuits_brute(cfg: PointConfiguration, budget: int = 2_000_000) -> Tuple[Ci
                 continue
             v = residual[j]
             piv = next(t for t, a in enumerate(v) if a)
+            nxt = list(residual)
             if v[piv] < 0:
-                v = [-a for a in v]
-            p = v[piv]
-            nxt = []
-            nlive = 0
-            for i, g in enumerate(residual):
-                if live >> i & 1:
-                    f = g[piv]
-                    if f:
-                        g = [(p * a - f * b) // prev for a, b in zip(g, v)]
-                    elif p != prev:
-                        g = [p * a // prev for a in g]
-                    if any(g):
-                        nlive |= 1 << i
-                nxt.append(g)
+                nxt[j] = [-a for a in v]
+            p = _pivot(nxt, j, piv, prev)
+            nxt[j] = zero
+            nlive = sum(compress(bits, map(any, nxt)))
             if (live & ~nlive) & ((1 << j) - 1):
                 continue
             extend(nxt, nlive, j, p, depth + 1)
 
-    extend(dual, sum(1 << i for i, g in enumerate(dual) if any(g)), -1, 1, 0)
+    extend(dual, sum(compress(bits, map(any, dual))), -1, 1, 0)
     return tuple(sorted(found, key=lambda z: (z.plus, z.minus)))
 
 

@@ -120,7 +120,7 @@ def build_parser() -> _Parser:
     p.add_argument('--exhaustive', action=argparse.BooleanOptionalAction, default=None)
     p = add('verify-all', 'run every theorem check and print a summary table')
     p.add_argument('--max-len', type=int, default=None)
-    # ignored; kept only because perfbench/workloads.py passes it (ROADMAP item 1 deletes it)
+    # ignored; kept only because perfbench/workloads.py passes it (ROADMAP item 3 deletes it)
     p.add_argument('--threads', type=int, default=None)
     return parser
 

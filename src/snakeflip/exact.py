@@ -13,7 +13,9 @@ def _pivot(rows, r, c, prev):
 
     Every other row becomes (p * row - f * rows[r]) // prev, where f is the
     row's entry in column c and prev the previous pivot, a division that is
-    exact by Sylvester's identity (Bareiss 1968).
+    exact by Sylvester's identity (Bareiss 1968).  A row that is all zero
+    stays as it is, since the update keeps it zero.  Rows are replaced, not
+    changed, so a shallow copy of rows can be pivoted.
     """
     pivot_row = rows[r]
     p = pivot_row[c]
@@ -23,7 +25,7 @@ def _pivot(rows, r, c, prev):
         f = row[c]
         if f:
             rows[i] = [(p * a - f * b) // prev for a, b in zip(row, pivot_row)]
-        elif p != prev:
+        elif p != prev and any(row):
             rows[i] = [p * a // prev for a in row]
     return p
 

@@ -190,7 +190,10 @@ class _Cells:
         matches when the walls are taken in the order of their column
         tuples.  That facet drops the two lowest column bits the face
         carries, which are read off the node's simplices only for a face
-        that carries some but not all of the side's columns.
+        that carries some but not all of the side's columns.  The count is
+        rebuilt for every node rather than carried along the flip that found
+        it, since a flip changes the count of most sides: 18.5 against a
+        node's 26.5 at n=3, 26 against 41 at n=4.
         """
         entries = self.entries
         counts = Counter(chain.from_iterable([entries.get(mask) or self._entries(mask)
@@ -622,7 +625,7 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     """Deterministic breadth-first closure of the seed under circuit flips.
 
     The search runs in one thread on simplex masks; workers is ignored, kept
-    only because perfbench/workloads.py passes it (ROADMAP item 1 deletes
+    only because perfbench/workloads.py passes it (ROADMAP item 3 deletes
     it).  The seed's simplices are checked unimodular; a later simplex is
     unimodular because the circuit whose flip created it is a +-1 dependence
     of the columns, which is checked once per circuit (_search).  Nothing

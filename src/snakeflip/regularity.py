@@ -709,15 +709,6 @@ def _primitive(values) -> List[int]:
     return [h // g for h in ints]
 
 
-# (num, den): a flip on Z moves a neighbour's heights w to
-# den*|Z|*w - num*<l_Z, w>*l_Z, so <l_Z, w> becomes -(num/den - 1) times itself:
-# (2, 1) reflects it, (3, 2) goes half as far past zero.  Of the 229 orbits of
-# the twists and the reversal at n=3, carrying by (2, 1) alone certifies 199,
-# by both steps 217, and by both and then _carry's exact step 225, which leaves
-# 4 to the LP (2275, 2395 and 2433 of 2479, and 46 LPs, at n=4).
-_STEPS = ((2, 1), (3, 2))
-
-
 def _reader(n: int, plus: int, minus: int):
     """(plus, minus, plus getter, minus getter) of a +-1 vector on the column masks.
 
@@ -735,52 +726,45 @@ def _reader(n: int, plus: int, minus: int):
 def _carry(omega, lam, rows) -> Optional[List[int]]:
     """Heights omega carried across the circuit lam on which every row is positive, or None.
 
-    lam and every row are readers (_reader) of +-1 vectors, and the carried
-    heights are omega - t lam for one rational t, as primitive integers.
-    <row, lam> is four popcounts of the masks.  The steps of _STEPS are
-    tried first; when none is positive on every row, the rows are positive
-    exactly on an open interval of t, the one bounded by <row, omega> /
-    <row, lam> over the rows with <row, lam> nonzero.  When it is not empty,
-    its midpoint, a point one past its one finite end, or 0 when it has
-    none, is the step; the heights it gives are accepted only once every
-    row is positive on them.
+    lam is the (plus, minus) column masks of a +-1 vector and every row a
+    reader (_reader) of one; the carried heights are omega - t lam for one
+    rational t, as primitive integers.  <row, lam> is four popcounts of the
+    masks.  The rows are positive exactly on an open interval of t, the one
+    bounded by <row, omega> / <row, lam> over the rows with <row, lam>
+    nonzero, so any t that works lies in it.  When it is not empty, its
+    midpoint, a point one past its one finite end, or 0 when it has none,
+    is the step; the heights it gives are accepted only once every row is
+    positive on them.
     """
-    plus, minus, get_plus, get_minus = lam
+    plus, minus = lam
     values = [sum(p(omega)) - sum(m(omega)) for _, _, p, m in rows]
     shifts = [(rp & plus).bit_count() + (rm & minus).bit_count()
               - (rp & minus).bit_count() - (rm & plus).bit_count() for rp, rm, _, _ in rows]
-    dot = sum(get_plus(omega)) - sum(get_minus(omega))
-    size = plus.bit_count() + minus.bit_count()
-    for num, den in _STEPS:
-        scale, step = den * size, num * dot
-        if all(scale * v > step * t for v, t in zip(values, shifts)):
-            break
+    low = high = None
+    for v, t in zip(values, shifts):
+        if t > 0:
+            if high is None or v * high[1] < high[0] * t:
+                high = v, t
+        elif t < 0:
+            if low is None or v * low[1] > low[0] * t:
+                low = v, t
+        elif v <= 0:
+            return None
+    if low is None and high is None:
+        step, scale = 0, 1
+    elif high is None:
+        step, scale = low[0] + low[1], low[1]
+    elif low is None:
+        step, scale = high[0] - high[1], high[1]
+    elif low[0] * high[1] > high[0] * low[1]:
+        # low[0] / low[1] < high[0] / high[1], with low[1] < 0 < high[1]
+        step, scale = low[0] * high[1] + high[0] * low[1], 2 * low[1] * high[1]
     else:
-        low = high = None
-        for v, t in zip(values, shifts):
-            if t > 0:
-                if high is None or v * high[1] < high[0] * t:
-                    high = v, t
-            elif t < 0:
-                if low is None or v * low[1] > low[0] * t:
-                    low = v, t
-            elif v <= 0:
-                return None
-        if low is None and high is None:
-            step, scale = 0, 1
-        elif high is None:
-            step, scale = low[0] + low[1], low[1]
-        elif low is None:
-            step, scale = high[0] - high[1], high[1]
-        elif low[0] * high[1] > high[0] * low[1]:
-            # low[0] / low[1] < high[0] / high[1], with low[1] < 0 < high[1]
-            step, scale = low[0] * high[1] + high[0] * low[1], 2 * low[1] * high[1]
-        else:
-            return None
-        if scale < 0:
-            step, scale = -step, -scale
-        if not all(scale * v > step * t for v, t in zip(values, shifts)):
-            return None
+        return None
+    if scale < 0:
+        step, scale = -step, -scale
+    if not all(scale * v > step * t for v, t in zip(values, shifts)):
+        return None
     heights = [scale * h for h in omega]
     for c in _decode(len(heights), plus):
         heights[c] -= step
@@ -829,12 +813,12 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
     A node tries its arrivals in order, starting with the move that found
     it: for each arrival from an earlier node a with heights w on a circuit
     Z, w and Z are moved by the element that maps a's flip onto the node,
-    and w is carried along Z's +-1 vector by _carry: its fixed steps, then
-    its exact step.  A candidate is accepted only when every wall row of the
-    node is strictly positive on it.  Otherwise is_regular's exact decision,
-    _decide, runs on the same wall rows, pinned on the node's first simplex,
-    so "not regular" comes only from the LP.  The seed, which has no
-    neighbour before it, always goes to the LP.
+    and w is carried along Z's +-1 vector, given by its two column masks, by
+    _carry's exact step.  A candidate is accepted only when every wall row
+    of the node is strictly positive on it.  Otherwise is_regular's exact
+    decision, _decide, runs on the same wall rows, pinned on the node's
+    first simplex, so "not regular" comes only from the LP.  The seed,
+    which has no neighbour before it, always goes to the LP.
     """
     ncols = len(seed.config.columns)
     interior = len(_walls(seed))
@@ -863,8 +847,7 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
             if e not in pulls:
                 perm = group.perms[e]
                 pulls[e] = itemgetter(*sorted(range(ncols), key=perm.__getitem__))
-            lam = _reader(cells.n, group.image(e, cells.columns[s]),
-                          group.image(e, cells.columns[s ^ 1]))
+            lam = group.image(e, cells.columns[s]), group.image(e, cells.columns[s ^ 1])
             witness = _carry(pulls[e](omega), lam, wall_readers)
             if witness is not None:
                 fold.witnesses[i] = witness
@@ -934,14 +917,14 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     twist_orbits counts the twist orbits all the same
     (_twist_orbits), and affine_twists reports the twists alone; workers is
     ignored, kept only because perfbench/workloads.py passes it (ROADMAP
-    item 1 deletes it).  Integer heights carried across the flipped
+    item 3 deletes it).  Integer heights carried across the flipped
     circuit from each earlier stored neighbour whose flip lands in the
     node's orbit, starting with the one that found it, prove "regular" when
-    every wall row is strictly positive on them (_carry tries fixed steps
-    along the circuit, then a step inside the exact interval where every
-    row is positive); otherwise is_regular's exact LP decides, so only the
-    LP ever says "not regular".  With
-    exhaustive (by default when n <= 2), count_triangulations lists the
+    every wall row is strictly positive on them (_carry steps along the
+    circuit to a point inside the exact interval where every row is
+    positive); otherwise is_regular's exact LP decides, so only the LP ever
+    says "not regular".  With exhaustive (by default when n <= 2),
+    count_triangulations lists the
     leaves within budget_steps: the triangulations under one root per twist
     orbit of the roots when the twists are affine, every triangulation
     otherwise.  Each triangulation is the image of one leaf under one of

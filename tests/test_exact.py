@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from snakeflip.exact import adjugate, determinant, integer_kernel, lp_feasible
+from snakeflip.exact import _pivot, adjugate, determinant, integer_kernel, lp_feasible
 
 
 def det(matrix):
@@ -43,6 +43,17 @@ def test_det_sign_and_pivoting():
     assert det([[0, 1], [1, 0]]) == -1
     assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
     assert det([[0, 2], [3, 5]]) == -6
+
+
+def test_pivot_leaves_a_zero_row_as_it_is():
+    # the pivot 3 differs from prev 1, so a nonzero row without an entry in
+    # column 0 is rescaled, but the zero row is kept, the same object, and
+    # column 0 is cleared in every row but the pivot row
+    zero = [0, 0, 0]
+    rows = [[3, 1, 2], zero, [0, 2, 5], [6, 1, 1]]
+    assert _pivot(rows, 0, 0, 1) == 3
+    assert rows[1] is zero and zero == [0, 0, 0]
+    assert rows == [[3, 1, 2], [0, 0, 0], [0, 6, 15], [0, -3, -9]]
 
 
 def test_det_matches_fraction_elimination():

@@ -463,7 +463,7 @@ def test_fold_verdicts_match_is_regular():
                 assert verify_local_folding(tri, HeightFunction(tuple(heights))).verdict
     # (orbits, orbits certified by carried heights); the rest ran the LP,
     # which still decides some orbits besides the seed at n = 3
-    assert decided == {1: (5, 4), 2: (42, 41), 3: (429, 421)}
+    assert decided == {1: (5, 4), 2: (42, 41), 3: (429, 422)}
 
 
 def read(n, reader, heights):
@@ -473,22 +473,29 @@ def read(n, reader, heights):
             - sum(heights[c] for c in _decode(n, minus)))
 
 
-def fixed_step_carries(n, omega, lam, rows):
-    """Whether some step of _STEPS is positive on every row, by Fractions."""
-    dot = read(n, lam, omega)
-    size = lam[0].bit_count() + lam[1].bit_count()
-    unit = [1 if c in _decode(n, lam[0]) else -1 if c in _decode(n, lam[1]) else 0
-            for c in range(n)]
-    return any(all(read(n, row, [h - Fraction(num * dot, den * size) * x
-                                 for h, x in zip(omega, unit)]) > 0 for row in rows)
-               for num, den in regularity._STEPS)
+def carry_interval(n, omega, lam, rows):
+    """(low, high, nonempty) of the open interval of t on which every row is
+    positive on omega - t lam, by Fractions; an end is None when it is infinite."""
+    unit = [read(n, lam, [int(c == k) for k in range(n)]) for c in range(n)]
+    low, high, nonempty = None, None, True
+    for row in rows:
+        v = read(n, row, omega)
+        t = read(n, row, unit)
+        if t > 0:
+            high = Fraction(v, t) if high is None else min(high, Fraction(v, t))
+        elif t < 0:
+            low = Fraction(v, t) if low is None else max(low, Fraction(v, t))
+        elif v <= 0:
+            nonempty = False
+    if low is not None and high is not None and low >= high:
+        nonempty = False
+    return low, high, nonempty
 
 
-def test_exact_step_certifies_nodes_the_fixed_steps_miss(monkeypatch):
-    # at n = 3 over the twists and the reversal, some node is certified only
-    # by the exact step: no step of _STEPS is positive on all its rows; the
-    # heights every carry returns are positive on every row and select
-    # their node, and a carry returns None only where no step works
+def test_every_carry_of_the_orbit_fold_gives_primitive_positive_heights(monkeypatch):
+    # at n = 3 over the twists and the reversal, every heights _carry returns
+    # are primitive integers, positive on every row, and select their node;
+    # it returns None only where no step along the circuit works
     w = snake_polytope_word(3)
     cfg = word_context(w).config
     n = len(cfg.columns)
@@ -504,20 +511,18 @@ def test_exact_step_certifies_nodes_the_fixed_steps_miss(monkeypatch):
     monkeypatch.setattr(regularity, '_carry', recording)
     fold = _regularity_fold(canonical_of(w), all_circuits(w), _orbit_group(w, twists),
                             budget=100000)
-    exact = []
+    returned = []
     for omega, lam, rows, heights in calls:
-        fixed = fixed_step_carries(n, omega, lam, rows)
+        assert len(lam) == 2 and all(isinstance(mask, int) for mask in lam)
+        assert (heights is not None) == carry_interval(n, omega, lam, rows)[2]
         if heights is None:
-            assert not fixed
             continue
         assert all(isinstance(h, int) for h in heights) and gcd(*heights) == 1
         assert all(read(n, row, heights) > 0 for row in rows)
-        if not fixed:
-            exact.append(heights)
-    assert (len(exact), len(calls)) == (29, 291)
-    certified = [i for i in fold.carried if any(fold.witnesses[i] is h for h in exact)]
-    assert len(certified) == len(exact)
-    for i in certified:
+        returned.append(heights)
+    assert (len(fold.carried), len(returned)) == (225, 225)
+    for i in fold.carried:
+        assert any(fold.witnesses[i] is h for h in returned)
         tri = Triangulation(cfg, search_node(fold.search, i))
         assert verify_local_folding(tri, HeightFunction(tuple(fold.witnesses[i]))).verdict
 
@@ -526,44 +531,32 @@ def test_carry_finds_a_step_exactly_when_one_exists():
     # random +-1 rows and circuits on six columns: the carried heights are
     # positive on every row, and None comes exactly when the rows bound no
     # open interval of t where omega - t lam is, found here by Fractions; the
-    # exact step is met with one and with two finite ends (with none, every
-    # row ignores t and the fixed steps hold)
+    # step is met with no finite end (every row ignores t), with one and
+    # with two
     rng = random.Random(20261021)
     n = 6
     outcomes = set()
     for _ in range(3000):
-        def vector():
+        def masks():
             signs = [rng.choice((-1, 0, 0, 1)) for _ in range(n)]
             plus = sum(1 << (n - 1 - c) for c in range(n) if signs[c] > 0)
             minus = sum(1 << (n - 1 - c) for c in range(n) if signs[c] < 0)
-            return regularity._reader(n, plus, minus) if plus and minus else None
-        lam = vector()
-        rows = [r for r in (vector() for _ in range(rng.randint(1, 5))) if r]
+            return (plus, minus) if plus and minus else None
+        lam = masks()
+        rows = [regularity._reader(n, *r) for r in (masks() for _ in range(rng.randint(1, 5)))
+                if r]
         if lam is None or not rows:
             continue
         omega = [rng.randint(-4, 6) for _ in range(n)]
-        unit = [read(n, lam, [int(c == k) for k in range(n)]) for c in range(n)]
-        low, high, open_interval = None, None, True
-        for row in rows:
-            v = read(n, row, omega)
-            t = read(n, row, unit)
-            if t > 0:
-                high = Fraction(v, t) if high is None else min(high, Fraction(v, t))
-            elif t < 0:
-                low = Fraction(v, t) if low is None else max(low, Fraction(v, t))
-            elif v <= 0:
-                open_interval = False
-        if low is not None and high is not None and low >= high:
-            open_interval = False
+        low, high, nonempty = carry_interval(n, omega, lam, rows)
         heights = regularity._carry(omega, lam, rows)
-        assert (heights is not None) == open_interval, (omega, lam, rows)
+        assert (heights is not None) == nonempty, (omega, lam, rows)
         if heights is None:
             outcomes.add('none')
             continue
         assert all(read(n, row, heights) > 0 for row in rows)
-        ends = (low is not None) + (high is not None)
-        outcomes.add('fixed' if fixed_step_carries(n, omega, lam, rows) else 'exact %d' % ends)
-    assert outcomes == {'none', 'fixed', 'exact 1', 'exact 2'}
+        outcomes.add('exact %d' % ((low is not None) + (high is not None)))
+    assert outcomes == {'none', 'exact 0', 'exact 1', 'exact 2'}
 
 
 def test_fold_carries_heights_from_arrivals():

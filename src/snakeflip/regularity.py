@@ -402,11 +402,11 @@ def _is_root(simplex, cells, ncols: int) -> bool:
     return True
 
 
-def _root_orbits(ncols: int, candidates, roots: List[int], perms,
-                 circuits) -> Tuple[List[int], int]:
+def _root_orbits(ncols: int, roots: List[Tuple[int, ...]], perms,
+                 circuits) -> Tuple[List[Tuple[int, ...]], int]:
     """Representatives of the roots' orbits under perms and the identity, and the orbit size.
 
-    roots are candidate positions, and a root's orbit is its images under
+    roots are sorted column tuples, and a root's orbit is its images under
     the listed elements G, the identity and perms, which need not be closed
     under composition.  The representatives, the first root of each orbit,
     stand for every root when each element maps the circuits onto the
@@ -436,19 +436,21 @@ def _root_orbits(ncols: int, candidates, roots: List[int], perms,
     listed = {signed(z, identity) for z in circuits}
     if any(signed(z, perm) not in listed for perm in elements for z in circuits):
         return roots, 1
-    root_at = {candidates[ci]: ci for ci in roots}
+    known = set(roots)
     reps = []
     seen = set()
-    for ci in roots:
-        if ci in seen:
+    for r in roots:
+        if r in seen:
             continue
-        orbit = {root_at.get(tuple(sorted(map(perm.__getitem__, candidates[ci]))))
-                 for perm in elements}
-        if None in orbit or len(orbit) < len(elements) or orbit & seen:
+        orbit = {tuple(sorted(map(perm.__getitem__, r))) for perm in elements}
+        if not orbit <= known or len(orbit) < len(elements) or orbit & seen:
             return roots, 1
         seen |= orbit
-        reps.append(ci)
+        reps.append(r)
     return reps, len(elements)
+
+
+_CHUNK = 4096  # candidates per _circuit_cells call in count_triangulations' root pass
 
 
 def count_triangulations(cfg: PointConfiguration, circuits, perms,
@@ -456,96 +458,88 @@ def count_triangulations(cfg: PointConfiguration, circuits, perms,
     """The triangulations under one root per orbit of perms: (leaves, orbit_size, complete).
 
     circuits is the complete circuit list of cfg (as from all_circuits or
-    circuits_brute), and everything comes from it.  The candidates are the
-    (d+1)-sets of columns that hold no circuit's support, found by a walk
-    over index-increasing column sets that tests a new column j only
-    against the supports whose largest column is j; one step is one
-    attempted column.  Two candidates intersect properly exactly when no
-    circuit Z has Z+ in one and Z- in the other (De Loera, Rambau and Santos
-    2010, ch. 4), which gives each candidate a bitset of the others it is
-    compatible with (polytope._circuit_cells).  A facet is interior exactly
-    when some column lies beyond it, which any one coface's cells show: the
-    facet opposite a is interior when a lies on the side of one of its
-    coface's cells.
+    circuits_brute), and everything comes from it.  One walk over
+    index-increasing column sets lists the (d+1)-sets that hold no mask of
+    a forbidden list, testing a new column j only against the masks whose
+    largest column is j; one step is one attempted column.  With the
+    circuits' supports forbidden it lists the candidates.
 
     Each triangulation holds exactly one root, a candidate holding a
     symbolic generic point q.  The roots are read off the circuits' signs
-    (_is_root), so no determinant is taken, and a candidate that is flat,
-    or lacks the one circuit it forms with some column, raises
-    RegularityError: the list is incomplete or repeats a circuit.  The
-    roots fall into orbits of perms and the identity (_root_orbits), all of
-    orbit_size members, and the leaves are the triangulations that hold the
-    first root of an orbit.  The triangulations number orbit_size times the
-    leaves, and every one is the image of a leaf under one element.  With
-    no perms, or when the orbits fail their check, orbit_size is 1 and the
-    leaves are every triangulation.
+    (_is_root) in slices of _CHUNK candidates, so no determinant is taken
+    and no table spans every candidate; a candidate that is flat, or lacks
+    the one circuit it forms with some column, raises RegularityError: the
+    list is incomplete or repeats a circuit.  The roots fall into orbits of
+    perms and the identity (_root_orbits), all of orbit_size members, and
+    the leaves are the triangulations that hold the first root of an orbit.
+    The triangulations number orbit_size times the leaves, and every one is
+    the image of a leaf under one element.  With no perms, or when the
+    orbits fail their check, orbit_size is 1 and the leaves are every
+    triangulation.
 
-    The search under a root keeps the AND of the chosen candidates' bitsets
-    and the open interior facets, those with one chosen coface:
+    Two candidates intersect properly exactly when no circuit Z has Z+ in
+    one and Z- in the other (De Loera, Rambau and Santos 2010, ch. 4), so
+    the walk under a representative r that also forbids each side of a
+    circuit whose other side lies in r lists the candidates compatible with
+    r, r included; polytope._circuit_cells on that list gives their clash
+    bitsets and cells.  A facet is interior exactly when some column lies
+    beyond it, which any one coface's cells show, and not the list's walls:
+    a facet whose other coface clashes with r would look like boundary.
+
+    The search under r keeps the candidates compatible with every chosen
+    one and the open interior facets, those with one chosen coface:
     compatibility caps a facet at two, so a placed candidate toggles its
     facets.  It branches over the allowed cofaces of the open facet with the
     fewest, and records a triangulation when none is open.  A triangulation
     holding the chosen candidates has exactly one simplex across that facet,
-    so the branches are disjoint.  budget_steps bounds the walk's steps and
-    the searches' calls together; past it, the leaves found so far are
-    returned, sorted, with complete False, and none when the walk itself
-    ran out.
+    so the branches are disjoint.  budget_steps bounds the root walk's
+    steps, then each representative's walk and search calls, together;
+    past it, the leaves found so far are returned, sorted, with complete
+    False, and none when the root walk itself ran out.
     """
     d = cfg.dim
     ncols = len(cfg.columns)
-    closing: List[List[int]] = [[] for _ in range(ncols)]
-    for z in circuits:
-        support = sum(1 << c for c in z.support())
-        closing[support.bit_length() - 1].append(support)
-    candidates: List[Tuple[int, ...]] = []
+    supports = [sum(1 << c for c in z.support()) for z in circuits]
+    sides = [(sum(1 << c for c in a), sum(1 << c for c in b))
+             for z in circuits for a, b in ((z.plus, z.minus), (z.minus, z.plus))]
     steps = 0
 
-    def walk(chosen, mask, first):
-        nonlocal steps
-        for j in range(first, ncols - d + len(chosen)):
-            steps += 1
-            if steps > budget_steps:
-                return False
-            grown = mask | 1 << j
-            for sup in closing[j]:
-                if sup & grown == sup:
-                    break
-            else:
-                if len(chosen) == d:
-                    candidates.append(chosen + (j,))
-                elif not walk(chosen + (j,), grown, j + 1):
+    def walk(forbidden):
+        closing: List[List[int]] = [[] for _ in range(ncols)]
+        for mask in forbidden:
+            closing[mask.bit_length() - 1].append(mask)
+        found: List[Tuple[int, ...]] = []
+
+        def grow(chosen, mask, first):
+            nonlocal steps
+            for j in range(first, ncols - d + len(chosen)):
+                steps += 1
+                if steps > budget_steps:
                     return False
-        return True
+                grown = mask | 1 << j
+                for sup in closing[j]:
+                    if sup & grown == sup:
+                        break
+                else:
+                    if len(chosen) == d:
+                        found.append(chosen + (j,))
+                    elif not grow(chosen + (j,), grown, j + 1):
+                        return False
+            return True
 
-    if not walk((), 0, 0):
+        return found if grow((), 0, 0) else None
+
+    candidates = walk(supports)
+    if candidates is None:
         return (), 1, False
-    clash, cells, crossed = _circuit_cells(ncols, candidates, circuits)
-    roots = [ci for ci, (s, mine) in enumerate(zip(candidates, cells)) if _is_root(s, mine, ncols)]
-    del cells
-    reps, orbit_size = _root_orbits(ncols, candidates, roots, perms, circuits)
-    everything = (1 << len(candidates)) - 1
-    compatible = [everything & ~(bad | 1 << ci) for ci, bad in enumerate(clash)]
-    del clash
-
-    # popping frees each coface list as its bitset is made; iterating the
-    # whole index instead left the regular-count benchmark's peak RSS
-    # 0.1-0.25 MiB higher on Python 3.11
-    cofaces: Dict[Tuple[int, ...], int] = {}
-    interior: List[List[Tuple[int, ...]]] = [[] for _ in candidates]
-    index = walls(candidates)
-    while index:
-        f, incident = index.popitem()
-        pos, apex = incident[0]
-        if crossed[pos] >> apex & 1:
-            cofaces[f] = sum(1 << ci for ci, _ in incident)
-            for ci, _ in incident:
-                interior[ci].append(f)
-    del crossed
-    facets_of = list(map(frozenset, interior))
-    del interior
+    roots = []
+    for at in range(0, len(candidates), _CHUNK):
+        chunk = candidates[at:at + _CHUNK]
+        _, cells, _ = _circuit_cells(ncols, chunk, circuits)
+        roots += [s for s, mine in zip(chunk, cells) if _is_root(s, mine, ncols)]
+    reps, orbit_size = _root_orbits(ncols, roots, perms, circuits)
 
     complete = True
-    chosen: List[int] = []
     results: List[Tuple[Tuple[int, ...], ...]] = []
 
     def search(allowed, open_facets):
@@ -564,15 +558,28 @@ def count_triangulations(cfg: PointConfiguration, circuits, perms,
             ci = low.bit_length() - 1
             branch ^= low
             chosen.append(ci)
-            search(allowed & compatible[ci], open_facets ^ facets_of[ci])
+            search(allowed & ~(clash[ci] | low), open_facets ^ facets_of[ci])
             chosen.pop()
 
-    for ci in reps:
-        if not complete:
+    for r in reps:
+        held = sum(1 << c for c in r)
+        candidates = walk(supports + [a for a, b in sides if b & held == b])
+        if candidates is None:
+            complete = False
             break
-        chosen.append(ci)
-        search(compatible[ci], facets_of[ci])
-        chosen.pop()
+        clash, _, crossed = _circuit_cells(ncols, candidates, circuits)
+        cofaces: Dict[Tuple[int, ...], int] = {}
+        interior: List[List[Tuple[int, ...]]] = [[] for _ in candidates]
+        for f, incident in walls(candidates).items():
+            pos, apex = incident[0]
+            if crossed[pos] >> apex & 1:
+                cofaces[f] = sum(1 << ci for ci, _ in incident)
+                for ci, _ in incident:
+                    interior[ci].append(f)
+        facets_of = list(map(frozenset, interior))
+        at = candidates.index(r)
+        chosen = [at]
+        search((1 << len(candidates)) - 1 ^ 1 << at, facets_of[at])
     return tuple(sorted(results)), orbit_size, complete
 
 

@@ -17,9 +17,10 @@ from snakeflip.circuits import (Circuit, all_circuits, circuits_brute, is_unit_d
 from snakeflip.exact import adjugate
 from snakeflip.flips import (_decode, _search, apply_flip, canonical_of, explore_flip_graph,
                             find_flips)
-from snakeflip.polytope import (PointConfiguration, Triangulation, canonical_triangulation,
-                                expected_normalized_volume, is_triangulation,
-                                order_polytope_vertices, simplex_volume, walls)
+from snakeflip.polytope import (PointConfiguration, Triangulation, _circuit_cells,
+                                canonical_triangulation, expected_normalized_volume,
+                                is_triangulation, order_polytope_vertices, simplex_volume,
+                                walls)
 from snakeflip.posets import Poset
 from snakeflip.regularity import (
     HeightFunction,
@@ -953,21 +954,27 @@ def kernel_enumerate_triangulations(cfg, budget_steps=2_000_000):
     return tuple(sorted(results)), state['complete']
 
 
-def set_up_steps(cfg):
-    """Attempts of enumerate_triangulations' set-up walk, counted with rational ranks.
+def set_up_steps(cfg, circuits=(), root=()):
+    """Attempts of count_triangulations' walk, counted with rational ranks.
 
     From every independent index-increasing column set S that can still
     grow to d + 1 columns, the walk tries each later column that leaves room.
+    With no root this is the walk that lists every candidate; under a root
+    r, the walk that lists the candidates compatible with r also cuts every
+    S that holds one side of a circuit whose other side lies in r.
     """
     size = cfg.dim + 1
     ncols = len(cfg.columns)
+    clashing = [set(a) for z in circuits for a, b in ((z.plus, z.minus), (z.minus, z.plus))
+                if set(b) <= set(root)]
 
     def count(s):
         tries = range(s[-1] + 1 if s else 0, ncols - size + len(s) + 1)
         if len(s) + 1 == size:
             return len(tries)
         return len(tries) + sum(count(s + (j,)) for j in tries
-                                if not fraction_kernel(list(zip(*map(cfg.homogeneous, s + (j,))))))
+                                if not fraction_kernel(list(zip(*map(cfg.homogeneous, s + (j,)))))
+                                and not any(a <= {*s, j} for a in clashing))
     return count(())
 
 
@@ -1224,21 +1231,74 @@ def test_root_orbits_need_a_map_of_the_circuits_and_a_free_action():
     assert kept == [False, True]
 
 
-def test_root_orbit_count_respects_the_step_budget():
-    # the budget counts the set-up walk and then the searches under the
-    # representatives; a spent budget keeps part of the leaves, complete False
+def test_root_orbit_count_respects_the_step_budget(monkeypatch):
+    # the budget counts the set-up walk and then, under each representative,
+    # its own walk and its search; the first representative is the least
+    # root, and a spent budget keeps part of the leaves, complete False
     w = snake_polytope_word(2)
     cfg = word_context(w).config
     circuits = all_circuits(w)
     twists = twist_perms(w)
+    first = min(s for s, root in root_verdicts(monkeypatch, cfg, circuits).items() if root)
     leaves, size, complete = count_triangulations(cfg, circuits, twists)
     assert complete and len(leaves) == 42
     setup = set_up_steps(cfg)
+    local = set_up_steps(cfg, circuits, first)
     assert count_triangulations(cfg, circuits, twists, 1) == ((), 1, False)
     assert count_triangulations(cfg, circuits, twists, setup) == ((), size, False)
-    part, part_size, part_complete = count_triangulations(cfg, circuits, twists, setup + 200)
+    assert count_triangulations(cfg, circuits, twists, setup + local) == ((), size, False)
+    part, part_size, part_complete = count_triangulations(cfg, circuits, twists,
+                                                          setup + local + 200)
     assert not part_complete and part_size == size
     assert part and set(part) < set(leaves)
+
+
+def test_root_pass_slices_leave_the_results_unchanged(monkeypatch):
+    # the roots are read off _CHUNK candidates at a time, so a slice of 1 or
+    # 7 changes no result; with slices of 7, no _circuit_cells call of the
+    # n=3 count receives the whole candidate list
+    cases = []
+    for w in (snake_polytope_word(2), parse_word('LRRL')):
+        cfg = word_context(w).config
+        circuits = all_circuits(w)
+        cases.append((cfg, circuits, twist_perms(w)))
+    expected = [(count_triangulations(cfg, circuits, twists),
+                 enumerate_triangulations(cfg, circuits)) for cfg, circuits, twists in cases]
+    for chunk in (1, 7):
+        monkeypatch.setattr(regularity, '_CHUNK', chunk)
+        assert [(count_triangulations(cfg, circuits, twists),
+                 enumerate_triangulations(cfg, circuits))
+                for cfg, circuits, twists in cases] == expected
+    w = snake_polytope_word(3)
+    cfg = word_context(w).config
+    circuits = all_circuits(w)
+    candidates = tuple(root_verdicts(monkeypatch, cfg, circuits))
+    calls = counted(monkeypatch, '_circuit_cells', 1)
+    leaves, size, complete = count_triangulations(cfg, circuits, twist_perms(w))
+    assert complete and len(leaves) == 429 and size == 16
+    assert candidates not in calls
+    assert max(map(len, calls)) < len(candidates) == 2304
+
+
+def test_each_search_lists_the_candidates_compatible_with_its_root(monkeypatch):
+    # at n=2 the walk under each root lists the candidates that do not clash
+    # with it by _circuit_cells on every candidate, the root included
+    w = snake_polytope_word(2)
+    cfg = word_context(w).config
+    circuits = all_circuits(w)
+    ncols = len(cfg.columns)
+    verdicts = root_verdicts(monkeypatch, cfg, circuits)
+    candidates = list(verdicts)
+    roots = [s for s in candidates if verdicts[s]]
+    clash, _, _ = _circuit_cells(ncols, candidates, circuits)
+    calls = counted(monkeypatch, '_circuit_cells', 1)
+    found, complete = enumerate_triangulations(cfg, circuits)
+    assert complete and len(found) == 336
+    assert calls[0] == tuple(candidates) and len(calls) == 1 + len(roots) == 33
+    for r, local in zip(roots, calls[1:]):
+        bad = clash[candidates.index(r)]
+        assert local == tuple(s for p, s in enumerate(candidates) if not bad >> p & 1)
+        assert r in local and len(local) < len(candidates)
 
 
 def test_enumeration_is_generic_where_the_t_2_point_lies_on_a_wall():
@@ -1259,12 +1319,14 @@ def test_enumeration_is_generic_where_the_t_2_point_lies_on_a_wall():
     assert moved == set(enumerate_triangulations(natural, circuits_brute(natural))[0])
 
 
-def test_budgeted_enumeration_of_delta3_times_delta3():
+def test_budgeted_enumeration_of_delta3_times_delta3(monkeypatch):
     # 4096 candidates and 204 circuits: far too many triangulations to list,
-    # so about 2000 search steps after the set-up walk find some, each valid
+    # so about 2000 search steps after the set-up walk and the least root's
+    # walk find some, each valid
     seed, circuits = delta3_times_delta3()
     cfg = seed.config
-    setup = set_up_steps(cfg)
+    first = min(s for s, root in root_verdicts(monkeypatch, cfg, circuits).items() if root)
+    setup = set_up_steps(cfg) + set_up_steps(cfg, circuits, first)
     found, complete = enumerate_triangulations(cfg, circuits, setup + 2000)
     assert not complete and found
     assert all(is_triangulation(cfg, simplices, circuits) for simplices in found)

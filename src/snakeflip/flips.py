@@ -134,7 +134,7 @@ class _Cells:
         self.lowest = [sum(bits[-2:]) for bits in self.side_bits]
         self.entries: Dict[int, Tuple[int, ...]] = {}
         self.unit: Dict[int, bool] = {}
-        self.rows: Dict[int, Optional[Dict[int, int]]] = {}
+        self.rows: Dict[int, Optional[Tuple]] = {}
 
     def is_unit(self, k: int) -> bool:
         """Whether circuit k's +-1 vector is a dependence of the columns, tested once."""
@@ -142,7 +142,7 @@ class _Cells:
             self.unit[k] = is_unit_dependence(self.cfg, self.circuits[k])
         return self.unit[k]
 
-    def row(self, s: int) -> Optional[Dict[int, int]]:
+    def row(self, s: int) -> Optional[Tuple]:
         """Side s's wall row: its circuit's +-1 vector, positive on side s.
 
         Two simplices that meet in a wall have both apexes on one side of
@@ -150,15 +150,22 @@ class _Cells:
         its support and signs only, so the row takes every coefficient to be
         +-1, as on order polytopes; it is None when that vector is not a
         dependence of the columns (is_unit), as for a circuit listed for
-        another configuration.  The row is the table's own dict and must not
-        be changed.
+        another configuration.  The row is (plus, minus, plus getter, minus
+        getter): the column masks where it is +1 and -1, side s's and the
+        other side's, and for each a getter that reads those columns of a
+        height list as a tuple.
         """
         if s not in self.rows:
-            k = s >> 1
-            z = self.circuits[k]
-            positive = z.minus if s & 1 else z.plus
-            self.rows[s] = ({c: 1 if c in positive else -1 for c in z.support()}
-                            if self.is_unit(k) else None)
+            row = None
+            if self.is_unit(s >> 1):
+                masks = self.columns[s], self.columns[s ^ 1]
+                getters = []
+                for mask in masks:
+                    columns = _decode(self.n, mask)
+                    getters.append(itemgetter(*columns) if len(columns) > 1
+                                   else lambda heights, c=columns[0]: (heights[c],))
+                row = (*masks, *getters)
+            self.rows[s] = row
         return self.rows[s]
 
     def _entries(self, mask: int) -> Tuple[int, ...]:
@@ -327,11 +334,12 @@ class _Group:
     closure (FlipError when a product falls outside the elements).
     A node's invariant, the sum of its simplices' weights, is the same for
     every node of its orbit, and a flip changes it by the weights of the
-    simplices it removes and creates (shift).  Nodes of different orbits
-    may share an invariant, so the lookup tests membership: the elements
-    that map the node's first simplex into the other's simplex set are the
-    candidates, and each is checked by one pass over the node's simplices
-    that stops at the first image outside that set.
+    simplices it removes and creates.  Nodes of different orbits may share
+    an invariant, so the lookup tests membership: the elements that map the
+    node's first simplex into the other's simplex set are the candidates,
+    and each is checked by one pass over the node's simplices that stops at
+    the first image outside that set.  The one-element group takes the same
+    path.
     """
 
     def __init__(self, n: int, perms):
@@ -394,16 +402,6 @@ class _Group:
             total += row[0]
         return total
 
-    def shift(self, key, removed, created) -> Optional[int]:
-        """The invariant of a flip's image, from the flipped node's invariant.
-
-        removed and created are the simplices the flip removed and created.
-        None for the trivial group, whose key is the node itself.
-        """
-        if self.order == 1:
-            return None
-        return key - self.invariant(removed) + self.invariant(created)
-
     def onto(self, node: Tuple[int, ...], target: Set[int]):
         """The positions in perms of the elements that map the node onto target, in order.
 
@@ -411,7 +409,7 @@ class _Group:
         candidates (compress over its image row), and only they are checked
         on every simplex.  Each simplex of the node must have its row in
         images, as it has once the node's invariant is taken or carried
-        (shift), and target must have as many simplices as the node.
+        along a flip, and target must have as many simplices as the node.
         """
         rows = list(map(self.images.__getitem__, node))
         elements = self.elements
@@ -421,57 +419,48 @@ class _Group:
 
     def orbit_size(self, node: Tuple[int, ...]) -> int:
         """|G| over the number of elements that fix the node, once located."""
-        if self.order == 1:
-            return 1
         return self.order // sum(1 for _ in self.onto(node, set(node)))
 
-    def locate(self, index: Dict, nodes: List[Tuple[int, ...]], node: Tuple[int, ...],
-               key: Optional[int] = None) -> Tuple[object, Optional[int], int]:
-        """The node's key in index, the stored node b of its orbit or None, and an element.
+    def locate(self, index: Dict[int, List[int]], nodes: List[Tuple[int, ...]],
+               node: Tuple[int, ...], key: Optional[int] = None) -> Tuple[int, Optional[int], int]:
+        """The node's invariant, the stored node b of its orbit or None, and an element.
 
         The element is the position in perms of the first element that maps
-        the node onto nodes[b], 0 when b is None.  With the trivial group the
-        key is the node itself and index maps it to its position; otherwise
-        the key is the invariant, taken here unless given (shift), and index
-        maps it to the positions of the stored nodes that have it.
+        the node onto nodes[b], 0 when b is None.  index maps an invariant to
+        the positions of the stored nodes that have it, and the invariant is
+        taken here unless given, as a flip carries it.  A stored node equal
+        to the node is the identity's, element 0, with no membership test.
         """
-        if self.order == 1:
-            return node, index.get(node), 0
         if key is None:
             key = self.invariant(node)
         for b in index.get(key, ()):
+            if node == nodes[b]:
+                return key, b, 0
             e = next(self.onto(node, set(nodes[b])), None)
             if e is not None:
                 return key, b, e
         return key, None, 0
-
-    def store(self, index: Dict, key, b: int) -> None:
-        """File the stored node b in index under its key from locate."""
-        if self.order == 1:
-            index[key] = b
-        else:
-            index.setdefault(key, []).append(b)
 
 
 class _Search(NamedTuple):
     """A breadth-first search on masks: nodes in discovery order, as masks.
 
     Node i stands for its orbit under group, the first member the search
-    reached; index holds the nodes under their keys (group.locate), and
-    sizes[i] is the orbit's size.  With the trivial group every node is its
-    own orbit.  arrivals[b] packs every move of a node a < b that landed in
-    b's orbit as one int, which arrived(b) unpacks.  The first is the move
-    that found b, with element 0, so nodes[b] is that flip of nodes[a]; the
-    seed has none.  A move from b into the orbit of a < b is the image of
-    one of a's moves, so it is not kept.  scans[a] is (matched walls, wall
-    sides) of cells.scan(nodes[a]) once a is expanded, None before.  It
-    holds search state only: consumers decode the masks (_decode) and
-    derive edges from arrived themselves.
+    reached; index maps each invariant to the stored nodes that have it
+    (group.locate), and sizes[i] is the orbit's size.  With the trivial
+    group every node is its own orbit.  arrivals[b] packs every move of a
+    node a < b that landed in b's orbit as one int, which arrived(b)
+    unpacks.  The first is the move that found b, with element 0, so
+    nodes[b] is that flip of nodes[a]; the seed has none.  A move from b
+    into the orbit of a < b is the image of one of a's moves, so it is not
+    kept.  scans[a] is (matched walls, wall sides) of cells.scan(nodes[a])
+    once a is expanded, None before.  It holds search state only: consumers
+    decode the masks (_decode) and derive edges from arrived themselves.
     """
 
     n: int
     nodes: List[Tuple[int, ...]]
-    index: Dict
+    index: Dict[int, List[int]]
     depths: List[int]
     sizes: List[int]
     group: _Group
@@ -508,14 +497,14 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     perms are column permutations that, with the identity, form a group G
     (FlipError otherwise).  The search then stores one node per G-orbit it
     meets: a flipped node is looked up among the stored nodes with its
-    invariant, a weight sum carried along each flip (_Group.shift), and
-    joins the first one some element maps it onto.  A new
-    orbit's size is |G| over the number of elements that fix the node
-    (orbit-stabiliser); budget bounds the sum of the sizes, which is the
-    number of triangulations found.  The union of the orbits is the
-    component only when G maps the component to itself, as affine
-    symmetries of a component closed under a G-invariant property do; the
-    caller must ensure that.  Each level expands its nodes in reverse mask
+    invariant, a weight sum carried along each flip, and joins the first
+    one some element maps it onto.  A new orbit's size is |G| over the
+    number of elements that fix the node (orbit-stabiliser), and the sum of
+    the sizes is the number of triangulations found.  budget bounds that
+    sum past the seed's orbit, which is always kept, even when it alone is
+    over budget.  The union of the orbits is the component only when G
+    maps the component to itself, as affine symmetries of a component
+    closed under a G-invariant property do; the caller must ensure that.  Each level expands its nodes in reverse mask
     order, which is the order of their simplex tuples.  Expanding a node is
     one scan of its cells in a per-search _Cells table, which gives its
     moves and its walls; a move to a later stored orbit is kept as an
@@ -546,14 +535,14 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     group = _Group(n, perms)
     if any(simplex_volume(cfg, _decode(n, mask)) != 1 for mask in root):
         raise FlipError('seed triangulation is not unimodular')
-    index: Dict = {}
-    key, _, _ = group.locate(index, [], root)
-    group.store(index, key, 0)
+    key = group.invariant(root)
+    index = {key: [0]}
     search = _Search(n, [root], index, [0], [group.orbit_size(root)], group,
                      False, cells, [None], [[]])
     nodes, depths, sizes = search.nodes, search.depths, search.sizes
     scans, arrivals = search.scans, search.arrivals
-    # keys[b] is nodes[b]'s key in index, which shift carries to its flips
+    # keys[b] is nodes[b]'s invariant, which a flip carries by the weights
+    # of the simplices it removes and creates
     keys = [key]
     side_of = {(cells.columns[t], cells.supports[t]): t for t in range(len(sides))}
     side_images: Dict[Tuple[int, int], Optional[int]] = {}
@@ -591,8 +580,8 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
                 if s in back:
                     continue
                 image, removed, created = _flip(node, present, sides[s], link)
-                key, b, e = group.locate(index, nodes, image,
-                                         group.shift(keys[a], removed, created))
+                key = keys[a] - group.invariant(removed) + group.invariant(created)
+                key, b, e = group.locate(index, nodes, image, key)
                 if b is None:
                     size = group.orbit_size(image)
                     if total + size > budget:
@@ -601,7 +590,7 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
                     if not cells.is_unit(s >> 1):
                         raise FlipError('flip produced a non-unimodular triangulation')
                     b = len(nodes)
-                    group.store(index, key, b)
+                    index.setdefault(key, []).append(b)
                     nodes.append(image)
                     keys.append(key)
                     depths.append(depth + 1)
@@ -631,6 +620,7 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     of the columns, which is checked once per circuit (_search).  Nothing
     on the search path calls is_triangulation; apply_flip validates when it
     is given the circuits, and commuting_square_check validates every node.
+    budget bounds the nodes past the seed, which is always kept (_search).
 
     The edges are read off the search after it ends: each node's arrivals,
     every edge from its earlier end.  Each distinct simplex mask is decoded

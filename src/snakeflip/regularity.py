@@ -175,7 +175,7 @@ def verify_local_folding(tri: Triangulation, omega: HeightFunction) -> FoldingRe
     return FoldingReport(tuple(checks), verdict, first)
 
 
-def _wall_rows(cells: _Cells, sides) -> List[Dict[int, int]]:
+def _wall_rows(cells: _Cells, sides) -> List[Tuple]:
     """The +-1 wall rows of the sides, in their order (flips._Cells.row).
 
     A side whose circuit's +-1 vector is not a dependence of the columns
@@ -191,7 +191,7 @@ def _wall_rows(cells: _Cells, sides) -> List[Dict[int, int]]:
     return rows
 
 
-def _checked_rows(tri: Triangulation, circuits) -> List[Dict[int, int]]:
+def _checked_rows(tri: Triangulation, circuits) -> List[Tuple]:
     """Deduplicated +-1 inequalities, one per wall: the wall pair's one circuit.
 
     One facet pass counts the interior walls I and raises on a facet with
@@ -253,7 +253,7 @@ def is_regular(tri: Triangulation, circuits, verify: bool = False) -> Regularity
     return result
 
 
-def _decide(rows: List[Dict[int, int]], pinned, ncols: int) -> RegularityResult:
+def _decide(rows: List[Tuple], pinned, ncols: int) -> RegularityResult:
     """Phase-1 feasibility of heights h >= 0, zero on pinned, with every <row, h> >= 1.
 
     Some heights select the triangulation exactly when every wall row is
@@ -269,35 +269,35 @@ def _decide(rows: List[Dict[int, int]], pinned, ncols: int) -> RegularityResult:
     program is sum y_i row_i = 0 on every column and sum y_i = 1, and its y,
     as primitive integers, is checked against the rows before it is
     returned.  Both programs go to lp_feasible.  If neither is feasible,
-    RegularityError is raised.
+    RegularityError is raised.  The rows are flips._Cells.row tuples, and
+    each program reads a row's coefficients off its two column masks.
     """
     pinned = set(pinned)
     free = [c for c in range(ncols) if c not in pinned]
-    pos = {c: k for k, c in enumerate(free)}
     m = len(free)
     nrows = len(rows)
+    # dense[r][c] is row r's coefficient on column c, bit 1 << (ncols - 1 - c)
+    bits = [1 << (ncols - 1 - c) for c in range(ncols)]
+    dense = [[bool(plus & bit) - bool(minus & bit) for bit in bits] for plus, minus, _, _ in rows]
     A = []
-    for r, coeffs in enumerate(rows):
-        row = [0] * (m + nrows)
-        for c, x in coeffs.items():
-            if c in pos:
-                row[pos[c]] = x
+    for r, coeffs in enumerate(dense):
+        row = [coeffs[c] for c in free] + [0] * nrows
         row[m + r] = -1
         A.append(row)
     x = lp_feasible(A, [1] * nrows, m + nrows)
     if x is not None:
         heights = [Fraction(0)] * ncols
-        for c in free:
-            heights[c] = x[pos[c]]
+        for c, h in zip(free, x):
+            heights[c] = h
         # <row_r, h> = 1 + surplus_r
         slack = 1 + min(x[m:], default=Fraction(0))
         return RegularityResult(True, HeightFunction(tuple(heights)), slack, nrows)
-    A = [[row.get(c, 0) for row in rows] for c in range(ncols)] + [[1] * nrows]
-    y = lp_feasible(A, [0] * ncols + [1], nrows)
+    columns = list(zip(*dense))
+    y = lp_feasible(columns + [[1] * nrows], [0] * ncols + [1], nrows)
     if y is None:
         raise RegularityError('neither heights nor a Gordan certificate exist')
     certificate = tuple(_primitive(y))
-    if any(sum(k * row.get(c, 0) for k, row in zip(certificate, rows)) for c in range(ncols)):
+    if any(sum(map(mul, certificate, column)) for column in columns):
         raise RegularityError('Gordan certificate does not sum the wall rows to zero')
     return RegularityResult(False, None, Fraction(0), nrows, certificate)
 
@@ -716,25 +716,11 @@ def _primitive(values) -> List[int]:
     return [h // g for h in ints]
 
 
-def _reader(n: int, plus: int, minus: int):
-    """(plus, minus, plus getter, minus getter) of a +-1 vector on the column masks.
-
-    The masks are flips' (column c is bit 1 << (n - 1 - c)), and each getter
-    reads the heights of its columns as a tuple.
-    """
-    getters = []
-    for mask in (plus, minus):
-        columns = _decode(n, mask)
-        getters.append(itemgetter(*columns) if len(columns) > 1
-                       else lambda heights, c=columns[0]: (heights[c],))
-    return (plus, minus, *getters)
-
-
 def _carry(omega, lam, rows) -> Optional[List[int]]:
     """Heights omega carried across the circuit lam on which every row is positive, or None.
 
     lam is the (plus, minus) column masks of a +-1 vector and every row a
-    reader (_reader) of one; the carried heights are omega - t lam for one
+    wall row (flips._Cells.row); the carried heights are omega - t lam for one
     rational t, as primitive integers.  <row, lam> is four popcounts of the
     masks.  The rows are positive exactly on an open interval of t, the one
     bounded by <row, omega> / <row, lam> over the rows with <row, lam>
@@ -833,7 +819,6 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
     cells = search.cells
     group = search.group
     fold = _Fold(search, [None] * len(search.nodes), {})
-    readers: Dict[int, Tuple] = {}
     # pulls[e] reads heights w into the heights that perms[e] moves them to
     pulls: Dict[int, itemgetter] = {}
     for i, node in enumerate(search.nodes):
@@ -842,11 +827,6 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
             raise RegularityError('triangulation %d matches %d walls to circuits, the seed %d'
                                   % (i, matched, interior))
         rows = _wall_rows(cells, sides)
-        wall_readers = []
-        for s in sides:
-            if s not in readers:
-                readers[s] = _reader(cells.n, cells.columns[s], cells.columns[s ^ 1])
-            wall_readers.append(readers[s])
         for a, s, e in search.arrived(i):
             omega = fold.witnesses[a]
             if omega is None:
@@ -855,7 +835,7 @@ def _regularity_fold(seed: Triangulation, circuits, perms, budget: int,
                 perm = group.perms[e]
                 pulls[e] = itemgetter(*sorted(range(ncols), key=perm.__getitem__))
             lam = group.image(e, cells.columns[s]), group.image(e, cells.columns[s ^ 1])
-            witness = _carry(pulls[e](omega), lam, wall_readers)
+            witness = _carry(pulls[e](omega), lam, rows)
             if witness is not None:
                 fold.witnesses[i] = witness
                 fold.carried[i] = a
@@ -920,7 +900,8 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     the orbits.  It stores and decides one triangulation per orbit, and
     nodes and regular_nodes sum the orbit sizes (orbit-stabiliser), so
     budget_nodes bounds triangulations, not orbits; the search counts whole
-    orbits only, so where a truncated count stops depends on the group.
+    orbits only, so where a truncated count stops depends on the group, and
+    it always keeps the seed's orbit, even one larger than budget_nodes.
     twist_orbits counts the twist orbits all the same
     (_twist_orbits), and affine_twists reports the twists alone; workers is
     ignored, kept only because perfbench/workloads.py passes it (ROADMAP

@@ -139,6 +139,23 @@ def test_flipgraph_budget_exhaustion(capsys):
     assert 'partial yes' in out
 
 
+def test_budget_below_the_seed_keeps_the_seed(capsys):
+    # the seed's orbit is always kept, even when it alone is over the budget:
+    # one triangulation with no nodes allowed, and the n=2 seed's eight
+    # twist images with one allowed; both runs are partial
+    code, out, _ = run_cli(capsys, ['flipgraph', '--word', 'LR', '--budget-nodes', '0',
+                                    '--format', 'json'])
+    assert code == EXIT_BUDGET
+    payload = json.loads(out)
+    assert (payload['node_count'], payload['edge_count'], payload['partial']) == (1, 0, True)
+    code, out, _ = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', '2', '--budget-nodes', '1',
+                                    '--no-exhaustive', '--format', 'json'])
+    assert code == EXIT_BUDGET
+    payload = json.loads(out)
+    assert (payload['nodes'], payload['regular_nodes'], payload['twist_orbits']) == (8, 8, 1)
+    assert (payload['partial'], payload['matches'], payload['exhaustive']) == (True, False, None)
+
+
 def test_twist_group_listing(capsys):
     code, out, _ = run_cli(capsys, ['twist', '--word', 'LR'])
     assert code == EXIT_OK

@@ -242,14 +242,15 @@ def reference_locate(group, index, nodes, node):
 
 def test_candidate_lookup_matches_every_element_tried():
     # the lookup tries only the elements that map the first simplex into the
-    # target; on every flip of every stored node of the orbit searches to
-    # n = 3, it finds the stored node and element that trying all of them
-    # finds, and the orbit sizes those give
+    # target; on every flip of every stored node of the plain and the orbit
+    # searches to n = 3, it finds the stored node and element that trying all
+    # of them finds, and the orbit sizes those give; the one-element group
+    # keys its nodes by their invariants like every other group
     flips_seen = 0
     for n in (1, 2, 3):
         w = snake_polytope_word(n)
         twists = [tau.column_permutation for tau in all_twists(w)]
-        for perms in (twists, _orbit_group(w, twists)):
+        for perms in ((), twists, _orbit_group(w, twists)):
             search = _search(canonical_of(w), all_circuits(w), budget=100000, perms=perms)
             group, cells = search.group, search.cells
             for node, size in zip(search.nodes, search.sizes):

@@ -251,7 +251,15 @@ def test_is_regular_on_explored_components(monkeypatch):
 
 
 def wall_rows(tri, circuits):
-    return _checked_rows(tri, circuits)
+    # each (plus, minus, plus getter, minus getter) wall row as {column: +-1};
+    # a getter reads its mask's columns, in order
+    n = len(tri.config.columns)
+    rows = []
+    for plus, minus, get_plus, get_minus in _checked_rows(tri, circuits):
+        assert plus and minus and not plus & minus
+        assert (get_plus(range(n)), get_minus(range(n))) == (_decode(n, plus), _decode(n, minus))
+        rows.append({**dict.fromkeys(_decode(n, plus), 1), **dict.fromkeys(_decode(n, minus), -1)})
+    return rows
 
 
 def test_is_regular_raises_on_a_short_circuit_list():
@@ -467,11 +475,18 @@ def test_fold_verdicts_match_is_regular():
     assert decided == {1: (5, 4), 2: (42, 41), 3: (429, 422)}
 
 
-def read(n, reader, heights):
-    """<row, heights> for a +-1 row given as a reader, from its column masks alone."""
-    plus, minus = reader[:2]
+def read(n, row, heights):
+    """<row, heights> for a +-1 wall row, from its column masks alone."""
+    plus, minus = row[:2]
     return (sum(heights[c] for c in _decode(n, plus))
             - sum(heights[c] for c in _decode(n, minus)))
+
+
+def row_of(n, plus, minus):
+    """A +-1 row in the wall-row form of flips._Cells.row, from its column masks."""
+    getters = [lambda heights, columns=_decode(n, mask): tuple(heights[c] for c in columns)
+               for mask in (plus, minus)]
+    return (plus, minus, *getters)
 
 
 def carry_interval(n, omega, lam, rows):
@@ -544,8 +559,7 @@ def test_carry_finds_a_step_exactly_when_one_exists():
             minus = sum(1 << (n - 1 - c) for c in range(n) if signs[c] < 0)
             return (plus, minus) if plus and minus else None
         lam = masks()
-        rows = [regularity._reader(n, *r) for r in (masks() for _ in range(rng.randint(1, 5)))
-                if r]
+        rows = [row_of(n, *r) for r in (masks() for _ in range(rng.randint(1, 5))) if r]
         if lam is None or not rows:
             continue
         omega = [rng.randint(-4, 6) for _ in range(n)]
@@ -1171,6 +1185,40 @@ def test_twist_orbits_of_roots_count_every_triangulation():
         assert size == len(twist_perms(w)), name
         sizes[name] = (size, len(leaves))
     assert [sizes[str(snake_polytope_word(n))] for n in (1, 2, 3)] == [(4, 5), (8, 42), (16, 429)]
+
+
+N_BY_CODE = {
+    1: '0:3 1:2',
+    2: '00:13 01:10 10:9 11:10',
+    3: '000:64 001:51 010:52 011:64 100:42 101:33 110:53 111:70',
+}
+
+
+def test_triangulations_holding_each_closed_form_root_are_pinned():
+    # N(b), the number of triangulations that hold closed_form_root(n, b),
+    # read off the leaves: each leaf holds one root, the first of its twist
+    # orbit, and a twist maps the triangulations holding a root onto those
+    # holding its image; at n <= 2 also counted over every triangulation
+    for n, table in N_BY_CODE.items():
+        w = snake_polytope_word(n)
+        cfg = word_context(w).config
+        circuits = all_circuits(w)
+        twists = twist_perms(w)
+        leaves, _, complete = count_triangulations(cfg, circuits, twists)
+        assert complete
+        counts = {}
+        for code in itertools.product((0, 1), repeat=n):
+            root = closed_form_root(n, code)
+            orbit = {tuple(sorted(perm[c] for c in root)) for perm in twists}
+            counts[code] = sum(1 for leaf in leaves if orbit.intersection(leaf))
+        assert ' '.join('%s:%d' % (''.join(map(str, code)), count)
+                        for code, count in sorted(counts.items())) == table
+        assert sum(counts.values()) == len(leaves) == catalan(2 * n + 1)
+        if n <= 2:
+            found, complete = enumerate_triangulations(cfg, circuits)
+            assert complete
+            assert {code: sum(1 for t in found if closed_form_root(n, code) in t)
+                    for code in counts} == counts
 
 
 def test_leaves_hold_the_first_root_of_each_twist_orbit(monkeypatch):

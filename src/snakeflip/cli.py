@@ -571,6 +571,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print('snakeflip: %s' % exc, file=sys.stderr)
         return EXIT_BUDGET
+    except MemoryError:
+        print('snakeflip: out of memory', file=sys.stderr)
+        return EXIT_BUDGET
     except (WordError, TwistError, RegularityError, PolytopeError, FlipError,
             CircuitError, PosetError, VolumeError) as exc:
         print('snakeflip: %s' % exc, file=sys.stderr)

@@ -10,13 +10,16 @@ from time import monotonic
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .circuits import Circuit, all_circuits, is_unit_dependence, word_context
-from .polytope import Triangulation, is_triangulation, simplex_volume, walls
+from .polytope import Triangulation, is_triangulation, is_unimodular, walls
 from .posets import digraph_isomorphism, maximal_chains
 from .words import SnakeWord
 
 
 class FlipError(ValueError):
     """Raised when a flip application breaks a triangulation invariant."""
+
+
+_DIRECTIONS = ('plus', 'minus')  # a FlipMove's direction names side s & 1 of its circuit
 
 
 class FlipMove(NamedTuple):
@@ -77,42 +80,19 @@ def _decode(n: int, mask: int) -> Tuple[int, ...]:
     return tuple(columns)
 
 
-class _Side(NamedTuple):
-    """One side of a circuit, its cells and the other side's as masks.
-
-    A cell is the support without one column of the side.
-    """
-
-    circuit: Circuit
-    direction: str
-    cells: Tuple[int, ...]
-    other_cells: Tuple[int, ...]
-
-
-def _plan(n: int, circuits) -> List[_Side]:
-    """Both sides of every circuit, in circuit order, plus before minus."""
-    plan = []
-    for z in circuits:
-        support = _encode(n, z.plus + z.minus)
-        cells = {j: support ^ (1 << (n - 1 - j)) for j in z.plus + z.minus}
-        for direction, side, other in (('plus', z.plus, z.minus), ('minus', z.minus, z.plus)):
-            plan.append(_Side(z, direction, tuple(cells[j] for j in side),
-                              tuple(cells[j] for j in other)))
-    return plan
-
-
 class _Cells:
     """Per-search table of the circuit cells each simplex holds, and the scan over it.
 
     circuits are the listed circuits on the configuration's columns (one on
-    a column past the last is left out) and sides their _plan, so side s is
-    a side of circuits[s >> 1], the plus side for even s.  A simplex holds
-    the cell Z - j when j is the only support column of Z outside it; the
-    cell's link face is the simplex without Z's support.  entries[mask]
-    lists one key per cell the simplex holds, which packs j's side s and
-    the face as (s << n) | face.  columns[s] and supports[s] are side s's
-    columns and its circuit's support as masks, and side_bits[s] the
-    column bits of side s, lowest last.  unit[k] caches whether
+    a column past the last is left out), and side s is a side of
+    circuits[s >> 1], the plus side for even s.  A simplex holds the cell
+    Z - j when j is the only support column of Z outside it; the cell's
+    link face is the simplex without Z's support.  entries[mask] lists one
+    key per cell the simplex holds, which packs j's side s and the face as
+    (s << n) | face.  columns[s] and supports[s] are side s's columns and
+    its circuit's support as masks, side_bits[s] the column bits of side s,
+    lowest last, and cells[s] side s's cells as masks, supports[s] ^ bit
+    for each bit of side_bits[s].  unit[k] caches whether
     circuit k's +-1 vector is a dependence of the columns
     (circuits.is_unit_dependence), and rows[s] side s's wall row (row).
     """
@@ -122,7 +102,6 @@ class _Cells:
         self.cfg = cfg
         self.n = n
         self.circuits = tuple(z for z in circuits if max(z.support()) < n)
-        self.sides = _plan(n, self.circuits)
         self.face_bits = (1 << n) - 1
         self.columns: List[int] = []
         self.supports: List[int] = []
@@ -130,6 +109,8 @@ class _Cells:
             self.columns += (_encode(n, z.plus), _encode(n, z.minus))
             self.supports += (_encode(n, z.support()),) * 2
         self.side_bits = [[1 << (n - 1 - c) for c in _decode(n, side)] for side in self.columns]
+        self.cells = [tuple(support ^ bit for bit in bits)
+                      for support, bits in zip(self.supports, self.side_bits)]
         self.sizes = list(map(len, self.side_bits))
         self.lowest = [sum(bits[-2:]) for bits in self.side_bits]
         self.entries: Dict[int, Tuple[int, ...]] = {}
@@ -188,7 +169,7 @@ class _Cells:
         times is m distinct cells, the face joined with the support less
         each of m columns of the side.  A side is a move when every face it
         meets carries all the side's columns; the move is (s, link faces),
-        in plan order.  A face carrying m >= 2 columns of one side is C(m,
+        in side order.  A face carrying m >= 2 columns of one side is C(m,
         2) walls: the simplices (Z - j) + face and (Z - j') + face share the
         facet (Z - j - j') + face, and Z is the circuit of their union, with
         both apexes on side s.  matched counts these walls, and the wall
@@ -248,11 +229,11 @@ class _Cells:
         return moves, matched, tuple(sorted(top, key=lambda s: top[s] & face_bits, reverse=True))
 
 
-def _flip(node: Tuple[int, ...], present: FrozenSet[int], side: _Side,
+def _flip(node: Tuple[int, ...], present: FrozenSet[int], cells: _Cells, s: int,
           link) -> Tuple[Tuple[int, ...], Set[int], FrozenSet[int]]:
-    """The node after the move, the simplices the move removed, and those it created."""
-    old = {cell | face for cell in side.cells for face in link}
-    new = frozenset(cell | face for cell in side.other_cells for face in link)
+    """The node after the move on side s, the simplices it removed, and those it created."""
+    old = {cell | face for cell in cells.cells[s] for face in link}
+    new = frozenset(cell | face for cell in cells.cells[s ^ 1] for face in link)
     if not old <= present:
         raise FlipError('flip move does not match the triangulation')
     result = (present - old) | new
@@ -277,7 +258,7 @@ def find_flips(tri: Triangulation, circuits) -> List[FlipMove]:
     n, node = _node(tri)
     cells = _Cells(tri.config, circuits)
     moves, _, _ = cells.scan(node)
-    return [FlipMove(cells.sides[s].circuit, cells.sides[s].direction,
+    return [FlipMove(cells.circuits[s >> 1], _DIRECTIONS[s & 1],
                      tuple(_decode(n, face) for face in sorted(link, reverse=True)))
             for s, link in moves]
 
@@ -291,14 +272,13 @@ def apply_flip(tri: Triangulation, move: FlipMove, circuits=None) -> Triangulati
     FlipError is raised when it fails.
     """
     n, node = _node(tri)
-    if move.direction not in ('plus', 'minus'):
+    if move.direction not in _DIRECTIONS:
         raise FlipError('flip direction must be plus or minus, got %r' % (move.direction,))
     if not all(0 <= c < n for face in (move.circuit.support(), *move.link) for c in face):
         raise FlipError('flip move names a column outside 0..%d' % (n - 1))
-    plus, minus = _plan(n, (move.circuit,))
-    side = plus if move.direction == 'plus' else minus
     link = {_encode(n, face) for face in move.link}
-    image, _, _ = _flip(node, frozenset(node), side, link)
+    image, _, _ = _flip(node, frozenset(node), _Cells(tri.config, (move.circuit,)),
+                        _DIRECTIONS.index(move.direction), link)
     result = Triangulation(tri.config, tuple(_decode(n, mask) for mask in image))
     if circuits is not None and not is_triangulation(tri.config, result.simplices, circuits):
         raise FlipError('flip produced a non-triangulation')
@@ -479,11 +459,11 @@ class _Search(NamedTuple):
     def arrived(self, b: int):
         """(a, s, e) for each arrival at b, in the order of the moves.
 
-        Node a's move on cells.sides[s] gave a node that group.perms[e] maps
+        Node a's move on side s of cells gave a node that group.perms[e] maps
         onto nodes[b].
         """
         order = self.group.order
-        sides = len(self.cells.sides)
+        sides = len(self.cells.cells)
         for packed in self.arrivals[b]:
             rest, e = divmod(packed, order)
             a, s = divmod(rest, sides)
@@ -517,7 +497,7 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     Every flip is an edge, met from both of its ends, so expanding b skips
     the moves known to lead back into the orbit of an earlier node: the
     reverse of each arrival (a, s, e) so far, on the image under perms[e]
-    of the other side of sides[s].  A side's image is looked up by
+    of the other side of side s.  A side's image is looked up by
     its column and support masks and kept per (element, side); an image
     that is not a listed side skips nothing.
 
@@ -528,12 +508,11 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     created simplex is unimodular; a flip to a new node on a circuit that is
     not one raises FlipError.
     """
-    cfg = seed.config
     n, root = _node(seed)
-    cells = _Cells(cfg, circuits)
-    sides = cells.sides
+    cells = _Cells(seed.config, circuits)
+    sides = len(cells.cells)
     group = _Group(n, perms)
-    if any(simplex_volume(cfg, _decode(n, mask)) != 1 for mask in root):
+    if not is_unimodular(seed):
         raise FlipError('seed triangulation is not unimodular')
     key = group.invariant(root)
     index = {key: [0]}
@@ -544,7 +523,7 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
     # keys[b] is nodes[b]'s invariant, which a flip carries by the weights
     # of the simplices it removes and creates
     keys = [key]
-    side_of = {(cells.columns[t], cells.supports[t]): t for t in range(len(sides))}
+    side_of = {(cells.columns[t], cells.supports[t]): t for t in range(sides)}
     side_images: Dict[Tuple[int, int], Optional[int]] = {}
 
     def side_image(e: int, t: int) -> Optional[int]:
@@ -579,7 +558,7 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
             for s, link in moves:
                 if s in back:
                     continue
-                image, removed, created = _flip(node, present, sides[s], link)
+                image, removed, created = _flip(node, present, cells, s, link)
                 key = keys[a] - group.invariant(removed) + group.invariant(created)
                 key, b, e = group.locate(index, nodes, image, key)
                 if b is None:
@@ -600,7 +579,7 @@ def _search(seed: Triangulation, circuits, budget: int, max_depth: Optional[int]
                     total += size
                     frontier.append(b)
                 if a < b:
-                    arrivals[b].append((a * len(sides) + s) * group.order + e)
+                    arrivals[b].append((a * sides + s) * group.order + e)
         depth += 1
         if truncated:
             partial = True
@@ -627,8 +606,8 @@ def explore_flip_graph(seed: Triangulation, circuits, budget: int = 100000,
     once, so the nodes share one column tuple per simplex.
     """
     search = _search(seed, circuits, budget, max_depth, deadline)
-    sides = search.cells.sides
-    edges = {(a, b, sides[s].circuit)
+    circuits = search.cells.circuits
+    edges = {(a, b, circuits[s >> 1])
              for b in range(len(search.nodes)) for a, s, _ in search.arrived(b)}
     ordered = sorted(edges, key=lambda e: (e[0], e[1], e[2].plus, e[2].minus))
     columns_of = {mask: _decode(search.n, mask) for mask in set().union(*search.nodes)}

@@ -9,7 +9,7 @@ from math import factorial, gcd, lcm
 from operator import itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .circuits import Circuit, all_circuits, is_unit_dependence, word_context
+from .circuits import all_circuits, word_context
 from .exact import adjugate, lp_feasible
 from .flips import (_Cells, _decode, _encode, _node, _search, _Search, canonical_of,
                     dual_graph, explore_flip_graph, graphs_isomorphic, triangulation_hash)
@@ -186,7 +186,7 @@ def _wall_rows(cells: _Cells, sides) -> List[Tuple]:
         row = cells.row(s)
         if row is None:
             raise RegularityError('circuit %r is not a dependence of the columns'
-                                  % (cells.sides[s].circuit,))
+                                  % (cells.circuits[s >> 1],))
         rows.append(row)
     return rows
 
@@ -323,32 +323,25 @@ def snake_polytope_word(n: int) -> SnakeWord:
     return w
 
 
-def _perms_are_affine(w: SnakeWord, perms) -> bool:
-    """Whether every column permutation is an affine map of the ambient space.
+def _keeps_circuits(circuits, perms) -> bool:
+    """Whether every column permutation maps the listed circuits onto themselves.
 
-    It is when each fundamental circuit of one basis, its columns permuted,
-    is still a +-1 dependence.  The basis B is grown greedily in column
-    order, a column joining when B and it hold no circuit's support; each
-    column c outside B then forms one circuit with B, the only circuit with
-    c alone outside B.  These circuits are independent, one per column
-    outside B, so they span the affine dependences.  Such a permutation
-    keeps the kernel of the homogenized column matrix, hence its row space,
-    all-ones row included: it is induced by an affine map of the
-    full-dimensional configuration.  Conversely an affine map keeps every
-    dependence, and every circuit of an order polytope is a +-1 one.
+    Each circuit's two sides are mapped and the unordered pair looked up
+    among the listed ones, so a map may swap a circuit's sides, as every
+    twist of LR does on 3 to 6 of its 7.  On a complete list of +-1
+    circuits, as of an order polytope, this holds exactly when the
+    permutation is an affine map of the ambient space: the circuits span
+    the affine dependences, so a permutation that keeps them keeps the
+    kernel of the homogenized column matrix, hence its row space, all-ones
+    row included, and is induced by an affine map of the full-dimensional
+    configuration; conversely an affine map keeps every minimal dependence.
     """
-    cfg = word_context(w).config
-    circuits = all_circuits(w)
-    supports = [sum(1 << c for c in z.support()) for z in circuits]
-    basis = 0
-    for c in range(len(cfg.columns)):
-        grown = basis | 1 << c
-        if not any(sup & grown == sup for sup in supports):
-            basis = grown
-    fundamental = [z for z, sup in zip(circuits, supports) if (sup & ~basis).bit_count() == 1]
-    return all(is_unit_dependence(cfg, Circuit(tuple(perm[c] for c in z.plus),
-                                               tuple(perm[c] for c in z.minus)))
-               for perm in perms for z in fundamental)
+    def pair(z, perm):
+        return frozenset((frozenset(map(perm.__getitem__, z.plus)),
+                          frozenset(map(perm.__getitem__, z.minus))))
+
+    listed = {frozenset((frozenset(z.plus), frozenset(z.minus))) for z in circuits}
+    return all(pair(z, perm) in listed for perm in perms for z in circuits)
 
 
 def _reversal(w: SnakeWord) -> Optional[Tuple[int, ...]]:
@@ -410,11 +403,11 @@ def _root_orbits(ncols: int, roots: List[Tuple[int, ...]], perms,
     the listed elements G, the identity and perms, which need not be closed
     under composition.  The representatives, the first root of each orbit,
     stand for every root when each element maps the circuits onto the
-    circuits, a sign flip allowed, and so triangulations onto
-    triangulations; every image of a root is a root; and the orbits split
-    the roots into blocks of |G| distinct members.  Then an element g maps
-    the root r of a triangulation T to a root of gT, its only one, so g is a
-    bijection from the triangulations holding r to those holding g(r).
+    circuits, a sign flip allowed (_keeps_circuits), and so triangulations
+    onto triangulations; every image of a root is a root; and the orbits
+    split the roots into blocks of |G| distinct members.  Then an element g
+    maps the root r of a triangulation T to a root of gT, its only one, so g
+    is a bijection from the triangulations holding r to those holding g(r).
     When any of this fails, every root is its own representative and the
     orbit size is 1.  A perm that is not a permutation of the columns
     raises RegularityError.
@@ -426,15 +419,7 @@ def _root_orbits(ncols: int, roots: List[Tuple[int, ...]], perms,
         if sorted(perm) != list(identity):
             raise RegularityError('%r is not a permutation of the %d columns' % (perm, ncols))
         elements.add(perm)
-    if len(elements) == 1:
-        return roots, 1
-
-    def signed(z, perm):
-        return frozenset((frozenset(map(perm.__getitem__, z.plus)),
-                          frozenset(map(perm.__getitem__, z.minus))))
-
-    listed = {signed(z, identity) for z in circuits}
-    if any(signed(z, perm) not in listed for perm in elements for z in circuits):
+    if len(elements) == 1 or not _keeps_circuits(circuits, elements):
         return roots, 1
     known = set(roots)
     reps = []
@@ -853,11 +838,12 @@ def _orbit_group(w: SnakeWord, twists) -> List[Tuple[int, ...]]:
     """The twists Tw and their products Tw·α with the reversal α, when those
     form a group of affine maps; the twists alone otherwise.
 
-    Tw is a group, so Tw ∪ Tw·α is closed under composition when α·t lies in
-    it for every twist t, and α·α does too.
+    α is affine when it keeps the circuits (_keeps_circuits).  Tw is a
+    group, so Tw ∪ Tw·α is closed under composition when α·t lies in it for
+    every twist t, and α·α does too.
     """
     alpha = _reversal(w)
-    if alpha is None or not _perms_are_affine(w, (alpha,)):
+    if alpha is None or not _keeps_circuits(all_circuits(w), (alpha,)):
         return list(twists)
     group = set(twists) | {tuple(t[c] for c in alpha) for t in twists}
     if any(tuple(alpha[c] for c in t) not in group for t in (*twists, alpha)):
@@ -931,8 +917,8 @@ def count_regular_triangulations(n: int, budget_nodes: int = 100000, workers: in
     twists = [tau.column_permutation for tau in all_twists(w)]
     # every twist is a product of elementary twists, and affine maps compose
     ladders = len(word_context(w).labeling.ladders.rungs)
-    affine = _perms_are_affine(w, [elementary_twist(w, i).column_permutation
-                                   for i in range(1, ladders + 1)])
+    affine = _keeps_circuits(circuits, [elementary_twist(w, i).column_permutation
+                                        for i in range(1, ladders + 1)])
     perms = _orbit_group(w, twists) if affine else []
     fold = _regularity_fold(canonical_of(w), circuits, perms, budget_nodes, deadline)
     search = fold.search

@@ -76,6 +76,16 @@ def test_library_errors_map_to_exit_codes(capsys, monkeypatch, error, code):
     assert run_cli(capsys, ['volume', '--word', 'LR']) == (code, '', 'snakeflip: stopped here\n')
 
 
+def test_running_out_of_memory_exits_3_with_one_line(capsys, monkeypatch):
+    def suite(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, 'conjecture_suite', suite)
+    code, out, err = run_cli(capsys, ['conjectures', '--id', '6.4', '--n', '2'])
+    assert (code, out) == (EXIT_BUDGET, '')
+    assert err.splitlines() == ['snakeflip: out of memory']
+
+
 def test_volume_json_payload(capsys):
     code, out, _ = run_cli(capsys, ['volume', '--word', 'eps', '--format', 'json'])
     assert code == EXIT_OK

@@ -111,7 +111,7 @@ def test_search_records_the_first_move_to_each_node():
     for b in range(1, len(g.nodes)):
         _, a, z = min(up[b])
         first, s, e = next(search.arrived(b))
-        assert (first, search.cells.sides[s].circuit, e) == (a, z, 0)
+        assert (first, search.cells.circuits[s >> 1], e) == (a, z, 0)
 
 
 def test_first_arrival_is_the_flip_that_found_each_node():
@@ -131,9 +131,9 @@ def test_first_arrival_is_the_flip_that_found_each_node():
                 assert e == 0 and search.depths[b] == search.depths[a] + 1
                 node = search.nodes[a]
                 link = dict(cells.scan(node)[0])[s]
-                assert _flip(node, frozenset(node), cells.sides[s], link)[0] == search.nodes[b]
+                assert _flip(node, frozenset(node), cells, s, link)[0] == search.nodes[b]
             if not symmetries and n <= 2:
-                arrivals = [(a, b, cells.sides[s].circuit)
+                arrivals = [(a, b, cells.circuits[s >> 1])
                             for b in range(len(search.nodes)) for a, s, _ in search.arrived(b)]
                 edges = explore_flip_graph(seed, circuits).edges
                 assert sorted(edges, key=repr) == sorted(arrivals, key=repr)
@@ -210,6 +210,10 @@ def test_search_rejects_a_flip_to_a_non_unimodular_simplex():
     assert find_flips(seed, [z]) == [FlipMove(z, 'minus', ((),))]
     with pytest.raises(FlipError, match='non-unimodular'):
         explore_flip_graph(seed, [z])
+    # a seed with a simplex of normalized volume 2 is refused before any flip
+    segment = PointConfiguration(1, ((0,), (1,), (2,)), ((0,), (1,), (2,)))
+    with pytest.raises(FlipError, match='seed triangulation is not unimodular'):
+        explore_flip_graph(Triangulation.make(segment, [(0, 2)]), [])
 
 
 def test_orbit_search_is_pinned():
@@ -223,7 +227,7 @@ def test_orbit_search_is_pinned():
         parents = [(-1, None)]
         for b in range(1, len(search.nodes)):
             a, s, _ = next(search.arrived(b))
-            z = search.cells.sides[s].circuit
+            z = search.cells.circuits[s >> 1]
             parents.append((a, (z.plus, z.minus)))
         text = repr((search.nodes, parents, search.sizes, search.depths))
         assert hashlib.blake2b(text.encode(), digest_size=16).hexdigest() == digest
@@ -259,7 +263,7 @@ def test_candidate_lookup_matches_every_element_tried():
                                                                    for mask in node)))
                                   for e in range(group.order)) == group.order
                 for s, link in cells.scan(node)[0]:
-                    image, _, _ = _flip(node, frozenset(node), cells.sides[s], link)
+                    image, _, _ = _flip(node, frozenset(node), cells, s, link)
                     _, b, e = group.locate(search.index, search.nodes, image)
                     assert b is not None
                     assert (b, e) == reference_locate(group, search.index, search.nodes, image)
@@ -366,7 +370,7 @@ def reference_search(seed, circuits, budget, max_depth=None, perms=()):
             moves, matched, walls = cells.scan(node)
             scans[a] = (matched, walls)
             for s, link in moves:
-                image, _, _ = _flip(node, frozenset(node), cells.sides[s], link)
+                image, _, _ = _flip(node, frozenset(node), cells, s, link)
                 b = index.get(canon(image))
                 if b is None:
                     size = len(elements) // images(image).count(frozenset(image))
@@ -384,7 +388,7 @@ def reference_search(seed, circuits, budget, max_depth=None, perms=()):
                 elif a < b:
                     e = images(image).index(frozenset(nodes[b]))
                     arrivals[b].append((a, s, e))
-                moves_seen.add((min(a, b), max(a, b), cells.sides[s].circuit))
+                moves_seen.add((min(a, b), max(a, b), cells.circuits[s >> 1]))
         depth += 1
         if truncated:
             partial = True

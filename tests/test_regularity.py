@@ -38,7 +38,7 @@ from snakeflip.regularity import (
     snake_polytope_word,
     verify_local_folding,
 )
-from snakeflip.regularity import (_checked_rows, _orbit_group, _perms_are_affine, _primitive,
+from snakeflip.regularity import (_checked_rows, _keeps_circuits, _orbit_group, _primitive,
                                   _regularity_fold, _reversal)
 from snakeflip.twists import Twist, all_twists, elementary_twist, twist_triangulation
 from snakeflip.volumes import catalan
@@ -599,14 +599,14 @@ def test_fold_raises_when_a_later_node_matches_fewer_walls():
     circuits = all_circuits(w)
     seed = canonical_of(w)
     search = _search(seed, circuits, budget=100000)
-    sides = search.cells.sides
-    seed_circuits = {sides[s].circuit for s in search.scans[0][1]}
+    circuit_of = search.cells.circuits
+    seed_circuits = {circuit_of[s >> 1] for s in search.scans[0][1]}
     missing = None
     for b in range(1, len(search.nodes)):
         a, s, _ = next(search.arrived(b))
-        y = sides[s].circuit
+        y = circuit_of[s >> 1]
         if a == 0:
-            later = [sides[s].circuit for s in search.scans[b][1]]
+            later = [circuit_of[s >> 1] for s in search.scans[b][1]]
             missing = next((z for z in later if z not in seed_circuits and z != y), None)
             if missing is not None:
                 break
@@ -635,7 +635,7 @@ def test_orbit_search_covers_the_plain_search():
         cfg = word_context(w).config
         for b in range(1, len(orbit.nodes)):
             a, s, _ = next(orbit.arrived(b))
-            z = orbit.cells.sides[s].circuit
+            z = orbit.cells.circuits[s >> 1]
             parent = Triangulation(cfg, search_node(orbit, a))
             (move,) = find_flips(parent, [z])
             assert apply_flip(parent, move).simplices == search_node(orbit, b)
@@ -723,7 +723,7 @@ def test_fold_raises_at_the_seed_without_a_circuit_its_walls_use():
     circuits = all_circuits(w)
     seed = canonical_of(w)
     search = _search(seed, circuits, budget=1)
-    used = search.cells.sides[search.scans[0][1][0]].circuit
+    used = search.cells.circuits[search.scans[0][1][0] >> 1]
     short = tuple(z for z in circuits if z != used)
     with pytest.raises(RegularityError, match='interior walls match'):
         is_regular(seed, short)
@@ -783,7 +783,7 @@ def kernel_twist_is_affine(w, tau):
 
 
 def twist_is_affine(w, tau):
-    return _perms_are_affine(w, (tau.column_permutation,))
+    return _keeps_circuits(all_circuits(w), (tau.column_permutation,))
 
 
 def test_twist_is_affine_matches_the_per_column_kernels():
@@ -813,12 +813,12 @@ def test_twist_is_affine_matches_the_per_column_kernels():
 def test_twists_are_affine_takes_every_twist_of_the_word():
     w = parse_word('LRRL')
     perms = [tau.column_permutation for tau in all_twists(w)]
-    assert _perms_are_affine(w, perms)
+    assert _keeps_circuits(all_circuits(w), perms)
     columns = list(range(len(word_context(w).config.columns)))
     random.Random(3).shuffle(columns)
     shuffled = Twist(w, frozenset(), (), tuple(columns))
     assert not twist_is_affine(w, shuffled)
-    assert not _perms_are_affine(w, perms + [shuffled.column_permutation])
+    assert not _keeps_circuits(all_circuits(w), perms + [shuffled.column_permutation])
 
 
 def test_elementary_twists_decide_the_affinity_of_every_twist():
@@ -828,27 +828,29 @@ def test_elementary_twists_decide_the_affinity_of_every_twist():
         w = snake_polytope_word(n)
         ctx = word_context(w)
         ladders = len(ctx.labeling.ladders.rungs)
+        circuits = all_circuits(w)
         gens = [elementary_twist(w, i).column_permutation for i in range(1, ladders + 1)]
         perms = [tau.column_permutation for tau in all_twists(w)]
         assert set(gens) < set(perms) and len(perms) == 2 ** ladders
-        assert _perms_are_affine(w, gens) is _perms_are_affine(w, perms[1:]) is True
+        assert _keeps_circuits(circuits, gens) is _keeps_circuits(circuits, perms[1:]) is True
         swap = list(range(len(ctx.config.columns)))
         swap[0], swap[1] = swap[1], swap[0]
-        assert not _perms_are_affine(w, gens + [tuple(swap)])
+        assert not _keeps_circuits(circuits, gens + [tuple(swap)])
 
 
 def every_circuit_is_affine(w, perms):
-    """The affinity check on every circuit of the word, kept as a reference."""
+    """Whether every circuit's image is a +-1 dependence, kept as a reference."""
     cfg = word_context(w).config
     return all(is_unit_dependence(cfg, Circuit(tuple(perm[c] for c in z.plus),
                                                tuple(perm[c] for c in z.minus)))
                for perm in perms for z in all_circuits(w))
 
 
-def test_affinity_on_the_fundamental_circuits_matches_every_circuit():
-    # the fundamental circuits of one basis span the dependences, so checking
-    # them alone gives the verdict of all circuits: every twist and reversal
-    # of the words to length 4, and the transposition of columns 0 and 1
+def test_keeping_the_circuits_matches_every_image_being_a_dependence():
+    # on a complete list of +-1 circuits, a permutation maps the circuits onto
+    # themselves exactly when it maps each to a +-1 dependence: every twist
+    # and reversal of the words to length 4, and the transposition of
+    # columns 0 and 1
     verdicts = []
     for w in v_words(4):
         ncols = len(word_context(w).config.columns)
@@ -859,11 +861,12 @@ def test_affinity_on_the_fundamental_circuits_matches_every_circuit():
         if alpha is not None:
             cases.append((alpha,))
         for perms in cases:
-            verdict = _perms_are_affine(w, perms)
+            verdict = _keeps_circuits(all_circuits(w), perms)
             assert verdict == every_circuit_is_affine(w, perms), (w, perms)
             verdicts.append(verdict)
-        assert not _perms_are_affine(w, (tuple(swap),))
+        assert not _keeps_circuits(all_circuits(w), (tuple(swap),))
     assert verdicts.count(False) == 23 and verdicts.count(True) > 60
+
 
 
 def kernel_enumerate_triangulations(cfg, budget_steps=2_000_000):
@@ -1238,6 +1241,53 @@ def test_leaves_hold_the_first_root_of_each_twist_orbit(monkeypatch):
         assert leaves == tuple(t for t in found if representatives.intersection(t)), w
 
 
+LEAVES_AND_EDGES_BY_CODE = {
+    1: '0:(3,2) 1:(2,1)',
+    2: '00:(13,17) 01:(10,12) 10:(9,11) 11:(10,15)',
+    3: '000:(64,125) 001:(51,95) 010:(52,99) 011:(64,142) 100:(42,78) 101:(33,58) '
+       '110:(53,116) 111:(70,175)',
+}
+
+
+def test_root_keeping_flips_connect_each_roots_leaves():
+    # a leaf holds one closed-form root; every flip of a leaf whose image
+    # still holds that root lands on a leaf, and these root-keeping flips
+    # connect the leaves of each root, each leaf of 1^n with 2n - 1 of them
+    for n, table in LEAVES_AND_EDGES_BY_CODE.items():
+        w = snake_polytope_word(n)
+        cfg = word_context(w).config
+        circuits = all_circuits(w)
+        leaves, _, complete = count_triangulations(cfg, circuits, twist_perms(w))
+        assert complete
+        known = set(leaves)
+        counts = []
+        for code in itertools.product((0, 1), repeat=n):
+            root = closed_form_root(n, code)
+            held = [leaf for leaf in leaves if root in leaf]
+            neighbours = {leaf: set() for leaf in held}
+            for leaf in held:
+                tri = Triangulation(cfg, leaf)
+                for move in find_flips(tri, circuits):
+                    image = apply_flip(tri, move).simplices
+                    if root in image:
+                        assert image in known
+                        neighbours[leaf].add(image)
+                        neighbours[image].add(leaf)
+            reached, stack = {held[0]}, [held[0]]
+            while stack:
+                for other in neighbours[stack.pop()] - reached:
+                    reached.add(other)
+                    stack.append(other)
+            assert len(reached) == len(held)
+            if all(code):
+                assert {len(adjacent) for adjacent in neighbours.values()} == {2 * n - 1}
+            edges = sum(map(len, neighbours.values())) // 2
+            counts.append(('%s:(%d,%d)' % (''.join(map(str, code)), len(held), edges), edges))
+        assert ' '.join(label for label, _ in counts) == table
+        if n == 3:
+            assert sum(edges for _, edges in counts) == 888
+
+
 def test_root_orbits_fall_back_to_single_roots():
     # every root is its own orbit, and the leaves are every triangulation,
     # when the reversal maps no root of the n=2 snake onto a root, alone or
@@ -1564,7 +1614,7 @@ def test_reversal_is_an_affine_anti_automorphism_that_closes_the_twists():
         alpha = _reversal(w)
         flip = {e: ctx.element_of[alpha[ctx.column_of[e]]] for e in range(ctx.phat.size)}
         assert {(flip[hi], flip[lo]) for lo, hi in ctx.phat.covers} == set(ctx.phat.covers)
-        assert _perms_are_affine(w, (alpha,))
+        assert _keeps_circuits(all_circuits(w), (alpha,))
         seed = canonical_of(w).simplices
         assert tuple(sorted(tuple(sorted(alpha[c] for c in s)) for s in seed)) == seed
         twists = [tau.column_permutation for tau in all_twists(w)]
